@@ -257,9 +257,12 @@ def _parse_rational_list(text: str):
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_pos_int(text: str) -> int:
@@ -400,8 +403,8 @@ def build_config(argv) -> ExperimentConfig:
         else:
             try:
                 values[field.name] = field.parse(raw)
-            except ConfigError:
-                raise
+            except ConfigError as exc:
+                raise ConfigError(f"--{field.name}: {exc}") from exc
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"invalid value for --{field.name}: {raw!r}") from exc
     return ExperimentConfig(experiment=args.experiment, values=values)
@@ -568,7 +571,10 @@ def run_evolve(config: ExperimentConfig) -> ExperimentResult:
 
     tables = []
     try:
-        classical = evolve_classical(potential, total_mass, x0, p0, t_final, dt)
+        try:
+            classical = evolve_classical(potential, total_mass, x0, p0, t_final, dt)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         tables.append(Table(
             "classical", ("t", "x", "p"),
             tuple(tuple(_fmt(v) for v in (t, s.x, s.p)) for t, s in classical),

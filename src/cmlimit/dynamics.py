@@ -2,11 +2,12 @@
 
 Quantum propagation runs in the Schrodinger picture (expectations are
 identical to the Heisenberg-picture statement, which is recovered through
-:func:`ehrenfest_residual`): exact eigendecomposition for total dimensions up
-to 2048, classic fixed-step 4th-order integration above that.  Norm drift is
-measured, never corrected -- silent renormalization would hide integrator
-failure.  The classical twin integrates Hamilton's equations
-xdot = p/M, pdot = -U'(x) with the same 4th-order stepper.
+:func:`ehrenfest_residual`) with the exact unitary exp(-iHt/hbar): H is real
+symmetric, diagonalized densely up to total dimension 2048 and applied as a
+sparse matrix-exponential action above that.  Norm drift is measured, never
+corrected -- silent renormalization would hide a propagation failure.  The
+classical twin integrates Hamilton's equations xdot = p/M, pdot = -U'(x)
+with classic 4th-order steps on the same time grid.
 
 When the Hamiltonian depends only on CM variables the CM sector factorizes
 exactly, so ``effective_cm_system`` (a single mode of mass N*mbar) carries
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from .hilbert_rep import (
-    DEFAULT_AMPLITUDE_CAP,
     ExcessiveTruncationError,
     ExpectationRecord,
     ModeSpec,
@@ -136,10 +137,12 @@ class HamiltonianSpec:
         return self.modes[0].hbar
 
 
-def build_hamiltonian(spec: HamiltonianSpec,
-                      max_amplitudes: int = DEFAULT_AMPLITUDE_CAP) -> SparseOperator:
-    """Assemble the Hamiltonian matrix; Hermitian within 1e-12 by construction."""
-    x_cm, _, p_tot = cm_operators_numeric(spec.modes, max_amplitudes=max_amplitudes)
+def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
+    """Assemble the Hamiltonian matrix; real symmetric by construction.
+
+    ``ops`` reuses the (X_CM, V_CM, P_TOT) triple of ``cm_operators_numeric``.
+    """
+    x_cm, _, p_tot = ops if ops is not None else cm_operators_numeric(spec.modes)
     total_mass = spec.total_mass
     h = (p_tot.matrix @ p_tot.matrix) / (2.0 * total_mass)
     if spec.potential.terms:
@@ -180,20 +183,18 @@ def evolve_classical(potential: PolynomialPotential, total_mass: float,
                      x0: float, p0: float, t_final: float, dt: float):
     """Integrate Hamilton's equations with classic 4th-order steps.
 
-    Returns ``[(t, ClassicalState), ...]`` including t = 0 and t = t_final;
-    when t_final is not a whole number of steps the last step is shortened.
+    Returns ``[(t, ClassicalState), ...]`` for t = 0, dt, ..., t_final; like
+    :func:`evolve_quantum` it raises ValueError unless t_final is a whole
+    number of steps.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_final < 0:
-        raise ValueError("t_final must be nonnegative")
+    n_steps = _step_count(t_final, dt)
     force = potential.derivative()
     inv_m = 1.0 / total_mass
 
     def rhs(x, p):
         return p * inv_m, -float(force.evaluate(x))
 
-    def rk4_step(x, p, h):
+    def step(x, p, h):
         dx1, dp1 = rhs(x, p)
         dx2, dp2 = rhs(x + 0.5 * h * dx1, p + 0.5 * h * dp1)
         dx3, dp3 = rhs(x + 0.5 * h * dx2, p + 0.5 * h * dp2)
@@ -203,18 +204,11 @@ def evolve_classical(potential: PolynomialPotential, total_mass: float,
             p + h / 6.0 * (dp1 + 2.0 * dp2 + 2.0 * dp3 + dp4),
         )
 
-    n_full = int(round(t_final / dt))
-    if abs(n_full * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        n_full = int(t_final / dt)
     out = [(0.0, ClassicalState(float(x0), float(p0)))]
     x, p = float(x0), float(p0)
-    for k in range(n_full):
-        x, p = rk4_step(x, p, dt)
+    for k in range(n_steps):
+        x, p = step(x, p, dt)
         out.append(((k + 1) * dt, ClassicalState(x, p)))
-    remainder = t_final - n_full * dt
-    if remainder > 1e-12 * max(1.0, abs(t_final)):
-        x, p = rk4_step(x, p, remainder)
-        out.append((t_final, ClassicalState(x, p)))
     return out
 
 
@@ -267,56 +261,42 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
-                   dt: float, sample_stride: int = 1, method: str | None = None,
-                   gate: float = EVOLUTION_GATE, hamiltonian: SparseOperator | None = None,
-                   max_amplitudes: int = DEFAULT_AMPLITUDE_CAP) -> Trajectory:
-    """Propagate psi0 under the given Hamiltonian, sampling CM observables.
+def _eig_samples(h: SparseOperator, psi0: np.ndarray, dt: float, n_steps: int,
+                 hbar: float) -> np.ndarray:
+    """Rows exp(-iH k dt/hbar) psi0, k = 0..n_steps, from the real eigendecomposition."""
+    evals, evecs = scipy.linalg.eigh(h.matrix.real.toarray())
+    coeffs = evecs.T @ psi0
+    times = dt * np.arange(n_steps + 1)
+    return (np.exp(np.outer(times, evals) * (-1j / hbar)) * coeffs) @ evecs.T
 
-    Samples are taken every ``sample_stride`` steps of size dt (t_final must
-    be a multiple of ``sample_stride * dt``).  ``method`` forces "eig" or
-    "rk4"; by default eigendecomposition is used up to total dimension 2048.
-    Raises ExcessiveTruncationError when a sample exceeds the truncation gate
-    and NormDriftError when |norm - 1| reaches 1e-8 (never renormalizes).
+
+def _expm_samples(h: SparseOperator, psi0: np.ndarray, dt: float, n_steps: int,
+                  hbar: float) -> np.ndarray:
+    """The same rows from the sparse action of the exponential (Al-Mohy & Higham 2011)."""
+    return expm_multiply(h.matrix * (-1j / hbar), psi0, start=0.0, stop=n_steps * dt,
+                         num=n_steps + 1, endpoint=True)
+
+
+def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
+                   dt: float) -> Trajectory:
+    """Propagate psi0 under the spec's Hamiltonian, sampling CM observables every dt.
+
+    t_final must be a whole number of steps dt.  The propagator is exact and
+    unitary: a dense real eigendecomposition of H up to total dimension
+    2048, ``expm_multiply`` on the sparse H above it.  Raises
+    ExcessiveTruncationError when a sample exceeds the truncation gate and
+    NormDriftError when |norm - 1| reaches 1e-8 (never renormalizes).
     """
-    if sample_stride < 1:
-        raise ValueError("sample_stride must be >= 1")
     n_steps = _step_count(t_final, dt)
-    if n_steps % sample_stride:
-        raise ValueError("t_final/dt must be a multiple of sample_stride")
-    h = hamiltonian if hamiltonian is not None else build_hamiltonian(
-        spec, max_amplitudes=max_amplitudes
-    )
-    ops = cm_operators_numeric(spec.modes, max_amplitudes=max_amplitudes)
+    ops = cm_operators_numeric(spec.modes)
+    h = build_hamiltonian(spec, ops=ops)
     if psi0.mode_dims != h.mode_dims:
         raise ValueError("initial state does not match the Hamiltonian's modes")
-    if method is None:
-        method = "eig" if h.dim <= EIG_DIMENSION_LIMIT else "rk4"
-    if method not in ("eig", "rk4"):
-        raise ValueError("method must be 'eig' or 'rk4'")
 
     hbar = spec.hbar
-    sample_times = [k * dt for k in range(0, n_steps + 1, sample_stride)]
-
-    if method == "eig":
-        evals, evecs = scipy.linalg.eigh(h.to_dense())
-        coeffs = evecs.conj().T @ psi0.amplitudes
-        sampled = [
-            evecs @ (np.exp(-1j * evals * t / hbar) * coeffs) for t in sample_times
-        ]
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            generator = h.matrix * (-1j / hbar)
-            psi = psi0.amplitudes.copy()
-            sampled = [psi.copy()]
-            for k in range(n_steps):
-                k1 = generator @ psi
-                k2 = generator @ (psi + 0.5 * dt * k1)
-                k3 = generator @ (psi + 0.5 * dt * k2)
-                k4 = generator @ (psi + dt * k3)
-                psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if (k + 1) % sample_stride == 0:
-                    sampled.append(psi.copy())
+    sample_times = [k * dt for k in range(n_steps + 1)]
+    propagate = _eig_samples if h.dim <= EIG_DIMENSION_LIMIT else _expm_samples
+    sampled = propagate(h, psi0.amplitudes, dt, n_steps, hbar)
 
     states, records, energies, norms = [], [], [], []
     for t, raw in zip(sample_times, sampled):
@@ -325,9 +305,10 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
             raise NormDriftError(f"norm drifted to {nrm} at t = {t}")
         state = StateVector(psi0.mode_dims, raw)
         weight = truncation_weight(state)
-        if weight > gate:
+        if weight > EVOLUTION_GATE:
             raise ExcessiveTruncationError(
-                f"truncation weight {weight:.3g} exceeds the gate {gate:.3g} at t = {t}"
+                f"truncation weight {weight:.3g} exceeds the gate {EVOLUTION_GATE:.3g} "
+                f"at t = {t}"
             )
         states.append(state)
         records.append(cm_expectation_record(state, spec.modes, ops=ops))
@@ -448,5 +429,5 @@ def gaussian_spreading(n: int, mbar: float, t: float, omega: float = 1.0,
     spec = HamiltonianSpec(modes=tuple(modes), potential=PolynomialPotential.zero())
     if t == 0:
         return cm_expectation_record(psi0, modes).dx
-    traj = evolve_quantum(psi0, spec, t_final=t, dt=t, sample_stride=1)
+    traj = evolve_quantum(psi0, spec, t_final=t, dt=t)
     return traj.records[-1].dx

@@ -2,6 +2,7 @@
 
 import json
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -206,16 +207,42 @@ def test_evolve_truncation_failure(capsys):
     assert "# FAILED ExcessiveTruncationError" in out
 
 
+def test_evolve_harmonic_sanity_above_dense_limit(capsys):
+    # d = 4096 is past the dense eigendecomposition; the sparse propagator stays unitary
+    code, out = run_cli(capsys, "evolve", "--potential", "0.5*x^2", "--N", "16",
+                        "--dim", "4096", "--t", "2", "--dt", "0.01")
+    assert code == 0
+    assert "quadratic_deviation_lt_1e-06,PASS" in out
+
+
 def test_evolve_parse_error_exit_code(capsys):
     assert main(["evolve", "--potential", "x^-1"]) == 1
 
 
 def test_evolve_bad_grid_exit_code(capsys):
     assert main(["evolve", "--potential", "0", "--t", "1", "--dt", "0.3"]) == 1
+    assert capsys.readouterr().err == "error: t_final must be an integer multiple of dt\n"
 
 
 def test_evolve_nonpositive_dt_exit_code(capsys):
     assert main(["evolve", "--potential", "0", "--dt", "0"]) == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("scaling", "--N", "2", "--hbar", "nan"), "--hbar"),
+    (("evolve", "--t", "nan"), "--t"),
+    (("evolve", "--t", "inf"), "--t"),
+    (("evolve", "--x0", "nan"), "--x0"),
+])
+def test_non_finite_flag_is_config_error(capsys, argv, flag):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag}: ")
+    assert not caught
 
 
 # ---------------------------------------------------------------------------
