@@ -69,11 +69,9 @@ from .hilbert_rep import (
     cm_pair_ops,
     coherent_product,
     coherent_state,
-    commutator_expectation,
     commutator_op,
     embed,
     expectation,
-    factorization_residual,
     ground_product,
     ladder,
     momentum_op,

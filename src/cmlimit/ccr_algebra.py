@@ -19,6 +19,13 @@ Two canonical instances matter in practice:
 Polynomials are stored in normal order (within each pair all X factors
 precede all V factors, pairs sorted by index), which makes the representation
 canonical: two expressions are equal iff their term maps coincide.
+
+One term store, two products: ``NCPolynomial`` (operators) and
+``SymbolPolynomial`` (classical symbols) share the ``Monomial ->
+GaussianRational`` map, +, -, == and the product loop.  The operator product
+reorders each pair by V^b X^p = sum_s s! C(b,s) C(p,s) (-c)^s X^{p-s} V^{b-s}
+(the normal-ordered star product); the commutative symbol product is its
+s = 0 term.  ``symbol_map`` and ``lift`` therefore copy terms unchanged.
 """
 
 from __future__ import annotations
@@ -77,7 +84,9 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
-    def _coerce(self, other):
+    @staticmethod
+    def _coerce(other):
+        """``other`` as a GaussianRational if it is an exact scalar, else None."""
         if isinstance(other, GaussianRational):
             return other
         if isinstance(other, (int, Fraction, Rational)):
@@ -286,9 +295,6 @@ class Monomial:
     eps_exp: int = 0
     pairs: tuple = ()
 
-    def degree(self) -> int:
-        return sum(x + v for _, x, v in self.pairs)
-
     def exponents(self, pair: int):
         for k, x, v in self.pairs:
             if k == pair:
@@ -316,12 +322,14 @@ def _validate_monomial(algebra: AlgebraSpec, mono: Monomial):
         last = k
 
 
-def _merged_pair_products(algebra: AlgebraSpec, m1: Monomial, m2: Monomial):
+def _merged_pair_products(algebra: AlgebraSpec, m1: Monomial, m2: Monomial, commuting: bool):
     """Expansion terms of the monomial product m1 * m2 in normal order.
 
     Yields ``(scalar, Monomial)`` pairs.  Within pair k the reordering
     V^b X^p = sum_s s! C(b,s) C(p,s) (-c_k)^s X^{p-s} V^{b-s} applies, with
-    c_k the pair's central constant; distinct pairs commute.
+    c_k the pair's central constant; distinct pairs commute.  With
+    ``commuting`` only the s = 0 term is kept: the commutative product of
+    the symbols, a single ``(ONE, Monomial)``.
     """
     fixed = []
     options = []  # per-pair alternatives: list of (scalar, h_add, e_add, entry)
@@ -337,7 +345,7 @@ def _merged_pair_products(algebra: AlgebraSpec, m1: Monomial, m2: Monomial):
             fixed.append(p2[j])
             j += 1
         else:
-            if v1 and x2:
+            if v1 and x2 and not commuting:
                 const = algebra.constants[k1]
                 alts = []
                 for s in range(min(v1, x2) + 1):
@@ -375,15 +383,17 @@ def _merged_pair_products(algebra: AlgebraSpec, m1: Monomial, m2: Monomial):
         yield scalar, Monomial(base_h + h_add, base_e + e_add, pairs)
 
 
-class NCPolynomial:
-    """Noncommutative polynomial in canonical pairs, kept in normal order.
+class _TermStore:
+    """Immutable polynomial over an algebra: a ``Monomial -> GaussianRational`` map.
 
-    Immutable; supports +, -, * (with scalars and polynomials) and integer
-    powers.  The term map never stores zero coefficients, so ``==`` decides
-    equality in the algebra.
+    Supports +, - and * with scalars and with polynomials of the same class
+    and algebra; mixing the two subclasses raises TypeError.  The term map
+    never stores zero coefficients, so ``==`` decides equality.  Subclasses
+    choose the product through ``commuting`` (see ``_merged_pair_products``).
     """
 
     __slots__ = ("algebra", "terms")
+    commuting = False
 
     def __init__(self, algebra: AlgebraSpec, terms=None):
         object.__setattr__(self, "algebra", algebra)
@@ -405,7 +415,7 @@ class NCPolynomial:
         return self
 
     def __setattr__(self, name, value):
-        raise AttributeError("NCPolynomial is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def is_zero(self) -> bool:
@@ -415,20 +425,20 @@ class NCPolynomial:
         if self.algebra != other.algebra:
             raise AlgebraMismatchError("operands belong to different algebras")
 
-    def _coerce_scalar(self, value):
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction, Rational)):
-            return GaussianRational(value)
-        return None
+    def _operand(self, other):
+        """``other`` as a polynomial of this class (scalars become constants), else None."""
+        if type(other) is type(self):
+            self._check_same_algebra(other)
+            return other
+        scalar = GaussianRational._coerce(other)  # None for the other subclass too
+        if scalar is None:
+            return None
+        return type(self)(self.algebra, {Monomial(): scalar})
 
     def __add__(self, other):
-        if not isinstance(other, NCPolynomial):
-            scalar = self._coerce_scalar(other)
-            if scalar is None:
-                return NotImplemented
-            other = NCPolynomial(self.algebra, {Monomial(): scalar})
-        self._check_same_algebra(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             prev = out.get(mono)
@@ -440,22 +450,17 @@ class NCPolynomial:
                 out[mono] = total
             else:
                 del out[mono]
-        return NCPolynomial._raw(self.algebra, out)
+        return self._raw(self.algebra, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NCPolynomial._raw(
-            self.algebra, {m: -c for m, c in self.terms.items()}
-        )
+        return self._raw(self.algebra, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, NCPolynomial):
-            scalar = self._coerce_scalar(other)
-            if scalar is None:
-                return NotImplemented
-            other = NCPolynomial(self.algebra, {Monomial(): scalar})
-        self._check_same_algebra(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             prev = out.get(mono)
@@ -467,28 +472,26 @@ class NCPolynomial:
                 out[mono] = total
             else:
                 del out[mono]
-        return NCPolynomial._raw(self.algebra, out)
+        return self._raw(self.algebra, out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, NCPolynomial):
-            scalar = self._coerce_scalar(other)
+        if type(other) is not type(self):
+            scalar = GaussianRational._coerce(other)
             if scalar is None:
                 return NotImplemented
             if not scalar:
-                return self.algebra.zero()
-            return NCPolynomial._raw(
-                self.algebra, {m: c * scalar for m, c in self.terms.items()}
-            )
+                return self._raw(self.algebra, {})
+            return self._raw(self.algebra, {m: c * scalar for m, c in self.terms.items()})
         self._check_same_algebra(other)
         out = {}
-        algebra = self.algebra
+        algebra, commuting = self.algebra, self.commuting
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 c12 = c1 * c2
-                for scalar, mono in _merged_pair_products(algebra, m1, m2):
+                for scalar, mono in _merged_pair_products(algebra, m1, m2, commuting):
                     contrib = c12 if scalar is ONE else c12 * scalar
                     prev = out.get(mono)
                     if prev is None:
@@ -499,14 +502,25 @@ class NCPolynomial:
                         out[mono] = total
                     else:
                         del out[mono]
-        return NCPolynomial._raw(self.algebra, out)
+        return self._raw(algebra, out)
 
-    def __rmul__(self, other):
-        # scalars commute with everything, so left and right agree
-        scalar = self._coerce_scalar(other)
-        if scalar is None:
+    __rmul__ = __mul__  # scalars commute with everything
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
-        return self * scalar
+        return self.algebra == other.algebra and self.terms == other.terms
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {self}>"
+
+
+class NCPolynomial(_TermStore):
+    """Noncommutative polynomial in canonical pairs, kept in normal order; has integer powers."""
+
+    __slots__ = ()
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -521,16 +535,6 @@ class NCPolynomial:
             n >>= 1
         return result
 
-    def __eq__(self, other):
-        if not isinstance(other, NCPolynomial):
-            return NotImplemented
-        return self.algebra == other.algebra and self.terms == other.terms
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"<NCPolynomial {render(self)}>"
-
     def __str__(self):
         return render(self)
 
@@ -540,21 +544,11 @@ def commutator(f: NCPolynomial, g: NCPolynomial) -> NCPolynomial:
     return f * g - g * f
 
 
-def anticommutator(f: NCPolynomial, g: NCPolynomial) -> NCPolynomial:
-    return f * g + g * f
-
-
 def eps_valuation(f: NCPolynomial):
     """Minimum eps exponent over the terms of f; ``math.inf`` for zero."""
     if f.is_zero:
         return math.inf
     return min(m.eps_exp for m in f.terms)
-
-
-def hbar_valuation(f: NCPolynomial):
-    if f.is_zero:
-        return math.inf
-    return min(m.hbar_exp for m in f.terms)
 
 
 def divide_central(f: NCPolynomial, hbar_power: int, eps_power: int) -> NCPolynomial:
@@ -640,88 +634,16 @@ def residual_monomial_identity(
     return lhs - rhs
 
 
-class SymbolPolynomial:
+class SymbolPolynomial(_TermStore):
     """Commutative polynomial in the classical symbols of the generators.
 
-    Shares the Monomial key type with NCPolynomial (the exponent record is
-    the same; only the multiplication differs).  Closed under +, -, * and
-    partial derivatives.
+    The same term store as NCPolynomial, with the commutative product: the
+    s = 0 term of the reordering rule.  Also closed under partial
+    derivatives.
     """
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: AlgebraSpec, terms=None):
-        object.__setattr__(self, "algebra", algebra)
-        clean = {}
-        for mono, coeff in (terms or {}).items():
-            if not isinstance(coeff, GaussianRational):
-                coeff = GaussianRational(coeff)
-            if coeff:
-                clean[mono] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _raw(cls, algebra, terms):
-        self = object.__new__(cls)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "terms", terms)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymbolPolynomial is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check_same_algebra(self, other):
-        if self.algebra != other.algebra:
-            raise AlgebraMismatchError("operands belong to different algebras")
-
-    def __add__(self, other):
-        if not isinstance(other, SymbolPolynomial):
-            return NotImplemented
-        self._check_same_algebra(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            total = out.get(mono, ZERO) + coeff
-            if total:
-                out[mono] = total
-            else:
-                out.pop(mono, None)
-        return SymbolPolynomial._raw(self.algebra, out)
-
-    def __neg__(self):
-        return SymbolPolynomial._raw(self.algebra, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, SymbolPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, SymbolPolynomial):
-            if isinstance(other, (int, Fraction, Rational, GaussianRational)):
-                scalar = other if isinstance(other, GaussianRational) else GaussianRational(other)
-                if not scalar:
-                    return SymbolPolynomial._raw(self.algebra, {})
-                return SymbolPolynomial._raw(
-                    self.algebra, {m: c * scalar for m, c in self.terms.items()}
-                )
-            return NotImplemented
-        self._check_same_algebra(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                merged = _merge_commuting(m1, m2)
-                total = out.get(merged, ZERO) + c1 * c2
-                if total:
-                    out[merged] = total
-                else:
-                    out.pop(merged, None)
-        return SymbolPolynomial._raw(self.algebra, out)
-
-    __rmul__ = __mul__
+    __slots__ = ()
+    commuting = True
 
     def diff_x(self, pair: int = 0) -> "SymbolPolynomial":
         """Partial derivative with respect to the position symbol of a pair."""
@@ -751,29 +673,8 @@ class SymbolPolynomial:
                 out.pop(key, None)
         return SymbolPolynomial._raw(self.algebra, out)
 
-    def __eq__(self, other):
-        if not isinstance(other, SymbolPolynomial):
-            return NotImplemented
-        return self.algebra == other.algebra and self.terms == other.terms
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"<SymbolPolynomial {render_symbol(self)}>"
-
     def __str__(self):
         return render_symbol(self)
-
-
-def _merge_commuting(m1: Monomial, m2: Monomial) -> Monomial:
-    merged = {}
-    for k, x, v in m1.pairs:
-        merged[k] = (x, v)
-    for k, x, v in m2.pairs:
-        ox, ov = merged.get(k, (0, 0))
-        merged[k] = (ox + x, ov + v)
-    pairs = tuple((k, x, v) for k, (x, v) in sorted(merged.items()) if x or v)
-    return Monomial(m1.hbar_exp + m2.hbar_exp, m1.eps_exp + m2.eps_exp, pairs)
 
 
 def symbol_map(f: NCPolynomial, eps_cutoff: int | None = None) -> SymbolPolynomial:

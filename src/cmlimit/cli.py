@@ -48,12 +48,10 @@ from .dynamics import (
 from .hilbert_rep import (
     ExcessiveTruncationError,
     ModeSpec,
+    cm_expectation_record,
     cm_operators_numeric,
     coherent_product,
     coherent_state,
-    commutator_expectation,
-    truncation_weight,
-    uncertainty_product,
 )
 
 MAX_RESIDUAL_DEGREE = 8
@@ -251,10 +249,6 @@ def _parse_rational(text: str) -> Fraction:
         raise ConfigError(f"expected a rational number, got {text!r}") from exc
 
 
-def _parse_rational_list(text: str):
-    return tuple(_parse_rational(part) for part in text.split(","))
-
-
 def _parse_float(text: str) -> float:
     try:
         value = float(text)
@@ -263,6 +257,24 @@ def _parse_float(text: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _positive(parse):
+    """``parse`` that also rejects values <= 0 (masses and hbar)."""
+    def parse_positive(text: str):
+        value = parse(text)
+        if value <= 0:
+            raise ConfigError(f"expected a positive number, got {text!r}")
+        return value
+
+    return parse_positive
+
+
+_parse_positive_rational = _positive(_parse_rational)
+
+
+def _parse_masses(text: str):
+    return tuple(_parse_positive_rational(part) for part in text.split(","))
 
 
 def _parse_pos_int(text: str) -> int:
@@ -296,14 +308,14 @@ _COMMON_FIELDS = (
     _Field("format", _parse_choice(("csv", "json")), "csv", "output format"),
     _Field("out", str, None, "output path (default: standard output)"),
     _Field("seed", int, 0, "seed for the randomized property cases"),
-    _Field("hbar", _parse_float, 1.0, "numeric value of hbar"),
+    _Field("hbar", _positive(_parse_float), 1.0, "numeric value of hbar"),
 )
 
 _FIELDS = {
     "scaling": _COMMON_FIELDS + (
         _Field("N", _parse_int_list, (1, 2, 3, 4, 8, 16, 32, 64), "comma-separated particle counts"),
-        _Field("mbar", _parse_rational, Fraction(1), "mean particle mass (rational)"),
-        _Field("masses", _parse_rational_list, None, "explicit comma-separated masses (one system)"),
+        _Field("mbar", _parse_positive_rational, Fraction(1), "mean particle mass (rational)"),
+        _Field("masses", _parse_masses, None, "explicit comma-separated masses (one system)"),
     ),
     "residuals": _COMMON_FIELDS + (
         _Field("max-degree", _parse_pos_int, 4, f"degree grid bound (at most {MAX_RESIDUAL_DEGREE})"),
@@ -311,7 +323,7 @@ _FIELDS = {
     ),
     "uncertainty": _COMMON_FIELDS + (
         _Field("N", _parse_int_list, (1, 2, 3, 4, 5), "comma-separated particle counts"),
-        _Field("mbar", _parse_rational, Fraction(1), "per-particle mass (equal masses)"),
+        _Field("mbar", _parse_positive_rational, Fraction(1), "per-particle mass (equal masses)"),
         _Field("dim", _parse_pos_int, 8, "basis dimension per mode"),
         _Field("x0", _parse_float, 0.0, "coherent displacement in position, per mode"),
         _Field("p0", _parse_float, 0.0, "coherent displacement in momentum, per mode"),
@@ -319,7 +331,7 @@ _FIELDS = {
     "evolve": _COMMON_FIELDS + (
         _Field("potential", str, "0", "potential U(x), e.g. '0.5*x^2' or 'x^4 - 2*x^2 + 1'"),
         _Field("N", _parse_pos_int, 1, "particle count"),
-        _Field("mbar", _parse_rational, Fraction(1), "mean particle mass"),
+        _Field("mbar", _parse_positive_rational, Fraction(1), "mean particle mass"),
         _Field("dim", _parse_pos_int, 64, "basis dimension (per mode for --model full)"),
         _Field("x0", _parse_float, 1.0, "initial CM position"),
         _Field("p0", _parse_float, 0.0, "initial total momentum"),
@@ -536,17 +548,19 @@ def run_uncertainty(config: ExperimentConfig) -> ExperimentResult:
         bound = hbar / (2.0 * n * mbar)
         try:
             psi = coherent_product(modes, [config["x0"]] * n, [config["p0"] / n] * n)
-            ops = cm_operators_numeric(modes)
-            product = uncertainty_product(ops[0], ops[1], psi)
-            comm = commutator_expectation(psi, modes, gate=CLI_GATE, ops=ops)
-            rows.append(tuple(_fmt(v) for v in (
-                n, dim, product, bound, product / bound, comm.imag,
-                truncation_weight(psi), "ok",
-            )))
+            rec = cm_expectation_record(psi, modes, ops=cm_operators_numeric(modes))
         except ExcessiveTruncationError:
+            rec = None
+        if rec is None or rec.truncation_weight > CLI_GATE:
             exit_code = 2
             rows.append((str(n), str(dim), "nan", _fmt(bound), "nan", "nan", "nan",
                          "truncation"))
+            continue
+        product = rec.dx * rec.dv
+        rows.append(tuple(_fmt(v) for v in (
+            n, dim, product, bound, product / bound, rec.commutator_expectation.imag,
+            rec.truncation_weight, "ok",
+        )))
     table = Table("uncertainty", columns, tuple(rows))
     return ExperimentResult("uncertainty", (table,), exit_code=exit_code)
 

@@ -349,37 +349,6 @@ def truncation_weight(psi: StateVector) -> float:
     return worst
 
 
-def _gate_check(psi, gate):
-    weight = truncation_weight(psi)
-    if weight > gate:
-        raise ExcessiveTruncationError(
-            f"truncation weight {weight:.3g} exceeds the gate {gate:.3g}"
-        )
-    return weight
-
-
-def commutator_expectation(psi: StateVector, system, gate: float = 1e-12,
-                           ops=None) -> complex:
-    """<psi|[X_CM, V_CM]|psi>; equals i*hbar/(N*mbar) on gate-compliant states."""
-    _gate_check(psi, gate)
-    x_cm, v_cm, _ = ops if ops is not None else cm_operators_numeric(system)
-    xv = np.vdot(x_cm.apply(psi), v_cm.apply(psi))  # <X psi|V psi> = <psi|X V|psi>
-    return complex(xv - np.conjugate(xv))
-
-
-def factorization_residual(psi: StateVector, system, gate: float = 1e-12,
-                           ops=None) -> float:
-    """|<X_CM V_CM> - <X_CM><V_CM>| -- the ordering cost of factorizing expectations."""
-    _gate_check(psi, gate)
-    x_cm, v_cm, _ = ops if ops is not None else cm_operators_numeric(system)
-    x_psi = x_cm.apply(psi)
-    v_psi = v_cm.apply(psi)
-    xv = np.vdot(x_psi, v_psi)
-    x_mean = np.vdot(psi.amplitudes, x_psi)
-    v_mean = np.vdot(psi.amplitudes, v_psi)
-    return float(abs(xv - x_mean * v_mean))
-
-
 @dataclass(frozen=True)
 class ExpectationRecord:
     """CM observables of one state: means, widths, commutator and gates."""
@@ -411,6 +380,17 @@ def cm_expectation_record(psi: StateVector, system, ops=None) -> ExpectationReco
         factorization_residual=float(abs(xv - x_mean * v_mean)),
         truncation_weight=truncation_weight(psi),
     )
+
+
+def commutator_expectation(psi: StateVector, system, gate: float = 1e-12,
+                           ops=None) -> complex:
+    """<psi|[X_CM, V_CM]|psi> from the expectation record, refused above the truncation gate."""
+    rec = cm_expectation_record(psi, system, ops=ops)
+    if rec.truncation_weight > gate:
+        raise ExcessiveTruncationError(
+            f"truncation weight {rec.truncation_weight:.3g} exceeds the gate {gate:.3g}"
+        )
+    return rec.commutator_expectation
 
 
 # ---------------------------------------------------------------------------

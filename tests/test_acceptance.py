@@ -42,12 +42,12 @@ from cmlimit.dynamics import (
 )
 from cmlimit.hilbert_rep import (
     ModeSpec,
+    cm_expectation_record,
     cm_operators_numeric,
     cm_pair_ops,
     coherent_state,
     commutator_op,
     ground_product,
-    factorization_residual,
     nc_matrix,
     uncertainty_product,
 )
@@ -191,7 +191,7 @@ def test_criterion_6_uncertainty_saturation_and_scaling():
         x_cm, v_cm, _ = cm_operators_numeric(modes)
         product = uncertainty_product(x_cm, v_cm, psi)
         ok = ok and abs(product - 1.0 / (2 * n)) < 1e-9
-        residual = factorization_residual(psi, modes)
+        residual = cm_expectation_record(psi, modes).factorization_residual
         ok = ok and abs(residual * n - 0.5) < 1e-9
     report(6, "coherent ground products saturate hbar/(2 N mbar); residual*N*mbar = hbar/2",
            ok, 10.0, time.perf_counter() - start)

@@ -1,0 +1,127 @@
+"""Property tests for the polynomial term store and its two products.
+
+Random polynomials live on the CM algebra ([X, V] = i*hbar*eps) and on a
+two-pair particle algebra ([X_k, P_k] = i*hbar), with hbar and eps exponents
+0-2, so the reordering rule meets nonzero central powers on both.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cmlimit.ccr_algebra import (
+    GaussianRational,
+    Monomial,
+    NCPolynomial,
+    ParticleSystem,
+    SymbolPolynomial,
+    build_particle_algebra,
+    cm_algebra,
+    commutator,
+    lift,
+    poisson_bracket,
+    symbol_map,
+)
+from oracles import slow_mul
+
+ALGEBRAS = (cm_algebra(), build_particle_algebra(ParticleSystem.uniform(2)))
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+def _monomials(algebra):
+    entry = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return st.builds(
+        lambda h, e, exps: Monomial(h, e, tuple(
+            (k, x, v) for k, (x, v) in enumerate(exps) if x or v
+        )),
+        st.integers(0, 2), st.integers(0, 2), st.lists(entry, min_size=algebra.n_pairs,
+                                                      max_size=algebra.n_pairs),
+    )
+
+
+def _terms(algebra):
+    coeff = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
+    return st.dictionaries(_monomials(algebra), coeff, max_size=3)
+
+
+@st.composite
+def _polynomials(draw, count, cls=NCPolynomial):
+    """``count`` polynomials of class ``cls`` over one randomly chosen algebra."""
+    algebra = draw(st.sampled_from(ALGEBRAS))
+    return [cls(algebra, draw(_terms(algebra))) for _ in range(count)]
+
+
+@PROPERTY
+@given(_polynomials(2))
+def test_product_matches_single_swap_oracle(fg):
+    f, g = fg
+    assert f * g == slow_mul(f, g)
+
+
+@PROPERTY
+@given(_polynomials(3))
+def test_product_is_associative_and_distributive(fgh):
+    f, g, h = fgh
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert (f - g) * h == f * h - g * h
+
+
+@PROPERTY
+@given(_polynomials(3))
+def test_commutator_antisymmetry_and_jacobi(fgh):
+    f, g, h = fgh
+    assert commutator(f, g) == -commutator(g, f)
+    jacobi = (commutator(f, commutator(g, h)) + commutator(g, commutator(h, f))
+              + commutator(h, commutator(f, g)))
+    assert jacobi.is_zero
+
+
+@PROPERTY
+@given(_polynomials(3, SymbolPolynomial))
+def test_symbol_product_is_commutative_and_associative(fgh):
+    f, g, h = fgh
+    assert f * g == g * f
+    assert (f * g) * h == f * (g * h)
+
+
+@PROPERTY
+@given(_polynomials(1, SymbolPolynomial), _polynomials(1))
+def test_symbol_map_and_lift_are_inverse(s, f):
+    (s,), (f,) = s, f
+    assert symbol_map(lift(s)) == s
+    assert lift(symbol_map(f)) == f
+
+
+@PROPERTY
+@given(_polynomials(3, SymbolPolynomial))
+def test_poisson_bracket_leibniz_rule(fgh):
+    f, g, h = fgh
+    assert poisson_bracket(f, g * h) == poisson_bracket(f, g) * h + g * poisson_bracket(f, h)
+
+
+@pytest.mark.parametrize("algebra, pairs", [
+    (cm_algebra(), ((3, 1, 0),)),  # pair index out of range
+    (ALGEBRAS[1], ((1, 1, 0), (0, 1, 0))),  # pairs not sorted
+])
+def test_symbol_polynomial_validates_monomials(algebra, pairs):
+    with pytest.raises(ValueError):
+        SymbolPolynomial(algebra, {Monomial(0, 0, pairs): 1})
+
+
+def test_operator_and_symbol_do_not_mix():
+    alg = cm_algebra()
+    x, xs = alg.x(), symbol_map(alg.x())
+    for combine in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TypeError):
+            combine(x, xs)
+        with pytest.raises(TypeError):
+            combine(xs, x)
+    assert x != xs
+
+
+def test_symbol_scalar_arithmetic_matches_operator():
+    x = cm_algebra().x()
+    assert symbol_map(x) + 1 == symbol_map(x + 1)
+    assert 1 - symbol_map(x) == symbol_map(1 - x)
+    assert symbol_map(x) * 3 == 3 * symbol_map(x) == symbol_map(x * 3)

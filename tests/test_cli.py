@@ -235,6 +235,24 @@ def test_evolve_nonpositive_dt_exit_code(capsys):
     (("evolve", "--x0", "nan"), "--x0"),
 ])
 def test_non_finite_flag_is_config_error(capsys, argv, flag):
+    _assert_flag_config_error(capsys, argv, flag)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("scaling", "--N", "2", "--hbar", "-1"), "--hbar"),
+    (("evolve", "--mbar", "0"), "--mbar"),
+    (("evolve", "--hbar", "-1"), "--hbar"),
+    (("uncertainty", "--mbar", "-1"), "--mbar"),
+    (("uncertainty", "--hbar", "0"), "--hbar"),
+    (("scaling", "--mbar", "0"), "--mbar"),
+    (("scaling", "--masses", "1,0"), "--masses"),
+])
+def test_nonpositive_flag_is_config_error(capsys, argv, flag):
+    _assert_flag_config_error(capsys, argv, flag)
+
+
+def _assert_flag_config_error(capsys, argv, flag):
+    """Exit 1, nothing on stdout, a message naming the flag and no warning."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(list(argv))

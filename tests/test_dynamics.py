@@ -29,6 +29,7 @@ from cmlimit.hilbert_rep import (
     ModeSpec,
     StateVector,
     basis_state,
+    cm_expectation_record,
     cm_operators_numeric,
     coherent_product,
     coherent_state,
@@ -358,11 +359,9 @@ def test_compare_time_grid_mismatch():
 
 
 def test_effective_system_commutator_scale():
-    from cmlimit.hilbert_rep import commutator_expectation
-
     modes = effective_cm_system(16, 1.0, dim=16)
     psi = ground_product(modes)
-    value = commutator_expectation(psi, modes)
+    value = cm_expectation_record(psi, modes).commutator_expectation
     assert value == pytest.approx(1j / 16.0, abs=1e-10)
     single = effective_cm_system(1, 1.0, dim=16)
     assert single[0].mass == 1.0

@@ -22,7 +22,6 @@ from cmlimit.hilbert_rep import (
     commutator_op,
     embed,
     expectation,
-    factorization_residual,
     ground_product,
     ladder,
     momentum_op,
@@ -226,14 +225,16 @@ def test_uncertainty_bound_value():
 
 
 def test_commutator_expectation_values():
-    assert commutator_expectation(basis_state(16), [MODE]) == pytest.approx(1j, abs=1e-12)
+    rec = cm_expectation_record(basis_state(16), [MODE])
+    assert rec.commutator_expectation == pytest.approx(1j, abs=1e-12)
     system = modes(3)
-    psi = ground_product(system)
-    assert commutator_expectation(psi, system) == pytest.approx(1j / 3.0, abs=1e-10)
+    rec = cm_expectation_record(ground_product(system), system)
+    assert rec.commutator_expectation == pytest.approx(1j / 3.0, abs=1e-10)
 
 
 def test_commutator_expectation_gate():
     top = basis_state(16, n=15)
+    assert cm_expectation_record(top, [MODE]).truncation_weight == 1.0
     with pytest.raises(ExcessiveTruncationError):
         commutator_expectation(top, [MODE])
 
@@ -241,22 +242,19 @@ def test_commutator_expectation_gate():
 def test_commutator_expectation_scaling():
     for n in range(1, 6):
         system = modes(n, dim=6)
-        psi = ground_product(system)
-        value = commutator_expectation(psi, system)
+        value = cm_expectation_record(ground_product(system), system).commutator_expectation
         assert abs(value.imag * n - 1.0) < 1e-9
         assert abs(value.real) < 1e-12
 
 
 def test_factorization_residual_values():
-    assert factorization_residual(basis_state(16), [MODE]) == pytest.approx(0.5, abs=1e-12)
+    def residual(psi, system):
+        return cm_expectation_record(psi, system).factorization_residual
+
+    assert residual(basis_state(16), [MODE]) == pytest.approx(0.5, abs=1e-12)
     system4 = modes(4, dim=6)
-    assert factorization_residual(ground_product(system4), system4) == pytest.approx(
-        0.125, abs=1e-12
-    )
-    scaled = [
-        factorization_residual(ground_product(modes(n, dim=6)), modes(n, dim=6)) * n
-        for n in (1, 2, 4)
-    ]
+    assert residual(ground_product(system4), system4) == pytest.approx(0.125, abs=1e-12)
+    scaled = [residual(ground_product(modes(n, dim=6)), modes(n, dim=6)) * n for n in (1, 2, 4)]
     assert max(scaled) - min(scaled) < 1e-9
 
 
