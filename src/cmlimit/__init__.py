@@ -69,8 +69,6 @@ from .hilbert_rep import (
     cm_pair_ops,
     coherent_product,
     coherent_state,
-    commutator_op,
-    embed,
     expectation,
     ground_product,
     ladder,

@@ -693,7 +693,7 @@ def symbol_map(f: NCPolynomial, eps_cutoff: int | None = None) -> SymbolPolynomi
 
 
 def lift(fs: SymbolPolynomial) -> NCPolynomial:
-    """Normal-ordered re-embedding of a symbol polynomial (x^a v^b -> X^a V^b)."""
+    """Normal-ordered lift of a symbol polynomial (x^a v^b -> X^a V^b)."""
     return NCPolynomial._raw(fs.algebra, dict(fs.terms))
 
 

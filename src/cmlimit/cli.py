@@ -270,7 +270,16 @@ def _positive(parse):
     return parse_positive
 
 
-_parse_positive_rational = _positive(_parse_rational)
+def _parse_positive_rational(text: str) -> Fraction:
+    """A positive rational whose float is a normal double (masses enter float code)."""
+    value = _positive(_parse_rational)(text)
+    try:
+        normal = float(value) >= sys.float_info.min
+    except OverflowError:
+        normal = False
+    if not normal:
+        raise ConfigError(f"{text!r} is out of the floating-point range")
+    return value
 
 
 def _parse_masses(text: str):
@@ -284,6 +293,13 @@ def _parse_pos_int(text: str) -> int:
         raise ConfigError(f"expected an integer, got {text!r}") from exc
     if value < 1:
         raise ConfigError("expected a positive integer")
+    return value
+
+
+def _parse_dim(text: str) -> int:
+    value = _parse_pos_int(text)
+    if value < 2:
+        raise ConfigError(f"expected an integer of at least 2, got {text!r}")
     return value
 
 
@@ -324,7 +340,7 @@ _FIELDS = {
     "uncertainty": _COMMON_FIELDS + (
         _Field("N", _parse_int_list, (1, 2, 3, 4, 5), "comma-separated particle counts"),
         _Field("mbar", _parse_positive_rational, Fraction(1), "per-particle mass (equal masses)"),
-        _Field("dim", _parse_pos_int, 8, "basis dimension per mode"),
+        _Field("dim", _parse_dim, 8, "basis dimension per mode"),
         _Field("x0", _parse_float, 0.0, "coherent displacement in position, per mode"),
         _Field("p0", _parse_float, 0.0, "coherent displacement in momentum, per mode"),
     ),
@@ -332,7 +348,7 @@ _FIELDS = {
         _Field("potential", str, "0", "potential U(x), e.g. '0.5*x^2' or 'x^4 - 2*x^2 + 1'"),
         _Field("N", _parse_pos_int, 1, "particle count"),
         _Field("mbar", _parse_positive_rational, Fraction(1), "mean particle mass"),
-        _Field("dim", _parse_pos_int, 64, "basis dimension (per mode for --model full)"),
+        _Field("dim", _parse_dim, 64, "basis dimension (per mode for --model full)"),
         _Field("x0", _parse_float, 1.0, "initial CM position"),
         _Field("p0", _parse_float, 0.0, "initial total momentum"),
         _Field("t", _parse_float, 1.0, "final time (a whole number of dt steps)"),

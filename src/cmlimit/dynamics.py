@@ -34,9 +34,7 @@ from .hilbert_rep import (
     cm_expectation_record,
     cm_operators_numeric,
     coherent_state,
-    embed,
     expectation,
-    position_op,
     truncation_weight,
 )
 
@@ -105,17 +103,14 @@ class PolynomialPotential:
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """H = P_TOT^2 / 2M + U(X_CM), optionally plus a relative trap.
+    """H = P_TOT^2 / 2M + U(X_CM) on the given modes.
 
-    ``internal_trap_omega`` adds sum_i (m_i omega^2 / 2) (X_i - X_CM)^2,
-    confining the relative motion without touching the CM sector.  Without
-    it H commutes with every function of P_TOT... and of X_CM only when U
-    vanishes.
+    H depends on CM variables only, so the relative motion never enters the
+    CM dynamics, and ``effective_cm_system`` carries the same CM sector.
     """
 
     modes: tuple
     potential: PolynomialPotential
-    internal_trap_omega: float | None = None
 
     def __post_init__(self):
         modes = tuple(self.modes)
@@ -124,8 +119,6 @@ class HamiltonianSpec:
         hbars = {m.hbar for m in modes}
         if len(hbars) != 1:
             raise ValueError("all modes must share the same hbar")
-        if self.internal_trap_omega is not None and self.internal_trap_omega <= 0:
-            raise ValueError("internal_trap_omega must be positive when set")
         object.__setattr__(self, "modes", modes)
 
     @property
@@ -153,11 +146,6 @@ def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
             powers[k] = power
         for k, c in spec.potential.terms:
             h = h + float(c) * powers[k]
-    if spec.internal_trap_omega is not None:
-        w2 = spec.internal_trap_omega**2
-        for i, mode in enumerate(spec.modes):
-            rel = embed(position_op(mode), i, spec.modes).matrix - x_cm.matrix
-            h = h + (0.5 * mode.mass * w2) * (rel @ rel)
     h = (h + h.getH()) * 0.5  # scrub rounding asymmetry from the sparse products
     return SparseOperator(x_cm.mode_dims, h, hermitian=True)
 

@@ -6,13 +6,14 @@ Position and momentum are the standard tridiagonal ladder combinations; the
 only truncation artifact is the known defect of [X, P] confined to the top
 basis level, so "occupation of the top level" is a precise validity gate.
 
-Tensor-product operators use the convention that mode 0 is the
-slowest-varying factor of the composite index, i.e. ``embed(op, 0, ...)`` is
-the leading Kronecker factor.
+The CM operators are Kronecker sums of single-mode matrices,
+sum_k w_k I (x) ... (x) A_k (x) ... (x) I, with mode 0 the slowest-varying
+factor of the composite index (the leading Kronecker factor).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -32,18 +33,15 @@ class ExcessiveTruncationError(RuntimeError):
 
 
 class DimensionCapError(ValueError):
-    """A requested composite dimension exceeds the configured amplitude cap."""
+    """A requested composite dimension exceeds the amplitude cap."""
 
 
-def _check_cap(mode_dims, max_amplitudes):
-    total = 1
-    for d in mode_dims:
-        total *= d
-    if total > max_amplitudes:
+def _check_cap(mode_dims):
+    total = math.prod(mode_dims)
+    if total > DEFAULT_AMPLITUDE_CAP:
         raise DimensionCapError(
-            f"composite dimension {total} exceeds the cap of {max_amplitudes} amplitudes"
+            f"composite dimension {total} exceeds the cap of {DEFAULT_AMPLITUDE_CAP} amplitudes"
         )
-    return total
 
 
 @dataclass(frozen=True)
@@ -88,47 +86,6 @@ class SparseOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def _check_dims(self, other):
-        if self.mode_dims != other.mode_dims:
-            raise ValueError("operators act on different mode layouts")
-
-    def __add__(self, other):
-        self._check_dims(other)
-        return SparseOperator(
-            self.mode_dims, self.matrix + other.matrix,
-            hermitian=self.hermitian and other.hermitian,
-        )
-
-    def __sub__(self, other):
-        self._check_dims(other)
-        return SparseOperator(
-            self.mode_dims, self.matrix - other.matrix,
-            hermitian=self.hermitian and other.hermitian,
-        )
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, float, complex)):
-            return NotImplemented
-        herm = self.hermitian and complex(scalar).imag == 0
-        return SparseOperator(self.mode_dims, self.matrix * scalar, hermitian=herm)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return self * (1.0 / scalar)
-
-    def __neg__(self):
-        return self * (-1)
-
-    def __matmul__(self, other):
-        if isinstance(other, SparseOperator):
-            self._check_dims(other)
-            return SparseOperator(self.mode_dims, self.matrix @ other.matrix)
-        return NotImplemented
-
-    def dagger(self):
-        return SparseOperator(self.mode_dims, self.matrix.getH(), hermitian=self.hermitian)
-
     def apply(self, psi: "StateVector") -> np.ndarray:
         if psi.mode_dims != self.mode_dims:
             raise ValueError("state and operator act on different mode layouts")
@@ -137,15 +94,8 @@ class SparseOperator:
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def max_abs(self) -> float:
-        return float(abs(self.matrix).max()) if self.matrix.nnz else 0.0
-
     def __repr__(self):
         return f"<SparseOperator dims={self.mode_dims} nnz={self.matrix.nnz}>"
-
-
-def commutator_op(a: SparseOperator, b: SparseOperator) -> SparseOperator:
-    return a @ b - b @ a
 
 
 class StateVector:
@@ -202,48 +152,29 @@ def momentum_op(mode: ModeSpec) -> SparseOperator:
     return SparseOperator((mode.dim,), 1j * scale * (a.getH() - a), hermitian=True)
 
 
-def identity_op(mode_dims) -> SparseOperator:
-    total = math.prod(tuple(mode_dims))
-    return SparseOperator(tuple(mode_dims), sp.identity(total, format="csr"), hermitian=True)
-
-
 # ---------------------------------------------------------------------------
-# Tensor embedding and CM observables
+# CM observables
 # ---------------------------------------------------------------------------
 
 
-def embed(op: SparseOperator, mode_index: int, system,
-          max_amplitudes: int = DEFAULT_AMPLITUDE_CAP) -> SparseOperator:
-    """Extend a single-mode operator by identities on every other mode."""
-    dims = tuple(m.dim for m in system)
-    if not 0 <= mode_index < len(dims):
-        raise ValueError(f"mode index {mode_index} out of range")
-    if op.mode_dims != (dims[mode_index],):
-        raise ValueError("operator dimension does not match the target mode")
-    _check_cap(dims, max_amplitudes)
-    left = math.prod(dims[:mode_index])
-    right = math.prod(dims[mode_index + 1:])
-    matrix = op.matrix
-    if left > 1:
-        matrix = sp.kron(sp.identity(left), matrix, format="csr")
-    if right > 1:
-        matrix = sp.kron(matrix, sp.identity(right), format="csr")
-    return SparseOperator(dims, matrix, hermitian=op.hermitian)
+def cm_operators_numeric(system):
+    """(X_CM, V_CM, P_TOT) on the tensor product of the given modes.
 
-
-def cm_operators_numeric(system, max_amplitudes: int = DEFAULT_AMPLITUDE_CAP):
-    """(X_CM, V_CM, P_TOT) on the tensor product of the given modes."""
+    Each is a Kronecker sum of single-mode matrices, folded mode by mode so
+    that mode 0 ends up the slowest-varying factor.  Every entry is a single
+    product w_k * A_k[i, j]: the modes' terms never overlap.
+    """
     system = list(system)
     if not system:
         raise ValueError("need at least one mode")
     total_mass = sum(m.mass for m in system)
     dims = tuple(m.dim for m in system)
-    size = _check_cap(dims, max_amplitudes)
-    x_sum = sp.csr_matrix((size, size), dtype=np.complex128)
-    p_sum = sp.csr_matrix((size, size), dtype=np.complex128)
-    for k, mode in enumerate(system):
-        x_sum = x_sum + (mode.mass / total_mass) * embed(position_op(mode), k, system).matrix
-        p_sum = p_sum + embed(momentum_op(mode), k, system).matrix
+    _check_cap(dims)
+    x_sum = p_sum = sp.csr_matrix((1, 1), dtype=np.complex128)
+    for mode in system:
+        x_k = (mode.mass / total_mass) * position_op(mode).matrix
+        x_sum = sp.kronsum(x_k, x_sum, format="csr")
+        p_sum = sp.kronsum(momentum_op(mode).matrix, p_sum, format="csr")
     x_cm = SparseOperator(dims, x_sum, hermitian=True)
     p_tot = SparseOperator(dims, p_sum, hermitian=True)
     v_cm = SparseOperator(dims, p_sum / total_mass, hermitian=True)
@@ -266,12 +197,16 @@ def coherent_state(mode: ModeSpec, x0: float, p0: float) -> StateVector:
 
     alpha = sqrt(m omega / 2 hbar) x0 + i p0 / sqrt(2 m hbar omega).  Raises
     ExcessiveTruncationError when the truncated state keeps more than 1e-6
-    of its probability on the top basis level.
+    of its probability on the top basis level, or when alpha is not finite.
     """
     alpha = (
         math.sqrt(mode.mass * mode.omega / (2.0 * mode.hbar)) * x0
         + 1j * p0 / math.sqrt(2.0 * mode.mass * mode.hbar * mode.omega)
     )
+    if not cmath.isfinite(alpha):
+        raise ExcessiveTruncationError(
+            f"coherent state (|alpha| = {abs(alpha):.3g}) does not fit a {mode.dim}-level basis"
+        )
     n = np.arange(mode.dim)
     if alpha == 0:
         amps = np.zeros(mode.dim, dtype=np.complex128)
@@ -285,19 +220,19 @@ def coherent_state(mode: ModeSpec, x0: float, p0: float) -> StateVector:
     top_weight = float(abs(amps[-1]) ** 2)
     if top_weight >= COHERENT_GATE:
         raise ExcessiveTruncationError(
-            f"coherent state (|alpha|^2 = {abs(alpha) ** 2:.3g}) keeps weight "
+            f"coherent state (|alpha| = {abs(alpha):.3g}) keeps weight "
             f"{top_weight:.3g} on the top of a {mode.dim}-level basis"
         )
     return StateVector((mode.dim,), amps)
 
 
-def product_state(states, max_amplitudes: int = DEFAULT_AMPLITUDE_CAP) -> StateVector:
+def product_state(states) -> StateVector:
     """Tensor product of per-mode states, normalized."""
     states = list(states)
     if not states:
         raise ValueError("need at least one factor")
     dims = tuple(d for s in states for d in s.mode_dims)
-    _check_cap(dims, max_amplitudes)
+    _check_cap(dims)
     amps = states[0].amplitudes
     for s in states[1:]:
         amps = np.kron(amps, s.amplitudes)
@@ -406,7 +341,7 @@ def cm_pair_ops(eps: float, dim: int, omega: float = 1.0, hbar: float = 1.0):
     """
     mode = ModeSpec(mass=1.0 / eps, omega=omega, dim=dim, hbar=hbar)
     x = position_op(mode)
-    v = momentum_op(mode) * eps
+    v = SparseOperator((dim,), momentum_op(mode).matrix * eps, hermitian=True)
     return x, v
 
 

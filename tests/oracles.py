@@ -1,4 +1,4 @@
-"""Independent oracles for the symbolic algebra tests.
+"""Independent oracles for the symbolic algebra and the CM operator tests.
 
 The multiplication oracle represents operator words as tuples of
 (letter, pair) factors and normal-orders them by repeated single adjacent
@@ -10,12 +10,15 @@ is a genuinely independent check of the fast reordering formula.
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from cmlimit.ccr_algebra import (
     GaussianRational,
     Monomial,
     NCPolynomial,
     SymbolPolynomial,
 )
+from cmlimit.hilbert_rep import momentum_op, position_op
 
 ZERO = GaussianRational(0)
 
@@ -124,3 +127,24 @@ def random_symbol(rng, algebra, max_degree=4, n_terms=4) -> SymbolPolynomial:
 
 def random_masses(rng, n) -> tuple:
     return tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n))
+
+
+def kron_cm_operators(system):
+    """Dense (X_CM, V_CM, P_TOT): each mode's matrix padded by explicit identities.
+
+    Mode 0 is the leading Kronecker factor.  Every entry is one product
+    w_k * A_k[i, j] (times 1.0), so the sparse Kronecker-sum assembly must
+    agree exactly.
+    """
+    system = list(system)
+    dims = [m.dim for m in system]
+    total_mass = sum(m.mass for m in system)
+    x_cm = p_tot = 0
+    for k, mode in enumerate(system):
+        left = np.eye(int(np.prod(dims[:k])))
+        right = np.eye(int(np.prod(dims[k + 1:])))
+        x_k = np.kron(np.kron(left, position_op(mode).to_dense()), right)
+        p_k = np.kron(np.kron(left, momentum_op(mode).to_dense()), right)
+        x_cm = x_cm + (mode.mass / total_mass) * x_k
+        p_tot = p_tot + p_k
+    return x_cm, p_tot / total_mass, p_tot

@@ -238,6 +238,11 @@ def test_non_finite_flag_is_config_error(capsys, argv, flag):
     _assert_flag_config_error(capsys, argv, flag)
 
 
+# positive rationals whose float is 0 or overflows
+TINY = "1/1" + "0" * 330
+HUGE = "1" + "0" * 330
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("scaling", "--N", "2", "--hbar", "-1"), "--hbar"),
     (("evolve", "--mbar", "0"), "--mbar"),
@@ -246,9 +251,31 @@ def test_non_finite_flag_is_config_error(capsys, argv, flag):
     (("uncertainty", "--hbar", "0"), "--hbar"),
     (("scaling", "--mbar", "0"), "--mbar"),
     (("scaling", "--masses", "1,0"), "--masses"),
+    (("uncertainty", "--N", "1", "--dim", "1"), "--dim"),
+    (("evolve", "--dim", "1"), "--dim"),
+    (("evolve", "--potential", "0", "--mbar", TINY, "--t", "0.02"), "--mbar"),
+    (("scaling", "--N", "2", "--mbar", TINY), "--mbar"),
+    (("scaling", "--N", "2", "--mbar", HUGE), "--mbar"),
+    (("scaling", "--masses", f"1,{HUGE}"), "--masses"),
 ])
 def test_nonpositive_flag_is_config_error(capsys, argv, flag):
     _assert_flag_config_error(capsys, argv, flag)
+
+
+@pytest.mark.parametrize("x0", ["1e200", "1e308"])
+def test_uncertainty_huge_displacement_is_truncation(capsys, x0):
+    code, out = run_cli(capsys, "uncertainty", "--N", "1", "--x0", x0)
+    assert code == 2
+    assert out.strip().split("\n")[1].endswith(",truncation")
+
+
+def test_evolve_huge_displacement_is_truncation(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(capsys, "evolve", "--N", "16", "--x0", "1e308")
+    assert code == 2
+    assert out.rstrip("\n").split("\n")[-1].startswith("# FAILED ExcessiveTruncationError")
+    assert not caught
 
 
 def _assert_flag_config_error(capsys, argv, flag):

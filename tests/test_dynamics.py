@@ -27,6 +27,7 @@ from cmlimit.hilbert_rep import (
     DimensionCapError,
     ExcessiveTruncationError,
     ModeSpec,
+    SparseOperator,
     StateVector,
     basis_state,
     cm_expectation_record,
@@ -112,28 +113,11 @@ def test_quartic_hamiltonian_structure():
     assert beyond_band.max() == 0.0  # X is tridiagonal, so X^4 has bandwidth 4
 
 
-def test_internal_trap_keeps_cm_dynamics():
-    modes = tuple(ModeSpec(mass=1.0, omega=1.0, dim=16) for _ in range(2))
-    pot = harmonic(2.0)
-    plain = HamiltonianSpec(modes=modes, potential=pot)
-    trapped = HamiltonianSpec(modes=modes, potential=pot, internal_trap_omega=1.5)
-    assert build_hamiltonian(trapped).hermitian
-    psi0 = coherent_product(modes, [0.5, 0.5], [0.0, 0.0])
-    # the trap shears the relative sector (it adds no relative kinetic term);
-    # CM observables trace that sector out while the gate still holds
-    t_plain = evolve_quantum(psi0, plain, t_final=0.3, dt=0.05)
-    t_trap = evolve_quantum(psi0, trapped, t_final=0.3, dt=0.05)
-    assert np.abs(t_plain.x_cm - t_trap.x_cm).max() < 1e-8
-    assert np.abs(t_plain.v_cm - t_trap.v_cm).max() < 1e-8
-
-
 @pytest.mark.parametrize("spec", [
     effective_spec(4, potential=PolynomialPotential.from_coeffs({4: 1, 2: -2, 0: 1})),
     HamiltonianSpec(modes=tuple(ModeSpec(mass=1.0, dim=6) for _ in range(3)),
                     potential=QUARTIC),
-    HamiltonianSpec(modes=tuple(ModeSpec(mass=1.0, dim=6) for _ in range(2)),
-                    potential=harmonic(2.0), internal_trap_omega=1.5),
-], ids=["effective", "full", "internal-trap"])
+], ids=["effective", "full"])
 def test_hamiltonian_is_real(spec):
     # the propagator diagonalizes the real part only
     assert not build_hamiltonian(spec).to_dense().imag.any()
@@ -284,9 +268,8 @@ def test_ehrenfest_quartic_squared_observable():
     psi0 = coherent_state(spec.modes[0], 1.0, 0.0)
     h = build_hamiltonian(spec)
     x_cm = cm_operators_numeric(spec.modes)[0]
-    x_sq = x_cm @ x_cm
-    x_sq = type(x_sq)(x_sq.mode_dims, (x_sq.matrix + x_sq.matrix.getH()) * 0.5,
-                      hermitian=True)
+    x_sq = x_cm.matrix @ x_cm.matrix
+    x_sq = SparseOperator(x_cm.mode_dims, (x_sq + x_sq.getH()) * 0.5, hermitian=True)
 
     def residual(dt):
         traj = evolve_quantum(psi0, spec, t_final=1.6, dt=dt)

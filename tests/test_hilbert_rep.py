@@ -2,9 +2,12 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmlimit.ccr_algebra import cm_algebra, commutator
 from cmlimit.hilbert_rep import (
@@ -19,8 +22,6 @@ from cmlimit.hilbert_rep import (
     cm_pair_ops,
     coherent_state,
     commutator_expectation,
-    commutator_op,
-    embed,
     expectation,
     ground_product,
     ladder,
@@ -50,7 +51,8 @@ def test_ladder_entries():
     assert np.array_equal(a2, np.array([[0, 1], [0, 0]], dtype=complex))
     a3 = ladder(3).to_dense()
     assert a3[1, 2] == pytest.approx(math.sqrt(2))
-    num = (ladder(5).dagger() @ ladder(5)).to_dense()
+    a5 = ladder(5).to_dense()
+    num = a5.conj().T @ a5
     assert np.allclose(np.diag(num), [0, 1, 2, 3, 4])
     assert np.allclose(num - np.diag(np.diag(num)), 0)
 
@@ -77,53 +79,17 @@ def test_position_momentum_hermitian_tridiagonal():
 def test_truncation_defect_confined_to_top_level():
     for d in (2, 8, 32):
         m = ModeSpec(mass=0.7, omega=1.3, dim=d, hbar=1.0)
-        defect = commutator_op(position_op(m), momentum_op(m)).to_dense()
+        x, p = position_op(m).to_dense(), momentum_op(m).to_dense()
+        defect = x @ p - p @ x
         expected = 1j * np.eye(d)
         expected[d - 1, d - 1] = 1j * (1 - d)
         assert np.abs(defect - expected).max() < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Embedding
-# ---------------------------------------------------------------------------
-
-
-def test_embed_single_mode_is_identity_map():
-    system = [MODE]
-    x = position_op(MODE)
-    assert np.abs(embed(x, 0, system).to_dense() - x.to_dense()).max() == 0.0
-
-
-def test_embed_cross_mode_commutes_exactly():
-    system = modes(2, dim=6)
-    x0 = embed(position_op(system[0]), 0, system)
-    p1 = embed(momentum_op(system[1]), 1, system)
-    assert commutator_op(x0, p1).max_abs() == 0.0
-
-
-def test_embed_kron_block_structure():
-    system = [ModeSpec(mass=1.0, omega=1.0, dim=2), ModeSpec(mass=1.0, omega=1.0, dim=3)]
-    x1 = embed(position_op(system[1]), 1, system).to_dense()
-    oracle = np.kron(np.eye(2), position_op(system[1]).to_dense())
-    assert np.abs(x1 - oracle).max() == 0.0
-    # mode 0 is the slowest-varying index: embedding at 0 is a leading factor
-    x0 = embed(position_op(system[0]), 0, system).to_dense()
-    oracle0 = np.kron(position_op(system[0]).to_dense(), np.eye(3))
-    assert np.abs(x0 - oracle0).max() == 0.0
-
-
-def test_embed_rejects_wrong_dimension():
-    system = modes(2, dim=6)
-    with pytest.raises(ValueError):
-        embed(position_op(MODE), 0, system)
 
 
 def test_dimension_cap():
     big = modes(3, dim=128)  # 2^21 amplitudes
     with pytest.raises(DimensionCapError):
         cm_operators_numeric(big)
-    with pytest.raises(DimensionCapError):
-        embed(position_op(big[0]), 0, big)
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +110,40 @@ def test_cm_operators_linear_combination():
     x_cm, v_cm, p_tot = cm_operators_numeric(system)
     weights = (1 / 6, 2 / 6, 3 / 6)
     oracle = sum(
-        w * embed(position_op(mode), k, system).to_dense()
+        w * np.kron(np.kron(np.eye(3**k), position_op(mode).to_dense()), np.eye(3 ** (2 - k)))
         for k, (w, mode) in enumerate(zip(weights, system))
     )
     assert np.abs(x_cm.to_dense() - oracle).max() < 1e-14
     assert x_cm.hermitian and v_cm.hermitian and p_tot.hermitian
     assert np.abs(p_tot.to_dense() - 6.0 * v_cm.to_dense()).max() < 1e-14
+
+
+def test_embed_kron_block_structure():
+    # each mode's operator is embedded as a Kronecker factor of the joint space;
+    # mode 0 is the slowest-varying index, so its operator is the leading factor
+    system = [ModeSpec(mass=1.0, omega=1.0, dim=2), ModeSpec(mass=2.0, omega=1.0, dim=3)]
+    x_cm, _, p_tot = cm_operators_numeric(system)
+    x0, x1 = (position_op(mode).to_dense() for mode in system)
+    oracle = (1 / 3) * np.kron(x0, np.eye(3)) + (2 / 3) * np.kron(np.eye(2), x1)
+    assert np.abs(x_cm.to_dense() - oracle).max() == 0.0
+    p0, p1 = (momentum_op(mode).to_dense() for mode in system)
+    oracle = np.kron(p0, np.eye(3)) + np.kron(np.eye(2), p1)
+    assert np.abs(p_tot.to_dense() - oracle).max() == 0.0
+
+
+_RATIONAL_MASS = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.lists(st.tuples(_RATIONAL_MASS, st.integers(2, 5)), min_size=1, max_size=3))
+def test_cm_operators_match_kron_oracle(modes_drawn):
+    from oracles import kron_cm_operators
+
+    system = [ModeSpec(mass=float(m), omega=1.0, dim=d) for m, d in modes_drawn]
+    for op, oracle in zip(cm_operators_numeric(system), kron_cm_operators(system)):
+        dense = op.to_dense()
+        assert np.array_equal(dense, oracle)
+        assert np.array_equal(dense, dense.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +171,18 @@ def test_coherent_state_excessive_truncation():
         coherent_state(ModeSpec(mass=1.0, omega=1.0, dim=8), 100.0, 0.0)
 
 
+@pytest.mark.parametrize("mass, x0", [(1.0, 1e200), (1.0, 1e308), (16.0, 1e308)])
+def test_coherent_state_huge_displacement(mass, x0):
+    # |alpha|^2 overflows a float at 1e200; alpha itself is infinite at mass 16, 1e308
+    with pytest.raises(ExcessiveTruncationError, match="alpha"):
+        coherent_state(ModeSpec(mass=mass, omega=1.0, dim=8), x0, 0.0)
+
+
 def test_product_state_separability():
     psi0 = coherent_state(MODE, 0.7, 0.1)
     psi1 = coherent_state(MODE, -0.3, 0.4)
-    system = [MODE, MODE]
     joint = product_state([psi0, psi1])
-    x0 = embed(position_op(MODE), 0, system)
+    x0 = SparseOperator((16, 16), np.kron(position_op(MODE).to_dense(), np.eye(16)))
     expected = expectation(position_op(MODE), psi0)
     assert abs(expectation(x0, joint) - expected) < 1e-12
     assert abs(joint.norm() - 1.0) < 1e-12
@@ -269,7 +269,8 @@ def test_robertson_bound_random_states():
     rng = np.random.default_rng(61)
     system = modes(2, dim=6)
     x_cm, v_cm, _ = cm_operators_numeric(system)
-    comm = commutator_op(x_cm, v_cm)
+    x, v = x_cm.to_dense(), v_cm.to_dense()
+    comm = x @ v - v @ x
     for _ in range(1000):
         raw = np.zeros(36, dtype=complex)
         # support on the low levels only, so the truncation gate holds
@@ -283,7 +284,7 @@ def test_robertson_bound_random_states():
         psi = StateVector((6, 6), amps)
         assert truncation_weight(psi) < 1e-6
         lhs = uncertainty_product(x_cm, v_cm, psi)
-        rhs = 0.5 * abs(expectation(comm, psi))
+        rhs = 0.5 * abs(np.vdot(psi.amplitudes, comm @ psi.amplitudes))
         assert lhs >= rhs * (1.0 - 1e-9)
 
 
@@ -314,7 +315,7 @@ def test_symbolic_product_matches_matrix_product():
         f = random_polynomial(rng, alg, max_degree=3)
         g = random_polynomial(rng, alg, max_degree=3)
         sym = nc_matrix(f * g, ops, 1.0, 0.25).to_dense()
-        direct = (nc_matrix(f, ops, 1.0, 0.25) @ nc_matrix(g, ops, 1.0, 0.25)).to_dense()
+        direct = nc_matrix(f, ops, 1.0, 0.25).to_dense() @ nc_matrix(g, ops, 1.0, 0.25).to_dense()
         assert np.abs(sym[safe, safe] - direct[safe, safe]).max() < 1e-10
 
 
@@ -324,15 +325,16 @@ def test_symbolic_commutator_matches_matrix_commutator():
     ops = [cm_pair_ops(0.25, 48)]
     safe = slice(0, 36)
     sym = nc_matrix(commutator(X**2, V**2), ops, 1.0, 0.25).to_dense()
-    direct = commutator_op(
-        nc_matrix(X**2, ops, 1.0, 0.25), nc_matrix(V**2, ops, 1.0, 0.25)
-    ).to_dense()
+    x2 = nc_matrix(X**2, ops, 1.0, 0.25).to_dense()
+    v2 = nc_matrix(V**2, ops, 1.0, 0.25).to_dense()
+    direct = x2 @ v2 - v2 @ x2
     assert np.abs(sym[safe, safe] - direct[safe, safe]).max() < 1e-10
 
 
 def test_cm_pair_ops_commutator_scale():
     x, v = cm_pair_ops(0.25, 32)
-    comm = commutator_op(x, v).to_dense()
+    x, v = x.to_dense(), v.to_dense()
+    comm = x @ v - v @ x
     assert abs(comm[0, 0] - 0.25j) < 1e-12
 
 
