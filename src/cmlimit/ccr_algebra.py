@@ -26,6 +26,11 @@ GaussianRational`` map, +, -, == and the product loop.  The operator product
 reorders each pair by V^b X^p = sum_s s! C(b,s) C(p,s) (-c)^s X^{p-s} V^{b-s}
 (the normal-ordered star product); the commutative symbol product is its
 s = 0 term.  ``symbol_map`` and ``lift`` therefore copy terms unchanged.
+
+``commutator`` does not form f*g and g*f.  Monomials on disjoint pairs commute
+exactly, and the s = 0 term of m1*m2 equals that of m2*m1, so it visits only
+the term pairs that share a pair index and sums the s >= 1 terms of both
+orders: O(N) term pairs for [X_CM, V_CM] over N particles.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _cartesian
+from itertools import islice, product as _cartesian
 from math import comb, factorial
 from numbers import Rational
 
@@ -329,7 +334,8 @@ def _merged_pair_products(algebra: AlgebraSpec, m1: Monomial, m2: Monomial, comm
     V^b X^p = sum_s s! C(b,s) C(p,s) (-c_k)^s X^{p-s} V^{b-s} applies, with
     c_k the pair's central constant; distinct pairs commute.  With
     ``commuting`` only the s = 0 term is kept: the commutative product of
-    the symbols, a single ``(ONE, Monomial)``.
+    the symbols, a single ``(ONE, Monomial)``.  The s = 0 term always comes
+    first, with scalar 1; ``commutator`` relies on this.
     """
     fixed = []
     options = []  # per-pair alternatives: list of (scalar, h_add, e_add, entry)
@@ -381,6 +387,21 @@ def _merged_pair_products(algebra: AlgebraSpec, m1: Monomial, m2: Monomial, comm
             entries[slot] = entry
         pairs = tuple(e for e in entries if e is not None)
         yield scalar, Monomial(base_h + h_add, base_e + e_add, pairs)
+
+
+def _add_expansion(out: dict, coeff, expansion):
+    """Add coeff * scalar to ``out[mono]`` for each (scalar, mono), dropping zero sums."""
+    for scalar, mono in expansion:
+        contrib = coeff if scalar is ONE else coeff * scalar
+        prev = out.get(mono)
+        if prev is None:
+            out[mono] = contrib
+            continue
+        total = prev + contrib
+        if total:
+            out[mono] = total
+        else:
+            del out[mono]
 
 
 class _TermStore:
@@ -490,18 +511,7 @@ class _TermStore:
         algebra, commuting = self.algebra, self.commuting
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                c12 = c1 * c2
-                for scalar, mono in _merged_pair_products(algebra, m1, m2, commuting):
-                    contrib = c12 if scalar is ONE else c12 * scalar
-                    prev = out.get(mono)
-                    if prev is None:
-                        out[mono] = contrib
-                        continue
-                    total = prev + contrib
-                    if total:
-                        out[mono] = total
-                    else:
-                        del out[mono]
+                _add_expansion(out, c1 * c2, _merged_pair_products(algebra, m1, m2, commuting))
         return self._raw(algebra, out)
 
     __rmul__ = __mul__  # scalars commute with everything
@@ -540,8 +550,34 @@ class NCPolynomial(_TermStore):
 
 
 def commutator(f: NCPolynomial, g: NCPolynomial) -> NCPolynomial:
-    """[f, g] = f*g - g*f, normal ordered."""
-    return f * g - g * f
+    """[f, g] = f*g - g*f, normal ordered.
+
+    Visits only the term pairs (m1, m2) that share a pair index, found
+    through g's terms indexed by pair, and adds c1*c2*(m1*m2 - m2*m1) without
+    the s = 0 term of either order, which cancels.  Operands of another class
+    or algebra raise as ``f * g`` does; a scalar g gives zero.
+    """
+    other = f._operand(g) if isinstance(f, _TermStore) else None
+    if other is None:
+        raise TypeError(
+            f"unsupported operand type(s) for *: '{type(f).__name__}' and '{type(g).__name__}'"
+        )
+    g_terms = list(other.terms.items())
+    by_pair = {}
+    for index, (m2, _) in enumerate(g_terms):
+        for k, _, _ in m2.pairs:
+            by_pair.setdefault(k, []).append(index)
+    out = {}
+    algebra, commuting = f.algebra, f.commuting
+    for m1, c1 in f.terms.items():
+        shared = {index for k, _, _ in m1.pairs for index in by_pair.get(k, ())}
+        for index in shared:
+            m2, c2 = g_terms[index]
+            c12 = c1 * c2
+            for left, right, coeff in ((m1, m2, c12), (m2, m1, -c12)):
+                expansion = _merged_pair_products(algebra, left, right, commuting)
+                _add_expansion(out, coeff, islice(expansion, 1, None))
+    return f._raw(algebra, out)
 
 
 def eps_valuation(f: NCPolynomial):

@@ -46,6 +46,7 @@ from .dynamics import (
     trajectory_to_csv,
 )
 from .hilbert_rep import (
+    DimensionCapError,
     ExcessiveTruncationError,
     ModeSpec,
     cm_expectation_record,
@@ -474,6 +475,14 @@ def run_scaling(config: ExperimentConfig) -> ExperimentResult:
             systems = [ParticleSystem.uniform(n, config["mbar"]) for n in config["N"]]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    flag = "--masses" if config["masses"] is not None else "--mbar"
+    for system in systems:
+        try:
+            float(system.total_mass)
+        except OverflowError as exc:  # each mass fits a double, their sum need not
+            raise ConfigError(
+                f"{flag}: the total mass of {system.n} particles is out of the floating-point range"
+            ) from exc
     hbar = config["hbar"]
     rows = []
     for system in systems:
@@ -486,7 +495,7 @@ def run_scaling(config: ExperimentConfig) -> ExperimentResult:
             float(system.mean_mass),
             float(system.eps),
             hbar * float(coeff.im),
-            hbar / (2.0 * float(system.total_mass)),
+            hbar / 2.0 / float(system.total_mass),  # 2.0 * M may overflow
         )))
     table = Table("scaling", ("N", "mbar", "eps", "comm_magnitude", "uncertainty_bound"),
                   tuple(rows))
@@ -694,7 +703,10 @@ def _write_output(text: str, out_path):
 def main(argv=None) -> int:
     try:
         config = build_config(argv)
-        result = _RUNNERS[config.experiment](config)
+        try:
+            result = _RUNNERS[config.experiment](config)
+        except DimensionCapError as exc:  # --dim levels in each of the --N modes
+            raise ConfigError(f"--N, --dim: {exc}") from exc
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,14 +2,20 @@
 
 Random polynomials live on the CM algebra ([X, V] = i*hbar*eps) and on a
 two-pair particle algebra ([X_k, P_k] = i*hbar), with hbar and eps exponents
-0-2, so the reordering rule meets nonzero central powers on both.
+0-2, so the reordering rule meets nonzero central powers on both.  The direct
+commutator is also checked on three- and four-pair algebras whose central
+constants all differ, with terms that leave some pairs out.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlimit.ccr_algebra import (
+    AlgebraSpec,
+    CentralConstant,
     GaussianRational,
     Monomial,
     NCPolynomial,
@@ -26,10 +32,21 @@ from oracles import slow_mul
 
 ALGEBRAS = (cm_algebra(), build_particle_algebra(ParticleSystem.uniform(2)))
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+# [X_k, V_k] = i*q_k*hbar^a_k*eps^b_k with (q_k, a_k, b_k) all different
+WIDE_ALGEBRAS = tuple(
+    AlgebraSpec(
+        pair_names=tuple((f"X{k}", f"V{k}") for k in range(n)),
+        constants=(
+            CentralConstant(Fraction(1), 1, 0), CentralConstant(Fraction(2, 3), 1, 1),
+            CentralConstant(Fraction(5, 2), 0, 2), CentralConstant(Fraction(3), 2, 1),
+        )[:n],
+    )
+    for n in (3, 4)
+)
+PAIR_EXPONENTS = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
 
-def _monomials(algebra):
-    entry = st.tuples(st.integers(0, 2), st.integers(0, 2))
+def _monomials(algebra, entry=PAIR_EXPONENTS):
     return st.builds(
         lambda h, e, exps: Monomial(h, e, tuple(
             (k, x, v) for k, (x, v) in enumerate(exps) if x or v
@@ -39,9 +56,11 @@ def _monomials(algebra):
     )
 
 
-def _terms(algebra):
-    coeff = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
-    return st.dictionaries(_monomials(algebra), coeff, max_size=3)
+COEFFICIENTS = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
+
+
+def _terms(algebra, entry=PAIR_EXPONENTS):
+    return st.dictionaries(_monomials(algebra, entry), COEFFICIENTS, max_size=3)
 
 
 @st.composite
@@ -56,6 +75,22 @@ def _polynomials(draw, count, cls=NCPolynomial):
 def test_product_matches_single_swap_oracle(fg):
     f, g = fg
     assert f * g == slow_mul(f, g)
+
+
+@st.composite
+def _wide_polynomials(draw, count):
+    """``count`` polynomials on a wide algebra; terms skip about half the pairs, plus a constant."""
+    algebra = draw(st.sampled_from(WIDE_ALGEBRAS))
+    entry = st.just((0, 0)) | PAIR_EXPONENTS
+    return [NCPolynomial(algebra, draw(_terms(algebra, entry))) + draw(COEFFICIENTS)
+            for _ in range(count)]
+
+
+@PROPERTY
+@given(_wide_polynomials(2))
+def test_commutator_matches_single_swap_oracle(fg):
+    f, g = fg
+    assert commutator(f, g) == slow_mul(f, g) - slow_mul(g, f)
 
 
 @PROPERTY
@@ -112,7 +147,7 @@ def test_symbol_polynomial_validates_monomials(algebra, pairs):
 def test_operator_and_symbol_do_not_mix():
     alg = cm_algebra()
     x, xs = alg.x(), symbol_map(alg.x())
-    for combine in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+    for combine in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, commutator):
         with pytest.raises(TypeError):
             combine(x, xs)
         with pytest.raises(TypeError):

@@ -33,6 +33,7 @@ from cmlimit.ccr_algebra import (
     scale_central,
     symbol_map,
 )
+from cmlimit.cli import main
 from oracles import random_masses, random_polynomial, random_symbol, slow_mul
 
 I = GaussianRational(0, 1)
@@ -165,6 +166,8 @@ def test_algebra_mismatch_raises():
         X * renamed.x()
     with pytest.raises(AlgebraMismatchError):
         X + renamed.x()
+    with pytest.raises(AlgebraMismatchError):
+        commutator(X, renamed.x())
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +464,22 @@ def test_cm_observables_random_masses():
         x_cm, v_cm, p_tot = cm_observables(system, alg)
         assert commutator(x_cm, v_cm) == expected_cm_commutator(alg, system.total_mass)
         assert commutator(x_cm, p_tot) == NCPolynomial(alg, {Monomial(1, 0, ()): I})
+
+
+def test_cm_commutators_at_large_n():
+    # N^2 term pairs would take minutes here; the direct commutator visits N
+    system = ParticleSystem(masses=random_masses(random.Random(4096), 4096))
+    alg = build_particle_algebra(system)
+    x_cm, v_cm, p_tot = cm_observables(system, alg)
+    assert commutator(x_cm, v_cm) == expected_cm_commutator(alg, system.total_mass)
+    assert commutator(x_cm, p_tot) == NCPolynomial(alg, {Monomial(1, 0, ()): I})
+
+
+def test_scaling_cli_at_large_n(capsys):
+    assert main(["scaling", "--N", "4096", "--mbar", "3/7", "--hbar", "1.5"]) == 0
+    header, row = capsys.readouterr().out.strip().split("\n")
+    comm_magnitude = float(dict(zip(header.split(","), row.split(",")))["comm_magnitude"])
+    assert comm_magnitude == pytest.approx(1.5 / float(4096 * Fraction(3, 7)), rel=1e-11)
 
 
 # ---------------------------------------------------------------------------

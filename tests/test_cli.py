@@ -257,9 +257,25 @@ HUGE = "1" + "0" * 330
     (("scaling", "--N", "2", "--mbar", TINY), "--mbar"),
     (("scaling", "--N", "2", "--mbar", HUGE), "--mbar"),
     (("scaling", "--masses", f"1,{HUGE}"), "--masses"),
+    (("scaling", "--N", "2", "--mbar", "1e308"), "--mbar"),  # total mass overflows
+    (("scaling", "--masses", "1e308,1e308"), "--masses"),
 ])
 def test_nonpositive_flag_is_config_error(capsys, argv, flag):
     _assert_flag_config_error(capsys, argv, flag)
+
+
+@pytest.mark.parametrize("argv", [
+    ("uncertainty", "--N", "7", "--dim", "8"),
+    ("evolve", "--model", "full", "--N", "3", "--dim", "128"),
+])
+def test_amplitude_cap_names_n_and_dim(capsys, argv):
+    _assert_flag_config_error(capsys, argv, "--N, --dim")
+
+
+def test_scaling_bound_at_largest_total_mass(capsys):
+    code, out = run_cli(capsys, "scaling", "--N", "1", "--mbar", "1e308")
+    assert code == 0
+    assert out.strip().split("\n")[1] == "1,1e+308,1e-308,1e-308,5e-309"
 
 
 @pytest.mark.parametrize("x0", ["1e200", "1e308"])
