@@ -841,11 +841,12 @@ def cm_observables(system: ParticleSystem, algebra: AlgebraSpec | None = None):
     if alg.n_pairs != system.n:
         raise AlgebraMismatchError("algebra does not match the particle system")
     total = system.total_mass
-    x_cm = alg.zero()
-    p_tot = alg.zero()
-    for k, mass in enumerate(system.masses):
-        x_cm = x_cm + alg.x(k) * (mass / total)
-        p_tot = p_tot + alg.v(k)
+    # one term per pair, so each term map is built in a single O(N) pass
+    x_cm = NCPolynomial._raw(alg, {
+        Monomial(0, 0, ((k, 1, 0),)): GaussianRational._unchecked(mass / total, _FRACTION_ZERO)
+        for k, mass in enumerate(system.masses)
+    })
+    p_tot = NCPolynomial._raw(alg, {Monomial(0, 0, ((k, 0, 1),)): ONE for k in range(system.n)})
     v_cm = p_tot * (1 / total)
     return x_cm, v_cm, p_tot
 

@@ -532,10 +532,16 @@ def run_residuals(config: ExperimentConfig) -> ExperimentResult:
 
     def add_row(case, params, residual):
         valuation = eps_valuation(residual)
+        try:
+            norm = _leading_coeff_norm(residual, hbar)
+        except OverflowError as exc:  # hbar**k of an accepted hbar need not fit a double
+            raise ConfigError(
+                f"--hbar: the {case} residual {params} is out of the floating-point range"
+            ) from exc
         rows.append((
             case, params,
             "inf" if valuation == math.inf else str(valuation),
-            _fmt(_leading_coeff_norm(residual, hbar)),
+            _fmt(norm),
         ))
 
     for n in range(1, max_degree + 1):
@@ -560,6 +566,14 @@ def run_residuals(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult("residuals", (table,))
 
 
+def _modes(masses, dim: int, hbar: float, flags: str):
+    """One mode per mass; a scale out of the float range is an error naming ``flags``."""
+    try:
+        return [ModeSpec(mass=m, omega=1.0, dim=dim, hbar=hbar) for m in masses]
+    except ValueError as exc:
+        raise ConfigError(f"{flags}: {exc}") from exc
+
+
 def run_uncertainty(config: ExperimentConfig) -> ExperimentResult:
     hbar = config["hbar"]
     mbar = float(config["mbar"])
@@ -569,7 +583,7 @@ def run_uncertainty(config: ExperimentConfig) -> ExperimentResult:
     rows = []
     exit_code = 0
     for n in config["N"]:
-        modes = [ModeSpec(mass=mbar, omega=1.0, dim=dim, hbar=hbar) for _ in range(n)]
+        modes = _modes([mbar] * n, dim, hbar, "--mbar, --hbar")
         bound = hbar / (2.0 * n * mbar)
         try:
             psi = coherent_product(modes, [config["x0"]] * n, [config["p0"] / n] * n)
@@ -612,18 +626,26 @@ def run_evolve(config: ExperimentConfig) -> ExperimentResult:
     try:
         try:
             classical = evolve_classical(potential, total_mass, x0, p0, t_final, dt)
+            finite = all(math.isfinite(s.x) and math.isfinite(s.p) for _, s in classical)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError("--potential, --x0, --p0, --mbar: the classical trajectory "
+                              "leaves the floating-point range")
         tables.append(Table(
             "classical", ("t", "x", "p"),
             tuple(tuple(_fmt(v) for v in (t, s.x, s.p)) for t, s in classical),
         ))
         if config["model"] == "effective":
-            modes = effective_cm_system(n, mbar, dim=config["dim"], hbar=hbar)
+            try:
+                modes = effective_cm_system(n, mbar, dim=config["dim"], hbar=hbar)
+            except ValueError as exc:  # the mass N*mbar puts a scale out of range
+                raise ConfigError(f"--N, --mbar, --hbar: {exc}") from exc
             psi0 = coherent_state(modes[0], x0, p0)
         else:
-            modes = [ModeSpec(mass=mbar, omega=1.0, dim=config["dim"], hbar=hbar)
-                     for _ in range(n)]
+            modes = _modes([mbar] * n, config["dim"], hbar, "--mbar, --hbar")
             psi0 = coherent_product(modes, [x0] * n, [p0 / n] * n)
         spec = HamiltonianSpec(modes=tuple(modes), potential=potential)
         try:

@@ -3,8 +3,11 @@
 Quantum propagation runs in the Schrodinger picture (expectations are
 identical to the Heisenberg-picture statement, which is recovered through
 :func:`ehrenfest_residual`) with the exact unitary exp(-iHt/hbar): H is real
-symmetric, diagonalized densely up to total dimension 2048 and applied as a
-sparse matrix-exponential action above that.  Norm drift is measured, never
+symmetric, diagonalized densely (LAPACK's divide-and-conquer ``evd``
+driver) up to total dimension 2048 and applied as a sparse
+matrix-exponential action above that.  H is the one operator assembled as
+a composite sparse matrix; the CM observables on every sample are applied
+mode by mode (:mod:`cmlimit.hilbert_rep`).  Norm drift is measured, never
 corrected -- silent renormalization would hide a propagation failure.  The
 classical twin integrates Hamilton's equations xdot = p/M, pdot = -U'(x)
 with classic 4th-order steps on the same time grid.
@@ -39,8 +42,10 @@ from .hilbert_rep import (
 )
 
 EIG_DIMENSION_LIMIT = 2048
+MAX_STEPS = 100_000  # every step is a sample, kept as a state and a CSV row
 NORM_DRIFT_LIMIT = 1e-8
 EVOLUTION_GATE = 1e-6
+TRUNC_WEIGHT_DECIMALS = 15  # printed resolution of the weight, 1e-9 of the gate
 
 
 class NormDriftError(RuntimeError):
@@ -161,7 +166,10 @@ def _step_count(t_final: float, dt: float) -> int:
         raise ValueError("dt must be positive")
     if t_final < 0:
         raise ValueError("t_final must be nonnegative")
-    n = int(round(t_final / dt))
+    ratio = t_final / dt
+    if ratio > MAX_STEPS:  # also catches an infinite ratio
+        raise ValueError(f"t_final / dt = {ratio:.3g} steps exceeds the limit of {MAX_STEPS}")
+    n = int(round(ratio))
     if abs(n * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ValueError("t_final must be an integer multiple of dt")
     return n
@@ -241,18 +249,25 @@ class Trajectory:
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV serialization: fixed header, 12 significant digits, LF endings."""
+    """CSV serialization: fixed header, 12 significant digits, LF endings.
+
+    ``trunc_weight`` is printed rounded to TRUNC_WEIGHT_DECIMALS decimal
+    places: below that it is propagator round-off, whose digits change with
+    the BLAS thread count and the eigensolver.  The gate in
+    :func:`evolve_quantum` compares the raw weight.
+    """
     lines = ["t,x_cm,v_cm,dx,dv,energy,norm,trunc_weight"]
     for t, r, e, n in zip(traj.times, traj.records, traj.energies, traj.norms):
-        fields = (t, r.x_cm, r.v_cm, r.dx, r.dv, e, n, r.truncation_weight)
+        weight = round(r.truncation_weight, TRUNC_WEIGHT_DECIMALS)
+        fields = (t, r.x_cm, r.v_cm, r.dx, r.dv, e, n, weight)
         lines.append(",".join(f"{v:.12g}" for v in fields))
     return "\n".join(lines) + "\n"
 
 
 def _eig_samples(h: SparseOperator, psi0: np.ndarray, dt: float, n_steps: int,
                  hbar: float) -> np.ndarray:
-    """Rows exp(-iH k dt/hbar) psi0, k = 0..n_steps, from the real eigendecomposition."""
-    evals, evecs = scipy.linalg.eigh(h.matrix.real.toarray())
+    """Rows exp(-iH k dt/hbar) psi0, k = 0..n_steps, from the real divide-and-conquer eigh."""
+    evals, evecs = scipy.linalg.eigh(h.matrix.real.toarray(), driver="evd")
     coeffs = evecs.T @ psi0
     times = dt * np.arange(n_steps + 1)
     return (np.exp(np.outer(times, evals) * (-1j / hbar)) * coeffs) @ evecs.T
@@ -355,7 +370,7 @@ def expectation_product(a: SparseOperator, b: SparseOperator, psi: StateVector) 
         ab = np.vdot(a_psi, b_psi)
         return complex(ab - np.conjugate(ab))
     return complex(
-        np.vdot(psi.amplitudes, a.matrix @ b_psi) - np.vdot(psi.amplitudes, b.matrix @ a_psi)
+        np.vdot(psi.amplitudes, a.apply(b_psi)) - np.vdot(psi.amplitudes, b.apply(a_psi))
     )
 
 

@@ -8,13 +8,17 @@ basis level, so "occupation of the top level" is a precise validity gate.
 
 The CM operators are Kronecker sums of single-mode matrices,
 sum_k w_k I (x) ... (x) A_k (x) ... (x) I, with mode 0 the slowest-varying
-factor of the composite index (the leading Kronecker factor).
+factor of the composite index (the leading Kronecker factor).  They are
+kept as their d x d factors and applied mode by mode to the amplitude
+tensor; the composite sparse matrix is assembled only when read (for the
+Hamiltonian and the symbolic-algebra bridge).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,44 +62,103 @@ class ModeSpec:
             raise ValueError("mass, omega and hbar must be positive")
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
+        # the squared scales of position_op and momentum_op
+        for scale in (self.hbar / (2.0 * self.mass * self.omega),
+                      self.mass * self.hbar * self.omega / 2.0):
+            if not sys.float_info.min <= scale < math.inf:
+                raise ValueError("mass, omega and hbar put the position or momentum "
+                                 "scale out of the floating-point range")
 
 
 class SparseOperator:
-    """Sparse complex matrix on a tensor product of modes."""
+    """Sparse complex operator on a tensor product of modes.
 
-    __slots__ = ("mode_dims", "matrix", "hermitian")
+    Held as a Kronecker sum of square sparse factors,
+    sum_k I (x) ... (x) F_k (x) ... (x) I, whose dimensions multiply to the
+    composite dimension; a general matrix is the one-factor case.  ``apply``
+    works factor by factor on the amplitude tensor, and ``matrix`` is
+    assembled on first read and cached.
+    """
+
+    __slots__ = ("mode_dims", "factors", "hermitian", "_matrix")
 
     def __init__(self, mode_dims, matrix, hermitian=False):
-        mode_dims = tuple(int(d) for d in mode_dims)
         matrix = sp.csr_matrix(matrix, dtype=np.complex128)
-        total = math.prod(mode_dims)
-        if matrix.shape != (total, total):
-            raise ValueError(f"matrix shape {matrix.shape} does not match dims {mode_dims}")
+        self._set(mode_dims, (matrix,), hermitian, matrix)
+
+    @classmethod
+    def kronecker_sum(cls, mode_dims, factors, hermitian=False) -> "SparseOperator":
+        """sum_k I (x) ... (x) factors[k] (x) ... (x) I, factor 0 the leading one."""
+        op = cls.__new__(cls)
+        op._set(mode_dims, tuple(sp.csr_matrix(f, dtype=np.complex128) for f in factors),
+                hermitian, None)
+        return op
+
+    def _set(self, mode_dims, factors, hermitian, matrix):
+        mode_dims = tuple(int(d) for d in mode_dims)
+        if any(f.shape[0] != f.shape[1] for f in factors) or (
+                math.prod(f.shape[0] for f in factors) != math.prod(mode_dims)):
+            raise ValueError(f"factor shapes {[f.shape for f in factors]} do not match "
+                             f"dims {mode_dims}")
         if hermitian:
-            defect = (matrix - matrix.getH())
-            if defect.nnz and abs(defect).max() > HERMITIAN_TOLERANCE:
-                raise ValueError("operator marked Hermitian is not (within 1e-12)")
+            for f in factors:
+                defect = f - f.getH()
+                if defect.nnz and abs(defect).max() > HERMITIAN_TOLERANCE:
+                    raise ValueError("operator marked Hermitian is not (within 1e-12)")
         object.__setattr__(self, "mode_dims", mode_dims)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "hermitian", bool(hermitian))
+        object.__setattr__(self, "_matrix", matrix)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseOperator is immutable")
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> sp.csr_matrix:
+        """The composite CSR matrix; a Kronecker sum is folded on first read and cached.
 
-    def apply(self, psi: "StateVector") -> np.ndarray:
-        if psi.mode_dims != self.mode_dims:
-            raise ValueError("state and operator act on different mode layouts")
-        return self.matrix @ psi.amplitudes
+        The fold is ``scipy.sparse.kronsum(F_k, S)`` over the factors from a
+        1x1 zero, so factor 0 ends up the slowest-varying index.
+        """
+        if self._matrix is None:
+            total = sp.csr_matrix((1, 1), dtype=np.complex128)
+            for factor in self.factors:
+                total = sp.kronsum(factor, total, format="csr")
+            object.__setattr__(self, "_matrix", total)
+        return self._matrix
+
+    @property
+    def dim(self) -> int:
+        return math.prod(self.mode_dims)
+
+    def apply(self, psi) -> np.ndarray:
+        """op psi for a StateVector on this layout, or for a bare amplitude vector.
+
+        Factor k acts on axis k of the amplitude tensor (the "vec trick",
+        Van Loan 2000); a one-factor operator is a single sparse matvec.
+        """
+        if isinstance(psi, StateVector):
+            if psi.mode_dims != self.mode_dims:
+                raise ValueError("state and operator act on different mode layouts")
+            psi = psi.amplitudes
+        if psi.shape != (self.dim,):
+            raise ValueError(f"expected {self.dim} amplitudes, got shape {psi.shape}")
+        out, left = None, 1
+        for factor in self.factors:
+            d = factor.shape[0]
+            right = psi.size // (left * d)
+            # axis of this factor first: (left, d, right) -> (d, left * right)
+            block = psi.reshape(left, d, right).transpose(1, 0, 2).reshape(d, -1)
+            term = (factor @ block).reshape(d, left, right).transpose(1, 0, 2).reshape(-1)
+            out = term if out is None else out + term
+            left *= d
+        return out
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
     def __repr__(self):
-        return f"<SparseOperator dims={self.mode_dims} nnz={self.matrix.nnz}>"
+        return f"<SparseOperator dims={self.mode_dims} factors={len(self.factors)}>"
 
 
 class StateVector:
@@ -160,9 +223,11 @@ def momentum_op(mode: ModeSpec) -> SparseOperator:
 def cm_operators_numeric(system):
     """(X_CM, V_CM, P_TOT) on the tensor product of the given modes.
 
-    Each is a Kronecker sum of single-mode matrices, folded mode by mode so
-    that mode 0 ends up the slowest-varying factor.  Every entry is a single
-    product w_k * A_k[i, j]: the modes' terms never overlap.
+    Each is the Kronecker sum of its weighted single-mode matrices, mode 0
+    the leading factor: (m_k/M) X_k, P_k/M and P_k.  Nothing is assembled
+    here; ``apply`` works mode by mode, and ``.matrix`` folds the factors
+    with ``scipy.sparse.kronsum`` when read.  Every entry of the assembled
+    matrix is a single product w_k * A_k[i, j]: the modes' terms never overlap.
     """
     system = list(system)
     if not system:
@@ -170,14 +235,12 @@ def cm_operators_numeric(system):
     total_mass = sum(m.mass for m in system)
     dims = tuple(m.dim for m in system)
     _check_cap(dims)
-    x_sum = p_sum = sp.csr_matrix((1, 1), dtype=np.complex128)
-    for mode in system:
-        x_k = (mode.mass / total_mass) * position_op(mode).matrix
-        x_sum = sp.kronsum(x_k, x_sum, format="csr")
-        p_sum = sp.kronsum(momentum_op(mode).matrix, p_sum, format="csr")
-    x_cm = SparseOperator(dims, x_sum, hermitian=True)
-    p_tot = SparseOperator(dims, p_sum, hermitian=True)
-    v_cm = SparseOperator(dims, p_sum / total_mass, hermitian=True)
+    x_factors = [(m.mass / total_mass) * position_op(m).matrix for m in system]
+    p_factors = [momentum_op(m).matrix for m in system]
+    x_cm = SparseOperator.kronecker_sum(dims, x_factors, hermitian=True)
+    p_tot = SparseOperator.kronecker_sum(dims, p_factors, hermitian=True)
+    v_cm = SparseOperator.kronecker_sum(dims, [p / total_mass for p in p_factors],
+                                        hermitian=True)
     return x_cm, v_cm, p_tot
 
 

@@ -475,6 +475,25 @@ def test_cm_commutators_at_large_n():
     assert commutator(x_cm, p_tot) == NCPolynomial(alg, {Monomial(1, 0, ()): I})
 
 
+def test_cm_observables_equal_the_sum_of_generators():
+    # the one-pass term maps equal the sum of weighted generators exactly,
+    # term order and coefficient types included
+    rng = random.Random(64)
+    for n in range(1, 65):
+        system = ParticleSystem(masses=random_masses(rng, n))
+        alg = build_particle_algebra(system)
+        total = system.total_mass
+        x_fold = p_fold = alg.zero()
+        for k, mass in enumerate(system.masses):
+            x_fold = x_fold + alg.x(k) * (mass / total)
+            p_fold = p_fold + alg.v(k)
+        folds = (x_fold, p_fold * (1 / total), p_fold)
+        for built, fold in zip(cm_observables(system, alg), folds):
+            assert list(built.terms.items()) == list(fold.terms.items())
+            assert [(type(c.re), type(c.im)) for c in built.terms.values()] == \
+                [(type(c.re), type(c.im)) for c in fold.terms.values()]
+
+
 def test_scaling_cli_at_large_n(capsys):
     assert main(["scaling", "--N", "4096", "--mbar", "3/7", "--hbar", "1.5"]) == 0
     header, row = capsys.readouterr().out.strip().split("\n")

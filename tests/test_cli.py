@@ -264,6 +264,27 @@ def test_nonpositive_flag_is_config_error(capsys, argv, flag):
     _assert_flag_config_error(capsys, argv, flag)
 
 
+@pytest.mark.parametrize("argv, flag", [
+    # the momentum scale m*hbar/2 overflows, or underflows to zero
+    (("uncertainty", "--N", "1", "--mbar", "1e300", "--dim", "2", "--hbar", "1e300"),
+     "--mbar, --hbar"),
+    (("uncertainty", "--N", "2", "--mbar", "1e-300", "--p0", "-1", "--hbar", "1e-300"),
+     "--mbar, --hbar"),
+    (("evolve", "--N", "1000", "--mbar", "1e306"), "--N, --mbar, --hbar"),  # M = inf
+    (("residuals", "--max-degree", "2", "--hbar", "1e300"), "--hbar"),  # hbar^2
+    (("evolve", "--potential", "x^20", "--mbar", "1e-300", "--p0", "-1", "--model", "full"),
+     "--potential, --x0, --p0, --mbar"),  # x^19 overflows in the classical twin
+])
+def test_float_range_is_config_error(capsys, argv, flag):
+    _assert_flag_config_error(capsys, argv, flag)
+
+
+def test_evolve_step_limit(capsys):
+    # 2e299 steps used to hang in the classical loop
+    assert main(["evolve", "--t", "0.2", "--dt", "1e-300"]) == 1
+    assert "exceeds the limit of 100000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ("uncertainty", "--N", "7", "--dim", "8"),
     ("evolve", "--model", "full", "--N", "3", "--dim", "128"),

@@ -1,13 +1,18 @@
 """Tests for quantum/classical propagation and their comparison."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cmlimit.dynamics import (
     HamiltonianSpec,
+    Trajectory,
     NormDriftError,
     PolynomialPotential,
     TimeGridMismatchError,
@@ -26,6 +31,7 @@ from cmlimit.dynamics import (
 from cmlimit.hilbert_rep import (
     DimensionCapError,
     ExcessiveTruncationError,
+    ExpectationRecord,
     ModeSpec,
     SparseOperator,
     StateVector,
@@ -403,3 +409,39 @@ def test_trajectory_csv_contract():
     assert final[1] == "1.5"
     # 12 significant digits
     assert float(final[3]) == pytest.approx(traj.records[-1].dx, rel=1e-11)
+
+
+def test_trajectory_csv_prints_weight_at_fixed_resolution():
+    def record(weight):
+        return ExpectationRecord(x_cm=0.0, v_cm=0.0, dx=1.0, dv=1.0,
+                                 commutator_expectation=1j, factorization_residual=0.5,
+                                 truncation_weight=weight)
+
+    weights = (6.06459797909e-48, 4.9e-16, 5.1e-16, 1.234567891234e-7, 0.0)
+    traj = Trajectory(times=(0.0, 1.0, 2.0, 3.0, 4.0), records=tuple(map(record, weights)),
+                      energies=(0.5,) * 5, norms=(1.0,) * 5, states=(), hbar=1.0,
+                      total_mass=1.0)
+    printed = [line.split(",")[-1] for line in trajectory_to_csv(traj).splitlines()[1:]]
+    assert printed == ["0", "0", "1e-15", "1.23456789e-07", "0"]
+
+
+def test_evolve_weight_column_independent_of_blas_threads():
+    # LAPACK's eigh itself rounds differently with 1 and 2 BLAS threads, so a
+    # 12-digit column can still flip its last digit; the weight, printed at a
+    # fixed absolute resolution, must not change at all
+    argv = [sys.executable, "-m", "cmlimit", "evolve", "--potential", "0.1*x^4", "--N", "16",
+            "--model", "effective", "--dim", "1024", "--t", "2", "--dt", "0.01"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+        outputs.append(run.stdout.split("# classical")[0].splitlines()[2:])
+    one, two = outputs
+    assert len(one) == len(two) == 201
+    for row1, row2 in zip(one, two):
+        cells1, cells2 = row1.split(","), row2.split(",")
+        assert cells1[-1] == cells2[-1]
+        for a, b in zip(cells1[:-1], cells2[:-1]):
+            assert float(a) == pytest.approx(float(b), rel=1e-11, abs=1e-15)

@@ -146,6 +146,72 @@ def test_cm_operators_match_kron_oracle(modes_drawn):
         assert np.array_equal(dense, dense.conj().T)
 
 
+def _random_state(seed, dims):
+    rng = np.random.default_rng(seed)
+    size = math.prod(dims)
+    amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return StateVector(dims, amps / np.linalg.norm(amps))
+
+
+_SEED = st.integers(0, 2**32 - 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.lists(st.tuples(_RATIONAL_MASS, st.integers(2, 5)), min_size=1, max_size=3), _SEED)
+def test_mode_by_mode_apply_matches_assembled_matrix(modes_drawn, seed):
+    from oracles import kron_cm_operators
+
+    system = [ModeSpec(mass=float(m), omega=1.0, dim=d) for m, d in modes_drawn]
+    ops = cm_operators_numeric(system)
+    psi = _random_state(seed, tuple(d for _, d in modes_drawn))
+    for op, oracle in zip(ops, kron_cm_operators(system)):
+        applied = op.apply(psi)
+        assert np.abs(applied - op.matrix @ psi.amplitudes).max() <= 1e-14
+        assert np.abs(applied - oracle @ psi.amplitudes).max() <= 1e-14
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.lists(st.tuples(_RATIONAL_MASS, st.integers(2, 5), _SEED), min_size=1, max_size=3))
+def test_product_state_variances_are_analytic(modes_drawn):
+    # for a product state the modes are uncorrelated, so the CM variances
+    # are the weighted sums of the single-mode ones
+    system = [ModeSpec(mass=float(m), omega=1.0, dim=d) for m, d, _ in modes_drawn]
+    factors = [_random_state(seed, (d,)) for _, d, seed in modes_drawn]
+    psi = product_state(factors)
+    x_cm, _, p_tot = cm_operators_numeric(system)
+    total_mass = sum(mode.mass for mode in system)
+    var_x = sum((mode.mass / total_mass) ** 2 * variance(position_op(mode), phi)
+                for mode, phi in zip(system, factors))
+    var_p = sum(variance(momentum_op(mode), phi) for mode, phi in zip(system, factors))
+    assert variance(x_cm, psi) == pytest.approx(var_x, abs=1e-12)
+    assert variance(p_tot, psi) == pytest.approx(var_p, abs=1e-12)
+
+
+def test_kronecker_sum_rejects_non_hermitian_factor():
+    x = position_op(ModeSpec(mass=1.0, dim=3)).matrix
+    with pytest.raises(ValueError, match="not"):
+        SparseOperator.kronecker_sum((3, 4), [x, ladder(4).matrix], hermitian=True)
+    op = SparseOperator.kronecker_sum((3, 4), [x, ladder(4).matrix])
+    assert not op.hermitian
+
+
+def test_cm_operators_apply_without_assembly(monkeypatch, capsys):
+    # uncertainty needs only applications; the kronsum fold must not run
+    import hashlib
+
+    import scipy.sparse
+
+    from cmlimit.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Kronecker sum assembled")
+
+    monkeypatch.setattr(scipy.sparse, "kronsum", refuse)
+    assert main(["uncertainty", "--N", "1,2,3,4,5,6", "--dim", "8"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode()).hexdigest() == "1c840108393f2b2320b57baf22385c04"
+
+
 # ---------------------------------------------------------------------------
 # States
 # ---------------------------------------------------------------------------
