@@ -181,7 +181,7 @@ def evolve_classical(potential: PolynomialPotential, total_mass: float,
 
     Returns ``[(t, ClassicalState), ...]`` for t = 0, dt, ..., t_final; like
     :func:`evolve_quantum` it raises ValueError unless t_final is a whole
-    number of steps.
+    number of steps, at most MAX_STEPS.
     """
     n_steps = _step_count(t_final, dt)
     force = potential.derivative()
@@ -284,11 +284,12 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
                    dt: float) -> Trajectory:
     """Propagate psi0 under the spec's Hamiltonian, sampling CM observables every dt.
 
-    t_final must be a whole number of steps dt.  The propagator is exact and
-    unitary: a dense real eigendecomposition of H up to total dimension
-    2048, ``expm_multiply`` on the sparse H above it.  Raises
-    ExcessiveTruncationError when a sample exceeds the truncation gate and
-    NormDriftError when |norm - 1| reaches 1e-8 (never renormalizes).
+    t_final must be a whole number of steps dt, at most MAX_STEPS.  The
+    propagator is exact and unitary: a dense real eigendecomposition of H
+    up to total dimension 2048, ``expm_multiply`` on the sparse H above it.
+    Raises ExcessiveTruncationError when a sample exceeds the truncation
+    gate and NormDriftError when |norm - 1| reaches 1e-8 (never
+    renormalizes).
     """
     n_steps = _step_count(t_final, dt)
     ops = cm_operators_numeric(spec.modes)

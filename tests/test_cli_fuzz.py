@@ -46,8 +46,8 @@ FLAGS = {
     }),
     "evolve": ({"N": (("1", "2", "3", "4"), ("0", "1.5")), "dim": DIM,
                 "t": (("0", "0.1", "0.2", "0.5"), ("-0.1", "nan"))}, {
-        "potential": (("0", "0.5*x^2", "x^4 - 2*x^2 + 1", "0.1*x^4", "x", "-x^2", "x^3",
-                       "x^20"), ("2x", "", "x^", "1/0*x", "x^-1")),
+        "potential": (("0", "0.5*x^2", "x^4 - 2*x^2 + 1", "0.1*x^4", "x", "x^3", "x^20"),
+                      ("2x", "", "x^", "1/0*x", "x^-1", "-x^2")),  # "-x^2" reads as a flag
         "mbar": MASS, "x0": DISPLACEMENT, "p0": DISPLACEMENT,
         "dt": (("0.1", "0.05", "0.25", "0.3", "1e-300"), ("0", "-0.1", "nan", "x")),
         "model": (("full", "effective"), ("other",)),

@@ -24,6 +24,7 @@ from cmlimit.dynamics import (
     ehrenfest_residual,
     evolve_classical,
     evolve_quantum,
+    expectation_product,
     free_width_analytic,
     gaussian_spreading,
     trajectory_to_csv,
@@ -284,6 +285,21 @@ def test_ehrenfest_quartic_squared_observable():
     r1, r2 = residual(0.04), residual(0.02)
     assert r1 > 0
     assert 3.2 <= r1 / r2 <= 4.8
+
+
+def test_expectation_product_of_non_hermitian_kronecker_sums():
+    # a and b are not Hermitian, so each is applied to the other's image
+    from cmlimit.hilbert_rep import ladder
+
+    dims = (3, 4)
+    a = SparseOperator.kronecker_sum(dims, [ladder(3).matrix, ladder(4).matrix.T])
+    b = SparseOperator.kronecker_sum(dims, [ladder(3).matrix.T * 0.5, ladder(4).matrix])
+    rng = np.random.default_rng(7)
+    amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    psi = StateVector(dims, amps / np.linalg.norm(amps))
+    dense_a, dense_b = a.to_dense(), b.to_dense()
+    expected = np.vdot(psi.amplitudes, (dense_a @ dense_b - dense_b @ dense_a) @ psi.amplitudes)
+    assert abs(expectation_product(a, b, psi) - expected) < 1e-13
 
 
 # ---------------------------------------------------------------------------

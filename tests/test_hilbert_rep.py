@@ -1,15 +1,18 @@
 """Numerical tests for the truncated-oscillator representation."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlimit.ccr_algebra import cm_algebra, commutator
+from cmlimit.cli import main
 from cmlimit.hilbert_rep import (
     DimensionCapError,
     ExcessiveTruncationError,
@@ -189,7 +192,7 @@ def test_product_state_variances_are_analytic(modes_drawn):
 
 def test_kronecker_sum_rejects_non_hermitian_factor():
     x = position_op(ModeSpec(mass=1.0, dim=3)).matrix
-    with pytest.raises(ValueError, match="not"):
+    with pytest.raises(ValueError, match="marked Hermitian"):
         SparseOperator.kronecker_sum((3, 4), [x, ladder(4).matrix], hermitian=True)
     op = SparseOperator.kronecker_sum((3, 4), [x, ladder(4).matrix])
     assert not op.hermitian
@@ -197,12 +200,6 @@ def test_kronecker_sum_rejects_non_hermitian_factor():
 
 def test_cm_operators_apply_without_assembly(monkeypatch, capsys):
     # uncertainty needs only applications; the kronsum fold must not run
-    import hashlib
-
-    import scipy.sparse
-
-    from cmlimit.cli import main
-
     def refuse(*args, **kwargs):
         raise AssertionError("Kronecker sum assembled")
 
