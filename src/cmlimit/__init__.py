@@ -65,6 +65,7 @@ from .hilbert_rep import (
     StateVector,
     basis_state,
     cm_expectation_record,
+    cm_expectation_records,
     cm_operators_numeric,
     cm_pair_ops,
     coherent_product,
@@ -77,6 +78,7 @@ from .hilbert_rep import (
     position_op,
     product_state,
     truncation_weight,
+    truncation_weights,
     uncertainty_product,
     variance,
 )

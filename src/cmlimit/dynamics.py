@@ -5,12 +5,16 @@ identical to the Heisenberg-picture statement, which is recovered through
 :func:`ehrenfest_residual`) with the exact unitary exp(-iHt/hbar): H is real
 symmetric, diagonalized densely (LAPACK's divide-and-conquer ``evd``
 driver) up to total dimension 2048 and applied as a sparse
-matrix-exponential action above that.  H is the one operator assembled as
-a composite sparse matrix; the CM observables on every sample are applied
-mode by mode (:mod:`cmlimit.hilbert_rep`).  Norm drift is measured, never
-corrected -- silent renormalization would hide a propagation failure.  The
-classical twin integrates Hamilton's equations xdot = p/M, pdot = -U'(x)
-with classic 4th-order steps on the same time grid.
+matrix-exponential action above that.  The dense path runs one ``eigh`` per
+connected block of H's sparsity graph: an even potential never couples
+basis states of opposite parity, so its H splits at least into the two
+parity sectors.  H is the one operator assembled as a composite sparse
+matrix.  The samples are evaluated as one stack of amplitude rows: the CM
+observables are applied mode by mode to all rows at once
+(:mod:`cmlimit.hilbert_rep`).  Norm drift is measured, never corrected --
+silent renormalization would hide a propagation failure.  The classical
+twin integrates Hamilton's equations xdot = p/M, pdot = -U'(x) with classic
+4th-order steps on the same time grid.
 
 When the Hamiltonian depends only on CM variables the CM sector factorizes
 exactly, so ``effective_cm_system`` (a single mode of mass N*mbar) carries
@@ -30,19 +34,20 @@ from scipy.sparse.linalg import expm_multiply
 
 from .hilbert_rep import (
     ExcessiveTruncationError,
-    ExpectationRecord,
     ModeSpec,
     SparseOperator,
     StateVector,
     cm_expectation_record,
+    cm_expectation_records,
     cm_operators_numeric,
     coherent_state,
     expectation,
-    truncation_weight,
+    truncation_weights,
 )
 
 EIG_DIMENSION_LIMIT = 2048
-MAX_STEPS = 100_000  # every step is a sample, kept as a state and a CSV row
+SAMPLE_BLOCK_AMPLITUDES = 2**16  # amplitudes evaluated together; one row above it
+MAX_STEPS = 100_000  # every step is a sample, kept as an amplitude row and a CSV row
 NORM_DRIFT_LIMIT = 1e-8
 EVOLUTION_GATE = 1e-6
 TRUNC_WEIGHT_DECIMALS = 15  # printed resolution of the weight, 1e-9 of the gate
@@ -184,11 +189,13 @@ def evolve_classical(potential: PolynomialPotential, total_mass: float,
     number of steps, at most MAX_STEPS.
     """
     n_steps = _step_count(t_final, dt)
-    force = potential.derivative()
+    # float coefficients: a Fraction times a float is float(c) * x, so the
+    # steps are those of ``potential.derivative().evaluate`` at float speed
+    force = tuple((k, float(c)) for k, c in potential.derivative().terms)
     inv_m = 1.0 / total_mass
 
     def rhs(x, p):
-        return p * inv_m, -float(force.evaluate(x))
+        return p * inv_m, -float(sum(c * x**k for k, c in force) if force else 0 * x)
 
     def step(x, p, h):
         dx1, dp1 = rhs(x, p)
@@ -210,13 +217,14 @@ def evolve_classical(potential: PolynomialPotential, total_mass: float,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled quantum run: times, CM records, energy/norm bookkeeping, states."""
+    """Sampled quantum run: times, CM records, energy/norm bookkeeping, and the
+    (S, D) amplitude rows of the samples."""
 
     times: tuple
     records: tuple
     energies: tuple
     norms: tuple
-    states: tuple
+    amplitudes: np.ndarray
     hbar: float
     total_mass: float
 
@@ -266,11 +274,26 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 def _eig_samples(h: SparseOperator, psi0: np.ndarray, dt: float, n_steps: int,
                  hbar: float) -> np.ndarray:
-    """Rows exp(-iH k dt/hbar) psi0, k = 0..n_steps, from the real divide-and-conquer eigh."""
-    evals, evecs = scipy.linalg.eigh(h.matrix.real.toarray(), driver="evd")
-    coeffs = evecs.T @ psi0
+    """Rows exp(-iH k dt/hbar) psi0, k = 0..n_steps, from real divide-and-conquer eighs.
+
+    H is block-diagonal over the connected components of its sparsity graph
+    (the two parity sectors of an even potential), so each block is
+    diagonalized on its own and fills its own columns of the rows.  The split
+    is exact; an H with one component is one block.
+    """
+    # imported here: csgraph costs every process ~5 ms and ~1 MB to load
+    from scipy.sparse.csgraph import connected_components
+
+    real = h.matrix.real
+    n_blocks, labels = connected_components(real, directed=False)
     times = dt * np.arange(n_steps + 1)
-    return (np.exp(np.outer(times, evals) * (-1j / hbar)) * coeffs) @ evecs.T
+    rows = np.empty((n_steps + 1, h.dim), dtype=np.complex128)
+    for block in range(n_blocks):
+        index = np.flatnonzero(labels == block)
+        evals, evecs = scipy.linalg.eigh(real[index][:, index].toarray(), driver="evd")
+        coeffs = evecs.T @ psi0[index]
+        rows[:, index] = (np.exp(np.outer(times, evals) * (-1j / hbar)) * coeffs) @ evecs.T
+    return rows
 
 
 def _expm_samples(h: SparseOperator, psi0: np.ndarray, dt: float, n_steps: int,
@@ -285,11 +308,12 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     """Propagate psi0 under the spec's Hamiltonian, sampling CM observables every dt.
 
     t_final must be a whole number of steps dt, at most MAX_STEPS.  The
-    propagator is exact and unitary: a dense real eigendecomposition of H
-    up to total dimension 2048, ``expm_multiply`` on the sparse H above it.
-    Raises ExcessiveTruncationError when a sample exceeds the truncation
-    gate and NormDriftError when |norm - 1| reaches 1e-8 (never
-    renormalizes).
+    propagator is exact and unitary: a dense real eigendecomposition of each
+    block of H up to total dimension 2048, ``expm_multiply`` on the sparse H
+    above it.  The samples are evaluated as stacks of rows.  Raises, for the
+    first sample that fails a gate, NormDriftError when |norm - 1| reaches
+    1e-8 (never renormalizes), else ExcessiveTruncationError when it exceeds
+    the truncation gate.
     """
     n_steps = _step_count(t_final, dt)
     ops = cm_operators_numeric(spec.modes)
@@ -302,31 +326,43 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     propagate = _eig_samples if h.dim <= EIG_DIMENSION_LIMIT else _expm_samples
     sampled = propagate(h, psi0.amplitudes, dt, n_steps, hbar)
 
-    states, records, energies, norms = [], [], [], []
-    for t, raw in zip(sample_times, sampled):
-        nrm = float(np.linalg.norm(raw))
-        if not abs(nrm - 1.0) < NORM_DRIFT_LIMIT:  # NaN-safe comparison
-            raise NormDriftError(f"norm drifted to {nrm} at t = {t}")
-        state = StateVector(psi0.mode_dims, raw)
-        weight = truncation_weight(state)
-        if weight > EVOLUTION_GATE:
-            raise ExcessiveTruncationError(
-                f"truncation weight {weight:.3g} exceeds the gate {EVOLUTION_GATE:.3g} "
-                f"at t = {t}"
-            )
-        states.append(state)
-        records.append(cm_expectation_record(state, spec.modes, ops=ops))
-        energies.append(float(expectation(h, state).real))
-        norms.append(nrm)
+    # the samples as stacks of rows, so that each temporary stays near 1 MiB
+    records, energies, norms = [], [], []
+    rows_per_block = max(1, SAMPLE_BLOCK_AMPLITUDES // h.dim)
+    for start in range(0, len(sampled), rows_per_block):
+        block = sampled[start:start + rows_per_block]
+        # np.linalg.norm's arithmetic, row by row
+        block_norms = np.sqrt(np.vecdot(block.real, block.real)
+                              + np.vecdot(block.imag, block.imag))
+        weights = truncation_weights(block, psi0.mode_dims)
+        _check_gates(sample_times[start:start + len(block)], block_norms, weights)
+        records += cm_expectation_records(block, ops, weights)
+        energies += expectation(h, block).real.tolist()
+        norms += block_norms.tolist()
 
     return Trajectory(
         times=tuple(sample_times),
         records=tuple(records),
         energies=tuple(energies),
         norms=tuple(norms),
-        states=tuple(states),
+        amplitudes=sampled,
         hbar=hbar,
         total_mass=spec.total_mass,
+    )
+
+
+def _check_gates(times, norms: np.ndarray, weights: np.ndarray) -> None:
+    """Raise for the first sample that fails a gate, the norm gate before the weight gate."""
+    norm_fails = ~(np.abs(norms - 1.0) < NORM_DRIFT_LIMIT)  # NaN fails
+    fails = norm_fails | (weights > EVOLUTION_GATE)
+    if not fails.any():
+        return
+    k = int(np.argmax(fails))
+    if norm_fails[k]:
+        raise NormDriftError(f"norm drifted to {float(norms[k])} at t = {times[k]}")
+    raise ExcessiveTruncationError(
+        f"truncation weight {weights[k]:.3g} exceeds the gate {EVOLUTION_GATE:.3g} "
+        f"at t = {times[k]}"
     )
 
 
@@ -347,11 +383,9 @@ def ehrenfest_residual(traj: Trajectory, h: SparseOperator,
     if np.ptp(spacings) > 1e-9 * max(spacings):
         raise ValueError("samples must be uniformly spaced")
     delta = float(spacings[0])
-    means = [expectation(observable, s).real for s in traj.states]
-    commutator_rate = [
-        (expectation_product(observable, h, s) / (1j * traj.hbar)).real
-        for s in traj.states
-    ]
+    means = expectation(observable, traj.amplitudes).real
+    commutator_rate = (expectation_product(observable, h, traj.amplitudes)
+                       / (1j * traj.hbar)).real
     worst = 0.0
     for k in range(1, len(means) - 1):
         lhs = (means[k + 1] - means[k - 1]) / (2.0 * delta)
@@ -363,16 +397,18 @@ def ehrenfest_residual(traj: Trajectory, h: SparseOperator,
     )
 
 
-def expectation_product(a: SparseOperator, b: SparseOperator, psi: StateVector) -> complex:
-    """<psi|[a, b]|psi> without forming the commutator matrix."""
+def expectation_product(a: SparseOperator, b: SparseOperator, psi) -> complex:
+    """<psi|[a, b]|psi> without forming the commutator matrix.
+
+    ``psi`` is a StateVector, or an (S, D) amplitude stack for one value per row.
+    """
+    amplitudes = psi.amplitudes if isinstance(psi, StateVector) else psi
     a_psi = a.apply(psi)
     b_psi = b.apply(psi)
     if a.hermitian and b.hermitian:
-        ab = np.vdot(a_psi, b_psi)
-        return complex(ab - np.conjugate(ab))
-    return complex(
-        np.vdot(psi.amplitudes, a.apply(b_psi)) - np.vdot(psi.amplitudes, b.apply(a_psi))
-    )
+        ab = np.vecdot(a_psi, b_psi)
+        return ab - np.conjugate(ab)
+    return np.vecdot(amplitudes, a.apply(b_psi)) - np.vecdot(amplitudes, b.apply(a_psi))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,11 @@ sum_k w_k I (x) ... (x) A_k (x) ... (x) I, with mode 0 the slowest-varying
 factor of the composite index (the leading Kronecker factor).  They are
 kept as their d x d factors and applied mode by mode to the amplitude
 tensor; the composite sparse matrix is assembled only when read (for the
-Hamiltonian and the symbolic-algebra bridge).
+Hamiltonian and the symbolic-algebra bridge).  An (S, D) stack of amplitude
+rows is applied and evaluated in one pass: the row index is one more
+leading axis of the tensor, and :func:`cm_expectation_records` and
+:func:`truncation_weights` give every row's record and weight, with the
+one-state functions their one-row case.
 """
 
 from __future__ import annotations
@@ -132,27 +136,30 @@ class SparseOperator:
         return math.prod(self.mode_dims)
 
     def apply(self, psi) -> np.ndarray:
-        """op psi for a StateVector on this layout, or for a bare amplitude vector.
+        """op psi for a StateVector on this layout, a bare amplitude vector or an (S, D) stack.
 
         Factor k acts on axis k of the amplitude tensor (the "vec trick",
-        Van Loan 2000); a one-factor operator is a single sparse matvec.
+        Van Loan 2000); the row index of a stack is one more leading axis.
+        A one-factor operator is a single sparse product.
         """
         if isinstance(psi, StateVector):
             if psi.mode_dims != self.mode_dims:
                 raise ValueError("state and operator act on different mode layouts")
             psi = psi.amplitudes
-        if psi.shape != (self.dim,):
-            raise ValueError(f"expected {self.dim} amplitudes, got shape {psi.shape}")
-        out, left = None, 1
+        if psi.ndim not in (1, 2) or psi.shape[-1] != self.dim:
+            raise ValueError(f"expected {self.dim} amplitudes per row, got shape {psi.shape}")
+        out, left = None, psi.shape[0] if psi.ndim == 2 else 1
         for factor in self.factors:
             d = factor.shape[0]
             right = psi.size // (left * d)
             # axis of this factor first: (left, d, right) -> (d, left * right)
             block = psi.reshape(left, d, right).transpose(1, 0, 2).reshape(d, -1)
-            term = (factor @ block).reshape(d, left, right).transpose(1, 0, 2).reshape(-1)
+            term = (factor @ block).reshape(d, left, right).transpose(1, 0, 2).reshape(psi.shape)
             out = term if out is None else out + term
             left *= d
-        return out
+        # a one-factor stack comes back transposed; rows must be contiguous, as
+        # a single state's are, for dot products to round the same way
+        return np.ascontiguousarray(out)
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -319,8 +326,10 @@ def coherent_product(system, x0s, p0s) -> StateVector:
 # ---------------------------------------------------------------------------
 
 
-def expectation(op: SparseOperator, psi: StateVector) -> complex:
-    return complex(np.vdot(psi.amplitudes, op.apply(psi)))
+def expectation(op: SparseOperator, psi) -> complex:
+    """<psi|op|psi> of a StateVector, or one value per row of an (S, D) amplitude stack."""
+    amplitudes = psi.amplitudes if isinstance(psi, StateVector) else psi
+    return np.vecdot(amplitudes, op.apply(psi))
 
 
 def variance(op: SparseOperator, psi: StateVector) -> float:
@@ -337,14 +346,20 @@ def uncertainty_product(a: SparseOperator, b: SparseOperator, psi: StateVector) 
     return math.sqrt(variance(a, psi)) * math.sqrt(variance(b, psi))
 
 
+def truncation_weights(amplitudes: np.ndarray, mode_dims) -> np.ndarray:
+    """Per row of an (S, D) amplitude stack: the maximum over modes of the
+    probability of that mode's top basis level."""
+    probs = np.abs(amplitudes.reshape((-1, *mode_dims))) ** 2
+    worst = np.zeros(len(probs))
+    for axis, d in enumerate(mode_dims):
+        others = tuple(i + 1 for i in range(len(mode_dims)) if i != axis)
+        worst = np.maximum(worst, probs.sum(axis=others)[:, d - 1])
+    return worst
+
+
 def truncation_weight(psi: StateVector) -> float:
     """Maximum over modes of the probability of that mode's top basis level."""
-    probs = np.abs(psi.amplitudes.reshape(psi.mode_dims)) ** 2
-    worst = 0.0
-    for axis, d in enumerate(psi.mode_dims):
-        marginal = probs.sum(axis=tuple(i for i in range(len(psi.mode_dims)) if i != axis))
-        worst = max(worst, float(marginal[d - 1]))
-    return worst
+    return float(truncation_weights(psi.amplitudes, psi.mode_dims)[0])
 
 
 @dataclass(frozen=True)
@@ -360,24 +375,40 @@ class ExpectationRecord:
     truncation_weight: float
 
 
-def cm_expectation_record(psi: StateVector, system, ops=None) -> ExpectationRecord:
-    x_cm, v_cm, _ = ops if ops is not None else cm_operators_numeric(system)
-    x_psi = x_cm.apply(psi)
-    v_psi = v_cm.apply(psi)
-    x_mean = np.vdot(psi.amplitudes, x_psi)
-    v_mean = np.vdot(psi.amplitudes, v_psi)
-    dx2 = np.real(np.vdot(x_psi - x_mean * psi.amplitudes, x_psi - x_mean * psi.amplitudes))
-    dv2 = np.real(np.vdot(v_psi - v_mean * psi.amplitudes, v_psi - v_mean * psi.amplitudes))
-    xv = np.vdot(x_psi, v_psi)
-    return ExpectationRecord(
-        x_cm=float(np.real(x_mean)),
-        v_cm=float(np.real(v_mean)),
-        dx=math.sqrt(max(float(dx2), 0.0)),
-        dv=math.sqrt(max(float(dv2), 0.0)),
-        commutator_expectation=complex(xv - np.conjugate(xv)),
-        factorization_residual=float(abs(xv - x_mean * v_mean)),
-        truncation_weight=truncation_weight(psi),
+def cm_expectation_records(amplitudes: np.ndarray, ops, weights) -> list:
+    """The ExpectationRecord of every row of an (S, D) amplitude stack.
+
+    ``ops`` is the (X_CM, V_CM, P_TOT) triple of ``cm_operators_numeric``
+    and ``weights`` the rows' ``truncation_weights``.  Each row's fields are
+    the same arithmetic as for that row alone.
+    """
+    x_cm, v_cm, _ = ops
+    x_psi = x_cm.apply(amplitudes)
+    v_psi = v_cm.apply(amplitudes)
+    x_mean = np.vecdot(amplitudes, x_psi)
+    v_mean = np.vecdot(amplitudes, v_psi)
+    x_dev = x_psi - x_mean[:, None] * amplitudes
+    v_dev = v_psi - v_mean[:, None] * amplitudes
+    xv = np.vecdot(x_psi, v_psi)
+    fields = (
+        x_mean.real,
+        v_mean.real,
+        np.sqrt(np.maximum(np.vecdot(x_dev, x_dev).real, 0.0)),
+        np.sqrt(np.maximum(np.vecdot(v_dev, v_dev).real, 0.0)),
+        xv - np.conjugate(xv),
+        np.abs(xv - x_mean * v_mean),
+        weights,
     )
+    return [ExpectationRecord(*row) for row in zip(*(f.tolist() for f in fields))]
+
+
+def cm_expectation_record(psi: StateVector, system, ops=None) -> ExpectationRecord:
+    """The record of one state: the one-row case of :func:`cm_expectation_records`."""
+    ops = ops if ops is not None else cm_operators_numeric(system)
+    if psi.mode_dims != ops[0].mode_dims:
+        raise ValueError("state and operator act on different mode layouts")
+    rows = psi.amplitudes[None]
+    return cm_expectation_records(rows, ops, truncation_weights(rows, psi.mode_dims))[0]
 
 
 def commutator_expectation(psi: StateVector, system, gate: float = 1e-12,

@@ -9,7 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.csgraph import connected_components
 
+import cmlimit.dynamics as dynamics
 from cmlimit.dynamics import (
     HamiltonianSpec,
     Trajectory,
@@ -180,6 +183,53 @@ def test_propagators_agree():
     assert np.abs(dense - sparse).max() < 1e-10
 
 
+def _blocks(spec):
+    return connected_components(build_hamiltonian(spec).matrix.real, directed=False)[0]
+
+
+def _full_spec(potential, n=2, dim=10):
+    return HamiltonianSpec(modes=tuple(ModeSpec(mass=1.0, dim=dim) for _ in range(n)),
+                           potential=potential)
+
+
+LINEAR_HARMONIC = PolynomialPotential.from_coeffs({2: 0.5, 1: 0.2})
+
+
+@pytest.mark.parametrize("spec, split", [
+    (effective_spec(2, potential=QUARTIC, dim=48), True),
+    (effective_spec(2, potential=LINEAR_HARMONIC, dim=48), False),
+    (_full_spec(harmonic(2.0)), True),
+    (_full_spec(LINEAR_HARMONIC), False),
+], ids=["effective-even", "effective-linear", "full-even", "full-linear"])
+def test_evolve_quantum_matches_dense_exponential(spec, split):
+    # an even potential splits H at least into its two parity sectors, each
+    # diagonalized on its own; a linear term couples them into one block
+    assert (_blocks(spec) > 1) == split
+    psi0 = coherent_product(spec.modes, [0.4] * len(spec.modes), [0.1] * len(spec.modes))
+    traj = evolve_quantum(psi0, spec, t_final=1.0, dt=0.05)
+    h = build_hamiltonian(spec).to_dense()
+    for k in (0, 1, 7, 20):
+        t = traj.times[k]
+        exact = scipy.linalg.expm(-1j * h * t / spec.hbar) @ psi0.amplitudes
+        assert np.abs(traj.amplitudes[k] - exact).max() < 1e-10
+
+
+def test_gates_raise_at_the_first_failing_sample(monkeypatch):
+    spec = effective_spec(1, dim=8)
+    psi0 = basis_state(8)
+    good, top = psi0.amplitudes, basis_state(8, n=7).amplitudes
+    # sample 1 fails the weight gate, sample 2 the norm gate
+    monkeypatch.setattr(dynamics, "_eig_samples",
+                        lambda *args: np.array([good, top, 2 * good, good]))
+    with pytest.raises(ExcessiveTruncationError, match=r"weight 1 exceeds .* at t = 0\.1$"):
+        evolve_quantum(psi0, spec, t_final=0.3, dt=0.1)
+    # a sample failing both gates fails the norm gate first
+    monkeypatch.setattr(dynamics, "_eig_samples",
+                        lambda *args: np.array([good, 2 * top, top, good]))
+    with pytest.raises(NormDriftError, match=r"^norm drifted to 2\.0 at t = 0\.1$"):
+        evolve_quantum(psi0, spec, t_final=0.3, dt=0.1)
+
+
 def test_truncation_gate_during_evolution():
     spec = effective_spec(1, potential=FREE, dim=8)
     psi0 = coherent_state(spec.modes[0], 1.0, 0.0)
@@ -239,6 +289,38 @@ def test_classical_integrator_order():
     e1, e2 = final_error(0.02), final_error(0.01)
     exponent = math.log2(e1 / e2)
     assert 3.5 <= exponent <= 4.5
+
+
+def _fraction_twin(potential, total_mass, x0, p0, t_final, dt):
+    """The twin as it was: the force from the potential's own coefficients on every stage."""
+    force = potential.derivative()
+    inv_m = 1.0 / total_mass
+
+    def rhs(x, p):
+        return p * inv_m, -float(force.evaluate(x))
+
+    x, p = float(x0), float(p0)
+    out = [(x, p)]
+    for _ in range(round(t_final / dt)):
+        dx1, dp1 = rhs(x, p)
+        dx2, dp2 = rhs(x + 0.5 * dt * dx1, p + 0.5 * dt * dp1)
+        dx3, dp3 = rhs(x + 0.5 * dt * dx2, p + 0.5 * dt * dp2)
+        dx4, dp4 = rhs(x + dt * dx3, p + dt * dp3)
+        x, p = (x + dt / 6.0 * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4),
+                p + dt / 6.0 * (dp1 + 2.0 * dp2 + 2.0 * dp3 + dp4))
+        out.append((x, p))
+    return out
+
+
+@pytest.mark.parametrize("coeffs", [
+    {4: Fraction(1, 10), 3: Fraction(1, 3), 1: Fraction(-2, 7)},
+    {4: Fraction(1), 2: Fraction(-2), 0: Fraction(1)},
+], ids=["rational-quartic", "double-well"])
+def test_classical_twin_is_bit_identical_to_fraction_force(coeffs):
+    potential = PolynomialPotential.from_coeffs(coeffs)
+    out = evolve_classical(potential, 3.0, 1.1, -0.15, 2.0, 0.01)
+    assert isinstance(potential.coeffs[4], Fraction)
+    assert [(s.x, s.p) for _, s in out] == _fraction_twin(potential, 3.0, 1.1, -0.15, 2.0, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +517,8 @@ def test_trajectory_csv_prints_weight_at_fixed_resolution():
 
     weights = (6.06459797909e-48, 4.9e-16, 5.1e-16, 1.234567891234e-7, 0.0)
     traj = Trajectory(times=(0.0, 1.0, 2.0, 3.0, 4.0), records=tuple(map(record, weights)),
-                      energies=(0.5,) * 5, norms=(1.0,) * 5, states=(), hbar=1.0,
+                      energies=(0.5,) * 5, norms=(1.0,) * 5,
+                      amplitudes=np.zeros((5, 0), dtype=np.complex128), hbar=1.0,
                       total_mass=1.0)
     printed = [line.split(",")[-1] for line in trajectory_to_csv(traj).splitlines()[1:]]
     assert printed == ["0", "0", "1e-15", "1.23456789e-07", "0"]

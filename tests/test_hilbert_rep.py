@@ -21,6 +21,7 @@ from cmlimit.hilbert_rep import (
     StateVector,
     basis_state,
     cm_expectation_record,
+    cm_expectation_records,
     cm_operators_numeric,
     cm_pair_ops,
     coherent_state,
@@ -33,6 +34,7 @@ from cmlimit.hilbert_rep import (
     position_op,
     product_state,
     truncation_weight,
+    truncation_weights,
     uncertainty_product,
     variance,
 )
@@ -326,6 +328,32 @@ def test_truncation_weight_cases():
     assert truncation_weight(basis_state(8, n=7)) == 1.0
     alpha_one = coherent_state(MODE, math.sqrt(2.0), 0.0)  # |alpha| = 1
     assert truncation_weight(alpha_one) < 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.one_of(
+    st.lists(st.tuples(_RATIONAL_MASS, st.integers(2, 64)), min_size=1, max_size=1),
+    st.lists(st.tuples(_RATIONAL_MASS, st.integers(2, 5)), min_size=2, max_size=3),
+), st.integers(1, 40), _SEED)
+def test_stacked_records_equal_per_row_records(modes_drawn, rows, seed):
+    # the stacked path is the per-row path's arithmetic, bit for bit; single
+    # modes of 8 levels and more reach the vectorized BLAS dot kernels
+    system = [ModeSpec(mass=float(m), omega=1.0, dim=d) for m, d in modes_drawn]
+    dims = tuple(d for _, d in modes_drawn)
+    ops = cm_operators_numeric(system)
+    rng = np.random.default_rng(seed)
+    shape = (rows, math.prod(dims))
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stack /= np.linalg.norm(stack, axis=1)[:, None]
+    weights = truncation_weights(stack, dims)
+    records = cm_expectation_records(stack, ops, weights)
+    for op in ops:
+        applied = op.apply(stack)
+        assert all(np.array_equal(applied[k], op.apply(row)) for k, row in enumerate(stack))
+    for k, row in enumerate(stack):
+        psi = StateVector(dims, row)
+        assert weights[k] == truncation_weight(psi)
+        assert records[k] == cm_expectation_record(psi, system, ops=ops)
 
 
 def test_robertson_bound_random_states():
