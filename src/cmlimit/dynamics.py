@@ -397,7 +397,7 @@ def ehrenfest_residual(traj: Trajectory, h: SparseOperator,
     )
 
 
-def expectation_product(a: SparseOperator, b: SparseOperator, psi) -> complex:
+def expectation_product(a: SparseOperator, b: SparseOperator, psi) -> complex | np.ndarray:
     """<psi|[a, b]|psi> without forming the commutator matrix.
 
     ``psi`` is a StateVector, or an (S, D) amplitude stack for one value per row.

@@ -326,7 +326,7 @@ def coherent_product(system, x0s, p0s) -> StateVector:
 # ---------------------------------------------------------------------------
 
 
-def expectation(op: SparseOperator, psi) -> complex:
+def expectation(op: SparseOperator, psi) -> complex | np.ndarray:
     """<psi|op|psi> of a StateVector, or one value per row of an (S, D) amplitude stack."""
     amplitudes = psi.amplitudes if isinstance(psi, StateVector) else psi
     return np.vecdot(amplitudes, op.apply(psi))
