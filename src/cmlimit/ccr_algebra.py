@@ -201,7 +201,6 @@ class GaussianRational:
 
 _FRACTION_ZERO = Fraction(0)
 
-ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 IMAG = GaussianRational(0, 1)
 
@@ -327,15 +326,16 @@ def _validate_monomial(algebra: AlgebraSpec, mono: Monomial):
         last = k
 
 
-def _merged_pair_products(algebra: AlgebraSpec, m1: Monomial, m2: Monomial, commuting: bool):
-    """Expansion terms of the monomial product m1 * m2 in normal order.
+def _merged_pair_products(algebra: AlgebraSpec, m1: Monomial, m2: Monomial, commuting: bool,
+                          coeff):
+    """Expansion terms of the product coeff * m1 * m2 in normal order.
 
-    Yields ``(scalar, Monomial)`` pairs.  Within pair k the reordering
+    Yields ``(Monomial, coefficient)`` pairs.  Within pair k the reordering
     V^b X^p = sum_s s! C(b,s) C(p,s) (-c_k)^s X^{p-s} V^{b-s} applies, with
     c_k the pair's central constant; distinct pairs commute.  With
     ``commuting`` only the s = 0 term is kept: the commutative product of
-    the symbols, a single ``(ONE, Monomial)``.  The s = 0 term always comes
-    first, with scalar 1; ``commutator`` relies on this.
+    the symbols, a single ``(Monomial, coeff)``.  The s = 0 term always comes
+    first, with coefficient coeff; ``commutator`` relies on this.
     """
     fixed = []
     options = []  # per-pair alternatives: list of (scalar, h_add, e_add, entry)
@@ -372,12 +372,12 @@ def _merged_pair_products(algebra: AlgebraSpec, m1: Monomial, m2: Monomial, comm
     base_h = m1.hbar_exp + m2.hbar_exp
     base_e = m1.eps_exp + m2.eps_exp
     if not options:
-        yield ONE, Monomial(base_h, base_e, tuple(fixed))
+        yield Monomial(base_h, base_e, tuple(fixed)), coeff
         return
 
     slots = [idx for idx, entry in enumerate(fixed) if entry is None]
     for combo in _cartesian(*options):
-        scalar = ONE
+        scalar = coeff
         h_add = e_add = 0
         entries = list(fixed)
         for slot, (scal, ha, ea, entry) in zip(slots, combo):
@@ -386,22 +386,22 @@ def _merged_pair_products(algebra: AlgebraSpec, m1: Monomial, m2: Monomial, comm
             e_add += ea
             entries[slot] = entry
         pairs = tuple(e for e in entries if e is not None)
-        yield scalar, Monomial(base_h + h_add, base_e + e_add, pairs)
+        yield Monomial(base_h + h_add, base_e + e_add, pairs), scalar
 
 
-def _add_expansion(out: dict, coeff, expansion):
-    """Add coeff * scalar to ``out[mono]`` for each (scalar, mono), dropping zero sums."""
-    for scalar, mono in expansion:
-        contrib = coeff if scalar is ONE else coeff * scalar
+def _accumulate(out: dict, terms) -> dict:
+    """Add each (mono, coeff) of ``terms`` into ``out``, dropping zero sums; returns ``out``."""
+    for mono, coeff in terms:
         prev = out.get(mono)
         if prev is None:
-            out[mono] = contrib
+            out[mono] = coeff
             continue
-        total = prev + contrib
+        total = prev + coeff
         if total:
             out[mono] = total
         else:
             del out[mono]
+    return out
 
 
 class _TermStore:
@@ -460,18 +460,7 @@ class _TermStore:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            prev = out.get(mono)
-            if prev is None:
-                out[mono] = coeff
-                continue
-            total = prev + coeff
-            if total:
-                out[mono] = total
-            else:
-                del out[mono]
-        return self._raw(self.algebra, out)
+        return self._raw(self.algebra, _accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -482,18 +471,8 @@ class _TermStore:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            prev = out.get(mono)
-            if prev is None:
-                out[mono] = -coeff
-                continue
-            total = prev - coeff
-            if total:
-                out[mono] = total
-            else:
-                del out[mono]
-        return self._raw(self.algebra, out)
+        negated = ((mono, -coeff) for mono, coeff in other.terms.items())
+        return self._raw(self.algebra, _accumulate(dict(self.terms), negated))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -511,7 +490,7 @@ class _TermStore:
         algebra, commuting = self.algebra, self.commuting
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                _add_expansion(out, c1 * c2, _merged_pair_products(algebra, m1, m2, commuting))
+                _accumulate(out, _merged_pair_products(algebra, m1, m2, commuting, c1 * c2))
         return self._raw(algebra, out)
 
     __rmul__ = __mul__  # scalars commute with everything
@@ -575,8 +554,8 @@ def commutator(f: NCPolynomial, g: NCPolynomial) -> NCPolynomial:
             m2, c2 = g_terms[index]
             c12 = c1 * c2
             for left, right, coeff in ((m1, m2, c12), (m2, m1, -c12)):
-                expansion = _merged_pair_products(algebra, left, right, commuting)
-                _add_expansion(out, coeff, islice(expansion, 1, None))
+                expansion = _merged_pair_products(algebra, left, right, commuting, coeff)
+                _accumulate(out, islice(expansion, 1, None))
     return f._raw(algebra, out)
 
 
@@ -627,7 +606,7 @@ def _require_single_pair(f: NCPolynomial):
         raise ValueError("this identity is defined on a single-pair algebra")
 
 
-def residual_power_identity(n: int, m: int, algebra: AlgebraSpec | None = None) -> NCPolynomial:
+def residual_power_identity(n: int, m: int) -> NCPolynomial:
     """[X^n, V^m] minus its factorized first-order form, in the CM algebra.
 
     The subtracted expression is [X^n, V] [X, V^m] / (i hbar eps); the
@@ -636,9 +615,7 @@ def residual_power_identity(n: int, m: int, algebra: AlgebraSpec | None = None) 
     """
     if n < 1 or m < 1:
         raise ValueError("powers must be >= 1")
-    alg = algebra if algebra is not None else cm_algebra()
-    if alg.n_pairs != 1:
-        raise ValueError("power identity requires a single-pair algebra")
+    alg = cm_algebra()
     const = alg.constants[0]
     X, V = alg.x(), alg.v()
     lhs = commutator(X**n, V**m)
@@ -647,19 +624,15 @@ def residual_power_identity(n: int, m: int, algebra: AlgebraSpec | None = None) 
     return lhs - rhs
 
 
-def residual_monomial_identity(
-    a: int, b: int, c: int, d: int, algebra: AlgebraSpec | None = None
-) -> NCPolynomial:
-    """Residual of the two-term factorization of [X^a V^b, X^c V^d].
+def residual_monomial_identity(a: int, b: int, c: int, d: int) -> NCPolynomial:
+    """Residual of the two-term factorization of [X^a V^b, X^c V^d] in the CM algebra.
 
     Subtracts ([X^a V^b, V] [X, X^c V^d] - [X^c V^d, V] [X, X^a V^b]) divided
     by i hbar eps from the exact commutator; the result has eps-valuation >= 2.
     """
     if min(a, b, c, d) < 0:
         raise ValueError("exponents must be nonnegative")
-    alg = algebra if algebra is not None else cm_algebra()
-    if alg.n_pairs != 1:
-        raise ValueError("monomial identity requires a single-pair algebra")
+    alg = cm_algebra()
     const = alg.constants[0]
     X, V = alg.x(), alg.v()
     f = alg.ordered_monomial(a, b)
@@ -690,24 +663,20 @@ class SymbolPolynomial(_TermStore):
         return self._diff(pair, slot=1)
 
     def _diff(self, pair, slot):
-        out = {}
-        for mono, coeff in self.terms.items():
-            exps = mono.exponents(pair)
-            e = exps[slot]
-            if e == 0:
-                continue
-            new_x, new_v = (exps[0] - 1, exps[1]) if slot == 0 else (exps[0], exps[1] - 1)
-            entries = [p for p in mono.pairs if p[0] != pair]
-            if new_x or new_v:
-                entries.append((pair, new_x, new_v))
-                entries.sort()
-            key = Monomial(mono.hbar_exp, mono.eps_exp, tuple(entries))
-            total = out.get(key, ZERO) + coeff * e
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-        return SymbolPolynomial._raw(self.algebra, out)
+        def terms():
+            for mono, coeff in self.terms.items():
+                exps = mono.exponents(pair)
+                e = exps[slot]
+                if e == 0:
+                    continue
+                new_x, new_v = (exps[0] - 1, exps[1]) if slot == 0 else (exps[0], exps[1] - 1)
+                entries = [p for p in mono.pairs if p[0] != pair]
+                if new_x or new_v:
+                    entries.append((pair, new_x, new_v))
+                    entries.sort()
+                yield Monomial(mono.hbar_exp, mono.eps_exp, tuple(entries)), coeff * e
+
+        return SymbolPolynomial._raw(self.algebra, _accumulate({}, terms()))
 
     def __str__(self):
         return render_symbol(self)

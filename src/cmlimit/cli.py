@@ -46,18 +46,17 @@ from .dynamics import (
     trajectory_to_csv,
 )
 from .hilbert_rep import (
+    TRUNCATION_GATE,
     DimensionCapError,
     ExcessiveTruncationError,
     ModeSpec,
     cm_expectation_record,
-    cm_operators_numeric,
     coherent_product,
     coherent_state,
 )
 
 MAX_RESIDUAL_DEGREE = 8
 HARMONIC_SANITY_TOLERANCE = 1e-6
-CLI_GATE = 1e-6
 
 
 class ConfigError(ValueError):
@@ -216,18 +215,6 @@ def render_potential(potential: PolynomialPotential) -> str:
     return "".join(pieces)
 
 
-@dataclass(frozen=True)
-class PotentialExpression:
-    """A potential together with the text it was parsed from."""
-
-    source: str
-    potential: PolynomialPotential
-
-    @classmethod
-    def parse(cls, text: str) -> "PotentialExpression":
-        return cls(source=text, potential=parse_potential(text))
-
-
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -324,7 +311,6 @@ class _Field:
 _COMMON_FIELDS = (
     _Field("format", _parse_choice(("csv", "json")), "csv", "output format"),
     _Field("out", str, None, "output path (default: standard output)"),
-    _Field("seed", int, 0, "seed for the randomized property cases"),
     _Field("hbar", _positive(_parse_float), 1.0, "numeric value of hbar"),
 )
 
@@ -337,6 +323,7 @@ _FIELDS = {
     "residuals": _COMMON_FIELDS + (
         _Field("max-degree", _parse_pos_int, 4, f"degree grid bound (at most {MAX_RESIDUAL_DEGREE})"),
         _Field("samples", _parse_pos_int, 10, "number of random Poisson-residual pairs"),
+        _Field("seed", int, 0, "seed for the randomized property cases"),
     ),
     "uncertainty": _COMMON_FIELDS + (
         _Field("N", _parse_int_list, (1, 2, 3, 4, 5), "comma-separated particle counts"),
@@ -569,7 +556,7 @@ def run_residuals(config: ExperimentConfig) -> ExperimentResult:
 def _modes(masses, dim: int, hbar: float, flags: str):
     """One mode per mass; a scale out of the float range is an error naming ``flags``."""
     try:
-        return [ModeSpec(mass=m, omega=1.0, dim=dim, hbar=hbar) for m in masses]
+        return [ModeSpec(mass=m, dim=dim, hbar=hbar) for m in masses]
     except ValueError as exc:
         raise ConfigError(f"{flags}: {exc}") from exc
 
@@ -587,10 +574,10 @@ def run_uncertainty(config: ExperimentConfig) -> ExperimentResult:
         bound = hbar / (2.0 * n * mbar)
         try:
             psi = coherent_product(modes, [config["x0"]] * n, [config["p0"] / n] * n)
-            rec = cm_expectation_record(psi, modes, ops=cm_operators_numeric(modes))
+            rec = cm_expectation_record(psi, modes)
         except ExcessiveTruncationError:
             rec = None
-        if rec is None or rec.truncation_weight > CLI_GATE:
+        if rec is None or rec.truncation_weight > TRUNCATION_GATE:
             exit_code = 2
             rows.append((str(n), str(dim), "nan", _fmt(bound), "nan", "nan", "nan",
                          "truncation"))

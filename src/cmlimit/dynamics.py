@@ -33,6 +33,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from .hilbert_rep import (
+    TRUNCATION_GATE,
     ExcessiveTruncationError,
     ModeSpec,
     SparseOperator,
@@ -49,7 +50,6 @@ EIG_DIMENSION_LIMIT = 2048
 SAMPLE_BLOCK_AMPLITUDES = 2**16  # amplitudes evaluated together; one row above it
 MAX_STEPS = 100_000  # every step is a sample, kept as an amplitude row and a CSV row
 NORM_DRIFT_LIMIT = 1e-8
-EVOLUTION_GATE = 1e-6
 TRUNC_WEIGHT_DECIMALS = 15  # printed resolution of the weight, 1e-9 of the gate
 
 
@@ -354,14 +354,14 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
 def _check_gates(times, norms: np.ndarray, weights: np.ndarray) -> None:
     """Raise for the first sample that fails a gate, the norm gate before the weight gate."""
     norm_fails = ~(np.abs(norms - 1.0) < NORM_DRIFT_LIMIT)  # NaN fails
-    fails = norm_fails | (weights > EVOLUTION_GATE)
+    fails = norm_fails | (weights > TRUNCATION_GATE)
     if not fails.any():
         return
     k = int(np.argmax(fails))
     if norm_fails[k]:
         raise NormDriftError(f"norm drifted to {float(norms[k])} at t = {times[k]}")
     raise ExcessiveTruncationError(
-        f"truncation weight {weights[k]:.3g} exceeds the gate {EVOLUTION_GATE:.3g} "
+        f"truncation weight {weights[k]:.3g} exceeds the gate {TRUNCATION_GATE:.3g} "
         f"at t = {times[k]}"
     )
 
@@ -422,20 +422,18 @@ class DeviationReport:
 
 
 def compare_trajectories(traj: Trajectory, classical) -> DeviationReport:
-    """Deviations |<X_CM>(t) - x_c(t)| and |<V_CM>(t) - p_c(t)/M| on shared times.
+    """Deviations |<X_CM>(t) - x_c(t)| and |<V_CM>(t) - p_c(t)/M| on one time grid.
 
-    The classical list may be sampled more finely; every quantum sample time
-    must appear in it (within 1e-9) or TimeGridMismatchError is raised.
+    The classical list must sample the quantum times one for one (within
+    1e-9), as ``evolve_classical`` on the same t_final and dt does, or
+    TimeGridMismatchError is raised.
     """
+    grid = [t for t, _ in classical]
+    if len(grid) != len(traj.times) or not np.allclose(grid, traj.times, rtol=0, atol=1e-9):
+        raise TimeGridMismatchError("the classical samples are not on the quantum time grid")
     inv_m = 1.0 / traj.total_mass
-    idx = 0
     dx_list, dv_list = [], []
-    for t, rec in zip(traj.times, traj.records):
-        while idx < len(classical) and classical[idx][0] < t - 1e-9:
-            idx += 1
-        if idx >= len(classical) or abs(classical[idx][0] - t) > 1e-9:
-            raise TimeGridMismatchError(f"no classical sample at t = {t}")
-        state = classical[idx][1]
+    for rec, (_, state) in zip(traj.records, classical):
         dx_list.append(abs(rec.x_cm - state.x))
         dv_list.append(abs(rec.v_cm - state.p * inv_m))
     return DeviationReport(
@@ -446,25 +444,23 @@ def compare_trajectories(traj: Trajectory, classical) -> DeviationReport:
     )
 
 
-def effective_cm_system(n: int, mbar: float, basis_omega: float = 1.0,
-                        dim: int = 64, hbar: float = 1.0):
+def effective_cm_system(n: int, mbar: float, dim: int = 64, hbar: float = 1.0):
     """Single mode of mass N*mbar: the exact CM sector for CM-only Hamiltonians."""
     if n < 1:
         raise ValueError("need at least one particle")
-    return [ModeSpec(mass=n * float(mbar), omega=basis_omega, dim=dim, hbar=hbar)]
+    return [ModeSpec(mass=n * float(mbar), dim=dim, hbar=hbar)]
 
 
-def free_width_analytic(n: int, mbar: float, t: float, omega: float = 1.0,
-                        hbar: float = 1.0) -> float:
+def free_width_analytic(n: int, mbar: float, t: float, hbar: float = 1.0) -> float:
     """Free-packet width of the mass-N*mbar ground Gaussian: dx(t)^2 = dx0^2 + (dv0 t)^2."""
     total_mass = n * mbar
-    return math.sqrt(hbar / (2.0 * total_mass * omega) * (1.0 + (omega * t) ** 2))
+    return math.sqrt(hbar / (2.0 * total_mass) * (1.0 + t**2))
 
 
-def gaussian_spreading(n: int, mbar: float, t: float, omega: float = 1.0,
-                       dim: int = 64, hbar: float = 1.0) -> float:
+def gaussian_spreading(n: int, mbar: float, t: float, dim: int = 64,
+                       hbar: float = 1.0) -> float:
     """Measured free-evolution width Dx_CM(t) of the effective CM ground packet."""
-    modes = effective_cm_system(n, mbar, basis_omega=omega, dim=dim, hbar=hbar)
+    modes = effective_cm_system(n, mbar, dim=dim, hbar=hbar)
     psi0 = coherent_state(modes[0], 0.0, 0.0)
     spec = HamiltonianSpec(modes=tuple(modes), potential=PolynomialPotential.zero())
     if t == 0:

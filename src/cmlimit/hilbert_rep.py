@@ -1,10 +1,11 @@
 """Truncated-oscillator-basis representation of many-particle observables.
 
-Each particle is a mode with a mass, a basis frequency omega (an arbitrary
-basis parameter, not dynamics -- default 1) and a truncation dimension d.
-Position and momentum are the standard tridiagonal ladder combinations; the
-only truncation artifact is the known defect of [X, P] confined to the top
-basis level, so "occupation of the top level" is a precise validity gate.
+Each particle is a mode with a mass and a truncation dimension d, in the
+oscillator basis of unit frequency (a basis choice: [X_CM, V_CM] does not
+depend on it).  Position and momentum are the standard tridiagonal ladder
+combinations; the only truncation artifact is the known defect of [X, P]
+confined to the top basis level, so its weight is a precise validity gate
+(TRUNCATION_GATE).
 
 The CM operators are Kronecker sums of single-mode matrices,
 sum_k w_k I (x) ... (x) A_k (x) ... (x) I, with mode 0 the slowest-varying
@@ -33,7 +34,7 @@ from .ccr_algebra import NCPolynomial
 
 DEFAULT_AMPLITUDE_CAP = 2**20
 HERMITIAN_TOLERANCE = 1e-12
-COHERENT_GATE = 1e-6
+TRUNCATION_GATE = 1e-6  # on the top-level weight of any mode: states, evolution, CLI
 
 
 class ExcessiveTruncationError(RuntimeError):
@@ -54,23 +55,21 @@ def _check_cap(mode_dims):
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """One oscillator mode: physical mass, basis frequency, truncation, hbar."""
+    """One oscillator mode: physical mass, truncation, hbar."""
 
     mass: float
-    omega: float = 1.0
     dim: int = 16
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.mass <= 0 or self.omega <= 0 or self.hbar <= 0:
-            raise ValueError("mass, omega and hbar must be positive")
+        if self.mass <= 0 or self.hbar <= 0:
+            raise ValueError("mass and hbar must be positive")
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
         # the squared scales of position_op and momentum_op
-        for scale in (self.hbar / (2.0 * self.mass * self.omega),
-                      self.mass * self.hbar * self.omega / 2.0):
+        for scale in (self.hbar / (2.0 * self.mass), self.mass * self.hbar / 2.0):
             if not sys.float_info.min <= scale < math.inf:
-                raise ValueError("mass, omega and hbar put the position or momentum "
+                raise ValueError("mass and hbar put the position or momentum "
                                  "scale out of the floating-point range")
 
 
@@ -209,16 +208,16 @@ def ladder(d: int) -> SparseOperator:
 
 
 def position_op(mode: ModeSpec) -> SparseOperator:
-    """X = sqrt(hbar/2 m omega) (a + a†); Hermitian, tridiagonal."""
+    """X = sqrt(hbar/2m) (a + a†); Hermitian, tridiagonal."""
     a = ladder(mode.dim).matrix
-    scale = math.sqrt(mode.hbar / (2.0 * mode.mass * mode.omega))
+    scale = math.sqrt(mode.hbar / (2.0 * mode.mass))
     return SparseOperator((mode.dim,), scale * (a + a.getH()), hermitian=True)
 
 
 def momentum_op(mode: ModeSpec) -> SparseOperator:
-    """P = i sqrt(m hbar omega / 2) (a† - a); Hermitian, tridiagonal."""
+    """P = i sqrt(m hbar / 2) (a† - a); Hermitian, tridiagonal."""
     a = ladder(mode.dim).matrix
-    scale = math.sqrt(mode.mass * mode.hbar * mode.omega / 2.0)
+    scale = math.sqrt(mode.mass * mode.hbar / 2.0)
     return SparseOperator((mode.dim,), 1j * scale * (a.getH() - a), hermitian=True)
 
 
@@ -265,13 +264,14 @@ def basis_state(d: int, n: int = 0) -> StateVector:
 def coherent_state(mode: ModeSpec, x0: float, p0: float) -> StateVector:
     """Minimal-uncertainty state with <X> = x0 and <P> = p0, renormalized.
 
-    alpha = sqrt(m omega / 2 hbar) x0 + i p0 / sqrt(2 m hbar omega).  Raises
-    ExcessiveTruncationError when the truncated state keeps more than 1e-6
-    of its probability on the top basis level, or when alpha is not finite.
+    alpha = sqrt(m / 2 hbar) x0 + i p0 / sqrt(2 m hbar).  Raises
+    ExcessiveTruncationError when the truncated state keeps TRUNCATION_GATE
+    or more of its probability on the top basis level, or when alpha is not
+    finite.
     """
     alpha = (
-        math.sqrt(mode.mass * mode.omega / (2.0 * mode.hbar)) * x0
-        + 1j * p0 / math.sqrt(2.0 * mode.mass * mode.hbar * mode.omega)
+        math.sqrt(mode.mass / (2.0 * mode.hbar)) * x0
+        + 1j * p0 / math.sqrt(2.0 * mode.mass * mode.hbar)
     )
     if not cmath.isfinite(alpha):
         raise ExcessiveTruncationError(
@@ -288,7 +288,7 @@ def coherent_state(mode: ModeSpec, x0: float, p0: float) -> StateVector:
         amps = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
         amps /= np.linalg.norm(amps)
     top_weight = float(abs(amps[-1]) ** 2)
-    if top_weight >= COHERENT_GATE:
+    if top_weight >= TRUNCATION_GATE:
         raise ExcessiveTruncationError(
             f"coherent state (|alpha| = {abs(alpha):.3g}) keeps weight "
             f"{top_weight:.3g} on the top of a {mode.dim}-level basis"
@@ -411,10 +411,10 @@ def cm_expectation_record(psi: StateVector, system, ops=None) -> ExpectationReco
     return cm_expectation_records(rows, ops, truncation_weights(rows, psi.mode_dims))[0]
 
 
-def commutator_expectation(psi: StateVector, system, gate: float = 1e-12,
-                           ops=None) -> complex:
-    """<psi|[X_CM, V_CM]|psi> from the expectation record, refused above the truncation gate."""
-    rec = cm_expectation_record(psi, system, ops=ops)
+def commutator_expectation(psi: StateVector, system) -> complex:
+    """<psi|[X_CM, V_CM]|psi> from the expectation record, refused above a weight of 1e-12."""
+    gate = 1e-12  # the truncated commutator departs from i*hbar/M only through top-level weight
+    rec = cm_expectation_record(psi, system)
     if rec.truncation_weight > gate:
         raise ExcessiveTruncationError(
             f"truncation weight {rec.truncation_weight:.3g} exceeds the gate {gate:.3g}"
@@ -427,20 +427,19 @@ def commutator_expectation(psi: StateVector, system, gate: float = 1e-12,
 # ---------------------------------------------------------------------------
 
 
-def cm_pair_ops(eps: float, dim: int, omega: float = 1.0, hbar: float = 1.0):
+def cm_pair_ops(eps: float, dim: int, hbar: float = 1.0):
     """Single-mode (X, V) matrices with [X, V] = i*hbar*eps away from the top level.
 
     Realized as a mode of mass 1/eps with V = eps * P, exactly the effective
     center-of-mass mode of total mass 1/eps.
     """
-    mode = ModeSpec(mass=1.0 / eps, omega=omega, dim=dim, hbar=hbar)
+    mode = ModeSpec(mass=1.0 / eps, dim=dim, hbar=hbar)
     x = position_op(mode)
     v = SparseOperator((dim,), momentum_op(mode).matrix * eps, hermitian=True)
     return x, v
 
 
-def nc_matrix(poly: NCPolynomial, pair_ops, hbar: float, eps: float,
-              mode_dims=None) -> SparseOperator:
+def nc_matrix(poly: NCPolynomial, pair_ops, hbar: float, eps: float) -> SparseOperator:
     """Numeric evaluation of a normal-ordered polynomial.
 
     ``pair_ops[k]`` supplies the (X_k, V_k) matrices, all on the same mode
@@ -451,8 +450,7 @@ def nc_matrix(poly: NCPolynomial, pair_ops, hbar: float, eps: float,
     pair_ops = list(pair_ops)
     if len(pair_ops) != poly.algebra.n_pairs:
         raise ValueError("need one (X, V) operator pair per algebra pair")
-    if mode_dims is None:
-        mode_dims = pair_ops[0][0].mode_dims
+    mode_dims = pair_ops[0][0].mode_dims
     size = math.prod(mode_dims)
     total = sp.csr_matrix((size, size), dtype=np.complex128)
     for mono, coeff in poly.terms.items():

@@ -185,7 +185,7 @@ def test_criterion_6_uncertainty_saturation_and_scaling():
     start = time.perf_counter()
     ok = True
     for n in range(1, 6):
-        modes = [ModeSpec(mass=1.0, omega=1.0, dim=8) for _ in range(n)]
+        modes = [ModeSpec(mass=1.0, dim=8) for _ in range(n)]
         psi = ground_product(modes)
         x_cm, v_cm, _ = cm_operators_numeric(modes)
         product = uncertainty_product(x_cm, v_cm, psi)

@@ -9,7 +9,6 @@ import pytest
 
 from cmlimit.cli import (
     ConfigError,
-    PotentialExpression,
     PotentialSyntaxError,
     build_config,
     main,
@@ -80,12 +79,6 @@ def test_render_parse_roundtrip_random():
                 coeffs[degree] = Fraction(rng.randint(-20, 20))
         p = PolynomialPotential.from_coeffs(coeffs)
         assert parse_potential(render_potential(p)) == p
-
-
-def test_potential_expression_keeps_source():
-    expr = PotentialExpression.parse("0.5*x^2")
-    assert expr.source == "0.5*x^2"
-    assert expr.potential.coeffs == {2: Fraction(1, 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +354,7 @@ def test_config_malformed_line(tmp_path):
 
 def test_unknown_flag_is_config_error():
     assert main(["scaling", "--frequency", "2"]) == 1
+    assert main(["evolve", "--seed", "1"]) == 1  # only residuals draws random cases
 
 
 def test_byte_identical_reruns(tmp_path):

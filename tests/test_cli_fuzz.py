@@ -29,7 +29,6 @@ DISPLACEMENT = (("0", "0.5", "1", "-1", "3", "100", "1e308"), ("nan", "inf", "x"
 COMMON = {
     "hbar": (("1", "0.5", "2", "1e-300", "1e300"), ("0", "-1", "nan", "inf", "x")),
     "format": (("csv", "json"), ("xml",)),
-    "seed": (("0", "1", "-5"), ("x",)),
 }
 
 # experiment -> (flags always given, flags given or left at their default)
@@ -40,6 +39,7 @@ FLAGS = {
     }),
     "residuals": ({"max-degree": (("1", "2", "3"), ("0", "9", "x"))}, {
         "samples": (("1", "3"), ("0", "x")),
+        "seed": (("0", "1", "-5"), ("x",)),
     }),
     "uncertainty": ({"N": N_LIST, "dim": DIM}, {
         "mbar": MASS, "x0": DISPLACEMENT, "p0": DISPLACEMENT,

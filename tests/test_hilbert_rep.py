@@ -39,11 +39,11 @@ from cmlimit.hilbert_rep import (
     variance,
 )
 
-MODE = ModeSpec(mass=1.0, omega=1.0, dim=16)
+MODE = ModeSpec(mass=1.0, dim=16)
 
 
 def modes(n, dim=8, mass=1.0):
-    return [ModeSpec(mass=mass, omega=1.0, dim=dim) for _ in range(n)]
+    return [ModeSpec(mass=mass, dim=dim) for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ def test_ladder_entries():
 
 
 def test_position_momentum_d2():
-    m = ModeSpec(mass=1.0, omega=1.0, dim=2)
+    m = ModeSpec(mass=1.0, dim=2)
     x = position_op(m).to_dense()
     assert np.allclose(x, np.array([[0, 1], [1, 0]]) / math.sqrt(2))
     p = momentum_op(m).to_dense()
@@ -83,7 +83,7 @@ def test_position_momentum_hermitian_tridiagonal():
 
 def test_truncation_defect_confined_to_top_level():
     for d in (2, 8, 32):
-        m = ModeSpec(mass=0.7, omega=1.3, dim=d, hbar=1.0)
+        m = ModeSpec(mass=0.7, dim=d, hbar=1.0)
         x, p = position_op(m).to_dense(), momentum_op(m).to_dense()
         defect = x @ p - p @ x
         expected = 1j * np.eye(d)
@@ -103,7 +103,7 @@ def test_dimension_cap():
 
 
 def test_cm_operators_single_mode():
-    system = [ModeSpec(mass=2.0, omega=1.0, dim=8)]
+    system = [ModeSpec(mass=2.0, dim=8)]
     x_cm, v_cm, p_tot = cm_operators_numeric(system)
     assert np.abs(x_cm.to_dense() - position_op(system[0]).to_dense()).max() < 1e-14
     assert np.abs(p_tot.to_dense() - momentum_op(system[0]).to_dense()).max() < 1e-14
@@ -111,7 +111,7 @@ def test_cm_operators_single_mode():
 
 
 def test_cm_operators_linear_combination():
-    system = [ModeSpec(mass=m, omega=1.0, dim=3) for m in (1.0, 2.0, 3.0)]
+    system = [ModeSpec(mass=m, dim=3) for m in (1.0, 2.0, 3.0)]
     x_cm, v_cm, p_tot = cm_operators_numeric(system)
     weights = (1 / 6, 2 / 6, 3 / 6)
     oracle = sum(
@@ -126,7 +126,7 @@ def test_cm_operators_linear_combination():
 def test_embed_kron_block_structure():
     # each mode's operator is embedded as a Kronecker factor of the joint space;
     # mode 0 is the slowest-varying index, so its operator is the leading factor
-    system = [ModeSpec(mass=1.0, omega=1.0, dim=2), ModeSpec(mass=2.0, omega=1.0, dim=3)]
+    system = [ModeSpec(mass=1.0, dim=2), ModeSpec(mass=2.0, dim=3)]
     x_cm, _, p_tot = cm_operators_numeric(system)
     x0, x1 = (position_op(mode).to_dense() for mode in system)
     oracle = (1 / 3) * np.kron(x0, np.eye(3)) + (2 / 3) * np.kron(np.eye(2), x1)
@@ -144,7 +144,7 @@ _RATIONAL_MASS = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
 def test_cm_operators_match_kron_oracle(modes_drawn):
     from oracles import kron_cm_operators
 
-    system = [ModeSpec(mass=float(m), omega=1.0, dim=d) for m, d in modes_drawn]
+    system = [ModeSpec(mass=float(m), dim=d) for m, d in modes_drawn]
     for op, oracle in zip(cm_operators_numeric(system), kron_cm_operators(system)):
         dense = op.to_dense()
         assert np.array_equal(dense, oracle)
@@ -166,7 +166,7 @@ _SEED = st.integers(0, 2**32 - 1)
 def test_mode_by_mode_apply_matches_assembled_matrix(modes_drawn, seed):
     from oracles import kron_cm_operators
 
-    system = [ModeSpec(mass=float(m), omega=1.0, dim=d) for m, d in modes_drawn]
+    system = [ModeSpec(mass=float(m), dim=d) for m, d in modes_drawn]
     ops = cm_operators_numeric(system)
     psi = _random_state(seed, tuple(d for _, d in modes_drawn))
     for op, oracle in zip(ops, kron_cm_operators(system)):
@@ -180,7 +180,7 @@ def test_mode_by_mode_apply_matches_assembled_matrix(modes_drawn, seed):
 def test_product_state_variances_are_analytic(modes_drawn):
     # for a product state the modes are uncorrelated, so the CM variances
     # are the weighted sums of the single-mode ones
-    system = [ModeSpec(mass=float(m), omega=1.0, dim=d) for m, d, _ in modes_drawn]
+    system = [ModeSpec(mass=float(m), dim=d) for m, d, _ in modes_drawn]
     factors = [_random_state(seed, (d,)) for _, d, seed in modes_drawn]
     psi = product_state(factors)
     x_cm, _, p_tot = cm_operators_numeric(system)
@@ -233,14 +233,14 @@ def test_coherent_state_means():
 
 def test_coherent_state_excessive_truncation():
     with pytest.raises(ExcessiveTruncationError):
-        coherent_state(ModeSpec(mass=1.0, omega=1.0, dim=8), 100.0, 0.0)
+        coherent_state(ModeSpec(mass=1.0, dim=8), 100.0, 0.0)
 
 
 @pytest.mark.parametrize("mass, x0", [(1.0, 1e200), (1.0, 1e308), (16.0, 1e308)])
 def test_coherent_state_huge_displacement(mass, x0):
     # |alpha|^2 overflows a float at 1e200; alpha itself is infinite at mass 16, 1e308
     with pytest.raises(ExcessiveTruncationError, match="alpha"):
-        coherent_state(ModeSpec(mass=mass, omega=1.0, dim=8), x0, 0.0)
+        coherent_state(ModeSpec(mass=mass, dim=8), x0, 0.0)
 
 
 def test_product_state_separability():
@@ -338,7 +338,7 @@ def test_truncation_weight_cases():
 def test_stacked_records_equal_per_row_records(modes_drawn, rows, seed):
     # the stacked path is the per-row path's arithmetic, bit for bit; single
     # modes of 8 levels and more reach the vectorized BLAS dot kernels
-    system = [ModeSpec(mass=float(m), omega=1.0, dim=d) for m, d in modes_drawn]
+    system = [ModeSpec(mass=float(m), dim=d) for m, d in modes_drawn]
     dims = tuple(d for _, d in modes_drawn)
     ops = cm_operators_numeric(system)
     rng = np.random.default_rng(seed)
