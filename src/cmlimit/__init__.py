@@ -54,7 +54,6 @@ from .dynamics import (
     evolve_quantum,
     free_width_analytic,
     gaussian_spreading,
-    trajectory_to_csv,
 )
 from .hilbert_rep import (
     DimensionCapError,

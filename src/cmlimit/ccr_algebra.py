@@ -31,6 +31,13 @@ s = 0 term.  ``symbol_map`` and ``lift`` therefore copy terms unchanged.
 exactly, and the s = 0 term of m1*m2 equals that of m2*m1, so it visits only
 the term pairs that share a pair index and sums the s >= 1 terms of both
 orders: O(N) term pairs for [X_CM, V_CM] over N particles.
+
+The first-order identities of the CM algebra have two general forms, and the
+other two are their special cases: ``residual_power_identity(n, m)`` is
+``residual_monomial_identity(n, 0, 0, m)``, and
+``derivative_identity_residuals(f)`` is the pair of ``residual_poisson``
+against V and X.  Likewise ``divide_central`` is ``scale_central`` by the
+negated powers at q = -1.
 """
 
 from __future__ import annotations
@@ -570,23 +577,18 @@ def divide_central(f: NCPolynomial, hbar_power: int, eps_power: int) -> NCPolyno
     """Exact division of f by i * hbar^hbar_power * eps^eps_power.
 
     Every term must carry at least the requested hbar/eps powers, otherwise
-    NotDivisibleError is raised; the quotient times the divisor reproduces f.
+    NotDivisibleError is raised; the quotient is ``scale_central`` by the
+    negated powers at q = -1 (1/i = -i), and times the divisor reproduces f.
     """
     if hbar_power < 0 or eps_power < 0:
         raise ValueError("divisor powers must be nonnegative")
-    out = {}
-    neg_i = GaussianRational(0, -1)  # 1/i
-    for mono, coeff in f.terms.items():
+    for mono in f.terms:
         if mono.hbar_exp < hbar_power or mono.eps_exp < eps_power:
             raise NotDivisibleError(
                 f"term with hbar^{mono.hbar_exp} eps^{mono.eps_exp} is not divisible "
                 f"by i*hbar^{hbar_power}*eps^{eps_power}"
             )
-        shifted = Monomial(
-            mono.hbar_exp - hbar_power, mono.eps_exp - eps_power, mono.pairs
-        )
-        out[shifted] = coeff * neg_i
-    return NCPolynomial._raw(f.algebra, out)
+    return scale_central(f, -hbar_power, -eps_power, -1)
 
 
 def scale_central(f: NCPolynomial, hbar_power: int, eps_power: int, q=1) -> NCPolynomial:
@@ -601,27 +603,17 @@ def scale_central(f: NCPolynomial, hbar_power: int, eps_power: int, q=1) -> NCPo
     return NCPolynomial._raw(f.algebra, out)
 
 
-def _require_single_pair(f: NCPolynomial):
-    if f.algebra.n_pairs != 1:
-        raise ValueError("this identity is defined on a single-pair algebra")
-
-
 def residual_power_identity(n: int, m: int) -> NCPolynomial:
     """[X^n, V^m] minus its factorized first-order form, in the CM algebra.
 
-    The subtracted expression is [X^n, V] [X, V^m] / (i hbar eps); the
-    returned residual has eps-valuation >= 2 and vanishes exactly whenever
-    n = 1 or m = 1.
+    The subtracted expression is [X^n, V] [X, V^m] / (i hbar eps): the
+    monomial identity at (a, b, c, d) = (n, 0, 0, m), whose second product
+    [V^m, V] [X, X^n] is zero.  The residual has eps-valuation >= 2 and
+    vanishes exactly whenever n = 1 or m = 1.
     """
     if n < 1 or m < 1:
         raise ValueError("powers must be >= 1")
-    alg = cm_algebra()
-    const = alg.constants[0]
-    X, V = alg.x(), alg.v()
-    lhs = commutator(X**n, V**m)
-    numerator = commutator(X**n, V) * commutator(X, V**m)
-    rhs = divide_central(numerator, const.hbar_exp, const.eps_exp) * (1 / const.q)
-    return lhs - rhs
+    return residual_monomial_identity(n, 0, 0, m)
 
 
 def residual_monomial_identity(a: int, b: int, c: int, d: int) -> NCPolynomial:
@@ -720,7 +712,8 @@ def residual_poisson(f: NCPolynomial, g: NCPolynomial) -> NCPolynomial:
     eps, commutators of eps-free polynomials reduce to the Poisson bracket of
     their symbols.
     """
-    _require_single_pair(f)
+    if f.algebra.n_pairs != 1:
+        raise ValueError("this identity is defined on a single-pair algebra")
     f._check_same_algebra(g)
     if any(m.eps_exp for m in f.terms) or any(m.eps_exp for m in g.terms):
         raise ValueError("residual_poisson requires eps-free inputs")
@@ -734,22 +727,11 @@ def derivative_identity_residuals(f: NCPolynomial):
     """Residuals of the first-order derivative rules for a single-pair f.
 
     Returns ``([f, V] - i*hbar*eps*lift(ds/dx), [X, f] - i*hbar*eps*lift(ds/dv))``
-    with s the symbol of f; both have eps-valuation >= 2 and vanish exactly
-    when f involves only X (first) or only V (second).
+    with s the symbol of f: the Poisson residuals of (f, V) and (X, f), since
+    {s, v} = ds/dx and {x, s} = ds/dv.  Both have eps-valuation >= 2 and
+    vanish exactly when f involves only X (first) or only V (second).
     """
-    _require_single_pair(f)
-    if any(m.eps_exp for m in f.terms):
-        raise ValueError("derivative identities require an eps-free input")
-    alg = f.algebra
-    const = alg.constants[0]
-    s = symbol_map(f)
-    r1 = commutator(f, alg.v()) - scale_central(
-        lift(s.diff_x()), const.hbar_exp, const.eps_exp, const.q
-    )
-    r2 = commutator(alg.x(), f) - scale_central(
-        lift(s.diff_v()), const.hbar_exp, const.eps_exp, const.q
-    )
-    return r1, r2
+    return residual_poisson(f, f.algebra.v()), residual_poisson(f.algebra.x(), f)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ from .dynamics import (
     effective_cm_system,
     evolve_classical,
     evolve_quantum,
-    trajectory_to_csv,
 )
 from .hilbert_rep import (
     TRUNCATION_GATE,
@@ -57,6 +56,7 @@ from .hilbert_rep import (
 
 MAX_RESIDUAL_DEGREE = 8
 HARMONIC_SANITY_TOLERANCE = 1e-6
+TRUNC_WEIGHT_DECIMALS = 15  # printed resolution of the weight, 1e-9 of the gate
 
 
 class ConfigError(ValueError):
@@ -592,9 +592,17 @@ def run_uncertainty(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _trajectory_table(traj) -> Table:
-    lines = trajectory_to_csv(traj).strip().split("\n")
-    return Table("quantum", tuple(lines[0].split(",")),
-                 tuple(tuple(line.split(",")) for line in lines[1:]))
+    """One row per sample.  ``trunc_weight`` is rounded to TRUNC_WEIGHT_DECIMALS
+    decimal places: below that it is propagator round-off, whose digits change
+    with the BLAS thread count and the eigensolver.  The gate in
+    ``evolve_quantum`` compares the raw weight."""
+    rows = tuple(
+        tuple(_fmt(v) for v in (t, r.x_cm, r.v_cm, r.dx, r.dv, e, n,
+                                round(r.truncation_weight, TRUNC_WEIGHT_DECIMALS)))
+        for t, r, e, n in zip(traj.times, traj.records, traj.energies, traj.norms)
+    )
+    return Table("quantum", ("t", "x_cm", "v_cm", "dx", "dv", "energy", "norm", "trunc_weight"),
+                 rows)
 
 
 def run_evolve(config: ExperimentConfig) -> ExperimentResult:
@@ -704,9 +712,12 @@ def _render_json(result: ExperimentResult) -> str:
 def _write_output(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {out_path!r}: {exc.strerror or exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -716,6 +727,8 @@ def main(argv=None) -> int:
             result = _RUNNERS[config.experiment](config)
         except DimensionCapError as exc:  # --dim levels in each of the --N modes
             raise ConfigError(f"--N, --dim: {exc}") from exc
+        text = _render_csv(result) if config["format"] == "csv" else _render_json(result)
+        _write_output(text, config["out"])
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -724,8 +737,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # contract: malformed input never produces a traceback
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    text = _render_csv(result) if config["format"] == "csv" else _render_json(result)
-    _write_output(text, config["out"])
     return result.exit_code
 
 

@@ -50,7 +50,6 @@ EIG_DIMENSION_LIMIT = 2048
 SAMPLE_BLOCK_AMPLITUDES = 2**16  # amplitudes evaluated together; one row above it
 MAX_STEPS = 100_000  # every step is a sample, kept as an amplitude row and a CSV row
 NORM_DRIFT_LIMIT = 1e-8
-TRUNC_WEIGHT_DECIMALS = 15  # printed resolution of the weight, 1e-9 of the gate
 
 
 class NormDriftError(RuntimeError):
@@ -157,7 +156,7 @@ def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
         for k, c in spec.potential.terms:
             h = h + float(c) * powers[k]
     h = (h + h.getH()) * 0.5  # scrub rounding asymmetry from the sparse products
-    return SparseOperator(x_cm.mode_dims, h, hermitian=True)
+    return SparseOperator(x_cm.mode_dims, [h], hermitian=True)
 
 
 @dataclass(frozen=True)
@@ -254,22 +253,6 @@ class Trajectory:
         e0 = self.energies[0]
         scale = max(abs(e0), 1e-30)
         return max(abs(e - e0) for e in self.energies) / scale
-
-
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV serialization: fixed header, 12 significant digits, LF endings.
-
-    ``trunc_weight`` is printed rounded to TRUNC_WEIGHT_DECIMALS decimal
-    places: below that it is propagator round-off, whose digits change with
-    the BLAS thread count and the eigensolver.  The gate in
-    :func:`evolve_quantum` compares the raw weight.
-    """
-    lines = ["t,x_cm,v_cm,dx,dv,energy,norm,trunc_weight"]
-    for t, r, e, n in zip(traj.times, traj.records, traj.energies, traj.norms):
-        weight = round(r.truncation_weight, TRUNC_WEIGHT_DECIMALS)
-        fields = (t, r.x_cm, r.v_cm, r.dx, r.dv, e, n, weight)
-        lines.append(",".join(f"{v:.12g}" for v in fields))
-    return "\n".join(lines) + "\n"
 
 
 def _eig_samples(h: SparseOperator, psi0: np.ndarray, dt: float, n_steps: int,
@@ -451,16 +434,17 @@ def effective_cm_system(n: int, mbar: float, dim: int = 64, hbar: float = 1.0):
     return [ModeSpec(mass=n * float(mbar), dim=dim, hbar=hbar)]
 
 
-def free_width_analytic(n: int, mbar: float, t: float, hbar: float = 1.0) -> float:
-    """Free-packet width of the mass-N*mbar ground Gaussian: dx(t)^2 = dx0^2 + (dv0 t)^2."""
+def free_width_analytic(n: int, mbar: float, t: float) -> float:
+    """Free-packet width of the mass-N*mbar ground Gaussian at hbar = 1:
+    dx(t)^2 = dx0^2 + (dv0 t)^2."""
     total_mass = n * mbar
-    return math.sqrt(hbar / (2.0 * total_mass) * (1.0 + t**2))
+    return math.sqrt(1.0 / (2.0 * total_mass) * (1.0 + t**2))
 
 
-def gaussian_spreading(n: int, mbar: float, t: float, dim: int = 64,
-                       hbar: float = 1.0) -> float:
-    """Measured free-evolution width Dx_CM(t) of the effective CM ground packet."""
-    modes = effective_cm_system(n, mbar, dim=dim, hbar=hbar)
+def gaussian_spreading(n: int, mbar: float, t: float) -> float:
+    """Measured free-evolution width Dx_CM(t) of the effective CM ground packet
+    (64 levels, hbar = 1)."""
+    modes = effective_cm_system(n, mbar, dim=64, hbar=1.0)
     psi0 = coherent_state(modes[0], 0.0, 0.0)
     spec = HamiltonianSpec(modes=tuple(modes), potential=PolynomialPotential.zero())
     if t == 0:

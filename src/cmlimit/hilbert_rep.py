@@ -7,16 +7,18 @@ combinations; the only truncation artifact is the known defect of [X, P]
 confined to the top basis level, so its weight is a precise validity gate
 (TRUNCATION_GATE).
 
-The CM operators are Kronecker sums of single-mode matrices,
-sum_k w_k I (x) ... (x) A_k (x) ... (x) I, with mode 0 the slowest-varying
-factor of the composite index (the leading Kronecker factor).  They are
-kept as their d x d factors and applied mode by mode to the amplitude
-tensor; the composite sparse matrix is assembled only when read (for the
-Hamiltonian and the symbolic-algebra bridge).  An (S, D) stack of amplitude
-rows is applied and evaluated in one pass: the row index is one more
-leading axis of the tensor, and :func:`cm_expectation_records` and
-:func:`truncation_weights` give every row's record and weight, with the
-one-state functions their one-row case.
+Every operator is built by one constructor, ``SparseOperator(mode_dims,
+factors)``: the Kronecker sum of its factors, sum_k I (x) ... (x) F_k (x)
+... (x) I, with factor 0 the slowest-varying index of the composite basis.
+The CM operators pass their weighted d x d single-mode matrices and are
+applied mode by mode to the amplitude tensor; the composite sparse matrix is
+assembled only when read (for the Hamiltonian and the symbolic-algebra
+bridge).  A general matrix -- a single-mode X or P, H, a polynomial image --
+is the one-factor case.  An (S, D) stack of amplitude rows is applied and
+evaluated in one pass: the row index is one more leading axis of the
+tensor, and :func:`cm_expectation_records` and :func:`truncation_weights`
+give every row's record and weight, with the one-state functions their
+one-row case.
 """
 
 from __future__ import annotations
@@ -46,11 +48,15 @@ class DimensionCapError(ValueError):
 
 
 def _check_cap(mode_dims):
-    total = math.prod(mode_dims)
-    if total > DEFAULT_AMPLITUDE_CAP:
-        raise DimensionCapError(
-            f"composite dimension {total} exceeds the cap of {DEFAULT_AMPLITUDE_CAP} amplitudes"
-        )
+    """Raise at the first partial product over the cap; the full product may have
+    thousands of digits, so it is neither formed nor printed."""
+    total = 1
+    for d in mode_dims:
+        total *= d
+        if total > DEFAULT_AMPLITUDE_CAP:
+            raise DimensionCapError(
+                f"composite dimension exceeds the cap of {DEFAULT_AMPLITUDE_CAP} amplitudes"
+            )
 
 
 @dataclass(frozen=True)
@@ -77,28 +83,18 @@ class SparseOperator:
     """Sparse complex operator on a tensor product of modes.
 
     Held as a Kronecker sum of square sparse factors,
-    sum_k I (x) ... (x) F_k (x) ... (x) I, whose dimensions multiply to the
-    composite dimension; a general matrix is the one-factor case.  ``apply``
-    works factor by factor on the amplitude tensor, and ``matrix`` is
-    assembled on first read and cached.
+    sum_k I (x) ... (x) F_k (x) ... (x) I with factor 0 the leading one, whose
+    dimensions multiply to the composite dimension.  A general matrix is the
+    one-factor case, ``SparseOperator(mode_dims, [matrix])``, and is its own
+    ``matrix``.  ``apply`` works factor by factor on the amplitude tensor; the
+    ``matrix`` of several factors is assembled on first read and cached.
     """
 
     __slots__ = ("mode_dims", "factors", "hermitian", "_matrix")
 
-    def __init__(self, mode_dims, matrix, hermitian=False):
-        matrix = sp.csr_matrix(matrix, dtype=np.complex128)
-        self._set(mode_dims, (matrix,), hermitian, matrix)
-
-    @classmethod
-    def kronecker_sum(cls, mode_dims, factors, hermitian=False) -> "SparseOperator":
-        """sum_k I (x) ... (x) factors[k] (x) ... (x) I, factor 0 the leading one."""
-        op = cls.__new__(cls)
-        op._set(mode_dims, tuple(sp.csr_matrix(f, dtype=np.complex128) for f in factors),
-                hermitian, None)
-        return op
-
-    def _set(self, mode_dims, factors, hermitian, matrix):
+    def __init__(self, mode_dims, factors, hermitian=False):
         mode_dims = tuple(int(d) for d in mode_dims)
+        factors = tuple(sp.csr_matrix(f, dtype=np.complex128) for f in factors)
         if any(f.shape[0] != f.shape[1] for f in factors) or (
                 math.prod(f.shape[0] for f in factors) != math.prod(mode_dims)):
             raise ValueError(f"factor shapes {[f.shape for f in factors]} do not match "
@@ -111,7 +107,7 @@ class SparseOperator:
         object.__setattr__(self, "mode_dims", mode_dims)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "hermitian", bool(hermitian))
-        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "_matrix", factors[0] if len(factors) == 1 else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseOperator is immutable")
@@ -204,21 +200,21 @@ def ladder(d: int) -> SparseOperator:
     if d < 2:
         raise ValueError("dim must be at least 2")
     data = np.sqrt(np.arange(1, d))
-    return SparseOperator((d,), sp.diags(data, offsets=1))
+    return SparseOperator((d,), [sp.diags(data, offsets=1)])
 
 
 def position_op(mode: ModeSpec) -> SparseOperator:
     """X = sqrt(hbar/2m) (a + a†); Hermitian, tridiagonal."""
     a = ladder(mode.dim).matrix
     scale = math.sqrt(mode.hbar / (2.0 * mode.mass))
-    return SparseOperator((mode.dim,), scale * (a + a.getH()), hermitian=True)
+    return SparseOperator((mode.dim,), [scale * (a + a.getH())], hermitian=True)
 
 
 def momentum_op(mode: ModeSpec) -> SparseOperator:
     """P = i sqrt(m hbar / 2) (a† - a); Hermitian, tridiagonal."""
     a = ladder(mode.dim).matrix
     scale = math.sqrt(mode.mass * mode.hbar / 2.0)
-    return SparseOperator((mode.dim,), 1j * scale * (a.getH() - a), hermitian=True)
+    return SparseOperator((mode.dim,), [1j * scale * (a.getH() - a)], hermitian=True)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +239,9 @@ def cm_operators_numeric(system):
     _check_cap(dims)
     x_factors = [(m.mass / total_mass) * position_op(m).matrix for m in system]
     p_factors = [momentum_op(m).matrix for m in system]
-    x_cm = SparseOperator.kronecker_sum(dims, x_factors, hermitian=True)
-    p_tot = SparseOperator.kronecker_sum(dims, p_factors, hermitian=True)
-    v_cm = SparseOperator.kronecker_sum(dims, [p / total_mass for p in p_factors],
-                                        hermitian=True)
+    x_cm = SparseOperator(dims, x_factors, hermitian=True)
+    p_tot = SparseOperator(dims, p_factors, hermitian=True)
+    v_cm = SparseOperator(dims, [p / total_mass for p in p_factors], hermitian=True)
     return x_cm, v_cm, p_tot
 
 
@@ -402,9 +397,9 @@ def cm_expectation_records(amplitudes: np.ndarray, ops, weights) -> list:
     return [ExpectationRecord(*row) for row in zip(*(f.tolist() for f in fields))]
 
 
-def cm_expectation_record(psi: StateVector, system, ops=None) -> ExpectationRecord:
+def cm_expectation_record(psi: StateVector, system) -> ExpectationRecord:
     """The record of one state: the one-row case of :func:`cm_expectation_records`."""
-    ops = ops if ops is not None else cm_operators_numeric(system)
+    ops = cm_operators_numeric(system)
     if psi.mode_dims != ops[0].mode_dims:
         raise ValueError("state and operator act on different mode layouts")
     rows = psi.amplitudes[None]
@@ -427,15 +422,15 @@ def commutator_expectation(psi: StateVector, system) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def cm_pair_ops(eps: float, dim: int, hbar: float = 1.0):
-    """Single-mode (X, V) matrices with [X, V] = i*hbar*eps away from the top level.
+def cm_pair_ops(eps: float, dim: int):
+    """Single-mode (X, V) matrices with [X, V] = i*eps (hbar = 1) away from the top level.
 
     Realized as a mode of mass 1/eps with V = eps * P, exactly the effective
     center-of-mass mode of total mass 1/eps.
     """
-    mode = ModeSpec(mass=1.0 / eps, dim=dim, hbar=hbar)
+    mode = ModeSpec(mass=1.0 / eps, dim=dim)
     x = position_op(mode)
-    v = SparseOperator((dim,), momentum_op(mode).matrix * eps, hermitian=True)
+    v = SparseOperator((dim,), [momentum_op(mode).matrix * eps], hermitian=True)
     return x, v
 
 
@@ -463,4 +458,4 @@ def nc_matrix(poly: NCPolynomial, pair_ops, hbar: float, eps: float) -> SparseOp
             for _ in range(v_exp):
                 term = term @ v_op.matrix
         total = total + scalar * term
-    return SparseOperator(mode_dims, total)
+    return SparseOperator(mode_dims, [total])

@@ -24,8 +24,12 @@ from cmlimit.ccr_algebra import (
     build_particle_algebra,
     cm_algebra,
     commutator,
+    derivative_identity_residuals,
+    divide_central,
     lift,
     poisson_bracket,
+    residual_poisson,
+    scale_central,
     symbol_map,
 )
 from oracles import slow_mul
@@ -160,3 +164,33 @@ def test_symbol_scalar_arithmetic_matches_operator():
     assert symbol_map(x) + 1 == symbol_map(x + 1)
     assert 1 - symbol_map(x) == symbol_map(1 - x)
     assert symbol_map(x) * 3 == 3 * symbol_map(x) == symbol_map(x * 3)
+
+
+# eps-free terms on the CM algebra: the inputs of the first-order identities
+CM_EPS_FREE = st.dictionaries(
+    st.builds(lambda h, x, v: Monomial(h, 0, ((0, x, v),) if x or v else ()),
+              st.integers(0, 2), st.integers(0, 3), st.integers(0, 3)),
+    COEFFICIENTS, max_size=4,
+)
+
+
+@PROPERTY
+@given(CM_EPS_FREE)
+def test_derivative_identities_are_poisson_residuals(terms):
+    # {s, v} = ds/dx and {x, s} = ds/dv
+    f = NCPolynomial(cm_algebra(), terms)
+    X, V = f.algebra.x(), f.algebra.v()
+    assert derivative_identity_residuals(f) == (residual_poisson(f, V), residual_poisson(X, f))
+
+
+@PROPERTY
+@given(_polynomials(1), st.data())
+def test_divide_central_is_scale_by_negated_powers(fs, data):
+    # 1/i = -i, so dividing by i*hbar^a*eps^b scales by i*(-1)*hbar^-a*eps^-b
+    f, = fs
+    a = data.draw(st.integers(0, min((m.hbar_exp for m in f.terms), default=2)))
+    b = data.draw(st.integers(0, min((m.eps_exp for m in f.terms), default=2)))
+    quotient = divide_central(f, a, b)
+    scaled = scale_central(f, -a, -b, -1)
+    assert quotient == scaled
+    assert list(quotient.terms) == list(scaled.terms)

@@ -272,6 +272,16 @@ def test_residual_power_identity_grid():
                 assert residual == ALG.zero()
 
 
+def test_residual_power_identity_is_monomial_special_case():
+    # [V^m, V] = [X, X^n] = 0, and {x^n, v^m} = n m x^(n-1) v^(m-1) is normal ordered
+    for n in range(1, 9):
+        for m in range(1, 9):
+            power = residual_power_identity(n, m)
+            monomial = residual_monomial_identity(n, 0, 0, m)
+            assert power == monomial == residual_poisson(X**n, V**m)
+            assert list(power.terms) == list(monomial.terms)
+
+
 def test_residual_monomial_identity_examples():
     assert residual_monomial_identity(1, 0, 0, 1) == ALG.zero()
     assert residual_monomial_identity(1, 1, 1, 1) == ALG.zero()

@@ -281,9 +281,22 @@ def test_evolve_step_limit(capsys):
 @pytest.mark.parametrize("argv", [
     ("uncertainty", "--N", "7", "--dim", "8"),
     ("evolve", "--model", "full", "--N", "3", "--dim", "128"),
+    # 16^3600 has 4,335 digits, past int-to-str's default limit of 4,300
+    ("uncertainty", "--N", "3600", "--dim", "16"),
+    ("evolve", "--potential", "0", "--model", "full", "--N", "3600", "--dim", "16",
+     "--x0", "0"),
 ])
 def test_amplitude_cap_names_n_and_dim(capsys, argv):
-    _assert_flag_config_error(capsys, argv, "--N, --dim")
+    err = _assert_flag_config_error(capsys, argv, "--N, --dim")
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_unwritable_out_names_out(capsys, tmp_path, target):
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "x.csv"
+    err = _assert_flag_config_error(capsys, ("scaling", "--N", "1", "--out", str(out)), "--out")
+    assert err.startswith(f"error: --out: cannot write {str(out)!r}: ")
+    assert len(err) < 200
 
 
 def test_scaling_bound_at_largest_total_mass(capsys):
@@ -309,7 +322,7 @@ def test_evolve_huge_displacement_is_truncation(capsys):
 
 
 def _assert_flag_config_error(capsys, argv, flag):
-    """Exit 1, nothing on stdout, a message naming the flag and no warning."""
+    """Exit 1, nothing on stdout, a message naming the flag and no warning; returns stderr."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(list(argv))
@@ -318,6 +331,7 @@ def _assert_flag_config_error(capsys, argv, flag):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag}: ")
     assert not caught
+    return captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
 import cmlimit.dynamics as dynamics
+from cmlimit.cli import ExperimentResult, _render_csv, _trajectory_table
 from cmlimit.dynamics import (
     HamiltonianSpec,
     Trajectory,
@@ -30,7 +32,6 @@ from cmlimit.dynamics import (
     expectation_product,
     free_width_analytic,
     gaussian_spreading,
-    trajectory_to_csv,
 )
 from cmlimit.hilbert_rep import (
     DimensionCapError,
@@ -131,6 +132,25 @@ def test_quartic_hamiltonian_structure():
 def test_hamiltonian_is_real(spec):
     # the propagator diagonalizes the real part only
     assert not build_hamiltonian(spec).to_dense().imag.any()
+
+
+@pytest.mark.parametrize("n, dim", [(1, 8), (3, 24), (16, 64), (40, 160)])
+def test_one_mode_hamiltonian_equals_folded_build(n, dim):
+    # a one-mode operator is its own matrix; folding it with a 1x1 zero, as a
+    # Kronecker sum of several modes is folded, gives the same H bit for bit
+    spec = effective_spec(n, potential=PolynomialPotential.from_coeffs({4: 1, 2: -2, 0: 1}),
+                          dim=dim)
+    ops = cm_operators_numeric(spec.modes)
+    zero = scipy.sparse.csr_matrix((1, 1), dtype=np.complex128)
+    folded = tuple(
+        SparseOperator(op.mode_dims, [scipy.sparse.kronsum(op.matrix, zero, format="csr")],
+                       hermitian=True)
+        for op in ops
+    )
+    h = build_hamiltonian(spec, ops=ops).matrix
+    h_folded = build_hamiltonian(spec, ops=folded).matrix
+    for part in ("data", "indices", "indptr"):
+        assert getattr(h, part).tobytes() == getattr(h_folded, part).tobytes()
 
 
 def test_hamiltonian_dimension_cap():
@@ -358,7 +378,7 @@ def test_ehrenfest_quartic_squared_observable():
     h = build_hamiltonian(spec)
     x_cm = cm_operators_numeric(spec.modes)[0]
     x_sq = x_cm.matrix @ x_cm.matrix
-    x_sq = SparseOperator(x_cm.mode_dims, (x_sq + x_sq.getH()) * 0.5, hermitian=True)
+    x_sq = SparseOperator(x_cm.mode_dims, [(x_sq + x_sq.getH()) * 0.5], hermitian=True)
 
     def residual(dt):
         traj = evolve_quantum(psi0, spec, t_final=1.6, dt=dt)
@@ -374,8 +394,8 @@ def test_expectation_product_of_non_hermitian_kronecker_sums():
     from cmlimit.hilbert_rep import ladder
 
     dims = (3, 4)
-    a = SparseOperator.kronecker_sum(dims, [ladder(3).matrix, ladder(4).matrix.T])
-    b = SparseOperator.kronecker_sum(dims, [ladder(3).matrix.T * 0.5, ladder(4).matrix])
+    a = SparseOperator(dims, [ladder(3).matrix, ladder(4).matrix.T])
+    b = SparseOperator(dims, [ladder(3).matrix.T * 0.5, ladder(4).matrix])
     rng = np.random.default_rng(7)
     amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     psi = StateVector(dims, amps / np.linalg.norm(amps))
@@ -483,11 +503,16 @@ def test_gaussian_spreading_scale_invariance():
 # ---------------------------------------------------------------------------
 
 
+def trajectory_csv(traj):
+    """The CLI's quantum table of ``traj`` on its own, as CSV text."""
+    return _render_csv(ExperimentResult("evolve", (_trajectory_table(traj),)))
+
+
 def test_trajectory_csv_contract():
     spec = effective_spec(2, potential=FREE)
     psi0 = coherent_state(spec.modes[0], 1.0, 1.0)
     traj = evolve_quantum(psi0, spec, t_final=1.0, dt=0.25)
-    text = trajectory_to_csv(traj)
+    text = trajectory_csv(traj)
     lines = text.split("\n")
     assert lines[0] == "t,x_cm,v_cm,dx,dv,energy,norm,trunc_weight"
     assert lines[-1] == ""  # trailing LF
@@ -511,7 +536,7 @@ def test_trajectory_csv_prints_weight_at_fixed_resolution():
                       energies=(0.5,) * 5, norms=(1.0,) * 5,
                       amplitudes=np.zeros((5, 0), dtype=np.complex128), hbar=1.0,
                       total_mass=1.0)
-    printed = [line.split(",")[-1] for line in trajectory_to_csv(traj).splitlines()[1:]]
+    printed = [line.split(",")[-1] for line in trajectory_csv(traj).splitlines()[1:]]
     assert printed == ["0", "0", "1e-15", "1.23456789e-07", "0"]
 
 

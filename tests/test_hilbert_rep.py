@@ -195,8 +195,8 @@ def test_product_state_variances_are_analytic(modes_drawn):
 def test_kronecker_sum_rejects_non_hermitian_factor():
     x = position_op(ModeSpec(mass=1.0, dim=3)).matrix
     with pytest.raises(ValueError, match="marked Hermitian"):
-        SparseOperator.kronecker_sum((3, 4), [x, ladder(4).matrix], hermitian=True)
-    op = SparseOperator.kronecker_sum((3, 4), [x, ladder(4).matrix])
+        SparseOperator((3, 4), [x, ladder(4).matrix], hermitian=True)
+    op = SparseOperator((3, 4), [x, ladder(4).matrix])
     assert not op.hermitian
 
 
@@ -247,7 +247,7 @@ def test_product_state_separability():
     psi0 = coherent_state(MODE, 0.7, 0.1)
     psi1 = coherent_state(MODE, -0.3, 0.4)
     joint = product_state([psi0, psi1])
-    x0 = SparseOperator((16, 16), np.kron(position_op(MODE).to_dense(), np.eye(16)))
+    x0 = SparseOperator((16, 16), [np.kron(position_op(MODE).to_dense(), np.eye(16))])
     expected = expectation(position_op(MODE), psi0)
     assert abs(expectation(x0, joint) - expected) < 1e-12
     assert abs(joint.norm() - 1.0) < 1e-12
@@ -353,7 +353,7 @@ def test_stacked_records_equal_per_row_records(modes_drawn, rows, seed):
     for k, row in enumerate(stack):
         psi = StateVector(dims, row)
         assert weights[k] == truncation_weight(psi)
-        assert records[k] == cm_expectation_record(psi, system, ops=ops)
+        assert records[k] == cm_expectation_record(psi, system)
 
 
 def test_robertson_bound_random_states():
@@ -431,4 +431,4 @@ def test_cm_pair_ops_commutator_scale():
 
 def test_sparse_operator_hermitian_flag_validation():
     with pytest.raises(ValueError):
-        SparseOperator((2,), np.array([[0, 1], [0, 0]]), hermitian=True)
+        SparseOperator((2,), [np.array([[0, 1], [0, 0]])], hermitian=True)
