@@ -7,6 +7,10 @@ Generators come in pairs (X_k, V_k) obeying a central commutation relation
 where q_k is a positive rational and hbar, eps are formal symbols tracked as
 integer exponents.  Coefficients are Gaussian rationals, so every result in
 this module is exact: equality of polynomials is equality in the algebra.
+A ``GaussianRational`` holds (a + b*i)/d as three ints over one common
+denominator, reduced so that gcd(a, b, d) = 1; the coefficients met in
+practice are Gaussian integers (d = 1), whose sums and products are plain
+int arithmetic with no gcd.
 
 Two canonical instances matter in practice:
 
@@ -26,6 +30,9 @@ GaussianRational`` map, +, -, == and the product loop.  The operator product
 reorders each pair by V^b X^p = sum_s s! C(b,s) C(p,s) (-c)^s X^{p-s} V^{b-s}
 (the normal-ordered star product); the commutative symbol product is its
 s = 0 term.  ``symbol_map`` and ``lift`` therefore copy terms unchanged.
+The scalars s! C(b,s) C(p,s) (-i*q)^s for each (q, b, p) are computed once
+and cached (``_reorder_scalars``); the hbar and eps powers of c^s go into
+the monomial.
 
 ``commutator`` does not form f*g and g*f.  Monomials on disjoint pairs commute
 exactly, and the s = 0 term of m1*m2 equals that of m2*m1, so it visits only
@@ -38,6 +45,10 @@ other two are their special cases: ``residual_power_identity(n, m)`` is
 ``derivative_identity_residuals(f)`` is the pair of ``residual_poisson``
 against V and X.  Likewise ``divide_central`` is ``scale_central`` by the
 negated powers at q = -1.
+
+``residual_monomial_identity`` computes (f, [f, V], [X, f]) once per
+exponent pair of f and reuses it, so its grid of calls forms each of those
+brackets once; [f, g] is still computed per call.
 """
 
 from __future__ import annotations
@@ -77,39 +88,58 @@ class GaussianRational:
     Closed under +, -, * and division by nonzero values; equality is exact.
     Construct from ints, Fractions or strings; floats are rejected to keep
     the arithmetic exact.
+
+    The value (a + b*i)/d is held as three ints with d > 0 and
+    gcd(a, b, d) = 1, one common denominator for both parts.  That form is
+    canonical, so equality compares the ints; a sum or product of Gaussian
+    integers (d = 1) needs no gcd.  ``re`` and ``im`` are Fractions built on
+    read.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
-
-    @classmethod
-    def _unchecked(cls, re, im):
-        """Internal constructor for values already known to be Fractions."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        return self
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = _as_fraction(re), _as_fraction(im)
+            d = math.lcm(re.denominator, im.denominator)  # then gcd(a, b, d) = 1 already
+            a, b = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def _coerce(other):
         """``other`` as a GaussianRational if it is an exact scalar, else None."""
         if isinstance(other, GaussianRational):
             return other
-        if isinstance(other, (int, Fraction, Rational)):
-            return GaussianRational(other)
+        if isinstance(other, int):
+            return _gaussian(int(other), 0, 1)
+        if isinstance(other, Rational):
+            q = _as_fraction(other)
+            return _gaussian(q.numerator, 0, q.denominator)
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational._unchecked(self.re + o.re, self.im + o.im)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return _reduced(self._a + o._a, self._b + o._b, d1)
+        return _reduced(self._a * d2 + o._a * d1, self._b * d2 + o._b * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -117,7 +147,7 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational._unchecked(self.re - o.re, self.im - o.im)
+        return self + (-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -126,24 +156,11 @@ class GaussianRational:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b, c, d = self.re, self.im, o.re, o.im
-        # pure-real / pure-imaginary operands dominate in practice
-        if b == 0:
-            if d == 0:
-                return GaussianRational._unchecked(a * c, _FRACTION_ZERO)
-            if c == 0:
-                return GaussianRational._unchecked(_FRACTION_ZERO, a * d)
-            return GaussianRational._unchecked(a * c, a * d)
-        if d == 0:
-            if c == 0:
-                return GaussianRational._unchecked(_FRACTION_ZERO, _FRACTION_ZERO)
-            return GaussianRational._unchecked(a * c, b * c)
-        if a == 0 and c == 0:
-            return GaussianRational._unchecked(-(b * d), _FRACTION_ZERO)
-        return GaussianRational._unchecked(a * c - b * d, a * d + b * c)
+        a, b, c, e = self._a, self._b, o._a, o._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
@@ -151,35 +168,36 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        denom = o.re * o.re + o.im * o.im
-        if denom == 0:
+        # (a + bi)/d1 / ((c + ei)/d2) = (a + bi)(c - ei) d2 / (d1 (c^2 + e^2))
+        a, b, c, e = self._a, self._b, o._a, o._b
+        norm = c * c + e * e
+        if norm == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational._unchecked(
-            (self.re * o.re + self.im * o.im) / denom,
-            (self.im * o.re - self.re * o.im) / denom,
-        )
+        return _reduced((a * c + b * e) * o._d, (b * c - a * e) * o._d, self._d * norm)
 
     def __neg__(self):
-        return GaussianRational._unchecked(-self.re, -self.im)
+        return _gaussian(-self._a, -self._b, self._d)
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussianRational else self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if self._b == 0:  # equal to the int or Fraction of the same value, so hash alike
+            return hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _gaussian(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def magnitude(self) -> float:
         return math.sqrt(float(self.abs2()))
@@ -189,24 +207,46 @@ class GaussianRational:
 
     def render(self) -> str:
         """Exact fraction string: ``a/b``, ``c/d*i`` or ``(a/b+c/d*i)``."""
-        if self.im == 0:
-            return _frac_str(self.re)
-        if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return _frac_str(re)
+        if im == 1:
             im_part = "i"
-        elif self.im == -1:
+        elif im == -1:
             im_part = "-i"
         else:
-            im_part = f"{_frac_str(self.im)}*i"
-        if self.re == 0:
+            im_part = f"{_frac_str(im)}*i"
+        if re == 0:
             return im_part
-        sign = "+" if self.im > 0 else "-"
-        return f"({_frac_str(self.re)}{sign}{im_part.lstrip('-')})"
+        sign = "+" if im > 0 else "-"
+        return f"({_frac_str(re)}{sign}{im_part.lstrip('-')})"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-_FRACTION_ZERO = Fraction(0)
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _gaussian(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d from ints already in canonical form (d > 0, gcd(a, b, d) = 1)."""
+    z = object.__new__(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for any d > 0, divided through by gcd(a, b, d)."""
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _gaussian(a, b, d)
+
 
 ONE = GaussianRational(1)
 IMAG = GaussianRational(0, 1)
@@ -229,11 +269,14 @@ class CentralConstant:
 
 
 @lru_cache(maxsize=None)
-def _neg_central_power(q: Fraction, s: int) -> GaussianRational:
-    """(-i*q)^s as a GaussianRational."""
-    unit = ((1, 0), (0, -1), (-1, 0), (0, 1))[s % 4]
-    scale = q**s
-    return GaussianRational(unit[0] * scale, unit[1] * scale)
+def _reorder_scalars(q: Fraction, v: int, x: int) -> tuple:
+    """s! C(v,s) C(x,s) (-i*q)^s for s = 0..min(v, x): the reordering table of V^v X^x."""
+    table = []
+    for s in range(min(v, x) + 1):
+        unit_re, unit_im = ((1, 0), (0, -1), (-1, 0), (0, 1))[s % 4]
+        weight = factorial(s) * comb(v, s) * comb(x, s) * q**s
+        table.append(GaussianRational(unit_re * weight, unit_im * weight))
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -285,6 +328,7 @@ class AlgebraSpec:
         return NCPolynomial._raw(self, {Monomial(hbar_exp, eps_exp, pairs): ONE})
 
 
+@lru_cache(maxsize=None)
 def cm_algebra() -> AlgebraSpec:
     """Single-pair algebra of the center-of-mass pair: [X, V] = i*hbar*eps."""
     return AlgebraSpec(
@@ -361,9 +405,7 @@ def _merged_pair_products(algebra: AlgebraSpec, m1: Monomial, m2: Monomial, comm
             if v1 and x2 and not commuting:
                 const = algebra.constants[k1]
                 alts = []
-                for s in range(min(v1, x2) + 1):
-                    weight = factorial(s) * comb(v1, s) * comb(x2, s)
-                    scalar = _neg_central_power(const.q, s) * weight
+                for s, scalar in enumerate(_reorder_scalars(const.q, v1, x2)):
                     xe, ve = x1 + x2 - s, v1 + v2 - s
                     entry = (k1, xe, ve) if (xe or ve) else None
                     alts.append((scalar, s * const.hbar_exp, s * const.eps_exp, entry))
@@ -624,15 +666,21 @@ def residual_monomial_identity(a: int, b: int, c: int, d: int) -> NCPolynomial:
     """
     if min(a, b, c, d) < 0:
         raise ValueError("exponents must be nonnegative")
-    alg = cm_algebra()
-    const = alg.constants[0]
-    X, V = alg.x(), alg.v()
-    f = alg.ordered_monomial(a, b)
-    g = alg.ordered_monomial(c, d)
+    const = cm_algebra().constants[0]
+    f, f_v, x_f = _monomial_brackets(a, b)
+    g, g_v, x_g = _monomial_brackets(c, d)
     lhs = commutator(f, g)
-    numerator = commutator(f, V) * commutator(X, g) - commutator(g, V) * commutator(X, f)
+    numerator = f_v * x_g - g_v * x_f
     rhs = divide_central(numerator, const.hbar_exp, const.eps_exp) * (1 / const.q)
     return lhs - rhs
+
+
+@lru_cache(maxsize=256)
+def _monomial_brackets(x_exp: int, v_exp: int) -> tuple:
+    """(f, [f, V], [X, f]) for f = X^x_exp V^v_exp in the CM algebra, computed once each."""
+    alg = cm_algebra()
+    f = alg.ordered_monomial(x_exp, v_exp)
+    return f, commutator(f, alg.v()), commutator(alg.x(), f)
 
 
 class SymbolPolynomial(_TermStore):
@@ -794,7 +842,7 @@ def cm_observables(system: ParticleSystem, algebra: AlgebraSpec | None = None):
     total = system.total_mass
     # one term per pair, so each term map is built in a single O(N) pass
     x_cm = NCPolynomial._raw(alg, {
-        Monomial(0, 0, ((k, 1, 0),)): GaussianRational._unchecked(mass / total, _FRACTION_ZERO)
+        Monomial(0, 0, ((k, 1, 0),)): GaussianRational(mass / total)
         for k, mass in enumerate(system.masses)
     })
     p_tot = NCPolynomial._raw(alg, {Monomial(0, 0, ((k, 0, 1),)): ONE for k in range(system.n)})

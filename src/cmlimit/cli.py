@@ -638,7 +638,10 @@ def run_evolve(config: ExperimentConfig) -> ExperimentResult:
                 modes = effective_cm_system(n, mbar, dim=config["dim"], hbar=hbar)
             except ValueError as exc:  # the mass N*mbar puts a scale out of range
                 raise ConfigError(f"--N, --mbar, --hbar: {exc}") from exc
-            psi0 = coherent_state(modes[0], x0, p0)
+            try:
+                psi0 = coherent_state(modes[0], x0, p0)
+            except DimensionCapError as exc:  # the one CM mode holds all --dim levels
+                raise ConfigError(f"--dim: {exc}") from exc
         else:
             modes = _modes([mbar] * n, config["dim"], hbar, "--mbar, --hbar")
             psi0 = coherent_product(modes, [x0] * n, [p0 / n] * n)

@@ -260,10 +260,12 @@ def coherent_state(mode: ModeSpec, x0: float, p0: float) -> StateVector:
     """Minimal-uncertainty state with <X> = x0 and <P> = p0, renormalized.
 
     alpha = sqrt(m / 2 hbar) x0 + i p0 / sqrt(2 m hbar).  Raises
-    ExcessiveTruncationError when the truncated state keeps TRUNCATION_GATE
-    or more of its probability on the top basis level, or when alpha is not
-    finite.
+    DimensionCapError, before allocating, when mode.dim exceeds the amplitude
+    cap, and ExcessiveTruncationError when the truncated state keeps
+    TRUNCATION_GATE or more of its probability on the top basis level, or
+    when alpha is not finite.
     """
+    _check_cap((mode.dim,))
     alpha = (
         math.sqrt(mode.mass / (2.0 * mode.hbar)) * x0
         + 1j * p0 / math.sqrt(2.0 * mode.mass * mode.hbar)
@@ -311,6 +313,9 @@ def ground_product(system) -> StateVector:
 
 
 def coherent_product(system, x0s, p0s) -> StateVector:
+    """Product of per-mode coherent states; the cap is checked before any is built."""
+    system = list(system)
+    _check_cap(m.dim for m in system)
     return product_state(
         [coherent_state(m, x, p) for m, x, p in zip(system, x0s, p0s, strict=True)]
     )

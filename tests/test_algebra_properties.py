@@ -60,7 +60,11 @@ def _monomials(algebra, entry=PAIR_EXPONENTS):
     )
 
 
-COEFFICIENTS = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
+# Gaussian integers, and parts n/k with k up to 6 so that sums and products of
+# coefficients meet a common denominator other than 1
+FRACTIONS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6))
+COEFFICIENTS = (st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
+                | st.builds(GaussianRational, FRACTIONS, FRACTIONS))
 
 
 def _terms(algebra, entry=PAIR_EXPONENTS):

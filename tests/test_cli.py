@@ -1,5 +1,6 @@
 """Harness tests: potential parsing, experiment tables, exit codes, determinism."""
 
+import hashlib
 import json
 import random
 import warnings
@@ -285,10 +286,19 @@ def test_evolve_step_limit(capsys):
     ("uncertainty", "--N", "3600", "--dim", "16"),
     ("evolve", "--potential", "0", "--model", "full", "--N", "3600", "--dim", "16",
      "--x0", "0"),
+    ("uncertainty", "--N", "1", "--dim", str(10**30)),
 ])
 def test_amplitude_cap_names_n_and_dim(capsys, argv):
     err = _assert_flag_config_error(capsys, argv, "--N, --dim")
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("dim", [str(10**30), str(2**20 + 1)])
+def test_effective_evolve_cap_names_dim(capsys, dim):
+    # the effective model's one CM mode holds all --dim levels, whatever --N is
+    err = _assert_flag_config_error(capsys, ("evolve", "--N", "4", "--dim", dim, "--t", "0.1"),
+                                    "--dim")
+    assert err == "error: --dim: composite dimension exceeds the cap of 1048576 amplitudes\n"
 
 
 @pytest.mark.parametrize("target", ["directory", "missing parent"])
@@ -297,6 +307,19 @@ def test_unwritable_out_names_out(capsys, tmp_path, target):
     err = _assert_flag_config_error(capsys, ("scaling", "--N", "1", "--out", str(out)), "--out")
     assert err.startswith(f"error: --out: cannot write {str(out)!r}: ")
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("argv, md5", [
+    (("residuals", "--max-degree", "8", "--samples", "50", "--seed", "7"),
+     "bd88e7b7db9ae738b43b956ae6f1a69c"),
+    (("scaling", "--masses", "1/3,2/7,5/9,7/11,13/17", "--hbar", "1.5"),
+     "79e80f63b839162161050fc9de946b4b"),
+])
+def test_algebra_commands_are_byte_identical(capsys, argv, md5):
+    # pinned stdout of the exact-algebra commands; any change in the arithmetic shows here
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
 def test_scaling_bound_at_largest_total_mass(capsys):

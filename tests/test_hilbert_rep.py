@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from cmlimit.hilbert_rep import (
     cm_expectation_records,
     cm_operators_numeric,
     cm_pair_ops,
+    coherent_product,
     coherent_state,
     commutator_expectation,
     expectation,
@@ -95,6 +97,21 @@ def test_dimension_cap():
     big = modes(3, dim=128)  # 2^21 amplitudes
     with pytest.raises(DimensionCapError):
         cm_operators_numeric(big)
+
+
+def test_states_check_the_cap_before_allocating():
+    # 2^21 amplitudes in one mode or in three would take 32 MiB; 10^30 levels cannot exist
+    tracemalloc.start()
+    try:
+        for dim in (2**21, 10**30):
+            with pytest.raises(DimensionCapError):
+                coherent_state(ModeSpec(mass=1.0, dim=dim), 0.5, 0.0)
+        with pytest.raises(DimensionCapError):
+            coherent_product(modes(3, dim=128), [0.5] * 3, [0.0] * 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
