@@ -40,7 +40,6 @@ from .ccr_algebra import (
 from .dynamics import (
     ClassicalState,
     DeviationReport,
-    EhrenfestReport,
     HamiltonianSpec,
     NormDriftError,
     PolynomialPotential,
@@ -49,7 +48,6 @@ from .dynamics import (
     build_hamiltonian,
     compare_trajectories,
     effective_cm_system,
-    ehrenfest_residual,
     evolve_classical,
     evolve_quantum,
     free_width_analytic,

@@ -1,16 +1,17 @@
 """Time evolution of center-of-mass observables, quantum and classical.
 
 Quantum propagation runs in the Schrodinger picture (expectations are
-identical to the Heisenberg-picture statement, which is recovered through
-:func:`ehrenfest_residual`) with the exact unitary exp(-iHt/hbar): H is real
-symmetric, diagonalized densely (LAPACK's divide-and-conquer ``evd``
-driver) up to total dimension 2048 and applied as a sparse
-matrix-exponential action above that.  The dense path runs one ``eigh`` per
-connected block of H's sparsity graph: an even potential never couples
-basis states of opposite parity, so its H splits at least into the two
-parity sectors.  H is the one operator assembled as a composite sparse
-matrix.  The samples are evaluated as one stack of amplitude rows: the CM
-observables are applied mode by mode to all rows at once
+identical to the Heisenberg-picture statement) with the exact unitary
+exp(-iHt/hbar): H is real symmetric, diagonalized densely (LAPACK's
+divide-and-conquer ``evd`` driver) up to total dimension 2048 and applied
+as a sparse matrix-exponential action above that.  The dense path runs one
+``eigh`` per connected block of H's sparsity graph: an even potential never
+couples basis states of opposite parity, so its H splits at least into the
+two parity sectors.  H is the one operator assembled as a composite sparse
+matrix.  The propagators yield the samples as blocks of amplitude rows of
+about 2^16 amplitudes each, and every block is evaluated and dropped before
+the next is formed, so a run never holds all its rows: the CM observables
+are applied mode by mode to all rows of a block at once
 (:mod:`cmlimit.hilbert_rep`).  Norm drift is measured, never corrected --
 silent renormalization would hide a propagation failure.  The classical
 twin integrates Hamilton's equations xdot = p/M, pdot = -U'(x) with classic
@@ -48,7 +49,7 @@ from .hilbert_rep import (
 
 EIG_DIMENSION_LIMIT = 2048
 SAMPLE_BLOCK_AMPLITUDES = 2**16  # amplitudes evaluated together; one row above it
-MAX_STEPS = 100_000  # every step is a sample, kept as an amplitude row and a CSV row
+MAX_STEPS = 100_000  # every step is a sample, kept as a record and a CSV row
 NORM_DRIFT_LIMIT = 1e-8
 
 
@@ -216,15 +217,12 @@ def evolve_classical(potential: PolynomialPotential, total_mass: float,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled quantum run: times, CM records, energy/norm bookkeeping, and the
-    (S, D) amplitude rows of the samples."""
+    """Sampled quantum run: times, CM records and energy/norm bookkeeping (no amplitudes)."""
 
     times: tuple
     records: tuple
     energies: tuple
     norms: tuple
-    amplitudes: np.ndarray
-    hbar: float
     total_mass: float
 
     @property
@@ -255,35 +253,54 @@ class Trajectory:
         return max(abs(e - e0) for e in self.energies) / scale
 
 
+def _rows_per_block(dim: int) -> int:
+    """Sample rows evaluated together, so that each temporary stays near 1 MiB."""
+    return max(1, SAMPLE_BLOCK_AMPLITUDES // dim)
+
+
 def _eig_samples(h: SparseOperator, psi0: np.ndarray, dt: float, n_steps: int,
-                 hbar: float) -> np.ndarray:
-    """Rows exp(-iH k dt/hbar) psi0, k = 0..n_steps, from real divide-and-conquer eighs.
+                 hbar: float):
+    """Yield the rows exp(-iH k dt/hbar) psi0, k = 0..n_steps, in blocks of
+    ``_rows_per_block`` rows, from real divide-and-conquer eighs.
 
     H is block-diagonal over the connected components of its sparsity graph
     (the two parity sectors of an even potential), so each block is
     diagonalized on its own and fills its own columns of the rows.  The split
-    is exact; an H with one component is one block.
+    is exact; an H with one component is one block.  All eighs run before
+    the first rows are formed.
     """
     # imported here: csgraph costs every process ~5 ms and ~1 MB to load
     from scipy.sparse.csgraph import connected_components
 
     real = h.matrix.real
     n_blocks, labels = connected_components(real, directed=False)
-    times = dt * np.arange(n_steps + 1)
-    rows = np.empty((n_steps + 1, h.dim), dtype=np.complex128)
+    spectra = []
     for block in range(n_blocks):
         index = np.flatnonzero(labels == block)
         evals, evecs = scipy.linalg.eigh(real[index][:, index].toarray(), driver="evd")
-        coeffs = evecs.T @ psi0[index]
-        rows[:, index] = (np.exp(np.outer(times, evals) * (-1j / hbar)) * coeffs) @ evecs.T
-    return rows
+        spectra.append((index, evals, evecs, evecs.T @ psi0[index]))
+    step = _rows_per_block(h.dim)
+    for start in range(0, n_steps + 1, step):
+        times = dt * np.arange(start, min(start + step, n_steps + 1))
+        rows = np.empty((len(times), h.dim), dtype=np.complex128)
+        for index, evals, evecs, coeffs in spectra:
+            rows[:, index] = (np.exp(np.outer(times, evals) * (-1j / hbar)) * coeffs) @ evecs.T
+        yield rows
 
 
 def _expm_samples(h: SparseOperator, psi0: np.ndarray, dt: float, n_steps: int,
-                  hbar: float) -> np.ndarray:
-    """The same rows from the sparse action of the exponential (Al-Mohy & Higham 2011)."""
-    return expm_multiply(h.matrix * (-1j / hbar), psi0, start=0.0, stop=n_steps * dt,
+                  hbar: float):
+    """The same blocks from the sparse action of the exponential (Al-Mohy & Higham 2011).
+
+    One ``expm_multiply`` call computes all rows, and the blocks are its
+    slices: a call per block would repeat its norm estimation and change
+    its rounding.
+    """
+    rows = expm_multiply(h.matrix * (-1j / hbar), psi0, start=0.0, stop=n_steps * dt,
                          num=n_steps + 1, endpoint=True)
+    step = _rows_per_block(h.dim)
+    for start in range(0, len(rows), step):
+        yield rows[start:start + step]
 
 
 def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
@@ -293,10 +310,11 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     t_final must be a whole number of steps dt, at most MAX_STEPS.  The
     propagator is exact and unitary: a dense real eigendecomposition of each
     block of H up to total dimension 2048, ``expm_multiply`` on the sparse H
-    above it.  The samples are evaluated as stacks of rows.  Raises, for the
-    first sample that fails a gate, NormDriftError when |norm - 1| reaches
-    1e-8 (never renormalizes), else ExcessiveTruncationError when it exceeds
-    the truncation gate.
+    above it.  The samples are evaluated block by block as the propagator
+    yields them, and only their records, energies and norms are kept.
+    Raises, for the first sample that fails a gate, NormDriftError when
+    |norm - 1| reaches 1e-8 (never renormalizes), else
+    ExcessiveTruncationError when it exceeds the truncation gate.
     """
     n_steps = _step_count(t_final, dt)
     ops = cm_operators_numeric(spec.modes)
@@ -304,16 +322,11 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     if psi0.mode_dims != h.mode_dims:
         raise ValueError("initial state does not match the Hamiltonian's modes")
 
-    hbar = spec.hbar
     sample_times = [k * dt for k in range(n_steps + 1)]
     propagate = _eig_samples if h.dim <= EIG_DIMENSION_LIMIT else _expm_samples
-    sampled = propagate(h, psi0.amplitudes, dt, n_steps, hbar)
-
-    # the samples as stacks of rows, so that each temporary stays near 1 MiB
     records, energies, norms = [], [], []
-    rows_per_block = max(1, SAMPLE_BLOCK_AMPLITUDES // h.dim)
-    for start in range(0, len(sampled), rows_per_block):
-        block = sampled[start:start + rows_per_block]
+    for block in propagate(h, psi0.amplitudes, dt, n_steps, spec.hbar):
+        start = len(norms)
         # np.linalg.norm's arithmetic, row by row
         block_norms = np.sqrt(np.vecdot(block.real, block.real)
                               + np.vecdot(block.imag, block.imag))
@@ -328,8 +341,6 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
         records=tuple(records),
         energies=tuple(energies),
         norms=tuple(norms),
-        amplitudes=sampled,
-        hbar=hbar,
         total_mass=spec.total_mass,
     )
 
@@ -347,51 +358,6 @@ def _check_gates(times, norms: np.ndarray, weights: np.ndarray) -> None:
         f"truncation weight {weights[k]:.3g} exceeds the gate {TRUNCATION_GATE:.3g} "
         f"at t = {times[k]}"
     )
-
-
-@dataclass(frozen=True)
-class EhrenfestReport:
-    """Worst central-difference violation of d<f>/dt = <[f, H]>/(i hbar)."""
-
-    max_residual: float
-    sample_spacing: float
-    order_constant: float  # max_residual / spacing^2, the measured curvature scale
-
-
-def ehrenfest_residual(traj: Trajectory, h: SparseOperator,
-                       observable: SparseOperator) -> EhrenfestReport:
-    if len(traj.times) < 3:
-        raise ValueError("need at least three samples")
-    spacings = np.diff(traj.times)
-    if np.ptp(spacings) > 1e-9 * max(spacings):
-        raise ValueError("samples must be uniformly spaced")
-    delta = float(spacings[0])
-    means = expectation(observable, traj.amplitudes).real
-    commutator_rate = (expectation_product(observable, h, traj.amplitudes)
-                       / (1j * traj.hbar)).real
-    worst = 0.0
-    for k in range(1, len(means) - 1):
-        lhs = (means[k + 1] - means[k - 1]) / (2.0 * delta)
-        worst = max(worst, abs(lhs - commutator_rate[k]))
-    return EhrenfestReport(
-        max_residual=worst,
-        sample_spacing=delta,
-        order_constant=worst / delta**2 if delta > 0 else 0.0,
-    )
-
-
-def expectation_product(a: SparseOperator, b: SparseOperator, psi) -> complex | np.ndarray:
-    """<psi|[a, b]|psi> without forming the commutator matrix.
-
-    ``psi`` is a StateVector, or an (S, D) amplitude stack for one value per row.
-    """
-    amplitudes = psi.amplitudes if isinstance(psi, StateVector) else psi
-    a_psi = a.apply(psi)
-    b_psi = b.apply(psi)
-    if a.hermitian and b.hermitian:
-        ab = np.vecdot(a_psi, b_psi)
-        return ab - np.conjugate(ab)
-    return np.vecdot(amplitudes, a.apply(b_psi)) - np.vecdot(amplitudes, b.apply(a_psi))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -320,6 +324,29 @@ def test_algebra_commands_are_byte_identical(capsys, argv, md5):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
+@pytest.mark.parametrize("argv, md5", [
+    (("--potential", "0.5*x^2", "--N", "4", "--dim", "160", "--t", "20", "--dt", "0.01",
+      "--x0", "1.1", "--p0", "-0.1"),
+     "3ad509109b2f999ac7c2868aac3e56c4"),
+    (("--potential=x^4-2*x^2+1", "--N", "4", "--dim", "256", "--t", "8", "--dt", "0.01",
+      "--x0", "0.9", "--p0", "0.05"),
+     "1b23f7dd36d292f90550da821ca7a722"),
+    (("--potential", "0.5*x^2", "--N", "3", "--model", "full", "--dim", "10", "--t", "1",
+      "--dt", "0.01", "--x0", "0.3", "--p0", "0.05"),
+     "50becc3ddeb7309e87c13654fdfdfe77"),
+], ids=["harmonic-5-row-blocks", "double-well-parity-blocks", "full-model"])
+def test_evolve_commands_are_byte_identical(argv, md5):
+    # pinned stdout of evolve runs whose samples span several row blocks, and
+    # of a full-model run; one BLAS thread, because LAPACK's eigh rounds
+    # differently under two
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "cmlimit", "evolve", *argv],
+                         capture_output=True, env=env, check=True)
+    assert hashlib.md5(run.stdout).hexdigest() == md5
 
 
 def test_scaling_bound_at_largest_total_mass(capsys):

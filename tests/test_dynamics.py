@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,10 +27,8 @@ from cmlimit.dynamics import (
     build_hamiltonian,
     compare_trajectories,
     effective_cm_system,
-    ehrenfest_residual,
     evolve_classical,
     evolve_quantum,
-    expectation_product,
     free_width_analytic,
     gaussian_spreading,
 )
@@ -60,6 +59,11 @@ def harmonic(total_mass, big_omega=1.0):
 def effective_spec(n, mbar=1.0, potential=FREE, dim=64):
     modes = effective_cm_system(n, mbar, dim=dim)
     return HamiltonianSpec(modes=tuple(modes), potential=potential)
+
+
+def sampled_rows(propagate, h, psi0, dt, n_steps, hbar):
+    """All rows exp(-iH k dt/hbar) psi0 of a propagator, its blocks concatenated."""
+    return np.concatenate(list(propagate(h, psi0.amplitudes, dt, n_steps, hbar)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +197,25 @@ def test_norm_drift_raises():
         evolve_quantum(psi0, spec, t_final=1.0, dt=0.1)
 
 
-def test_propagators_agree():
+def test_propagators_agree(monkeypatch):
     spec = effective_spec(1, potential=QUARTIC, dim=32)
     psi0 = coherent_state(spec.modes[0], 0.5, 0.0)
     h = build_hamiltonian(spec)
-    dense = _eig_samples(h, psi0.amplitudes, 0.05, 20, spec.hbar)
-    sparse = _expm_samples(h, psi0.amplitudes, 0.05, 20, spec.hbar)
+    dense = sampled_rows(_eig_samples, h, psi0, 0.05, 20, spec.hbar)
+    sparse = sampled_rows(_expm_samples, h, psi0, 0.05, 20, spec.hbar)
     assert dense.shape == sparse.shape == (21, 32)
     assert np.abs(dense - sparse).max() < 1e-10
+    # the block seams leave the rows alone; one-row blocks take BLAS's
+    # matrix-vector path, which may round the last bit differently
+    for rows in (1, 7, 21):
+        monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_AMPLITUDES", rows * h.dim)
+        sizes = [rows] * (21 // rows)
+        blocks = list(_eig_samples(h, psi0.amplitudes, 0.05, 20, spec.hbar))
+        assert [len(block) for block in blocks] == sizes
+        assert np.abs(np.concatenate(blocks) - dense).max() <= 1e-14
+        blocks = list(_expm_samples(h, psi0.amplitudes, 0.05, 20, spec.hbar))
+        assert [len(block) for block in blocks] == sizes
+        assert np.array_equal(np.concatenate(blocks), sparse)
 
 
 def _blocks(spec):
@@ -221,33 +236,65 @@ LINEAR_HARMONIC = PolynomialPotential.from_coeffs({2: 0.5, 1: 0.2})
     (_full_spec(harmonic(2.0)), True),
     (_full_spec(LINEAR_HARMONIC), False),
 ], ids=["effective-even", "effective-linear", "full-even", "full-linear"])
-def test_evolve_quantum_matches_dense_exponential(spec, split):
+def test_evolve_quantum_matches_dense_exponential(spec, split, monkeypatch):
     # an even potential splits H at least into its two parity sectors, each
     # diagonalized on its own; a linear term couples them into one block
     assert (_blocks(spec) > 1) == split
     psi0 = coherent_product(spec.modes, [0.4] * len(spec.modes), [0.1] * len(spec.modes))
+    h = build_hamiltonian(spec)
+    monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_AMPLITUDES", 3 * h.dim)  # 7 blocks of 3 rows
+    rows = sampled_rows(_eig_samples, h, psi0, 0.05, 20, spec.hbar)
     traj = evolve_quantum(psi0, spec, t_final=1.0, dt=0.05)
-    h = build_hamiltonian(spec).to_dense()
+    dense = h.to_dense()
     for k in (0, 1, 7, 20):
         t = traj.times[k]
-        exact = scipy.linalg.expm(-1j * h * t / spec.hbar) @ psi0.amplitudes
-        assert np.abs(traj.amplitudes[k] - exact).max() < 1e-10
+        exact = scipy.linalg.expm(-1j * dense * t / spec.hbar) @ psi0.amplitudes
+        assert np.abs(rows[k] - exact).max() < 1e-10
+        expected = cm_expectation_record(StateVector(psi0.mode_dims, exact), spec.modes)
+        for field in ("x_cm", "v_cm", "dx", "dv"):
+            assert abs(getattr(traj.records[k], field) - getattr(expected, field)) < 1e-10
 
 
 def test_gates_raise_at_the_first_failing_sample(monkeypatch):
     spec = effective_spec(1, dim=8)
     psi0 = basis_state(8)
     good, top = psi0.amplitudes, basis_state(8, n=7).amplitudes
+
+    def propagate(*blocks):
+        monkeypatch.setattr(dynamics, "_eig_samples",
+                            lambda *args: (np.array(block) for block in blocks))
+
     # sample 1 fails the weight gate, sample 2 the norm gate
-    monkeypatch.setattr(dynamics, "_eig_samples",
-                        lambda *args: np.array([good, top, 2 * good, good]))
+    propagate([good, top, 2 * good, good])
     with pytest.raises(ExcessiveTruncationError, match=r"weight 1 exceeds .* at t = 0\.1$"):
         evolve_quantum(psi0, spec, t_final=0.3, dt=0.1)
     # a sample failing both gates fails the norm gate first
-    monkeypatch.setattr(dynamics, "_eig_samples",
-                        lambda *args: np.array([good, 2 * top, top, good]))
+    propagate([good, 2 * top, top, good])
     with pytest.raises(NormDriftError, match=r"^norm drifted to 2\.0 at t = 0\.1$"):
         evolve_quantum(psi0, spec, t_final=0.3, dt=0.1)
+    # the first failing row opens the second block: the message names its own t
+    propagate([good, good], [top, 2 * good])
+    with pytest.raises(ExcessiveTruncationError, match=r"weight 1 exceeds .* at t = 0\.2$"):
+        evolve_quantum(psi0, spec, t_final=0.3, dt=0.1)
+    propagate([good, good], [2 * good, top])
+    with pytest.raises(NormDriftError, match=r"^norm drifted to 2\.0 at t = 0\.2$"):
+        evolve_quantum(psi0, spec, t_final=0.3, dt=0.1)
+
+
+def test_long_run_holds_no_amplitude_stack():
+    # ten times the samples costs ten times the records, not the rows: the
+    # 2001 rows of 512 amplitudes alone would take 16 MiB
+    spec = effective_spec(16, potential=QUARTIC, dim=512)
+    psi0 = coherent_state(spec.modes[0], 1.0, 0.0)
+    peaks = []
+    for t_final in (2.0, 20.0):
+        tracemalloc.start()
+        try:
+            evolve_quantum(psi0, spec, t_final=t_final, dt=0.01)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 * 2**20
 
 
 def test_truncation_gate_during_evolution():
@@ -348,14 +395,36 @@ def test_classical_twin_is_bit_identical_to_fraction_force(coeffs):
 # ---------------------------------------------------------------------------
 
 
+def expectation_product(a: SparseOperator, b: SparseOperator, psi) -> complex | np.ndarray:
+    """<psi|[a, b]|psi> without forming the commutator matrix.
+
+    ``psi`` is a StateVector, or an (S, D) amplitude stack for one value per row.
+    """
+    amplitudes = psi.amplitudes if isinstance(psi, StateVector) else psi
+    a_psi = a.apply(psi)
+    b_psi = b.apply(psi)
+    if a.hermitian and b.hermitian:
+        ab = np.vecdot(a_psi, b_psi)
+        return ab - np.conjugate(ab)
+    return np.vecdot(amplitudes, a.apply(b_psi)) - np.vecdot(amplitudes, b.apply(a_psi))
+
+
+def ehrenfest_residual(rows, dt, h, observable, hbar) -> float:
+    """Worst central-difference violation of d<f>/dt = <[f, H]>/(i hbar) over
+    rows sampled every dt."""
+    means = expectation(observable, rows).real
+    rates = (expectation_product(observable, h, rows) / (1j * hbar)).real
+    slopes = (means[2:] - means[:-2]) / (2.0 * dt)
+    return float(np.abs(slopes - rates[1:-1]).max())
+
+
 def test_ehrenfest_free_particle():
     spec = effective_spec(2, potential=FREE)
     psi0 = coherent_state(spec.modes[0], 1.0, 1.0)
-    traj = evolve_quantum(psi0, spec, t_final=1.0, dt=0.05)
     h = build_hamiltonian(spec)
     x_cm = cm_operators_numeric(spec.modes)[0]
-    report = ehrenfest_residual(traj, h, x_cm)
-    assert report.max_residual < 1e-8
+    rows = sampled_rows(_eig_samples, h, psi0, 0.05, 20, spec.hbar)
+    assert ehrenfest_residual(rows, 0.05, h, x_cm, spec.hbar) < 1e-8
 
 
 def test_ehrenfest_harmonic_richardson():
@@ -365,8 +434,8 @@ def test_ehrenfest_harmonic_richardson():
     x_cm = cm_operators_numeric(spec.modes)[0]
 
     def residual(dt):
-        traj = evolve_quantum(psi0, spec, t_final=1.6, dt=dt)
-        return ehrenfest_residual(traj, h, x_cm).max_residual
+        rows = sampled_rows(_eig_samples, h, psi0, dt, round(1.6 / dt), spec.hbar)
+        return ehrenfest_residual(rows, dt, h, x_cm, spec.hbar)
 
     r1, r2 = residual(0.04), residual(0.02)
     assert 3.2 <= r1 / r2 <= 4.8  # second-order central difference
@@ -381,8 +450,8 @@ def test_ehrenfest_quartic_squared_observable():
     x_sq = SparseOperator(x_cm.mode_dims, [(x_sq + x_sq.getH()) * 0.5], hermitian=True)
 
     def residual(dt):
-        traj = evolve_quantum(psi0, spec, t_final=1.6, dt=dt)
-        return ehrenfest_residual(traj, h, x_sq).max_residual
+        rows = sampled_rows(_eig_samples, h, psi0, dt, round(1.6 / dt), spec.hbar)
+        return ehrenfest_residual(rows, dt, h, x_sq, spec.hbar)
 
     r1, r2 = residual(0.04), residual(0.02)
     assert r1 > 0
@@ -533,9 +602,7 @@ def test_trajectory_csv_prints_weight_at_fixed_resolution():
 
     weights = (6.06459797909e-48, 4.9e-16, 5.1e-16, 1.234567891234e-7, 0.0)
     traj = Trajectory(times=(0.0, 1.0, 2.0, 3.0, 4.0), records=tuple(map(record, weights)),
-                      energies=(0.5,) * 5, norms=(1.0,) * 5,
-                      amplitudes=np.zeros((5, 0), dtype=np.complex128), hbar=1.0,
-                      total_mass=1.0)
+                      energies=(0.5,) * 5, norms=(1.0,) * 5, total_mass=1.0)
     printed = [line.split(",")[-1] for line in trajectory_csv(traj).splitlines()[1:]]
     assert printed == ["0", "0", "1e-15", "1.23456789e-07", "0"]
 
