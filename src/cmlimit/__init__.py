@@ -38,7 +38,6 @@ from .ccr_algebra import (
     symbol_map,
 )
 from .dynamics import (
-    ClassicalState,
     DeviationReport,
     HamiltonianSpec,
     NormDriftError,

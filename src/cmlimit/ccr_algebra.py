@@ -722,19 +722,13 @@ class SymbolPolynomial(_TermStore):
         return render_symbol(self)
 
 
-def symbol_map(f: NCPolynomial, eps_cutoff: int | None = None) -> SymbolPolynomial:
+def symbol_map(f: NCPolynomial) -> SymbolPolynomial:
     """Classical symbol of a normal-ordered polynomial.
 
     Generators are made to commute on the normal-ordered form, so the term
-    map carries over unchanged; terms with eps_exp >= eps_cutoff (when given)
-    are discarded.
+    map carries over unchanged.
     """
-    terms = {}
-    for mono, coeff in f.terms.items():
-        if eps_cutoff is not None and mono.eps_exp >= eps_cutoff:
-            continue
-        terms[mono] = coeff
-    return SymbolPolynomial._raw(f.algebra, terms)
+    return SymbolPolynomial._raw(f.algebra, dict(f.terms))
 
 
 def lift(fs: SymbolPolynomial) -> NCPolynomial:

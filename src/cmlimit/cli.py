@@ -16,6 +16,7 @@ Flags override config-file values, which override built-in defaults.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import random
@@ -49,6 +50,7 @@ from .hilbert_rep import (
     DimensionCapError,
     ExcessiveTruncationError,
     ModeSpec,
+    _check_cap,
     cm_expectation_record,
     coherent_product,
     coherent_state,
@@ -553,12 +555,15 @@ def run_residuals(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult("residuals", (table,))
 
 
-def _modes(masses, dim: int, hbar: float, flags: str):
-    """One mode per mass; a scale out of the float range is an error naming ``flags``."""
+def _modes(n: int, mbar: float, dim: int, hbar: float):
+    """n equal modes.  A scale out of the float range names --mbar, --hbar; the
+    amplitude cap is checked from n and dim before the list of modes exists."""
     try:
-        return [ModeSpec(mass=m, dim=dim, hbar=hbar) for m in masses]
+        mode = ModeSpec(mass=mbar, dim=dim, hbar=hbar)
     except ValueError as exc:
-        raise ConfigError(f"{flags}: {exc}") from exc
+        raise ConfigError(f"--mbar, --hbar: {exc}") from exc
+    _check_cap(itertools.repeat(dim, n))
+    return [mode] * n
 
 
 def run_uncertainty(config: ExperimentConfig) -> ExperimentResult:
@@ -570,7 +575,7 @@ def run_uncertainty(config: ExperimentConfig) -> ExperimentResult:
     rows = []
     exit_code = 0
     for n in config["N"]:
-        modes = _modes([mbar] * n, dim, hbar, "--mbar, --hbar")
+        modes = _modes(n, mbar, dim, hbar)
         bound = hbar / (2.0 * n * mbar)
         try:
             psi = coherent_product(modes, [config["x0"]] * n, [config["p0"] / n] * n)
@@ -596,13 +601,11 @@ def _trajectory_table(traj) -> Table:
     decimal places: below that it is propagator round-off, whose digits change
     with the BLAS thread count and the eigensolver.  The gate in
     ``evolve_quantum`` compares the raw weight."""
-    rows = tuple(
-        tuple(_fmt(v) for v in (t, r.x_cm, r.v_cm, r.dx, r.dv, e, n,
-                                round(r.truncation_weight, TRUNC_WEIGHT_DECIMALS)))
-        for t, r, e, n in zip(traj.times, traj.records, traj.energies, traj.norms)
-    )
+    columns = (traj.times, traj.x_cm, traj.v_cm, traj.dx, traj.dv, traj.energy, traj.norm)
+    weights = [round(w, TRUNC_WEIGHT_DECIMALS) for w in traj.trunc_weight.tolist()]
+    rows = zip(*(c.tolist() for c in columns), weights)
     return Table("quantum", ("t", "x_cm", "v_cm", "dx", "dv", "energy", "norm", "trunc_weight"),
-                 rows)
+                 tuple(tuple(map(_fmt, row)) for row in rows))
 
 
 def run_evolve(config: ExperimentConfig) -> ExperimentResult:
@@ -621,7 +624,8 @@ def run_evolve(config: ExperimentConfig) -> ExperimentResult:
     try:
         try:
             classical = evolve_classical(potential, total_mass, x0, p0, t_final, dt)
-            finite = all(math.isfinite(s.x) and math.isfinite(s.p) for _, s in classical)
+            times, xs, ps = (column.tolist() for column in classical)
+            finite = all(map(math.isfinite, xs + ps))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         except OverflowError:
@@ -631,7 +635,7 @@ def run_evolve(config: ExperimentConfig) -> ExperimentResult:
                               "leaves the floating-point range")
         tables.append(Table(
             "classical", ("t", "x", "p"),
-            tuple(tuple(_fmt(v) for v in (t, s.x, s.p)) for t, s in classical),
+            tuple(tuple(map(_fmt, row)) for row in zip(times, xs, ps)),
         ))
         if config["model"] == "effective":
             try:
@@ -643,11 +647,13 @@ def run_evolve(config: ExperimentConfig) -> ExperimentResult:
             except DimensionCapError as exc:  # the one CM mode holds all --dim levels
                 raise ConfigError(f"--dim: {exc}") from exc
         else:
-            modes = _modes([mbar] * n, config["dim"], hbar, "--mbar, --hbar")
+            modes = _modes(n, mbar, config["dim"], hbar)
             psi0 = coherent_product(modes, [x0] * n, [p0 / n] * n)
         spec = HamiltonianSpec(modes=tuple(modes), potential=potential)
         try:
             traj = evolve_quantum(psi0, spec, t_final, dt)
+        except OverflowError as exc:  # a power of X_CM in U, or H itself
+            raise ConfigError(f"--potential, --N, --mbar, --hbar, --dim: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         tables.insert(0, _trajectory_table(traj))

@@ -15,7 +15,9 @@ are applied mode by mode to all rows of a block at once
 (:mod:`cmlimit.hilbert_rep`).  Norm drift is measured, never corrected --
 silent renormalization would hide a propagation failure.  The classical
 twin integrates Hamilton's equations xdot = p/M, pdot = -U'(x) with classic
-4th-order steps on the same time grid.
+4th-order steps on the same time grid.  Both runs are kept as columns: every
+sampled quantity, quantum or classical, is a 1-D array with one entry per
+sample time, from the stacked evaluation to the CLI's tables.
 
 When the Hamiltonian depends only on CM variables the CM sector factorizes
 exactly, so ``effective_cm_system`` (a single mode of mass N*mbar) carries
@@ -49,7 +51,7 @@ from .hilbert_rep import (
 
 EIG_DIMENSION_LIMIT = 2048
 SAMPLE_BLOCK_AMPLITUDES = 2**16  # amplitudes evaluated together; one row above it
-MAX_STEPS = 100_000  # every step is a sample, kept as a record and a CSV row
+MAX_STEPS = 100_000  # every step is a sample, kept as a column entry and a CSV row
 NORM_DRIFT_LIMIT = 1e-8
 
 
@@ -140,10 +142,17 @@ class HamiltonianSpec:
         return self.modes[0].hbar
 
 
+def _check_finite(matrix, what: str) -> None:
+    if not np.isfinite(matrix.data).all():
+        raise OverflowError(f"{what} leaves the floating-point range")
+
+
 def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
     """Assemble the Hamiltonian matrix; real symmetric by construction.
 
     ``ops`` reuses the (X_CM, V_CM, P_TOT) triple of ``cm_operators_numeric``.
+    Raises OverflowError at the first power of X_CM that leaves the
+    floating-point range, or when H itself does.
     """
     x_cm, _, p_tot = ops if ops is not None else cm_operators_numeric(spec.modes)
     total_mass = spec.total_mass
@@ -153,17 +162,14 @@ def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
         powers = {0: power}
         for k in range(1, spec.potential.degree + 1):
             power = power @ x_cm.matrix
+            _check_finite(power, f"power {k} of X_CM")
             powers[k] = power
-        for k, c in spec.potential.terms:
-            h = h + float(c) * powers[k]
+        with np.errstate(over="ignore"):  # an overflowing term is refused below
+            for k, c in spec.potential.terms:
+                h = h + float(c) * powers[k]
+    _check_finite(h, "the Hamiltonian")
     h = (h + h.getH()) * 0.5  # scrub rounding asymmetry from the sparse products
     return SparseOperator(x_cm.mode_dims, [h], hermitian=True)
-
-
-@dataclass(frozen=True)
-class ClassicalState:
-    x: float
-    p: float
 
 
 def _step_count(t_final: float, dt: float) -> int:
@@ -184,9 +190,9 @@ def evolve_classical(potential: PolynomialPotential, total_mass: float,
                      x0: float, p0: float, t_final: float, dt: float):
     """Integrate Hamilton's equations with classic 4th-order steps.
 
-    Returns ``[(t, ClassicalState), ...]`` for t = 0, dt, ..., t_final; like
-    :func:`evolve_quantum` it raises ValueError unless t_final is a whole
-    number of steps, at most MAX_STEPS.
+    Returns the arrays ``(t, x, p)``, one entry per t = 0, dt, ..., t_final;
+    like :func:`evolve_quantum` it raises ValueError unless t_final is a
+    whole number of steps, at most MAX_STEPS.
     """
     n_steps = _step_count(t_final, dt)
     # float coefficients: a Fraction times a float is float(c) * x, so the
@@ -207,50 +213,37 @@ def evolve_classical(potential: PolynomialPotential, total_mass: float,
             p + h / 6.0 * (dp1 + 2.0 * dp2 + 2.0 * dp3 + dp4),
         )
 
-    out = [(0.0, ClassicalState(float(x0), float(p0)))]
-    x, p = float(x0), float(p0)
-    for k in range(n_steps):
-        x, p = step(x, p, dt)
-        out.append(((k + 1) * dt, ClassicalState(x, p)))
-    return out
+    xs, ps = [float(x0)], [float(p0)]
+    for _ in range(n_steps):
+        x, p = step(xs[-1], ps[-1], dt)
+        xs.append(x)
+        ps.append(p)
+    return dt * np.arange(n_steps + 1), np.array(xs), np.array(ps)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled quantum run: times, CM records and energy/norm bookkeeping (no amplitudes)."""
+    """Sampled quantum run as columns, one 1-D array entry per sample time (no amplitudes)."""
 
-    times: tuple
-    records: tuple
-    energies: tuple
-    norms: tuple
+    times: np.ndarray
+    x_cm: np.ndarray
+    v_cm: np.ndarray
+    dx: np.ndarray
+    dv: np.ndarray
+    energy: np.ndarray
+    norm: np.ndarray
+    trunc_weight: np.ndarray
     total_mass: float
 
     @property
-    def x_cm(self) -> np.ndarray:
-        return np.array([r.x_cm for r in self.records])
-
-    @property
-    def v_cm(self) -> np.ndarray:
-        return np.array([r.v_cm for r in self.records])
-
-    @property
-    def dx(self) -> np.ndarray:
-        return np.array([r.dx for r in self.records])
-
-    @property
-    def dv(self) -> np.ndarray:
-        return np.array([r.dv for r in self.records])
-
-    @property
     def norm_drift(self) -> float:
-        return max(abs(n - 1.0) for n in self.norms)
+        return float(np.max(np.abs(self.norm - 1.0)))
 
     @property
     def energy_drift(self) -> float:
         """Maximum relative drift of <H> over the run."""
-        e0 = self.energies[0]
-        scale = max(abs(e0), 1e-30)
-        return max(abs(e - e0) for e in self.energies) / scale
+        e0 = self.energy[0]
+        return float(np.max(np.abs(self.energy - e0)) / max(abs(e0), 1e-30))
 
 
 def _rows_per_block(dim: int) -> int:
@@ -311,7 +304,8 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     propagator is exact and unitary: a dense real eigendecomposition of each
     block of H up to total dimension 2048, ``expm_multiply`` on the sparse H
     above it.  The samples are evaluated block by block as the propagator
-    yields them, and only their records, energies and norms are kept.
+    yields them, and only their columns of CM observables, energy, norm and
+    truncation weight are kept.
     Raises, for the first sample that fails a gate, NormDriftError when
     |norm - 1| reaches 1e-8 (never renormalizes), else
     ExcessiveTruncationError when it exceeds the truncation gate.
@@ -322,27 +316,19 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     if psi0.mode_dims != h.mode_dims:
         raise ValueError("initial state does not match the Hamiltonian's modes")
 
-    sample_times = [k * dt for k in range(n_steps + 1)]
+    times = dt * np.arange(n_steps + 1)
     propagate = _eig_samples if h.dim <= EIG_DIMENSION_LIMIT else _expm_samples
-    records, energies, norms = [], [], []
+    blocks, start = [], 0
     for block in propagate(h, psi0.amplitudes, dt, n_steps, spec.hbar):
-        start = len(norms)
         # np.linalg.norm's arithmetic, row by row
-        block_norms = np.sqrt(np.vecdot(block.real, block.real)
-                              + np.vecdot(block.imag, block.imag))
+        norms = np.sqrt(np.vecdot(block.real, block.real) + np.vecdot(block.imag, block.imag))
         weights = truncation_weights(block, psi0.mode_dims)
-        _check_gates(sample_times[start:start + len(block)], block_norms, weights)
-        records += cm_expectation_records(block, ops, weights)
-        energies += expectation(h, block).real.tolist()
-        norms += block_norms.tolist()
-
-    return Trajectory(
-        times=tuple(sample_times),
-        records=tuple(records),
-        energies=tuple(energies),
-        norms=tuple(norms),
-        total_mass=spec.total_mass,
-    )
+        _check_gates(times[start:start + len(block)], norms, weights)
+        rec = cm_expectation_records(block, ops, weights)
+        blocks.append((rec.x_cm, rec.v_cm, rec.dx, rec.dv, expectation(h, block).real,
+                       norms, weights))
+        start += len(block)
+    return Trajectory(times, *map(np.concatenate, zip(*blocks)), total_mass=spec.total_mass)
 
 
 def _check_gates(times, norms: np.ndarray, weights: np.ndarray) -> None:
@@ -371,25 +357,23 @@ class DeviationReport:
 
 
 def compare_trajectories(traj: Trajectory, classical) -> DeviationReport:
-    """Deviations |<X_CM>(t) - x_c(t)| and |<V_CM>(t) - p_c(t)/M| on one time grid.
+    """Deviations |<X_CM>(t) - x_c(t)| and |<V_CM>(t) - p_c(t)/M| on one time grid,
+    column against column.
 
-    The classical list must sample the quantum times one for one (within
-    1e-9), as ``evolve_classical`` on the same t_final and dt does, or
-    TimeGridMismatchError is raised.
+    ``classical`` is the ``(t, x, p)`` of ``evolve_classical``; its times
+    must be the quantum times one for one (within 1e-9), as on the same
+    t_final and dt, or TimeGridMismatchError is raised.
     """
-    grid = [t for t, _ in classical]
+    grid, x, p = classical
     if len(grid) != len(traj.times) or not np.allclose(grid, traj.times, rtol=0, atol=1e-9):
         raise TimeGridMismatchError("the classical samples are not on the quantum time grid")
-    inv_m = 1.0 / traj.total_mass
-    dx_list, dv_list = [], []
-    for rec, (_, state) in zip(traj.records, classical):
-        dx_list.append(abs(rec.x_cm - state.x))
-        dv_list.append(abs(rec.v_cm - state.p * inv_m))
+    dx = np.abs(traj.x_cm - x)
+    dv = np.abs(traj.v_cm - p * (1.0 / traj.total_mass))
     return DeviationReport(
-        max_x_deviation=max(dx_list),
-        max_v_deviation=max(dv_list),
-        final_x_deviation=dx_list[-1],
-        final_v_deviation=dv_list[-1],
+        max_x_deviation=float(dx.max()),
+        max_v_deviation=float(dv.max()),
+        final_x_deviation=float(dx[-1]),
+        final_v_deviation=float(dv[-1]),
     )
 
 
@@ -416,4 +400,4 @@ def gaussian_spreading(n: int, mbar: float, t: float) -> float:
     if t == 0:
         return cm_expectation_record(psi0, modes).dx
     traj = evolve_quantum(psi0, spec, t_final=t, dt=t)
-    return traj.records[-1].dx
+    return float(traj.dx[-1])

@@ -16,9 +16,9 @@ assembled only when read (for the Hamiltonian and the symbolic-algebra
 bridge).  A general matrix -- a single-mode X or P, H, a polynomial image --
 is the one-factor case.  An (S, D) stack of amplitude rows is applied and
 evaluated in one pass: the row index is one more leading axis of the
-tensor, and :func:`cm_expectation_records` and :func:`truncation_weights`
-give every row's record and weight, with the one-state functions their
-one-row case.
+tensor: :func:`cm_expectation_records` gives one record whose fields are
+columns, one entry per row, and :func:`truncation_weights` one weight per
+row; the one-state functions are their one-row case.
 """
 
 from __future__ import annotations
@@ -364,7 +364,8 @@ def truncation_weight(psi: StateVector) -> float:
 
 @dataclass(frozen=True)
 class ExpectationRecord:
-    """CM observables of one state: means, widths, commutator and gates."""
+    """CM observables: means, widths, commutator and gates; Python scalars for
+    one state, 1-D arrays with one entry per row for an amplitude stack."""
 
     x_cm: float
     v_cm: float
@@ -375,11 +376,11 @@ class ExpectationRecord:
     truncation_weight: float
 
 
-def cm_expectation_records(amplitudes: np.ndarray, ops, weights) -> list:
-    """The ExpectationRecord of every row of an (S, D) amplitude stack.
+def cm_expectation_records(amplitudes: np.ndarray, ops, weights) -> ExpectationRecord:
+    """The record of an (S, D) amplitude stack: one record of columns, one entry per row.
 
     ``ops`` is the (X_CM, V_CM, P_TOT) triple of ``cm_operators_numeric``
-    and ``weights`` the rows' ``truncation_weights``.  Each row's fields are
+    and ``weights`` the rows' ``truncation_weights``.  Each row's entries are
     the same arithmetic as for that row alone.
     """
     x_cm, v_cm, _ = ops
@@ -390,7 +391,7 @@ def cm_expectation_records(amplitudes: np.ndarray, ops, weights) -> list:
     x_dev = x_psi - x_mean[:, None] * amplitudes
     v_dev = v_psi - v_mean[:, None] * amplitudes
     xv = np.vecdot(x_psi, v_psi)
-    fields = (
+    return ExpectationRecord(
         x_mean.real,
         v_mean.real,
         np.sqrt(np.maximum(np.vecdot(x_dev, x_dev).real, 0.0)),
@@ -399,16 +400,16 @@ def cm_expectation_records(amplitudes: np.ndarray, ops, weights) -> list:
         np.abs(xv - x_mean * v_mean),
         weights,
     )
-    return [ExpectationRecord(*row) for row in zip(*(f.tolist() for f in fields))]
 
 
 def cm_expectation_record(psi: StateVector, system) -> ExpectationRecord:
-    """The record of one state: the one-row case of :func:`cm_expectation_records`."""
+    """The record of one state, in Python scalars: row 0 of :func:`cm_expectation_records`."""
     ops = cm_operators_numeric(system)
     if psi.mode_dims != ops[0].mode_dims:
         raise ValueError("state and operator act on different mode layouts")
     rows = psi.amplitudes[None]
-    return cm_expectation_records(rows, ops, truncation_weights(rows, psi.mode_dims))[0]
+    columns = cm_expectation_records(rows, ops, truncation_weights(rows, psi.mode_dims))
+    return ExpectationRecord(*(column[0].item() for column in vars(columns).values()))
 
 
 def commutator_expectation(psi: StateVector, system) -> complex:

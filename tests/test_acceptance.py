@@ -206,7 +206,7 @@ def test_criterion_7_ehrenfest_exactness_harmonic():
     psi0 = coherent_state(modes[0], 1.0, 0.0)
     steps = 800
     traj = evolve_quantum(psi0, spec, t_final=4 * math.pi, dt=4 * math.pi / steps)
-    worst = max(abs(r.x_cm - math.cos(t)) for t, r in zip(traj.times, traj.records))
+    worst = max(abs(x - math.cos(t)) for t, x in zip(traj.times, traj.x_cm))
     ok = worst < 1e-6 and traj.norm_drift < 1e-8
     report(7, f"harmonic <X_CM>(t) tracks cos t within 1e-6 over [0,4pi] (worst {worst:.2e})",
            ok, 30.0, time.perf_counter() - start)

@@ -309,11 +309,6 @@ def test_symbol_map_termwise():
     assert symbol_map(g) == SymbolPolynomial(ALG, dict(g.terms))
 
 
-def test_symbol_map_cutoff():
-    s = symbol_map(commutator(X**2, V**2), eps_cutoff=2)
-    assert render_symbol(s) == "4*i*hbar*eps*x*v"
-
-
 def test_symbol_map_is_multiplicative_to_first_order():
     rng = random.Random(29)
     for _ in range(10):

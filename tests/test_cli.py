@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -272,6 +273,19 @@ def test_nonpositive_flag_is_config_error(capsys, argv, flag):
     (("residuals", "--max-degree", "2", "--hbar", "1e300"), "--hbar"),  # hbar^2
     (("evolve", "--potential", "x^20", "--mbar", "1e-300", "--p0", "-1", "--model", "full"),
      "--potential, --x0, --p0, --mbar"),  # x^19 overflows in the classical twin
+    # a power of X_CM overflows while the twin stays finite: 303 of 400 at d = 64,
+    # 171 at d = 2100 (the expm_multiply path), 3 when the mass puts X_CM near 1e150
+    (("evolve", "--potential", "x^400", "--x0", "0.5", "--dim", "64", "--t", "0.1",
+      "--dt", "0.1"), "--potential, --N, --mbar, --hbar, --dim"),
+    (("evolve", "--potential", "x^400", "--x0", "0.5", "--dim", "2100", "--t", "0.01",
+      "--dt", "0.01"), "--potential, --N, --mbar, --hbar, --dim"),
+    (("evolve", "--potential", "x^20", "--mbar", "1e-300", "--x0", "0", "--p0", "0",
+      "--dim", "16", "--t", "0.1", "--dt", "0.1"), "--potential, --N, --mbar, --hbar, --dim"),
+    (("evolve", "--potential", "x^100000", "--x0", "0", "--dim", "8"),
+     "--potential, --N, --mbar, --hbar, --dim"),  # stops at power 661, not 100000
+    # every power is finite, the coefficient times X_CM^4 is not
+    (("evolve", "--potential", "1" + "0" * 305 + "*x^4", "--x0", "0", "--p0", "0", "--dim", "64",
+      "--t", "0.1", "--dt", "0.1"), "--potential, --N, --mbar, --hbar, --dim"),
 ])
 def test_float_range_is_config_error(capsys, argv, flag):
     _assert_flag_config_error(capsys, argv, flag)
@@ -295,6 +309,21 @@ def test_evolve_step_limit(capsys):
 def test_amplitude_cap_names_n_and_dim(capsys, argv):
     err = _assert_flag_config_error(capsys, argv, "--N, --dim")
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("argv", [
+    ("uncertainty", "--N", "1000000", "--dim", "2"),
+    ("evolve", "--model", "full", "--N", "1000000", "--dim", "2"),
+])
+def test_amplitude_cap_is_checked_before_the_modes_exist(capsys, argv):
+    # a million modes once took 4 s and 200 MB before the cap refused them
+    tracemalloc.start()
+    try:
+        _assert_flag_config_error(capsys, argv, "--N, --dim")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("dim", [str(10**30), str(2**20 + 1)])
@@ -336,11 +365,19 @@ def test_algebra_commands_are_byte_identical(capsys, argv, md5):
     (("--potential", "0.5*x^2", "--N", "3", "--model", "full", "--dim", "10", "--t", "1",
       "--dt", "0.01", "--x0", "0.3", "--p0", "0.05"),
      "50becc3ddeb7309e87c13654fdfdfe77"),
-], ids=["harmonic-5-row-blocks", "double-well-parity-blocks", "full-model"])
+    # dimension 2116, past the dense limit: the expm_multiply path
+    (("--potential", "0.5*x^2", "--model", "full", "--N", "2", "--dim", "46", "--t", "0.1",
+      "--dt", "0.01", "--x0", "0.3", "--p0", "0.05"),
+     "7e3aa4079e1b98ae7e3dea965a324215"),
+    (("--potential", "0.5*x^2", "--model", "full", "--N", "2", "--dim", "12", "--t", "1",
+      "--dt", "0.05", "--x0", "0.3", "--p0", "0.05", "--format", "json"),
+     "b05393c5299b5bfbbddd0bc6a131507f"),
+], ids=["harmonic-5-row-blocks", "double-well-parity-blocks", "full-model",
+        "full-model-expm-multiply", "full-model-json"])
 def test_evolve_commands_are_byte_identical(argv, md5):
     # pinned stdout of evolve runs whose samples span several row blocks, and
-    # of a full-model run; one BLAS thread, because LAPACK's eigh rounds
-    # differently under two
+    # of full-model runs on both propagators and in JSON; one BLAS thread,
+    # because LAPACK's eigh rounds differently under two
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

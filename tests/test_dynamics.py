@@ -35,7 +35,6 @@ from cmlimit.dynamics import (
 from cmlimit.hilbert_rep import (
     DimensionCapError,
     ExcessiveTruncationError,
-    ExpectationRecord,
     ModeSpec,
     SparseOperator,
     StateVector,
@@ -184,8 +183,8 @@ def test_harmonic_return_after_period():
     psi0 = coherent_state(spec.modes[0], 1.0, 0.0)
     n = 128
     traj = evolve_quantum(psi0, spec, t_final=2 * math.pi, dt=2 * math.pi / n)
-    assert abs(traj.records[-1].x_cm - 1.0) < 1e-6
-    errors = [abs(r.x_cm - math.cos(t)) for t, r in zip(traj.times, traj.records)]
+    assert abs(traj.x_cm[-1] - 1.0) < 1e-6
+    errors = [abs(x - math.cos(t)) for t, x in zip(traj.times, traj.x_cm)]
     assert max(errors) < 1e-6
 
 
@@ -252,7 +251,7 @@ def test_evolve_quantum_matches_dense_exponential(spec, split, monkeypatch):
         assert np.abs(rows[k] - exact).max() < 1e-10
         expected = cm_expectation_record(StateVector(psi0.mode_dims, exact), spec.modes)
         for field in ("x_cm", "v_cm", "dx", "dv"):
-            assert abs(getattr(traj.records[k], field) - getattr(expected, field)) < 1e-10
+            assert abs(getattr(traj, field)[k] - getattr(expected, field)) < 1e-10
 
 
 def test_gates_raise_at_the_first_failing_sample(monkeypatch):
@@ -320,38 +319,34 @@ def test_time_grid_validation():
 
 def test_classical_free_is_straight_line():
     out = evolve_classical(FREE, 2.0, 1.0, 1.0, 1.0, 0.05)
-    for t, state in out:
-        assert state.x == pytest.approx(1.0 + 0.5 * t, abs=1e-14)
-        assert state.p == 1.0
+    for t, x, p in zip(*out):
+        assert x == pytest.approx(1.0 + 0.5 * t, abs=1e-14)
+        assert p == 1.0
 
 
 def test_classical_harmonic_ellipse():
-    out = evolve_classical(harmonic(1.0), 1.0, 1.0, 0.0, 2 * math.pi, 2 * math.pi / 6284)
-    t_end, final = out[-1]
-    assert t_end == pytest.approx(2 * math.pi, abs=1e-12)
-    assert abs(final.x - 1.0) < 1e-9
-    assert abs(final.p) < 1e-9
-    for t, s in out[:: len(out) // 7]:
-        assert abs(s.x - math.cos(t)) < 1e-9
-        assert abs(s.p + math.sin(t)) < 1e-9
+    t, x, p = evolve_classical(harmonic(1.0), 1.0, 1.0, 0.0, 2 * math.pi, 2 * math.pi / 6284)
+    assert t[-1] == pytest.approx(2 * math.pi, abs=1e-12)
+    assert abs(x[-1] - 1.0) < 1e-9
+    assert abs(p[-1]) < 1e-9
+    for k in range(0, len(t), len(t) // 7):
+        assert abs(x[k] - math.cos(t[k])) < 1e-9
+        assert abs(p[k] + math.sin(t[k])) < 1e-9
 
 
 def test_classical_velocity_consistency():
     # finite-difference xdot equals p/M along the run
-    out = evolve_classical(QUARTIC, 2.0, 1.0, 0.5, 1.0, 1e-3)
-    for k in range(1, len(out) - 1, 100):
-        t0, s0 = out[k - 1]
-        _, s1 = out[k]
-        t2, s2 = out[k + 1]
-        xdot = (s2.x - s0.x) / (t2 - t0)
-        assert abs(xdot - s1.p / 2.0) < 1e-6
+    t, x, p = evolve_classical(QUARTIC, 2.0, 1.0, 0.5, 1.0, 1e-3)
+    for k in range(1, len(t) - 1, 100):
+        xdot = (x[k + 1] - x[k - 1]) / (t[k + 1] - t[k - 1])
+        assert abs(xdot - p[k] / 2.0) < 1e-6
 
 
 def test_classical_integrator_order():
     def final_error(dt):
-        out = evolve_classical(QUARTIC, 1.0, 1.0, 0.0, 1.0, dt)
-        ref = evolve_classical(QUARTIC, 1.0, 1.0, 0.0, 1.0, dt / 16)
-        return abs(out[-1][1].x - ref[-1][1].x)
+        _, x, _ = evolve_classical(QUARTIC, 1.0, 1.0, 0.0, 1.0, dt)
+        _, ref, _ = evolve_classical(QUARTIC, 1.0, 1.0, 0.0, 1.0, dt / 16)
+        return abs(x[-1] - ref[-1])
 
     e1, e2 = final_error(0.02), final_error(0.01)
     exponent = math.log2(e1 / e2)
@@ -385,9 +380,10 @@ def _fraction_twin(potential, total_mass, x0, p0, t_final, dt):
 ], ids=["rational-quartic", "double-well"])
 def test_classical_twin_is_bit_identical_to_fraction_force(coeffs):
     potential = PolynomialPotential.from_coeffs(coeffs)
-    out = evolve_classical(potential, 3.0, 1.1, -0.15, 2.0, 0.01)
+    _, x, p = evolve_classical(potential, 3.0, 1.1, -0.15, 2.0, 0.01)
     assert isinstance(potential.coeffs[4], Fraction)
-    assert [(s.x, s.p) for _, s in out] == _fraction_twin(potential, 3.0, 1.1, -0.15, 2.0, 0.01)
+    assert list(zip(x.tolist(), p.tolist())) == _fraction_twin(potential, 3.0, 1.1, -0.15,
+                                                                2.0, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -591,18 +587,14 @@ def test_trajectory_csv_contract():
     assert final[0] == "1"
     assert final[1] == "1.5"
     # 12 significant digits
-    assert float(final[3]) == pytest.approx(traj.records[-1].dx, rel=1e-11)
+    assert float(final[3]) == pytest.approx(traj.dx[-1], rel=1e-11)
 
 
 def test_trajectory_csv_prints_weight_at_fixed_resolution():
-    def record(weight):
-        return ExpectationRecord(x_cm=0.0, v_cm=0.0, dx=1.0, dv=1.0,
-                                 commutator_expectation=1j, factorization_residual=0.5,
-                                 truncation_weight=weight)
-
-    weights = (6.06459797909e-48, 4.9e-16, 5.1e-16, 1.234567891234e-7, 0.0)
-    traj = Trajectory(times=(0.0, 1.0, 2.0, 3.0, 4.0), records=tuple(map(record, weights)),
-                      energies=(0.5,) * 5, norms=(1.0,) * 5, total_mass=1.0)
+    weights = np.array([6.06459797909e-48, 4.9e-16, 5.1e-16, 1.234567891234e-7, 0.0])
+    ones = np.ones(5)
+    traj = Trajectory(times=np.arange(5.0), x_cm=0 * ones, v_cm=0 * ones, dx=ones, dv=ones,
+                      energy=0.5 * ones, norm=ones, trunc_weight=weights, total_mass=1.0)
     printed = [line.split(",")[-1] for line in trajectory_csv(traj).splitlines()[1:]]
     assert printed == ["0", "0", "1e-15", "1.23456789e-07", "0"]
 
