@@ -456,6 +456,11 @@ def _fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
+def _float_rows(*columns) -> tuple:
+    """Rows of the ``_fmt`` text of float columns (lists), formatted column by column."""
+    return tuple(zip(*([format(v, ".12g") for v in column] for column in columns)))
+
+
 def run_scaling(config: ExperimentConfig) -> ExperimentResult:
     try:
         if config["masses"] is not None:
@@ -603,9 +608,8 @@ def _trajectory_table(traj) -> Table:
     ``evolve_quantum`` compares the raw weight."""
     columns = (traj.times, traj.x_cm, traj.v_cm, traj.dx, traj.dv, traj.energy, traj.norm)
     weights = [round(w, TRUNC_WEIGHT_DECIMALS) for w in traj.trunc_weight.tolist()]
-    rows = zip(*(c.tolist() for c in columns), weights)
     return Table("quantum", ("t", "x_cm", "v_cm", "dx", "dv", "energy", "norm", "trunc_weight"),
-                 tuple(tuple(map(_fmt, row)) for row in rows))
+                 _float_rows(*(c.tolist() for c in columns), weights))
 
 
 def run_evolve(config: ExperimentConfig) -> ExperimentResult:
@@ -635,7 +639,7 @@ def run_evolve(config: ExperimentConfig) -> ExperimentResult:
                               "leaves the floating-point range")
         tables.append(Table(
             "classical", ("t", "x", "p"),
-            tuple(tuple(map(_fmt, row)) for row in zip(times, xs, ps)),
+            _float_rows(times, xs, ps),
         ))
         if config["model"] == "effective":
             try:

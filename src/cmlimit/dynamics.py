@@ -5,13 +5,14 @@ identical to the Heisenberg-picture statement) with the exact unitary
 exp(-iHt/hbar): H is real symmetric, diagonalized densely (LAPACK's
 divide-and-conquer ``evd`` driver) up to total dimension 2048 and applied
 as a sparse matrix-exponential action above that.  The dense path runs one
-``eigh`` per connected block of H's sparsity graph: an even potential never
-couples basis states of opposite parity, so its H splits at least into the
-two parity sectors.  H is the one operator assembled as a composite sparse
-matrix.  The propagators yield the samples as blocks of amplitude rows of
-about 2^16 amplitudes each, and every block is evaluated and dropped before
-the next is formed, so a run never holds all its rows: the CM observables
-are applied mode by mode to all rows of a block at once
+``eigh`` per parity sector when H couples no basis states of opposite total
+level parity, as for every even potential (checked on H's entries), else
+one ``eigh`` of all of H, and forms each block of samples by one real GEMM
+with the real eigenvectors.  H is the one operator assembled as a
+composite sparse matrix.  The propagators yield the samples as blocks of
+amplitude rows of about 2^16 amplitudes each, and every block is evaluated
+and dropped before the next is formed, so a run never holds all its rows:
+the CM observables are applied mode by mode to all rows of a block at once
 (:mod:`cmlimit.hilbert_rep`).  Norm drift is measured, never corrected --
 silent renormalization would hide a propagation failure.  The classical
 twin integrates Hamilton's equations xdot = p/M, pdot = -U'(x) with classic
@@ -152,7 +153,8 @@ def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
 
     ``ops`` reuses the (X_CM, V_CM, P_TOT) triple of ``cm_operators_numeric``.
     Raises OverflowError at the first power of X_CM that leaves the
-    floating-point range, or when H itself does.
+    floating-point range, or when H itself does.  The powers stop at the
+    first one that is the zero matrix; the terms above it are zero.
     """
     x_cm, _, p_tot = ops if ops is not None else cm_operators_numeric(spec.modes)
     total_mass = spec.total_mass
@@ -164,9 +166,12 @@ def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
             power = power @ x_cm.matrix
             _check_finite(power, f"power {k} of X_CM")
             powers[k] = power
+            if not power.nnz:  # underflowed to zero, and so is every higher power
+                break
         with np.errstate(over="ignore"):  # an overflowing term is refused below
             for k, c in spec.potential.terms:
-                h = h + float(c) * powers[k]
+                if k in powers:
+                    h = h + float(c) * powers[k]
     _check_finite(h, "the Hamiltonian")
     h = (h + h.getH()) * 0.5  # scrub rounding asymmetry from the sparse products
     return SparseOperator(x_cm.mode_dims, [h], hermitian=True)
@@ -256,20 +261,23 @@ def _eig_samples(h: SparseOperator, psi0: np.ndarray, dt: float, n_steps: int,
     """Yield the rows exp(-iH k dt/hbar) psi0, k = 0..n_steps, in blocks of
     ``_rows_per_block`` rows, from real divide-and-conquer eighs.
 
-    H is block-diagonal over the connected components of its sparsity graph
-    (the two parity sectors of an even potential), so each block is
-    diagonalized on its own and fills its own columns of the rows.  The split
-    is exact; an H with one component is one block.  All eighs run before
-    the first rows are formed.
+    When no stored entry of H couples basis states of opposite total level
+    parity (every even potential, on either model), H is block-diagonal over
+    the two parity sectors, and each is diagonalized on its own and fills its
+    own columns of the rows; otherwise H is one block.  The split is checked
+    on H itself and is exact.  All eighs run before the first rows are
+    formed.  A block's rows are one real GEMM: the real eigenvectors times
+    the interleaved real and imaginary parts of the phased coefficients.
     """
-    # imported here: csgraph costs every process ~5 ms and ~1 MB to load
-    from scipy.sparse.csgraph import connected_components
-
     real = h.matrix.real
-    n_blocks, labels = connected_components(real, directed=False)
+    parity = np.indices(h.mode_dims).sum(axis=0).ravel() % 2
+    entries = real.tocoo()
+    if (parity[entries.row] != parity[entries.col]).any():
+        sectors = [np.arange(h.dim)]
+    else:
+        sectors = [np.flatnonzero(parity == p) for p in (0, 1)]
     spectra = []
-    for block in range(n_blocks):
-        index = np.flatnonzero(labels == block)
+    for index in sectors:
         evals, evecs = scipy.linalg.eigh(real[index][:, index].toarray(), driver="evd")
         spectra.append((index, evals, evecs, evecs.T @ psi0[index]))
     step = _rows_per_block(h.dim)
@@ -277,7 +285,9 @@ def _eig_samples(h: SparseOperator, psi0: np.ndarray, dt: float, n_steps: int,
         times = dt * np.arange(start, min(start + step, n_steps + 1))
         rows = np.empty((len(times), h.dim), dtype=np.complex128)
         for index, evals, evecs, coeffs in spectra:
-            rows[:, index] = (np.exp(np.outer(times, evals) * (-1j / hbar)) * coeffs) @ evecs.T
+            # C-contiguous (b, S): its float64 view is (b, 2S), re and im interleaved
+            phased = np.exp(np.outer(evals, times) * (-1j / hbar)) * coeffs[:, None]
+            rows[:, index] = (evecs @ phased.view(np.float64)).view(np.complex128).T
         yield rows
 
 

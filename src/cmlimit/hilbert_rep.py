@@ -94,13 +94,16 @@ class SparseOperator:
 
     def __init__(self, mode_dims, factors, hermitian=False):
         mode_dims = tuple(int(d) for d in mode_dims)
-        factors = tuple(sp.csr_matrix(f, dtype=np.complex128) for f in factors)
+        # a factor object passed for several modes is converted and checked once
+        distinct = {id(f): f for f in factors}
+        converted = {key: sp.csr_matrix(f, dtype=np.complex128) for key, f in distinct.items()}
+        factors = tuple(converted[id(f)] for f in factors)
         if any(f.shape[0] != f.shape[1] for f in factors) or (
                 math.prod(f.shape[0] for f in factors) != math.prod(mode_dims)):
             raise ValueError(f"factor shapes {[f.shape for f in factors]} do not match "
                              f"dims {mode_dims}")
         if hermitian:
-            for f in factors:
+            for f in converted.values():
                 defect = f - f.getH()
                 if defect.nnz and abs(defect).max() > HERMITIAN_TOLERANCE:
                     raise ValueError("operator marked Hermitian is not (within 1e-12)")
@@ -230,6 +233,7 @@ def cm_operators_numeric(system):
     here; ``apply`` works mode by mode, and ``.matrix`` folds the factors
     with ``scipy.sparse.kronsum`` when read.  Every entry of the assembled
     matrix is a single product w_k * A_k[i, j]: the modes' terms never overlap.
+    Equal modes share their factor objects, built once.
     """
     system = list(system)
     if not system:
@@ -237,11 +241,15 @@ def cm_operators_numeric(system):
     total_mass = sum(m.mass for m in system)
     dims = tuple(m.dim for m in system)
     _check_cap(dims)
-    x_factors = [(m.mass / total_mass) * position_op(m).matrix for m in system]
-    p_factors = [momentum_op(m).matrix for m in system]
+    weighted = {}  # equal modes share one (X, P, V) factor triple
+    for m in system:
+        if m not in weighted:
+            p = momentum_op(m).matrix
+            weighted[m] = ((m.mass / total_mass) * position_op(m).matrix, p, p / total_mass)
+    x_factors, p_factors, v_factors = zip(*(weighted[m] for m in system))
     x_cm = SparseOperator(dims, x_factors, hermitian=True)
     p_tot = SparseOperator(dims, p_factors, hermitian=True)
-    v_cm = SparseOperator(dims, [p / total_mass for p in p_factors], hermitian=True)
+    v_cm = SparseOperator(dims, v_factors, hermitian=True)
     return x_cm, v_cm, p_tot
 
 

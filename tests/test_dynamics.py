@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -63,6 +64,21 @@ def effective_spec(n, mbar=1.0, potential=FREE, dim=64):
 def sampled_rows(propagate, h, psi0, dt, n_steps, hbar):
     """All rows exp(-iH k dt/hbar) psi0 of a propagator, its blocks concatenated."""
     return np.concatenate(list(propagate(h, psi0.amplitudes, dt, n_steps, hbar)))
+
+
+def complex_gemm_rows(h, psi0, dt, n_steps, hbar):
+    """The rows as the sampler formed them before: one eigh per connected block of
+    H's sparsity graph, and the complex phases times the eigenvectors as a complex GEMM."""
+    real = h.matrix.real
+    n_blocks, labels = connected_components(real, directed=False)
+    times = dt * np.arange(n_steps + 1)
+    rows = np.empty((len(times), h.dim), dtype=np.complex128)
+    for block in range(n_blocks):
+        index = np.flatnonzero(labels == block)
+        evals, evecs = scipy.linalg.eigh(real[index][:, index].toarray(), driver="evd")
+        coeffs = evecs.T @ psi0.amplitudes[index]
+        rows[:, index] = (np.exp(np.outer(times, evals) * (-1j / hbar)) * coeffs) @ evecs.T
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +172,19 @@ def test_one_mode_hamiltonian_equals_folded_build(n, dim):
         assert getattr(h, part).tobytes() == getattr(h_folded, part).tobytes()
 
 
+def test_powers_stop_at_the_first_zero_power():
+    # X_CM of mass 1e6 underflows to the zero matrix within a few hundred powers,
+    # so x^100000 adds nothing to H and must not cost 100,000 sparse products
+    modes = tuple(effective_cm_system(1, 1e6, dim=8))
+    start = time.perf_counter()
+    h = build_hamiltonian(HamiltonianSpec(modes=modes,
+                                          potential=PolynomialPotential.from_coeffs({100000: 1})))
+    assert time.perf_counter() - start < 2.0
+    free = build_hamiltonian(HamiltonianSpec(modes=modes, potential=FREE))
+    for part in ("data", "indices", "indptr"):
+        assert getattr(h.matrix, part).tobytes() == getattr(free.matrix, part).tobytes()
+
+
 def test_hamiltonian_dimension_cap():
     modes = tuple(ModeSpec(mass=1.0, dim=128) for _ in range(3))
     spec = HamiltonianSpec(modes=modes, potential=FREE)
@@ -227,6 +256,7 @@ def _full_spec(potential, n=2, dim=10):
 
 
 LINEAR_HARMONIC = PolynomialPotential.from_coeffs({2: 0.5, 1: 0.2})
+CUBIC_HARMONIC = PolynomialPotential.from_coeffs({3: 0.05, 2: 0.5})
 
 
 @pytest.mark.parametrize("spec, split", [
@@ -234,15 +264,24 @@ LINEAR_HARMONIC = PolynomialPotential.from_coeffs({2: 0.5, 1: 0.2})
     (effective_spec(2, potential=LINEAR_HARMONIC, dim=48), False),
     (_full_spec(harmonic(2.0)), True),
     (_full_spec(LINEAR_HARMONIC), False),
-], ids=["effective-even", "effective-linear", "full-even", "full-linear"])
+    (effective_spec(1, potential=harmonic(1.0), dim=48), True),
+    (effective_spec(2, potential=CUBIC_HARMONIC, dim=48), False),
+], ids=["effective-even", "effective-linear", "full-even", "full-linear", "effective-diagonal",
+        "effective-cubic"])
 def test_evolve_quantum_matches_dense_exponential(spec, split, monkeypatch):
     # an even potential splits H at least into its two parity sectors, each
-    # diagonalized on its own; a linear term couples them into one block
+    # diagonalized on its own (a diagonal H is one graph component per level,
+    # and still two sectors); an odd term couples them into one block
     assert (_blocks(spec) > 1) == split
     psi0 = coherent_product(spec.modes, [0.4] * len(spec.modes), [0.1] * len(spec.modes))
     h = build_hamiltonian(spec)
     monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_AMPLITUDES", 3 * h.dim)  # 7 blocks of 3 rows
+    eigh, eighs = scipy.linalg.eigh, []
+    monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: eighs.append(1) or eigh(*a, **k))
     rows = sampled_rows(_eig_samples, h, psi0, 0.05, 20, spec.hbar)
+    assert len(eighs) == (2 if split else 1)
+    # one real GEMM rounds like the complex GEMM it replaced, to a few ulps
+    assert np.abs(rows - complex_gemm_rows(h, psi0, 0.05, 20, spec.hbar)).max() <= 1e-14
     traj = evolve_quantum(psi0, spec, t_final=1.0, dt=0.05)
     dense = h.to_dense()
     for k in (0, 1, 7, 20):
@@ -252,6 +291,20 @@ def test_evolve_quantum_matches_dense_exponential(spec, split, monkeypatch):
         expected = cm_expectation_record(StateVector(psi0.mode_dims, exact), spec.modes)
         for field in ("x_cm", "v_cm", "dx", "dv"):
             assert abs(getattr(traj, field)[k] - getattr(expected, field)) < 1e-10
+
+
+def test_evolve_does_not_import_csgraph():
+    # the parity sectors are read off H's entries; no graph search is loaded
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from cmlimit.cli import main; "
+            "code = main(['evolve', '--potential', 'x^4-2*x^2+1', '--N', '4', '--dim', '64', "
+            "'--t', '0.1', '--dt', '0.05', '--x0', '0.5']); "
+            "print(code, 'scipy.sparse.csgraph' in sys.modules, file=sys.stderr)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert run.stderr.split() == ["0", "False"]
 
 
 def test_gates_raise_at_the_first_failing_sample(monkeypatch):

@@ -168,6 +168,15 @@ def test_cm_operators_match_kron_oracle(modes_drawn):
         assert np.array_equal(dense, dense.conj().T)
 
 
+def test_equal_modes_share_their_factors():
+    # N equal modes build, convert and check their single-mode factors once
+    mode, other = ModeSpec(mass=1.5, dim=4), ModeSpec(mass=2.0, dim=4)
+    for op in cm_operators_numeric([mode, other, mode, mode]):
+        f = op.factors
+        assert f[0] is f[2] is f[3]
+        assert f[1] is not f[0]
+
+
 def _random_state(seed, dims):
     rng = np.random.default_rng(seed)
     size = math.prod(dims)
