@@ -2,9 +2,10 @@
 
 Quantum propagation runs in the Schrodinger picture (expectations are
 identical to the Heisenberg-picture statement) with the exact unitary
-exp(-iHt/hbar): H is real symmetric, diagonalized densely (LAPACK's
-divide-and-conquer ``evd`` driver) up to total dimension 2048 and applied
-as a sparse matrix-exponential action above that.  The dense path runs one
+exp(-iHt/hbar): H is real symmetric, diagonalized densely by numpy's
+``eigh`` (LAPACK's divide-and-conquer ``?syevd``) up to total dimension 2048
+and applied as a sparse matrix-exponential action above that; only such a
+run imports ``scipy.sparse.linalg``.  The dense path runs one
 ``eigh`` per parity sector when H couples no basis states of opposite total
 level parity, as for every even potential (checked on H's entries), else
 one ``eigh`` of all of H, and forms each block of samples by one real GEMM
@@ -32,9 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .hilbert_rep import (
     TRUNCATION_GATE,
@@ -106,7 +105,18 @@ class PolynomialPotential:
         return self.degree <= 2
 
     def evaluate(self, x):
-        return sum(c * x**k for k, c in self.terms) if self.terms else 0 * x
+        """The terms added to 0 left to right, or 0 * x when there are none.
+
+        The explicit loop fixes the float rounding: ``sum`` compensates it
+        from Python 3.12 on, and the classical twin's inlined force must
+        round like this.
+        """
+        if not self.terms:
+            return 0 * x
+        total = 0
+        for k, c in self.terms:
+            total += c * x**k
+        return total
 
     def derivative(self) -> "PolynomialPotential":
         return PolynomialPotential(
@@ -201,26 +211,35 @@ def evolve_classical(potential: PolynomialPotential, total_mass: float,
     """
     n_steps = _step_count(t_final, dt)
     # float coefficients: a Fraction times a float is float(c) * x, so the
-    # steps are those of ``potential.derivative().evaluate`` at float speed
+    # stages are those of ``potential.derivative().evaluate`` at float speed
     force = tuple((k, float(c)) for k, c in potential.derivative().terms)
-    inv_m = 1.0 / total_mass
-
-    def rhs(x, p):
-        return p * inv_m, -float(sum(c * x**k for k, c in force) if force else 0 * x)
-
-    def step(x, p, h):
-        dx1, dp1 = rhs(x, p)
-        dx2, dp2 = rhs(x + 0.5 * h * dx1, p + 0.5 * h * dp1)
-        dx3, dp3 = rhs(x + 0.5 * h * dx2, p + 0.5 * h * dp2)
-        dx4, dp4 = rhs(x + h * dx3, p + h * dp3)
-        return (
-            x + h / 6.0 * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4),
-            p + h / 6.0 * (dp1 + 2.0 * dp2 + 2.0 * dp3 + dp4),
-        )
-
-    xs, ps = [float(x0)], [float(p0)]
+    inv_m, half, sixth = 1.0 / total_mass, 0.5 * dt, dt / 6.0
+    x, p = float(x0), float(p0)
+    xs, ps = [x], [p]
     for _ in range(n_steps):
-        x, p = step(xs[-1], ps[-1], dt)
+        # the four stages, inlined; a force adds its terms to 0 left to right,
+        # like ``evaluate`` (a force of -0.0 counts as +0.0), and no force is 0 * x
+        f1 = 0 if force else 0 * x
+        for k, c in force:
+            f1 += c * x**k
+        dx1, dp1 = p * inv_m, -f1
+        x2 = x + half * dx1
+        f2 = 0 if force else 0 * x2
+        for k, c in force:
+            f2 += c * x2**k
+        dx2, dp2 = (p + half * dp1) * inv_m, -f2
+        x3 = x + half * dx2
+        f3 = 0 if force else 0 * x3
+        for k, c in force:
+            f3 += c * x3**k
+        dx3, dp3 = (p + half * dp2) * inv_m, -f3
+        x4 = x + dt * dx3
+        f4 = 0 if force else 0 * x4
+        for k, c in force:
+            f4 += c * x4**k
+        dx4, dp4 = (p + dt * dp3) * inv_m, -f4
+        x = x + sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
+        p = p + sixth * (dp1 + 2.0 * dp2 + 2.0 * dp3 + dp4)
         xs.append(x)
         ps.append(p)
     return dt * np.arange(n_steps + 1), np.array(xs), np.array(ps)
@@ -259,7 +278,9 @@ def _rows_per_block(dim: int) -> int:
 def _eig_samples(h: SparseOperator, psi0: np.ndarray, dt: float, n_steps: int,
                  hbar: float):
     """Yield the rows exp(-iH k dt/hbar) psi0, k = 0..n_steps, in blocks of
-    ``_rows_per_block`` rows, from real divide-and-conquer eighs.
+    ``_rows_per_block`` rows, from numpy's real ``eigh``: LAPACK's
+    divide-and-conquer ``?syevd``, the driver of ``scipy.linalg.eigh(...,
+    driver="evd")``, without loading ``scipy.linalg``.
 
     When no stored entry of H couples basis states of opposite total level
     parity (every even potential, on either model), H is block-diagonal over
@@ -278,7 +299,7 @@ def _eig_samples(h: SparseOperator, psi0: np.ndarray, dt: float, n_steps: int,
         sectors = [np.flatnonzero(parity == p) for p in (0, 1)]
     spectra = []
     for index in sectors:
-        evals, evecs = scipy.linalg.eigh(real[index][:, index].toarray(), driver="evd")
+        evals, evecs = np.linalg.eigh(real[index][:, index].toarray())
         spectra.append((index, evals, evecs, evecs.T @ psi0[index]))
     step = _rows_per_block(h.dim)
     for start in range(0, n_steps + 1, step):
@@ -297,8 +318,11 @@ def _expm_samples(h: SparseOperator, psi0: np.ndarray, dt: float, n_steps: int,
 
     One ``expm_multiply`` call computes all rows, and the blocks are its
     slices: a call per block would repeat its norm estimation and change
-    its rounding.
+    its rounding.  ``scipy.sparse.linalg`` is imported here, so only a run
+    above EIG_DIMENSION_LIMIT loads it.
     """
+    from scipy.sparse.linalg import expm_multiply
+
     rows = expm_multiply(h.matrix * (-1j / hbar), psi0, start=0.0, stop=n_steps * dt,
                          num=n_steps + 1, endpoint=True)
     step = _rows_per_block(h.dim)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import gammaln
 
 from .ccr_algebra import NCPolynomial
 
@@ -288,7 +287,9 @@ def coherent_state(mode: ModeSpec, x0: float, p0: float) -> StateVector:
         amps[0] = 1.0
     else:
         # work in log magnitude to survive large |alpha| without overflow
-        log_mag = n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1.0)
+        # log n! for n < dim; math.lgamma keeps scipy.special out of the process
+        log_factorials = np.fromiter(map(math.lgamma, range(1, mode.dim + 1)), float, mode.dim)
+        log_mag = n * math.log(abs(alpha)) - 0.5 * log_factorials
         log_mag -= log_mag.max()
         amps = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
         amps /= np.linalg.norm(amps)

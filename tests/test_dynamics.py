@@ -276,8 +276,8 @@ def test_evolve_quantum_matches_dense_exponential(spec, split, monkeypatch):
     psi0 = coherent_product(spec.modes, [0.4] * len(spec.modes), [0.1] * len(spec.modes))
     h = build_hamiltonian(spec)
     monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_AMPLITUDES", 3 * h.dim)  # 7 blocks of 3 rows
-    eigh, eighs = scipy.linalg.eigh, []
-    monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: eighs.append(1) or eigh(*a, **k))
+    eigh, eighs = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: eighs.append(1) or eigh(*a, **k))
     rows = sampled_rows(_eig_samples, h, psi0, 0.05, 20, spec.hbar)
     assert len(eighs) == (2 if split else 1)
     # one real GEMM rounds like the complex GEMM it replaced, to a few ulps
@@ -294,17 +294,22 @@ def test_evolve_quantum_matches_dense_exponential(spec, split, monkeypatch):
 
 
 def test_evolve_does_not_import_csgraph():
-    # the parity sectors are read off H's entries; no graph search is loaded
+    # the parity sectors are read off H's entries; no graph search is loaded.
+    # Nor is any scipy subpackage past scipy.sparse: numpy's eigh, math.lgamma
+    # and expm_multiply imported only above the dense limit keep
+    # scipy.linalg, scipy.special and scipy.sparse.linalg out of the process
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    unused = ["scipy.sparse.csgraph", "scipy.linalg", "scipy.special", "scipy.sparse.linalg"]
     code = ("import sys; from cmlimit.cli import main; "
             "code = main(['evolve', '--potential', 'x^4-2*x^2+1', '--N', '4', '--dim', '64', "
             "'--t', '0.1', '--dt', '0.05', '--x0', '0.5']); "
-            "print(code, 'scipy.sparse.csgraph' in sys.modules, file=sys.stderr)")
+            "code += main(['uncertainty', '--N', '1,2', '--dim', '8', '--x0', '0.3']); "
+            f"print(code, *[name in sys.modules for name in {unused!r}], file=sys.stderr)")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True)
-    assert run.stderr.split() == ["0", "False"]
+    assert run.stderr.split() == ["0"] + ["False"] * len(unused)
 
 
 def test_gates_raise_at_the_first_failing_sample(monkeypatch):
@@ -427,16 +432,22 @@ def _fraction_twin(potential, total_mass, x0, p0, t_final, dt):
     return out
 
 
-@pytest.mark.parametrize("coeffs", [
-    {4: Fraction(1, 10), 3: Fraction(1, 3), 1: Fraction(-2, 7)},
-    {4: Fraction(1), 2: Fraction(-2), 0: Fraction(1)},
-], ids=["rational-quartic", "double-well"])
-def test_classical_twin_is_bit_identical_to_fraction_force(coeffs):
+@pytest.mark.parametrize("coeffs, x0, p0", [
+    ({4: Fraction(1, 10), 3: Fraction(1, 3), 1: Fraction(-2, 7)}, 1.1, -0.15),
+    ({4: Fraction(1), 2: Fraction(-2), 0: Fraction(1)}, 1.1, -0.15),
+    # at rest where the force is a signed zero: -1 * 0.0 summed from 0 is +0.0,
+    # and no force is 0 * x; either sign reaches p's -0.0
+    ({2: Fraction(-1, 2)}, 0.0, -0.0),
+    ({}, 0.5, -0.0),
+], ids=["rational-quartic", "double-well", "inverted-at-rest", "free-at-rest"])
+def test_classical_twin_is_bit_identical_to_fraction_force(coeffs, x0, p0):
     potential = PolynomialPotential.from_coeffs(coeffs)
-    _, x, p = evolve_classical(potential, 3.0, 1.1, -0.15, 2.0, 0.01)
-    assert isinstance(potential.coeffs[4], Fraction)
-    assert list(zip(x.tolist(), p.tolist())) == _fraction_twin(potential, 3.0, 1.1, -0.15,
-                                                                2.0, 0.01)
+    _, x, p = evolve_classical(potential, 3.0, x0, p0, 2.0, 0.01)
+    assert all(isinstance(c, Fraction) for c in potential.coeffs.values())
+    twin = _fraction_twin(potential, 3.0, x0, p0, 2.0, 0.01)
+    assert list(zip(x.tolist(), p.tolist())) == twin
+    # == does not tell -0.0 from 0.0; the bytes do
+    assert np.stack([x, p], axis=1).tobytes() == np.array(twin).tobytes()
 
 
 # ---------------------------------------------------------------------------

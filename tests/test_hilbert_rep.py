@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -267,6 +268,41 @@ def test_coherent_state_huge_displacement(mass, x0):
     # |alpha|^2 overflows a float at 1e200; alpha itself is infinite at mass 16, 1e308
     with pytest.raises(ExcessiveTruncationError, match="alpha"):
         coherent_state(ModeSpec(mass=mass, dim=8), x0, 0.0)
+
+
+def gammaln_coherent_amplitudes(mode, x0, p0):
+    """coherent_state's amplitudes with the log-factorials of scipy's gammaln."""
+    alpha = (
+        math.sqrt(mode.mass / (2.0 * mode.hbar)) * x0
+        + 1j * p0 / math.sqrt(2.0 * mode.mass * mode.hbar)
+    )
+    n = np.arange(mode.dim)
+    log_mag = n * math.log(abs(alpha)) - 0.5 * scipy.special.gammaln(n + 1.0)
+    log_mag -= log_mag.max()
+    amps = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("dim, top", [(2, 1e-3), (64, 5.7), (4096, 61.9)])
+def test_coherent_state_matches_gammaln_oracle(dim, top):
+    # math.lgamma and gammaln differ in the last bit of about half the levels,
+    # and exp turns an absolute error in the log magnitude into a relative one
+    # in the amplitude: each amplitude agrees within a few ulps of the largest
+    # log term (subnormal tail amplitudes to 1e-300)
+    mode = ModeSpec(mass=2.0, dim=dim)  # alpha = x0 + i p0 / 2
+    with pytest.raises(ExcessiveTruncationError):  # top is within 1% of the gate's |alpha|
+        coherent_state(mode, 1.01 * top, 0.0)
+    n = np.arange(dim)
+    for size in (1e-4, 0.3, 0.5 * top, top):
+        if size > top:
+            continue
+        log_terms = n * abs(math.log(size)) + 0.5 * scipy.special.gammaln(n + 1.0)
+        for phase in (0.0, 0.7, 2.5):
+            x0, p0 = size * math.cos(phase), 2 * size * math.sin(phase)
+            np.testing.assert_allclose(
+                coherent_state(mode, x0, p0).amplitudes,
+                gammaln_coherent_amplitudes(mode, x0, p0),
+                rtol=4 * np.finfo(float).eps * (1.0 + log_terms.max()), atol=1e-300)
 
 
 def test_product_state_separability():
