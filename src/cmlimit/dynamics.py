@@ -5,14 +5,14 @@ identical to the Heisenberg-picture statement) with the exact unitary
 exp(-iHt/hbar): H is real symmetric, diagonalized densely by numpy's
 ``eigh`` (LAPACK's divide-and-conquer ``?syevd``) up to total dimension 2048
 and applied as a sparse matrix-exponential action above that; only such a
-run imports ``scipy.sparse.linalg``.  The dense path runs one
-``eigh`` per parity sector when H couples no basis states of opposite total
-level parity, as for every even potential (checked on H's entries), else
-one ``eigh`` of all of H, and forms each block of samples by one real GEMM
-with the real eigenvectors.  H is the one operator assembled as a
-composite sparse matrix.  The propagators yield the samples as blocks of
-amplitude rows of about 2^16 amplitudes each, and every block is evaluated
-and dropped before the next is formed, so a run never holds all its rows:
+run imports ``scipy.sparse.linalg``.  The dense path runs one ``eigh`` per
+parity sector when H couples no basis states of opposite total level
+parity, as for every even potential (checked on H's entries), else one of
+all of H.  H is the one operator assembled as a composite sparse matrix.
+Each propagator is a sampler of one diagonal block of H, built once;
+``evolve_quantum`` walks the time grid once, in blocks of rows of about
+2^16 amplitudes, each filled from every sampler (one real GEMM per
+``eigh``), evaluated and dropped, so a run never holds all its rows:
 the CM observables are applied mode by mode to all rows of a block at once
 (:mod:`cmlimit.hilbert_rep`).  Norm drift is measured, never corrected --
 silent renormalization would hide a propagation failure.  The classical
@@ -270,64 +270,53 @@ class Trajectory:
         return float(np.max(np.abs(self.energy - e0)) / max(abs(e0), 1e-30))
 
 
-def _rows_per_block(dim: int) -> int:
-    """Sample rows evaluated together, so that each temporary stays near 1 MiB."""
-    return max(1, SAMPLE_BLOCK_AMPLITUDES // dim)
-
-
-def _eig_samples(h: SparseOperator, psi0: np.ndarray, dt: float, n_steps: int,
-                 hbar: float):
-    """Yield the rows exp(-iH k dt/hbar) psi0, k = 0..n_steps, in blocks of
-    ``_rows_per_block`` rows, from numpy's real ``eigh``: LAPACK's
-    divide-and-conquer ``?syevd``, the driver of ``scipy.linalg.eigh(...,
-    driver="evd")``, without loading ``scipy.linalg``.
-
-    When no stored entry of H couples basis states of opposite total level
-    parity (every even potential, on either model), H is block-diagonal over
-    the two parity sectors, and each is diagonalized on its own and fills its
-    own columns of the rows; otherwise H is one block.  The split is checked
-    on H itself and is exact.  All eighs run before the first rows are
-    formed.  A block's rows are one real GEMM: the real eigenvectors times
-    the interleaved real and imaginary parts of the phased coefficients.
-    """
-    real = h.matrix.real
+def _blocks(h: SparseOperator, real) -> list:
+    """The indices of H's diagonal blocks, read exactly off ``real``, H's real part:
+    its two parity sectors when no stored entry couples basis states of opposite
+    total level parity (every even potential, on either model), else all of H."""
     parity = np.indices(h.mode_dims).sum(axis=0).ravel() % 2
     entries = real.tocoo()
     if (parity[entries.row] != parity[entries.col]).any():
-        sectors = [np.arange(h.dim)]
-    else:
-        sectors = [np.flatnonzero(parity == p) for p in (0, 1)]
-    spectra = []
-    for index in sectors:
-        evals, evecs = np.linalg.eigh(real[index][:, index].toarray())
-        spectra.append((index, evals, evecs, evecs.T @ psi0[index]))
-    step = _rows_per_block(h.dim)
-    for start in range(0, n_steps + 1, step):
-        times = dt * np.arange(start, min(start + step, n_steps + 1))
-        rows = np.empty((len(times), h.dim), dtype=np.complex128)
-        for index, evals, evecs, coeffs in spectra:
-            # C-contiguous (b, S): its float64 view is (b, 2S), re and im interleaved
-            phased = np.exp(np.outer(evals, times) * (-1j / hbar)) * coeffs[:, None]
-            rows[:, index] = (evecs @ phased.view(np.float64)).view(np.complex128).T
-        yield rows
+        return [np.arange(h.dim)]
+    return [np.flatnonzero(parity == p) for p in (0, 1)]
 
 
-def _expm_samples(h: SparseOperator, psi0: np.ndarray, dt: float, n_steps: int,
-                  hbar: float):
-    """The same blocks from the sparse action of the exponential (Al-Mohy & Higham 2011).
+def _eigh_sampler(real, index, psi0: np.ndarray, times: np.ndarray, hbar: float):
+    """Sample H's block ``index``: a slice of ``times`` -> its columns of exp(-iHt/hbar) psi0.
 
-    One ``expm_multiply`` call computes all rows, and the blocks are its
-    slices: a call per block would repeat its norm estimation and change
-    its rounding.  ``scipy.sparse.linalg`` is imported here, so only a run
-    above EIG_DIMENSION_LIMIT loads it.
+    The one ``eigh`` runs here.  A slice's rows are one real GEMM of the real
+    eigenvectors and the interleaved re and im of the phased coefficients.
     """
+    evals, evecs = np.linalg.eigh(real[index][:, index].toarray())
+    coeffs = evecs.T @ psi0[index]
+
+    def sample(rows: slice) -> np.ndarray:
+        # C-contiguous (b, S): its float64 view is (b, 2S), re and im interleaved
+        phased = np.exp(np.outer(evals, times[rows]) * (-1j / hbar)) * coeffs[:, None]
+        return (evecs @ phased.view(np.float64)).view(np.complex128).T
+
+    return sample
+
+
+def _expm_sampler(h: SparseOperator, psi0: np.ndarray, times: np.ndarray, hbar: float):
+    """Sample all of H by the sparse action of the exponential (Al-Mohy & Higham 2011).
+
+    One ``expm_multiply`` call computes every row, and a slice is a view of
+    them: a call per slice would repeat its norm estimation and change its
+    rounding.  A one-sample grid is psi0, without the call.  Raises
+    OverflowError for an infinite or NaN norm estimate.
+    """
+    if len(times) == 1:
+        return psi0[None, :].__getitem__
     from scipy.sparse.linalg import expm_multiply
 
-    rows = expm_multiply(h.matrix * (-1j / hbar), psi0, start=0.0, stop=n_steps * dt,
-                         num=n_steps + 1, endpoint=True)
-    step = _rows_per_block(h.dim)
-    for start in range(0, len(rows), step):
-        yield rows[start:start + step]
+    try:
+        with np.errstate(all="ignore"):  # refused below, without scipy's warnings
+            rows = expm_multiply(h.matrix * (-1j / hbar), psi0, start=0.0, stop=times[-1],
+                                 num=len(times), endpoint=True)
+    except (OverflowError, ValueError) as exc:
+        raise OverflowError("the action of exp(-iHt/hbar) leaves the floating-point range") from exc
+    return rows.__getitem__
 
 
 def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
@@ -335,11 +324,11 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     """Propagate psi0 under the spec's Hamiltonian, sampling CM observables every dt.
 
     t_final must be a whole number of steps dt, at most MAX_STEPS.  The
-    propagator is exact and unitary: a dense real eigendecomposition of each
-    block of H up to total dimension 2048, ``expm_multiply`` on the sparse H
-    above it.  The samples are evaluated block by block as the propagator
-    yields them, and only their columns of CM observables, energy, norm and
-    truncation weight are kept.
+    propagator is exact and unitary: a dense ``eigh`` sampler per diagonal
+    block of H up to total dimension 2048, one ``expm_multiply`` sampler
+    above it.  The one loop over the time grid fills each block of rows from
+    every sampler, evaluates it and drops it, and keeps only the columns of
+    CM observables, energy, norm and truncation weight.
     Raises, for the first sample that fails a gate, NormDriftError when
     |norm - 1| reaches 1e-8 (never renormalizes), else
     ExcessiveTruncationError when it exceeds the truncation gate.
@@ -351,17 +340,26 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
         raise ValueError("initial state does not match the Hamiltonian's modes")
 
     times = dt * np.arange(n_steps + 1)
-    propagate = _eig_samples if h.dim <= EIG_DIMENSION_LIMIT else _expm_samples
-    blocks, start = [], 0
-    for block in propagate(h, psi0.amplitudes, dt, n_steps, spec.hbar):
+    if h.dim <= EIG_DIMENSION_LIMIT:
+        real = h.matrix.real
+        samplers = [(index, _eigh_sampler(real, index, psi0.amplitudes, times, spec.hbar))
+                    for index in _blocks(h, real)]
+    else:
+        samplers = [(slice(None), _expm_sampler(h, psi0.amplitudes, times, spec.hbar))]
+    step = max(1, SAMPLE_BLOCK_AMPLITUDES // h.dim)  # each temporary stays near 1 MiB
+    blocks = []
+    for start in range(0, len(times), step):
+        rows = slice(start, start + step)
+        block = np.empty((len(times[rows]), h.dim), dtype=np.complex128)
+        for index, sample in samplers:
+            block[:, index] = sample(rows)
         # np.linalg.norm's arithmetic, row by row
         norms = np.sqrt(np.vecdot(block.real, block.real) + np.vecdot(block.imag, block.imag))
         weights = truncation_weights(block, psi0.mode_dims)
-        _check_gates(times[start:start + len(block)], norms, weights)
+        _check_gates(times[rows], norms, weights)
         rec = cm_expectation_records(block, ops, weights)
         blocks.append((rec.x_cm, rec.v_cm, rec.dx, rec.dv, expectation(h, block).real,
                        norms, weights))
-        start += len(block)
     return Trajectory(times, *map(np.concatenate, zip(*blocks)), total_mass=spec.total_mass)
 
 

@@ -288,9 +288,38 @@ def test_nonpositive_flag_is_config_error(capsys, argv, flag):
     # every power is finite, the coefficient times X_CM^4 is not
     (("evolve", "--potential", "1" + "0" * 305 + "*x^4", "--x0", "0", "--p0", "0", "--dim", "64",
       "--t", "0.1", "--dt", "0.1"), "--potential, --N, --mbar, --hbar, --dim"),
+    # H is finite, but expm_multiply's norm estimate is infinite, or NaN
+    (("evolve", "--potential", "0.5*x^2", "--N", "1", "--dim", "2100", "--t", "0.01",
+      "--dt", "0.01", "--x0", "0", "--p0", "0", "--mbar", "1e-300"),
+     "--potential, --N, --mbar, --hbar, --dim"),
+    (("evolve", "--potential", "x^4", "--N", "1", "--dim", "2100", "--t", "0.01",
+      "--dt", "0.01", "--x0", "0", "--p0", "0", "--mbar", "1e-150"),
+     "--potential, --N, --mbar, --hbar, --dim"),
 ])
 def test_float_range_is_config_error(capsys, argv, flag):
     _assert_flag_config_error(capsys, argv, flag)
+
+
+def _quantum_rows(out):
+    return out.split("# quantum\n")[1].split("\n#")[0].splitlines()[1:]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--potential", "0.5*x^2 + 0.05*x", "--model", "full", "--N", "2", "--dim", "46",
+     "--x0", "0.3", "--p0", "0.05"),
+    ("--potential", "0.5*x^2", "--N", "16", "--dim", "4096"),
+])
+def test_single_sample_above_dense_limit(capsys, argv):
+    # a grid of one sample is psi0 itself; expm_multiply needs two points
+    code, out = run_cli(capsys, "evolve", *argv, "--t", "0")
+    assert code == 0
+    rows = _quantum_rows(out)
+    assert len(rows) == 1
+    if "--model" in argv:
+        assert rows == ["0,0.3,0.025,0.5,0.5,0.435625,1,0"]
+        code, out = run_cli(capsys, "evolve", *argv, "--t", "1")
+        assert code == 0
+        assert _quantum_rows(out)[0] == rows[0]
 
 
 def test_evolve_step_limit(capsys):
@@ -371,11 +400,15 @@ def test_algebra_commands_are_byte_identical(capsys, argv, md5):
     (("--potential", "0.5*x^2", "--model", "full", "--N", "2", "--dim", "46", "--t", "0.1",
       "--dt", "0.01", "--x0", "0.3", "--p0", "0.05"),
      "7e3aa4079e1b98ae7e3dea965a324215"),
+    # an odd term couples the parity sectors: expm_multiply on all of H, 4 row blocks
+    (("--potential", "0.5*x^2 + 0.05*x", "--model", "full", "--N", "2", "--dim", "46",
+      "--t", "1", "--dt", "0.01", "--x0", "0.3", "--p0", "0.05"),
+     "1c0edfe2b18d2ab651e86a688d4446e5"),
     (("--potential", "0.5*x^2", "--model", "full", "--N", "2", "--dim", "12", "--t", "1",
       "--dt", "0.05", "--x0", "0.3", "--p0", "0.05", "--format", "json"),
      "cc2d118d7c1d00d281af0f493ef2ea87"),
 ], ids=["harmonic-5-row-blocks", "double-well-parity-blocks", "full-model",
-        "full-model-expm-multiply", "full-model-json"])
+        "full-model-expm-multiply", "odd-expm-multiply", "full-model-json"])
 def test_evolve_commands_are_byte_identical(argv, md5):
     # pinned stdout of evolve runs whose samples span several row blocks, and
     # of full-model runs on both propagators and in JSON; one BLAS thread,

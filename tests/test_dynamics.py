@@ -23,8 +23,6 @@ from cmlimit.dynamics import (
     NormDriftError,
     PolynomialPotential,
     TimeGridMismatchError,
-    _eig_samples,
-    _expm_samples,
     build_hamiltonian,
     compare_trajectories,
     effective_cm_system,
@@ -61,9 +59,20 @@ def effective_spec(n, mbar=1.0, potential=FREE, dim=64):
     return HamiltonianSpec(modes=tuple(modes), potential=potential)
 
 
-def sampled_rows(propagate, h, psi0, dt, n_steps, hbar):
-    """All rows exp(-iH k dt/hbar) psi0 of a propagator, its blocks concatenated."""
-    return np.concatenate(list(propagate(h, psi0.amplitudes, dt, n_steps, hbar)))
+def evolved_rows(monkeypatch, psi0, spec, t_final, dt):
+    """The trajectory of ``evolve_quantum`` and its blocks of rows exp(-iH t/hbar) psi0,
+    as its sample loop formed them, each a copy taken at its evaluation."""
+    blocks, weights = [], dynamics.truncation_weights
+    monkeypatch.setattr(dynamics, "truncation_weights",
+                        lambda block, dims: blocks.append(block.copy()) or weights(block, dims))
+    traj = evolve_quantum(psi0, spec, t_final=t_final, dt=dt)
+    monkeypatch.setattr(dynamics, "truncation_weights", weights)
+    return traj, blocks
+
+
+def sampled_rows(monkeypatch, psi0, spec, t_final, dt):
+    """All rows of ``evolve_quantum``'s sample loop, its blocks concatenated."""
+    return np.concatenate(evolved_rows(monkeypatch, psi0, spec, t_final, dt)[1])
 
 
 def complex_gemm_rows(h, psi0, dt, n_steps, hbar):
@@ -229,21 +238,28 @@ def test_propagators_agree(monkeypatch):
     spec = effective_spec(1, potential=QUARTIC, dim=32)
     psi0 = coherent_state(spec.modes[0], 0.5, 0.0)
     h = build_hamiltonian(spec)
-    dense = sampled_rows(_eig_samples, h, psi0, 0.05, 20, spec.hbar)
-    sparse = sampled_rows(_expm_samples, h, psi0, 0.05, 20, spec.hbar)
+    times = 0.05 * np.arange(21)
+    real = h.matrix.real
+    dense = np.empty((21, 32), dtype=np.complex128)
+    for index in dynamics._blocks(h, real):
+        dense[:, index] = dynamics._eigh_sampler(real, index, psi0.amplitudes, times,
+                                                 spec.hbar)(slice(None))
+    sparse = dynamics._expm_sampler(h, psi0.amplitudes, times, spec.hbar)(slice(None))
     assert dense.shape == sparse.shape == (21, 32)
     assert np.abs(dense - sparse).max() < 1e-10
-    # the block seams leave the rows alone; one-row blocks take BLAS's
+    # the block seams of evolve_quantum's loop leave the rows alone, on both
+    # samplers (a limit of 0 puts this H above it); one-row blocks take BLAS's
     # matrix-vector path, which may round the last bit differently
-    for rows in (1, 7, 21):
-        monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_AMPLITUDES", rows * h.dim)
-        sizes = [rows] * (21 // rows)
-        blocks = list(_eig_samples(h, psi0.amplitudes, 0.05, 20, spec.hbar))
-        assert [len(block) for block in blocks] == sizes
-        assert np.abs(np.concatenate(blocks) - dense).max() <= 1e-14
-        blocks = list(_expm_samples(h, psi0.amplitudes, 0.05, 20, spec.hbar))
-        assert [len(block) for block in blocks] == sizes
-        assert np.array_equal(np.concatenate(blocks), sparse)
+    for limit, whole in ((dynamics.EIG_DIMENSION_LIMIT, dense), (0, sparse)):
+        monkeypatch.setattr(dynamics, "EIG_DIMENSION_LIMIT", limit)
+        for rows in (1, 7, 21):
+            monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_AMPLITUDES", rows * h.dim)
+            _, blocks = evolved_rows(monkeypatch, psi0, spec, 1.0, 0.05)
+            assert [len(block) for block in blocks] == [rows] * (21 // rows)
+            if limit:
+                assert np.abs(np.concatenate(blocks) - whole).max() <= 1e-14
+            else:
+                assert np.array_equal(np.concatenate(blocks), whole)
 
 
 def _blocks(spec):
@@ -278,11 +294,11 @@ def test_evolve_quantum_matches_dense_exponential(spec, split, monkeypatch):
     monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_AMPLITUDES", 3 * h.dim)  # 7 blocks of 3 rows
     eigh, eighs = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: eighs.append(1) or eigh(*a, **k))
-    rows = sampled_rows(_eig_samples, h, psi0, 0.05, 20, spec.hbar)
+    traj, blocks = evolved_rows(monkeypatch, psi0, spec, 1.0, 0.05)
+    rows = np.concatenate(blocks)
     assert len(eighs) == (2 if split else 1)
     # one real GEMM rounds like the complex GEMM it replaced, to a few ulps
     assert np.abs(rows - complex_gemm_rows(h, psi0, 0.05, 20, spec.hbar)).max() <= 1e-14
-    traj = evolve_quantum(psi0, spec, t_final=1.0, dt=0.05)
     dense = h.to_dense()
     for k in (0, 1, 7, 20):
         t = traj.times[k]
@@ -318,8 +334,11 @@ def test_gates_raise_at_the_first_failing_sample(monkeypatch):
     good, top = psi0.amplitudes, basis_state(8, n=7).amplitudes
 
     def propagate(*blocks):
-        monkeypatch.setattr(dynamics, "_eig_samples",
-                            lambda *args: (np.array(block) for block in blocks))
+        # one sampler of all of H, returning these rows in blocks of the first's size
+        rows = np.concatenate(blocks)
+        monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_AMPLITUDES", len(blocks[0]) * 8)
+        monkeypatch.setattr(dynamics, "_blocks", lambda h, real: [slice(None)])
+        monkeypatch.setattr(dynamics, "_eigh_sampler", lambda *args: rows.__getitem__)
 
     # sample 1 fails the weight gate, sample 2 the norm gate
     propagate([good, top, 2 * good, good])
@@ -478,30 +497,30 @@ def ehrenfest_residual(rows, dt, h, observable, hbar) -> float:
     return float(np.abs(slopes - rates[1:-1]).max())
 
 
-def test_ehrenfest_free_particle():
+def test_ehrenfest_free_particle(monkeypatch):
     spec = effective_spec(2, potential=FREE)
     psi0 = coherent_state(spec.modes[0], 1.0, 1.0)
     h = build_hamiltonian(spec)
     x_cm = cm_operators_numeric(spec.modes)[0]
-    rows = sampled_rows(_eig_samples, h, psi0, 0.05, 20, spec.hbar)
+    rows = sampled_rows(monkeypatch, psi0, spec, 1.0, 0.05)
     assert ehrenfest_residual(rows, 0.05, h, x_cm, spec.hbar) < 1e-8
 
 
-def test_ehrenfest_harmonic_richardson():
+def test_ehrenfest_harmonic_richardson(monkeypatch):
     spec = effective_spec(1, potential=harmonic(1.0))
     psi0 = coherent_state(spec.modes[0], 1.0, 0.0)
     h = build_hamiltonian(spec)
     x_cm = cm_operators_numeric(spec.modes)[0]
 
     def residual(dt):
-        rows = sampled_rows(_eig_samples, h, psi0, dt, round(1.6 / dt), spec.hbar)
+        rows = sampled_rows(monkeypatch, psi0, spec, dt * round(1.6 / dt), dt)
         return ehrenfest_residual(rows, dt, h, x_cm, spec.hbar)
 
     r1, r2 = residual(0.04), residual(0.02)
     assert 3.2 <= r1 / r2 <= 4.8  # second-order central difference
 
 
-def test_ehrenfest_quartic_squared_observable():
+def test_ehrenfest_quartic_squared_observable(monkeypatch):
     spec = effective_spec(1, potential=QUARTIC, dim=96)
     psi0 = coherent_state(spec.modes[0], 1.0, 0.0)
     h = build_hamiltonian(spec)
@@ -510,7 +529,7 @@ def test_ehrenfest_quartic_squared_observable():
     x_sq = SparseOperator(x_cm.mode_dims, [(x_sq + x_sq.getH()) * 0.5], hermitian=True)
 
     def residual(dt):
-        rows = sampled_rows(_eig_samples, h, psi0, dt, round(1.6 / dt), spec.hbar)
+        rows = sampled_rows(monkeypatch, psi0, spec, dt * round(1.6 / dt), dt)
         return ehrenfest_residual(rows, dt, h, x_sq, spec.hbar)
 
     r1, r2 = residual(0.04), residual(0.02)
