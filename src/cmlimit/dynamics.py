@@ -2,13 +2,14 @@
 
 Quantum propagation runs in the Schrodinger picture (expectations are
 identical to the Heisenberg-picture statement) with the exact unitary
-exp(-iHt/hbar): H is real symmetric, diagonalized densely by numpy's
-``eigh`` (LAPACK's divide-and-conquer ``?syevd``) up to total dimension 2048
-and applied as a sparse matrix-exponential action above that; only such a
-run imports ``scipy.sparse.linalg``.  The dense path runs one ``eigh`` per
-parity sector when H couples no basis states of opposite total level
-parity, as for every even potential (checked on H's entries), else one of
-all of H.  H is the one operator assembled as a composite sparse matrix.
+exp(-iHt/hbar): H is real symmetric.  Up to total dimension 2048 it is
+built with numpy alone, as its diagonals over the composite index, and
+diagonalized densely by numpy's ``eigh`` (LAPACK's divide-and-conquer
+``?syevd``): one ``eigh`` per parity sector when H couples no basis states
+of opposite total level parity, as for every even potential (checked on H's
+entries), else one of all of H.  Above that, H is assembled as a sparse CSR
+matrix and applied as a sparse matrix-exponential action; only such a run
+imports ``scipy.sparse`` and ``scipy.sparse.linalg``.
 Each propagator is a sampler of one diagonal block of H, built once;
 ``evolve_quantum`` walks the time grid once, in blocks of rows of about
 2^16 amplitudes, each filled from every sampler (one real GEMM per
@@ -33,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .hilbert_rep import (
     TRUNCATION_GATE,
@@ -41,6 +41,8 @@ from .hilbert_rep import (
     ModeSpec,
     SparseOperator,
     StateVector,
+    _shifted,
+    _size,
     cm_expectation_record,
     cm_expectation_records,
     cm_operators_numeric,
@@ -153,28 +155,98 @@ class HamiltonianSpec:
         return self.modes[0].hbar
 
 
-def _check_finite(matrix, what: str) -> None:
-    if not np.isfinite(matrix.data).all():
+def _check_finite(arrays, what: str) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
         raise OverflowError(f"{what} leaves the floating-point range")
 
 
-def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
-    """Assemble the Hamiltonian matrix; real symmetric by construction.
+def _composite_diagonals(op: SparseOperator) -> dict:
+    """The operator's diagonals over the composite index: factor k's offset o lands
+    at o times the dimension of the modes after it, summed onto the factors
+    before it as the Kronecker-sum fold sums."""
+    out, left = {}, 1
+    for factor in op.factors:
+        d = _size(factor)
+        right = op.dim // (left * d)
+        for o, values in factor.items():
+            full = np.broadcast_to(values[:, None], (left, d, right)).ravel()
+            out[o * right] = full + out[o * right] if o * right in out else full
+        left *= d
+    return dict(sorted(out.items()))
 
-    ``ops`` reuses the (X_CM, V_CM, P_TOT) triple of ``cm_operators_numeric``.
+
+def _diagonal_product(a: dict, b: dict, reverse: bool) -> dict:
+    """The diagonals of A @ B, both held as padded diagonals of one size:
+    (A @ B)[i, i + oa + ob] adds A[i, i + oa] * B[i + oa, i + oa + ob] over
+    the offsets oa of A, ascending or, with ``reverse``, descending."""
+    out = {}
+    for oa in sorted(a, reverse=reverse):
+        va = a[oa]
+        for ob, vb in b.items():
+            if abs(oa + ob) >= len(va):  # a diagonal outside the matrix
+                continue
+            term = va * _shifted(vb, oa)
+            out[oa + ob] = out[oa + ob] + term if oa + ob in out else term
+    return dict(sorted(out.items()))
+
+
+def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
+    """The Hamiltonian as one real banded factor: its diagonals over the composite index.
+
+    ``ops`` reuses the (X_CM, V_CM, P_TOT) triple of ``cm_operators_numeric``;
+    X_CM is real and P_TOT imaginary in this basis, so H is formed in real
+    arithmetic from their diagonals, numpy only: P_TOT^2 / 2M, then the powers
+    of X_CM, each the last times the tridiagonal X_CM, then (H + H^T) / 2.
+    H equals the ``scipy.sparse`` assembly of :func:`_sparse_hamiltonian` bit
+    for bit for one mode, where no entry sums more than two products, and for
+    a potential of degree at most 2; above that, an entry of X_CM^3 or a
+    higher power on several modes may add its products in another order.
     Raises OverflowError at the first power of X_CM that leaves the
     floating-point range, or when H itself does.  The powers stop at the
     first one that is the zero matrix; the terms above it are zero.
     """
     x_cm, _, p_tot = ops if ops is not None else cm_operators_numeric(spec.modes)
-    total_mass = spec.total_mass
-    h = (p_tot.matrix @ p_tot.matrix) / (2.0 * total_mass)
+    x = {o: v.real for o, v in _composite_diagonals(x_cm).items()}
+    momentum = {o: v.imag for o, v in _composite_diagonals(p_tot).items()}  # P^2 = -(Im P)^2
+    # scipy.sparse sums an entry of A @ B in the stored order of A's row: by
+    # ascending column for P_TOT, by descending column for X_CM, the first
+    # power (a product's rows are stored in reverse), so P_TOT^2 and X_CM^2,
+    # and so H of a quadratic potential, match its assembly bit for bit
+    h = {o: v * (-1 / (2.0 * spec.total_mass))
+         for o, v in _diagonal_product(momentum, momentum, reverse=False).items()}
+    powers = {0: {0: np.ones(x_cm.dim)}}
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused here
+        for k in range(1, spec.potential.degree + 1):
+            powers[k] = _diagonal_product(powers[k - 1], x, reverse=True)
+            _check_finite(powers[k].values(), f"power {k} of X_CM")
+            if not any(v.any() for v in powers[k].values()):  # underflowed, as every higher one
+                break
+        for k, c in spec.potential.terms:
+            for o, v in powers.get(k, {}).items():
+                h[o] = h[o] + float(c) * v if o in h else float(c) * v
+    _check_finite(h.values(), "the Hamiltonian")
+    # scrub rounding asymmetry; + 0.0 turns the zeros scipy drops into +0.0
+    offsets = sorted(set(h) | {-o for o in h})
+    zero = np.zeros(x_cm.dim)
+    h = {o: (h.get(o, zero) + _shifted(h.get(-o, zero), o)) * 0.5 + 0.0 for o in offsets}
+    return SparseOperator(x_cm.mode_dims, [{o: v for o, v in h.items() if v.any()} or {0: zero}],
+                          hermitian=True)
+
+
+def _sparse_hamiltonian(spec: HamiltonianSpec, ops):
+    """H as a complex CSR matrix, assembled with ``scipy.sparse`` (imported here):
+    the Kronecker-sum fold of each CM operator, its sparse powers and
+    (H + H^H) / 2.  Only a run above the dense limit needs it."""
+    import scipy.sparse as sp
+
+    x_cm, _, p_tot = ops
+    h = (p_tot.matrix @ p_tot.matrix) / (2.0 * spec.total_mass)
     if spec.potential.terms:
         power = sp.identity(x_cm.dim, format="csr", dtype=np.complex128)
         powers = {0: power}
         for k in range(1, spec.potential.degree + 1):
             power = power @ x_cm.matrix
-            _check_finite(power, f"power {k} of X_CM")
+            _check_finite([power.data], f"power {k} of X_CM")
             powers[k] = power
             if not power.nnz:  # underflowed to zero, and so is every higher power
                 break
@@ -182,9 +254,8 @@ def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
             for k, c in spec.potential.terms:
                 if k in powers:
                     h = h + float(c) * powers[k]
-    _check_finite(h, "the Hamiltonian")
-    h = (h + h.getH()) * 0.5  # scrub rounding asymmetry from the sparse products
-    return SparseOperator(x_cm.mode_dims, [h], hermitian=True)
+    _check_finite([h.data], "the Hamiltonian")
+    return (h + h.getH()) * 0.5  # scrub rounding asymmetry from the sparse products
 
 
 def _step_count(t_final: float, dt: float) -> int:
@@ -270,24 +341,34 @@ class Trajectory:
         return float(np.max(np.abs(self.energy - e0)) / max(abs(e0), 1e-30))
 
 
-def _blocks(h: SparseOperator, real) -> list:
-    """The indices of H's diagonal blocks, read exactly off ``real``, H's real part:
-    its two parity sectors when no stored entry couples basis states of opposite
+def _blocks(h: SparseOperator, real: dict) -> list:
+    """The indices of H's diagonal blocks, read exactly off ``real``, H's diagonals:
+    its two parity sectors when no nonzero entry couples basis states of opposite
     total level parity (every even potential, on either model), else all of H."""
     parity = np.indices(h.mode_dims).sum(axis=0).ravel() % 2
-    entries = real.tocoo()
-    if (parity[entries.row] != parity[entries.col]).any():
+    # entry i of diagonal o couples state i to state i + o; the wrapped ends are zero
+    if any(values[parity != np.roll(parity, -o)].any() for o, values in real.items()):
         return [np.arange(h.dim)]
     return [np.flatnonzero(parity == p) for p in (0, 1)]
 
 
-def _eigh_sampler(real, index, psi0: np.ndarray, times: np.ndarray, hbar: float):
+def _eigh_sampler(real: dict, index, psi0: np.ndarray, times: np.ndarray, hbar: float):
     """Sample H's block ``index``: a slice of ``times`` -> its columns of exp(-iHt/hbar) psi0.
 
-    The one ``eigh`` runs here.  A slice's rows are one real GEMM of the real
+    The block is cut from H's diagonals ``real`` as a dense array, and the one
+    ``eigh`` runs here.  A slice's rows are one real GEMM of the real
     eigenvectors and the interleaved re and im of the phased coefficients.
     """
-    evals, evecs = np.linalg.eigh(real[index][:, index].toarray())
+    dim = _size(real)
+    position = np.full(dim, -1)
+    position[index] = np.arange(len(index))
+    block = np.zeros((len(index), len(index)))
+    for o, values in real.items():
+        inside = (index + o >= 0) & (index + o < dim)
+        rows, cols = np.flatnonzero(inside), position[index[inside] + o]
+        rows, cols = rows[cols >= 0], cols[cols >= 0]
+        block[rows, cols] = values[index[rows]]
+    evals, evecs = np.linalg.eigh(block)
     coeffs = evecs.T @ psi0[index]
 
     def sample(rows: slice) -> np.ndarray:
@@ -298,8 +379,9 @@ def _eigh_sampler(real, index, psi0: np.ndarray, times: np.ndarray, hbar: float)
     return sample
 
 
-def _expm_sampler(h: SparseOperator, psi0: np.ndarray, times: np.ndarray, hbar: float):
-    """Sample all of H by the sparse action of the exponential (Al-Mohy & Higham 2011).
+def _expm_sampler(matrix, psi0: np.ndarray, times: np.ndarray, hbar: float):
+    """Sample all of H, the CSR ``matrix`` of :func:`_sparse_hamiltonian`, by the
+    sparse action of the exponential (Al-Mohy & Higham 2011).
 
     One ``expm_multiply`` call computes every row, and a slice is a view of
     them: a call per slice would repeat its norm estimation and change its
@@ -312,7 +394,7 @@ def _expm_sampler(h: SparseOperator, psi0: np.ndarray, times: np.ndarray, hbar: 
 
     try:
         with np.errstate(all="ignore"):  # refused below, without scipy's warnings
-            rows = expm_multiply(h.matrix * (-1j / hbar), psi0, start=0.0, stop=times[-1],
+            rows = expm_multiply(matrix * (-1j / hbar), psi0, start=0.0, stop=times[-1],
                                  num=len(times), endpoint=True)
     except (OverflowError, ValueError) as exc:
         raise OverflowError("the action of exp(-iHt/hbar) leaves the floating-point range") from exc
@@ -325,32 +407,42 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
 
     t_final must be a whole number of steps dt, at most MAX_STEPS.  The
     propagator is exact and unitary: a dense ``eigh`` sampler per diagonal
-    block of H up to total dimension 2048, one ``expm_multiply`` sampler
-    above it.  The one loop over the time grid fills each block of rows from
-    every sampler, evaluates it and drops it, and keeps only the columns of
-    CM observables, energy, norm and truncation weight.
+    block of the banded H of :func:`build_hamiltonian` up to total dimension
+    2048, one ``expm_multiply`` sampler of the CSR H of
+    :func:`_sparse_hamiltonian` above it.  The one loop over the time grid
+    fills each block of rows from every sampler, evaluates it and drops it,
+    and keeps only the columns of CM observables, energy, norm and truncation
+    weight.
     Raises, for the first sample that fails a gate, NormDriftError when
     |norm - 1| reaches 1e-8 (never renormalizes), else
     ExcessiveTruncationError when it exceeds the truncation gate.
     """
     n_steps = _step_count(t_final, dt)
     ops = cm_operators_numeric(spec.modes)
-    h = build_hamiltonian(spec, ops=ops)
-    if psi0.mode_dims != h.mode_dims:
+    if psi0.mode_dims != ops[0].mode_dims:
         raise ValueError("initial state does not match the Hamiltonian's modes")
 
     times = dt * np.arange(n_steps + 1)
-    if h.dim <= EIG_DIMENSION_LIMIT:
-        real = h.matrix.real
+    dim = ops[0].dim
+    if dim <= EIG_DIMENSION_LIMIT:
+        h = build_hamiltonian(spec, ops=ops)
+        real = h.factors[0]
         samplers = [(index, _eigh_sampler(real, index, psi0.amplitudes, times, spec.hbar))
                     for index in _blocks(h, real)]
+
+        def energies(block):
+            return expectation(h, block).real
     else:
-        samplers = [(slice(None), _expm_sampler(h, psi0.amplitudes, times, spec.hbar))]
-    step = max(1, SAMPLE_BLOCK_AMPLITUDES // h.dim)  # each temporary stays near 1 MiB
+        matrix = _sparse_hamiltonian(spec, ops)
+        samplers = [(slice(None), _expm_sampler(matrix, psi0.amplitudes, times, spec.hbar))]
+
+        def energies(block):  # H's rows made contiguous, for the dot products to round alike
+            return np.vecdot(block, np.ascontiguousarray((matrix @ block.T).T)).real
+    step = max(1, SAMPLE_BLOCK_AMPLITUDES // dim)  # each temporary stays near 1 MiB
     blocks = []
     for start in range(0, len(times), step):
         rows = slice(start, start + step)
-        block = np.empty((len(times[rows]), h.dim), dtype=np.complex128)
+        block = np.empty((len(times[rows]), dim), dtype=np.complex128)
         for index, sample in samplers:
             block[:, index] = sample(rows)
         # np.linalg.norm's arithmetic, row by row
@@ -358,8 +450,7 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
         weights = truncation_weights(block, psi0.mode_dims)
         _check_gates(times[rows], norms, weights)
         rec = cm_expectation_records(block, ops, weights)
-        blocks.append((rec.x_cm, rec.v_cm, rec.dx, rec.dv, expectation(h, block).real,
-                       norms, weights))
+        blocks.append((rec.x_cm, rec.v_cm, rec.dx, rec.dv, energies(block), norms, weights))
     return Trajectory(times, *map(np.concatenate, zip(*blocks)), total_mass=spec.total_mass)
 
 

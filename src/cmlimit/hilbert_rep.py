@@ -10,11 +10,15 @@ confined to the top basis level, so its weight is a precise validity gate
 Every operator is built by one constructor, ``SparseOperator(mode_dims,
 factors)``: the Kronecker sum of its factors, sum_k I (x) ... (x) F_k (x)
 ... (x) I, with factor 0 the slowest-varying index of the composite basis.
-The CM operators pass their weighted d x d single-mode matrices and are
-applied mode by mode to the amplitude tensor; the composite sparse matrix is
-assembled only when read (for the Hamiltonian and the symbolic-algebra
-bridge).  A general matrix -- a single-mode X or P, H, a polynomial image --
-is the one-factor case.  An (S, D) stack of amplitude rows is applied and
+A factor is held in numpy as its nonzero diagonals: a CM operator's factor
+is a weighted single-mode X or P, tridiagonal with a zero main diagonal, so
+two off-diagonals, and it is applied mode by mode to the amplitude tensor
+by shifted slices.  A general matrix -- a single-mode X or P, H, a
+polynomial image -- is the one-factor case.  This module and
+:mod:`cmlimit.dynamics` load numpy alone; ``scipy.sparse`` is imported only
+to assemble a composite CSR matrix: by the ``matrix`` property, by
+:func:`nc_matrix` (the symbolic-algebra bridge) and by an evolution above
+the dense limit.  An (S, D) stack of amplitude rows is applied and
 evaluated in one pass: the row index is one more leading axis of the
 tensor: :func:`cm_expectation_records` gives one record whose fields are
 columns, one entry per row, and :func:`truncation_weights` one weight per
@@ -29,7 +33,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ccr_algebra import NCPolynomial
 
@@ -78,15 +81,74 @@ class ModeSpec:
                                  "scale out of the floating-point range")
 
 
-class SparseOperator:
-    """Sparse complex operator on a tensor product of modes.
+def _span(o: int, d: int) -> tuple:
+    """The rows i of a d x d matrix that hold an offset-o diagonal entry, and their columns i + o."""
+    return (slice(0, d - o), slice(o, d)) if o >= 0 else (slice(-o, d), slice(0, d + o))
 
-    Held as a Kronecker sum of square sparse factors,
+
+def _size(diagonals: dict) -> int:
+    return len(next(iter(diagonals.values())))
+
+
+def _shifted(values: np.ndarray, o: int) -> np.ndarray:
+    """Entry i is values[i + o], zero where i + o leaves the array; for the padded
+    offset -o diagonal of A this is the offset-o diagonal of A's transpose."""
+    out = np.zeros_like(values)
+    rows, cols = _span(o, len(values))
+    out[rows] = values[cols]
+    return out
+
+
+def _diagonals(matrix) -> dict:
+    """A square matrix (dense or ``scipy.sparse``) as its nonzero diagonals, padded;
+    the zero matrix keeps its main diagonal, so every factor knows its size."""
+    dense = np.asarray(matrix.toarray() if hasattr(matrix, "toarray") else matrix,
+                       dtype=np.complex128)
+    d = dense.shape[0]
+    if dense.shape != (d, d):
+        raise ValueError(f"factor of shape {dense.shape} is not square")
+    rows, cols = np.nonzero(dense)
+    diagonals = {}
+    for o in np.unique(cols - rows).tolist() or [0]:
+        diagonals[o] = np.zeros(d, dtype=np.complex128)
+        diagonals[o][_span(o, d)[0]] = np.diagonal(dense, o)
+    return diagonals
+
+
+def _apply_diagonals(diagonals: dict, view: np.ndarray) -> np.ndarray:
+    """A banded factor applied to axis 1 of a (left, d, right) view: the first
+    diagonal's products, then each further one's added, by ascending offset.
+
+    Each row adds its entries in CSR's order, by ascending column; CSR starts
+    the sum at +0.0, which only a final ``+ 0.0`` of the caller reproduces
+    for zero sums (it turns -0.0 into +0.0 and changes nothing else).
+    """
+    out = None
+    for o, values in diagonals.items():
+        rows, cols = _span(o, view.shape[1])
+        if out is None:
+            out = np.empty(view.shape, dtype=np.result_type(view, values))
+            np.multiply(values[rows, None], view[:, cols], out=out[:, rows])
+            out[:, :rows.start] = 0
+            out[:, rows.stop:] = 0
+        else:
+            out[:, rows] += values[rows, None] * view[:, cols]
+    return out
+
+
+class SparseOperator:
+    """Operator on a tensor product of modes, held as numpy diagonals.
+
+    A Kronecker sum of square banded factors,
     sum_k I (x) ... (x) F_k (x) ... (x) I with factor 0 the leading one, whose
-    dimensions multiply to the composite dimension.  A general matrix is the
-    one-factor case, ``SparseOperator(mode_dims, [matrix])``, and is its own
-    ``matrix``.  ``apply`` works factor by factor on the amplitude tensor; the
-    ``matrix`` of several factors is assembled on first read and cached.
+    dimensions multiply to the composite dimension.  Each factor is a dict
+    ``{offset: values}`` in ascending offset order, with ``values[i] =
+    F[i, i + offset]`` where that column exists and zero padding elsewhere:
+    the two off-diagonals of a CM factor, the band of a one-mode Hamiltonian.
+    A general matrix (dense or ``scipy.sparse``) is the one-factor case,
+    ``SparseOperator(mode_dims, [matrix])``, kept as its nonzero diagonals.
+    ``apply`` works factor by factor on the amplitude tensor with shifted
+    slices; only ``matrix``, the composite CSR matrix, imports ``scipy.sparse``.
     """
 
     __slots__ = ("mode_dims", "factors", "hermitian", "_matrix")
@@ -95,36 +157,47 @@ class SparseOperator:
         mode_dims = tuple(int(d) for d in mode_dims)
         # a factor object passed for several modes is converted and checked once
         distinct = {id(f): f for f in factors}
-        converted = {key: sp.csr_matrix(f, dtype=np.complex128) for key, f in distinct.items()}
+        converted = {key: dict(sorted(f.items())) if isinstance(f, dict) else _diagonals(f)
+                     for key, f in distinct.items()}
         factors = tuple(converted[id(f)] for f in factors)
-        if any(f.shape[0] != f.shape[1] for f in factors) or (
-                math.prod(f.shape[0] for f in factors) != math.prod(mode_dims)):
-            raise ValueError(f"factor shapes {[f.shape for f in factors]} do not match "
-                             f"dims {mode_dims}")
+        sizes = [_size(f) for f in factors]
+        if math.prod(sizes) != math.prod(mode_dims):
+            raise ValueError(f"factor sizes {sizes} do not match dims {mode_dims}")
         if hermitian:
             for f in converted.values():
-                defect = f - f.getH()
-                if defect.nnz and abs(defect).max() > HERMITIAN_TOLERANCE:
+                zero = np.zeros(_size(f))
+                defect = max(float(np.abs(v - np.conj(_shifted(f.get(-o, zero), o))).max())
+                             for o, v in f.items())
+                if defect > HERMITIAN_TOLERANCE:
                     raise ValueError("operator marked Hermitian is not (within 1e-12)")
         object.__setattr__(self, "mode_dims", mode_dims)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "hermitian", bool(hermitian))
-        object.__setattr__(self, "_matrix", factors[0] if len(factors) == 1 else None)
+        object.__setattr__(self, "_matrix", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseOperator is immutable")
 
     @property
-    def matrix(self) -> sp.csr_matrix:
-        """The composite CSR matrix; a Kronecker sum is folded on first read and cached.
+    def matrix(self):
+        """The composite complex CSR matrix, built on first read and cached.
 
-        The fold is ``scipy.sparse.kronsum(F_k, S)`` over the factors from a
-        1x1 zero, so factor 0 ends up the slowest-varying index.
+        Imports ``scipy.sparse``.  Each factor becomes a CSR matrix of its
+        diagonals, and a Kronecker sum is folded with ``scipy.sparse.kronsum(F_k,
+        S)`` over the factors from a 1x1 zero, so factor 0 ends up the
+        slowest-varying index.
         """
         if self._matrix is None:
-            total = sp.csr_matrix((1, 1), dtype=np.complex128)
-            for factor in self.factors:
-                total = sp.kronsum(factor, total, format="csr")
+            import scipy.sparse as sp
+
+            csr = [sp.diags([v[_span(o, len(v))[0]] for o, v in f.items()], list(f),
+                            shape=(_size(f), _size(f)), format="csr", dtype=np.complex128)
+                   for f in self.factors]
+            total = csr[0]
+            if len(csr) > 1:
+                total = sp.csr_matrix((1, 1), dtype=np.complex128)
+                for factor in csr:
+                    total = sp.kronsum(factor, total, format="csr")
             object.__setattr__(self, "_matrix", total)
         return self._matrix
 
@@ -136,8 +209,10 @@ class SparseOperator:
         """op psi for a StateVector on this layout, a bare amplitude vector or an (S, D) stack.
 
         Factor k acts on axis k of the amplitude tensor (the "vec trick",
-        Van Loan 2000); the row index of a stack is one more leading axis.
-        A one-factor operator is a single sparse product.
+        Van Loan 2000), viewed as (left, d, right); the row index of a stack is
+        one more leading axis.  Each factor adds its diagonals by shifted
+        slices, and the factors' terms are summed in order: every row is
+        rounded as a CSR product rounds it.
         """
         if isinstance(psi, StateVector):
             if psi.mode_dims != self.mode_dims:
@@ -147,19 +222,19 @@ class SparseOperator:
             raise ValueError(f"expected {self.dim} amplitudes per row, got shape {psi.shape}")
         out, left = None, psi.shape[0] if psi.ndim == 2 else 1
         for factor in self.factors:
-            d = factor.shape[0]
-            right = psi.size // (left * d)
-            # axis of this factor first: (left, d, right) -> (d, left * right)
-            block = psi.reshape(left, d, right).transpose(1, 0, 2).reshape(d, -1)
-            term = (factor @ block).reshape(d, left, right).transpose(1, 0, 2).reshape(psi.shape)
-            out = term if out is None else out + term
+            d = _size(factor)
+            term = _apply_diagonals(factor, psi.reshape(left, d, -1)).reshape(psi.shape)
+            if out is None:
+                out = term
+            else:
+                out += term
             left *= d
-        # a one-factor stack comes back transposed; rows must be contiguous, as
-        # a single state's are, for dot products to round the same way
-        return np.ascontiguousarray(out)
+        out += 0.0  # the +0.0 CSR starts every sum from
+        return out
 
     def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        """The composite matrix as a dense complex array: the columns op e_j."""
+        return np.ascontiguousarray(self.apply(np.eye(self.dim, dtype=np.complex128)).T)
 
     def __repr__(self):
         return f"<SparseOperator dims={self.mode_dims} factors={len(self.factors)}>"
@@ -197,26 +272,37 @@ class StateVector:
 # ---------------------------------------------------------------------------
 
 
-def ladder(d: int) -> SparseOperator:
-    """Lowering operator on a d-level mode: a|n> = sqrt(n)|n-1>."""
+def _ladder_diagonal(d: int) -> np.ndarray:
+    """sqrt(n) at row n - 1 for n = 1 .. d - 1, complex, with its padding zero."""
     if d < 2:
         raise ValueError("dim must be at least 2")
-    data = np.sqrt(np.arange(1, d))
-    return SparseOperator((d,), [sp.diags(data, offsets=1)])
+    return np.append(np.sqrt(np.arange(1, d)), 0.0).astype(np.complex128)
+
+
+def ladder(d: int) -> SparseOperator:
+    """Lowering operator on a d-level mode: a|n> = sqrt(n)|n-1>."""
+    return SparseOperator((d,), [{1: _ladder_diagonal(d)}])
 
 
 def position_op(mode: ModeSpec) -> SparseOperator:
-    """X = sqrt(hbar/2m) (a + a†); Hermitian, tridiagonal."""
-    a = ladder(mode.dim).matrix
+    """X = sqrt(hbar/2m) (a + a†); Hermitian, tridiagonal.
+
+    The diagonals are rounded as ``scale * (a + a.getH())`` rounds them in
+    ``scipy.sparse``, signed zeros included.
+    """
+    a = _ladder_diagonal(mode.dim)
     scale = math.sqrt(mode.hbar / (2.0 * mode.mass))
-    return SparseOperator((mode.dim,), [scale * (a + a.getH())], hermitian=True)
+    return SparseOperator((mode.dim,), [{-1: (0 + _shifted(np.conj(a), -1)) * scale,
+                                         1: (a + 0) * scale}], hermitian=True)
 
 
 def momentum_op(mode: ModeSpec) -> SparseOperator:
-    """P = i sqrt(m hbar / 2) (a† - a); Hermitian, tridiagonal."""
-    a = ladder(mode.dim).matrix
-    scale = math.sqrt(mode.mass * mode.hbar / 2.0)
-    return SparseOperator((mode.dim,), [1j * scale * (a.getH() - a)], hermitian=True)
+    """P = i sqrt(m hbar / 2) (a† - a); Hermitian, tridiagonal, rounded as
+    ``1j * scale * (a.getH() - a)`` rounds in ``scipy.sparse``."""
+    a = _ladder_diagonal(mode.dim)
+    scale = 1j * math.sqrt(mode.mass * mode.hbar / 2.0)
+    return SparseOperator((mode.dim,), [{-1: (_shifted(np.conj(a), -1) - 0) * scale,
+                                         1: (0 - a) * scale}], hermitian=True)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +314,13 @@ def cm_operators_numeric(system):
     """(X_CM, V_CM, P_TOT) on the tensor product of the given modes.
 
     Each is the Kronecker sum of its weighted single-mode matrices, mode 0
-    the leading factor: (m_k/M) X_k, P_k/M and P_k.  Nothing is assembled
-    here; ``apply`` works mode by mode, and ``.matrix`` folds the factors
-    with ``scipy.sparse.kronsum`` when read.  Every entry of the assembled
-    matrix is a single product w_k * A_k[i, j]: the modes' terms never overlap.
-    Equal modes share their factor objects, built once.
+    the leading factor: (m_k/M) X_k, P_k/M and P_k, each held in numpy as its
+    two off-diagonals, rounded as the ``scipy.sparse`` scalar products round
+    them.  Nothing is assembled and no scipy module is loaded here;
+    ``apply`` works mode by mode, and only ``.matrix`` imports
+    ``scipy.sparse`` and folds the factors with ``kronsum``.  Every entry of
+    the assembled matrix is a single product w_k * A_k[i, j]: the modes'
+    terms never overlap.  Equal modes share their factor objects, built once.
     """
     system = list(system)
     if not system:
@@ -243,8 +331,9 @@ def cm_operators_numeric(system):
     weighted = {}  # equal modes share one (X, P, V) factor triple
     for m in system:
         if m not in weighted:
-            p = momentum_op(m).matrix
-            weighted[m] = ((m.mass / total_mass) * position_op(m).matrix, p, p / total_mass)
+            x, p = position_op(m).factors[0], momentum_op(m).factors[0]
+            weighted[m] = ({o: v * (m.mass / total_mass) for o, v in x.items()}, p,
+                           {o: v * (1 / total_mass) for o, v in p.items()})
     x_factors, p_factors, v_factors = zip(*(weighted[m] for m in system))
     x_cm = SparseOperator(dims, x_factors, hermitian=True)
     p_tot = SparseOperator(dims, p_factors, hermitian=True)
@@ -445,7 +534,8 @@ def cm_pair_ops(eps: float, dim: int):
     """
     mode = ModeSpec(mass=1.0 / eps, dim=dim)
     x = position_op(mode)
-    v = SparseOperator((dim,), [momentum_op(mode).matrix * eps], hermitian=True)
+    v = SparseOperator((dim,), [{o: p * eps for o, p in momentum_op(mode).factors[0].items()}],
+                       hermitian=True)
     return x, v
 
 
@@ -455,8 +545,10 @@ def nc_matrix(poly: NCPolynomial, pair_ops, hbar: float, eps: float) -> SparseOp
     ``pair_ops[k]`` supplies the (X_k, V_k) matrices, all on the same mode
     layout; hbar and eps substitute the formal exponents.  Term order follows
     the normal-ordered representation, so this is the faithful matrix image
-    of the symbolic element.
+    of the symbolic element.  Imports ``scipy.sparse`` for the products.
     """
+    import scipy.sparse as sp
+
     pair_ops = list(pair_ops)
     if len(pair_ops) != poly.algebra.n_pairs:
         raise ValueError("need one (X, V) operator pair per algebra pair")

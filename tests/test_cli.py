@@ -387,6 +387,20 @@ def test_algebra_commands_are_byte_identical(capsys, argv, md5):
 
 
 @pytest.mark.parametrize("argv, md5", [
+    (("--N", "1,2,3,4,5,6", "--dim", "8", "--x0", "0.25", "--p0", "-0.15"),
+     "98ed66d9bc537eb6090e9043a78cde23"),
+    (("--N", "1,2,3,4,5", "--dim", "12", "--x0", "0.25", "--p0", "-0.15"),
+     "c0cd9cf5fcc3536d9fe2b7c2da72c64a"),
+], ids=["d8", "d12"])
+def test_uncertainty_commands_are_byte_identical(capsys, argv, md5):
+    # pinned stdout of the benchmark's two uncertainty shapes (up to 262,144
+    # amplitudes); the mode-by-mode apply must round every row the same way
+    code, out = run_cli(capsys, "uncertainty", *argv)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
+@pytest.mark.parametrize("argv, md5", [
     (("--potential", "0.5*x^2", "--N", "4", "--dim", "160", "--t", "20", "--dt", "0.01",
       "--x0", "1.1", "--p0", "-0.1"),
      "5b9b2db1ec78d4af90ca990b0302d662"),

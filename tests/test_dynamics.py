@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import scipy.linalg
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components
@@ -194,6 +196,34 @@ def test_powers_stop_at_the_first_zero_power():
         assert getattr(h.matrix, part).tobytes() == getattr(free.matrix, part).tobytes()
 
 
+_MASS = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+_COEFFS = st.dictionaries(st.integers(0, 4), st.builds(Fraction, st.integers(-9, 9),
+                                                        st.integers(1, 9)), max_size=4)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.one_of(
+    st.lists(st.tuples(_MASS, st.integers(2, 64)), min_size=1, max_size=1),
+    st.lists(st.tuples(_MASS, st.integers(2, 12)), min_size=2, max_size=3),
+), _COEFFS)
+@example([(Fraction(1), 10)] * 3, {2: Fraction(1, 2)})  # a benchmark full-model shape
+@example([(Fraction(1, 3), 5), (Fraction(2), 5)], {2: Fraction(1, 2), 1: Fraction(1, 5)})
+def test_numpy_hamiltonian_matches_sparse_assembly(modes_drawn, coeffs):
+    # H of one mode or of a quadratic potential is the CSR assembly bit for
+    # bit; a cubic or quartic power on several modes may add an entry's
+    # products in another order
+    modes = tuple(ModeSpec(mass=float(m), dim=d) for m, d in modes_drawn)
+    spec = HamiltonianSpec(modes=modes, potential=PolynomialPotential.from_coeffs(coeffs))
+    ops = cm_operators_numeric(modes)
+    h = build_hamiltonian(spec, ops=ops).matrix.toarray()
+    csr = dynamics._sparse_hamiltonian(spec, ops).toarray()
+    assert not h.imag.any()
+    if len(modes) == 1 or spec.potential.degree <= 2:
+        assert np.array_equal(h, csr)
+    else:
+        assert np.abs(h - csr).max() <= 1e-15 * np.abs(csr).max()
+
+
 def test_hamiltonian_dimension_cap():
     modes = tuple(ModeSpec(mass=1.0, dim=128) for _ in range(3))
     spec = HamiltonianSpec(modes=modes, potential=FREE)
@@ -239,12 +269,13 @@ def test_propagators_agree(monkeypatch):
     psi0 = coherent_state(spec.modes[0], 0.5, 0.0)
     h = build_hamiltonian(spec)
     times = 0.05 * np.arange(21)
-    real = h.matrix.real
+    real = h.factors[0]
     dense = np.empty((21, 32), dtype=np.complex128)
     for index in dynamics._blocks(h, real):
         dense[:, index] = dynamics._eigh_sampler(real, index, psi0.amplitudes, times,
                                                  spec.hbar)(slice(None))
-    sparse = dynamics._expm_sampler(h, psi0.amplitudes, times, spec.hbar)(slice(None))
+    matrix = dynamics._sparse_hamiltonian(spec, cm_operators_numeric(spec.modes))
+    sparse = dynamics._expm_sampler(matrix, psi0.amplitudes, times, spec.hbar)(slice(None))
     assert dense.shape == sparse.shape == (21, 32)
     assert np.abs(dense - sparse).max() < 1e-10
     # the block seams of evolve_quantum's loop leave the rows alone, on both
@@ -311,21 +342,24 @@ def test_evolve_quantum_matches_dense_exponential(spec, split, monkeypatch):
 
 def test_evolve_does_not_import_csgraph():
     # the parity sectors are read off H's entries; no graph search is loaded.
-    # Nor is any scipy subpackage past scipy.sparse: numpy's eigh, math.lgamma
-    # and expm_multiply imported only above the dense limit keep
-    # scipy.linalg, scipy.special and scipy.sparse.linalg out of the process
+    # Nor is any scipy module at all below the dense limit: H and the CM
+    # operators are numpy diagonals, numpy's eigh diagonalizes H, math.lgamma
+    # builds the coherent states, and scipy.sparse (with expm_multiply) is
+    # imported only above the limit, so no scipy module enters the process
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    unused = ["scipy.sparse.csgraph", "scipy.linalg", "scipy.special", "scipy.sparse.linalg"]
     code = ("import sys; from cmlimit.cli import main; "
             "code = main(['evolve', '--potential', 'x^4-2*x^2+1', '--N', '4', '--dim', '64', "
             "'--t', '0.1', '--dt', '0.05', '--x0', '0.5']); "
+            "code += main(['evolve', '--potential', '0.5*x^2 + 0.05*x', '--model', 'full', "
+            "'--N', '2', '--dim', '12', '--t', '0.1', '--dt', '0.05', '--x0', '0.3']); "
             "code += main(['uncertainty', '--N', '1,2', '--dim', '8', '--x0', '0.3']); "
-            f"print(code, *[name in sys.modules for name in {unused!r}], file=sys.stderr)")
+            "print(code, *[name for name in sys.modules if name.split('.')[0] == 'scipy'], "
+            "file=sys.stderr)")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True)
-    assert run.stderr.split() == ["0"] + ["False"] * len(unused)
+    assert run.stderr.split() == ["0"]
 
 
 def test_gates_raise_at_the_first_failing_sample(monkeypatch):

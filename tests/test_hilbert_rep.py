@@ -219,6 +219,42 @@ def test_product_state_variances_are_analytic(modes_drawn):
     assert variance(p_tot, psi) == pytest.approx(var_p, abs=1e-12)
 
 
+def _csr_mode_by_mode(op, rows):
+    """op applied as a CSR product per factor on its axis, the terms summed in
+    mode order: the sparse-matrix apply the shifted slices replace."""
+    out, left = None, len(rows)
+    for factor in op.factors:
+        d = len(next(iter(factor.values())))
+        csr = SparseOperator((d,), [factor]).matrix
+        block = rows.reshape(left, d, -1).transpose(1, 0, 2).reshape(d, -1)
+        term = (csr @ block).reshape(d, left, -1).transpose(1, 0, 2).reshape(rows.shape)
+        out = term if out is None else out + term
+        left *= d
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.lists(st.tuples(_RATIONAL_MASS, st.integers(2, 12)), min_size=1, max_size=4),
+       st.integers(1, 3), _SEED)
+def test_shifted_slice_apply_is_bitwise_csr(modes_drawn, rows, seed):
+    # exact zeros of either sign in the amplitudes: a row sum that is zero must
+    # come out +0.0, as CSR's sums from +0.0 do
+    system = [ModeSpec(mass=float(m), dim=d) for m, d in modes_drawn]
+    rng = np.random.default_rng(seed)
+    shape = (rows, math.prod(d for _, d in modes_drawn))
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stack[rng.random(shape) < 0.3] = 0.0
+    stack.real[rng.random(shape) < 0.2] = -0.0
+    stack.imag[rng.random(shape) < 0.2] = -0.0
+    for op in cm_operators_numeric(system):
+        applied = op.apply(stack)
+        assert applied.tobytes() == _csr_mode_by_mode(op, stack).tobytes()
+        if len(system) == 1:  # one factor: the composite matrix is that factor's
+            assert applied.tobytes() == np.ascontiguousarray((op.matrix @ stack.T).T).tobytes()
+        else:  # the composite CSR row adds the modes' entries in another order
+            assert np.abs(applied - (op.matrix @ stack.T).T).max() <= 1e-14
+
+
 def test_kronecker_sum_rejects_non_hermitian_factor():
     x = position_op(ModeSpec(mass=1.0, dim=3)).matrix
     with pytest.raises(ValueError, match="marked Hermitian"):
