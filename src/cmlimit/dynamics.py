@@ -41,10 +41,10 @@ from .hilbert_rep import (
     ModeSpec,
     SparseOperator,
     StateVector,
+    _records_of_applied,
     _shifted,
     _size,
     cm_expectation_record,
-    cm_expectation_records,
     cm_operators_numeric,
     coherent_state,
     expectation,
@@ -412,7 +412,9 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     :func:`_sparse_hamiltonian` above it.  The one loop over the time grid
     fills each block of rows from every sampler, evaluates it and drops it,
     and keeps only the columns of CM observables, energy, norm and truncation
-    weight.
+    weight.  Below the limit the energy is the band of H applied for one
+    mode, and from the rows' X_CM and V_CM images (:func:`_cm_energies`) for
+    several.
     Raises, for the first sample that fails a gate, NormDriftError when
     |norm - 1| reaches 1e-8 (never renormalizes), else
     ExcessiveTruncationError when it exceeds the truncation gate.
@@ -430,13 +432,15 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
         samplers = [(index, _eigh_sampler(real, index, psi0.amplitudes, times, spec.hbar))
                     for index in _blocks(h, real)]
 
-        def energies(block):
-            return expectation(h, block).real
+        def energies(block, x_rows, v_rows):
+            if len(spec.modes) > 1:  # H has many composite diagonals; X_CM and V_CM two per mode
+                return _cm_energies(block, x_rows, v_rows, ops[0], spec)
+            return expectation(h, block).real  # the band of H
     else:
         matrix = _sparse_hamiltonian(spec, ops)
         samplers = [(slice(None), _expm_sampler(matrix, psi0.amplitudes, times, spec.hbar))]
 
-        def energies(block):  # H's rows made contiguous, for the dot products to round alike
+        def energies(block, x_rows, v_rows):  # H's rows contiguous, for the dots to round alike
             return np.vecdot(block, np.ascontiguousarray((matrix @ block.T).T)).real
     step = max(1, SAMPLE_BLOCK_AMPLITUDES // dim)  # each temporary stays near 1 MiB
     blocks = []
@@ -449,9 +453,25 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
         norms = np.sqrt(np.vecdot(block.real, block.real) + np.vecdot(block.imag, block.imag))
         weights = truncation_weights(block, psi0.mode_dims)
         _check_gates(times[rows], norms, weights)
-        rec = cm_expectation_records(block, ops, weights)
-        blocks.append((rec.x_cm, rec.v_cm, rec.dx, rec.dv, energies(block), norms, weights))
+        x_rows, v_rows = ops[0].apply(block), ops[1].apply(block)
+        rec = _records_of_applied(block, x_rows, v_rows, weights)
+        blocks.append((rec.x_cm, rec.v_cm, rec.dx, rec.dv, energies(block, x_rows, v_rows),
+                       norms, weights))
     return Trajectory(times, *map(np.concatenate, zip(*blocks)), total_mass=spec.total_mass)
+
+
+def _cm_energies(rows, x_rows, v_rows, x_cm: SparseOperator, spec: HamiltonianSpec):
+    """<H> per row from the rows' X_CM and V_CM images: M/2 <V_CM^2> plus each
+    c_k <X_CM^a psi | X_CM^b psi> with a + b = k, the powers above the first
+    applied here (the Kronecker-sum applies; H's own diagonals are many on
+    several modes)."""
+    energy = np.vecdot(v_rows, v_rows).real * (0.5 * spec.total_mass)
+    powers = [rows, x_rows]
+    for k, c in spec.potential.terms:
+        while len(powers) <= k - k // 2:
+            powers.append(x_cm.apply(powers[-1]))
+        energy = energy + float(c) * np.vecdot(powers[k // 2], powers[k - k // 2]).real
+    return energy
 
 
 def _check_gates(times, norms: np.ndarray, weights: np.ndarray) -> None:

@@ -482,8 +482,11 @@ def cm_expectation_records(amplitudes: np.ndarray, ops, weights) -> ExpectationR
     the same arithmetic as for that row alone.
     """
     x_cm, v_cm, _ = ops
-    x_psi = x_cm.apply(amplitudes)
-    v_psi = v_cm.apply(amplitudes)
+    return _records_of_applied(amplitudes, x_cm.apply(amplitudes), v_cm.apply(amplitudes), weights)
+
+
+def _records_of_applied(amplitudes, x_psi, v_psi, weights) -> ExpectationRecord:
+    """:func:`cm_expectation_records` from the rows' X_CM and V_CM images."""
     x_mean = np.vecdot(amplitudes, x_psi)
     v_mean = np.vecdot(amplitudes, v_psi)
     x_dev = x_psi - x_mean[:, None] * amplitudes

@@ -304,6 +304,7 @@ def _full_spec(potential, n=2, dim=10):
 
 LINEAR_HARMONIC = PolynomialPotential.from_coeffs({2: 0.5, 1: 0.2})
 CUBIC_HARMONIC = PolynomialPotential.from_coeffs({3: 0.05, 2: 0.5})
+QUARTIC_CUBIC = PolynomialPotential.from_coeffs({4: 0.1, 3: 0.05, 2: 0.5})
 
 
 @pytest.mark.parametrize("spec, split", [
@@ -313,8 +314,9 @@ CUBIC_HARMONIC = PolynomialPotential.from_coeffs({3: 0.05, 2: 0.5})
     (_full_spec(LINEAR_HARMONIC), False),
     (effective_spec(1, potential=harmonic(1.0), dim=48), True),
     (effective_spec(2, potential=CUBIC_HARMONIC, dim=48), False),
+    (_full_spec(QUARTIC_CUBIC, dim=8), False),
 ], ids=["effective-even", "effective-linear", "full-even", "full-linear", "effective-diagonal",
-        "effective-cubic"])
+        "effective-cubic", "full-quartic-cubic"])
 def test_evolve_quantum_matches_dense_exponential(spec, split, monkeypatch):
     # an even potential splits H at least into its two parity sectors, each
     # diagonalized on its own (a diagonal H is one graph component per level,
@@ -330,6 +332,9 @@ def test_evolve_quantum_matches_dense_exponential(spec, split, monkeypatch):
     assert len(eighs) == (2 if split else 1)
     # one real GEMM rounds like the complex GEMM it replaced, to a few ulps
     assert np.abs(rows - complex_gemm_rows(h, psi0, 0.05, 20, spec.hbar)).max() <= 1e-14
+    # the energy column is <psi|H|psi> of the same rows, on either model
+    energy = expectation(h, rows).real
+    assert np.abs(traj.energy - energy).max() <= 1e-14 * np.abs(energy).max()
     dense = h.to_dense()
     for k in (0, 1, 7, 20):
         t = traj.times[k]
