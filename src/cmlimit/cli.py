@@ -616,7 +616,7 @@ def run_evolve(config: ExperimentConfig) -> ExperimentResult:
     try:
         potential = parse_potential(config["potential"])
     except PotentialSyntaxError as exc:
-        raise ConfigError(f"invalid potential: {exc}") from exc
+        raise ConfigError(f"--potential: invalid potential: {exc}") from exc
     n = config["N"]
     mbar = float(config["mbar"])
     total_mass = n * mbar
@@ -630,8 +630,8 @@ def run_evolve(config: ExperimentConfig) -> ExperimentResult:
             classical = evolve_classical(potential, total_mass, x0, p0, t_final, dt)
             times, xs, ps = (column.tolist() for column in classical)
             finite = all(map(math.isfinite, xs + ps))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        except ValueError as exc:  # the time grid: a whole number of steps, at most MAX_STEPS
+            raise ConfigError(f"--t, --dt: {exc}") from exc
         except OverflowError:
             finite = False
         if not finite:

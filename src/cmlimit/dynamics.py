@@ -2,13 +2,13 @@
 
 Quantum propagation runs in the Schrodinger picture (expectations are
 identical to the Heisenberg-picture statement) with the exact unitary
-exp(-iHt/hbar): H is real symmetric.  Up to total dimension 2048 it is
-built with numpy alone, as its diagonals over the composite index, and
+exp(-iHt/hbar): H is real symmetric, and built once, with numpy alone, as
+its diagonals over the composite index.  Up to total dimension 2048 it is
 diagonalized densely by numpy's ``eigh`` (LAPACK's divide-and-conquer
 ``?syevd``): one ``eigh`` per parity sector when H couples no basis states
 of opposite total level parity, as for every even potential (checked on H's
-entries), else one of all of H.  Above that, H is assembled as a sparse CSR
-matrix and applied as a sparse matrix-exponential action; only such a run
+entries), else one of all of H.  Above that, the CSR matrix of the same
+diagonals is applied as a sparse matrix-exponential action; only such a run
 imports ``scipy.sparse`` and ``scipy.sparse.linalg``.
 Each propagator is a sampler of one diagonal block of H, built once;
 ``evolve_quantum`` walks the time grid once, in blocks of rows of about
@@ -197,10 +197,12 @@ def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
     X_CM is real and P_TOT imaginary in this basis, so H is formed in real
     arithmetic from their diagonals, numpy only: P_TOT^2 / 2M, then the powers
     of X_CM, each the last times the tridiagonal X_CM, then (H + H^T) / 2.
-    H equals the ``scipy.sparse`` assembly of :func:`_sparse_hamiltonian` bit
-    for bit for one mode, where no entry sums more than two products, and for
-    a potential of degree at most 2; above that, an entry of X_CM^3 or a
-    higher power on several modes may add its products in another order.
+    Both propagators run on this H; only the sampler above the dense limit
+    reads its CSR ``.matrix``.  H equals the ``scipy.sparse`` products of the
+    CM operators' CSR matrices bit for bit for one mode, where no entry sums
+    more than two products, and for a potential of degree at most 2; above
+    that, an entry of X_CM^3 or a higher power on several modes may add its
+    products in another order.
     Raises OverflowError at the first power of X_CM that leaves the
     floating-point range, or when H itself does.  The powers stop at the
     first one that is the zero matrix; the terms above it are zero.
@@ -231,31 +233,6 @@ def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
     h = {o: (h.get(o, zero) + _shifted(h.get(-o, zero), o)) * 0.5 + 0.0 for o in offsets}
     return SparseOperator(x_cm.mode_dims, [{o: v for o, v in h.items() if v.any()} or {0: zero}],
                           hermitian=True)
-
-
-def _sparse_hamiltonian(spec: HamiltonianSpec, ops):
-    """H as a complex CSR matrix, assembled with ``scipy.sparse`` (imported here):
-    the Kronecker-sum fold of each CM operator, its sparse powers and
-    (H + H^H) / 2.  Only a run above the dense limit needs it."""
-    import scipy.sparse as sp
-
-    x_cm, _, p_tot = ops
-    h = (p_tot.matrix @ p_tot.matrix) / (2.0 * spec.total_mass)
-    if spec.potential.terms:
-        power = sp.identity(x_cm.dim, format="csr", dtype=np.complex128)
-        powers = {0: power}
-        for k in range(1, spec.potential.degree + 1):
-            power = power @ x_cm.matrix
-            _check_finite([power.data], f"power {k} of X_CM")
-            powers[k] = power
-            if not power.nnz:  # underflowed to zero, and so is every higher power
-                break
-        with np.errstate(over="ignore"):  # an overflowing term is refused below
-            for k, c in spec.potential.terms:
-                if k in powers:
-                    h = h + float(c) * powers[k]
-    _check_finite([h.data], "the Hamiltonian")
-    return (h + h.getH()) * 0.5  # scrub rounding asymmetry from the sparse products
 
 
 def _step_count(t_final: float, dt: float) -> int:
@@ -380,7 +357,7 @@ def _eigh_sampler(real: dict, index, psi0: np.ndarray, times: np.ndarray, hbar: 
 
 
 def _expm_sampler(matrix, psi0: np.ndarray, times: np.ndarray, hbar: float):
-    """Sample all of H, the CSR ``matrix`` of :func:`_sparse_hamiltonian`, by the
+    """Sample all of H, the CSR ``matrix`` of :func:`build_hamiltonian`'s H, by the
     sparse action of the exponential (Al-Mohy & Higham 2011).
 
     One ``expm_multiply`` call computes every row, and a slice is a view of
@@ -406,15 +383,14 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     """Propagate psi0 under the spec's Hamiltonian, sampling CM observables every dt.
 
     t_final must be a whole number of steps dt, at most MAX_STEPS.  The
-    propagator is exact and unitary: a dense ``eigh`` sampler per diagonal
-    block of the banded H of :func:`build_hamiltonian` up to total dimension
-    2048, one ``expm_multiply`` sampler of the CSR H of
-    :func:`_sparse_hamiltonian` above it.  The one loop over the time grid
-    fills each block of rows from every sampler, evaluates it and drops it,
-    and keeps only the columns of CM observables, energy, norm and truncation
-    weight.  Below the limit the energy is the band of H applied for one
-    mode, and from the rows' X_CM and V_CM images (:func:`_cm_energies`) for
-    several.
+    propagator is exact and unitary, on the one banded H of
+    :func:`build_hamiltonian`: a dense ``eigh`` sampler per diagonal block of
+    it up to total dimension 2048, one ``expm_multiply`` sampler of its CSR
+    matrix above that.  The one loop over the time grid fills each block of
+    rows from every sampler, evaluates it and drops it, and keeps only the
+    columns of CM observables, energy, norm and truncation weight.  On both
+    sides the energy is the band of H applied for one mode, and from the
+    rows' X_CM and V_CM images (:func:`_cm_energies`) for several.
     Raises, for the first sample that fails a gate, NormDriftError when
     |norm - 1| reaches 1e-8 (never renormalizes), else
     ExcessiveTruncationError when it exceeds the truncation gate.
@@ -426,22 +402,18 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
 
     times = dt * np.arange(n_steps + 1)
     dim = ops[0].dim
+    h = build_hamiltonian(spec, ops=ops)
     if dim <= EIG_DIMENSION_LIMIT:
-        h = build_hamiltonian(spec, ops=ops)
         real = h.factors[0]
         samplers = [(index, _eigh_sampler(real, index, psi0.amplitudes, times, spec.hbar))
                     for index in _blocks(h, real)]
-
-        def energies(block, x_rows, v_rows):
-            if len(spec.modes) > 1:  # H has many composite diagonals; X_CM and V_CM two per mode
-                return _cm_energies(block, x_rows, v_rows, ops[0], spec)
-            return expectation(h, block).real  # the band of H
     else:
-        matrix = _sparse_hamiltonian(spec, ops)
-        samplers = [(slice(None), _expm_sampler(matrix, psi0.amplitudes, times, spec.hbar))]
+        samplers = [(slice(None), _expm_sampler(h.matrix, psi0.amplitudes, times, spec.hbar))]
 
-        def energies(block, x_rows, v_rows):  # H's rows contiguous, for the dots to round alike
-            return np.vecdot(block, np.ascontiguousarray((matrix @ block.T).T)).real
+    def energies(block, x_rows, v_rows):
+        if len(spec.modes) > 1:  # H has many composite diagonals; X_CM and V_CM two per mode
+            return _cm_energies(block, x_rows, v_rows, ops[0], spec)
+        return expectation(h, block).real  # the band of H
     step = max(1, SAMPLE_BLOCK_AMPLITUDES // dim)  # each temporary stays near 1 MiB
     blocks = []
     for start in range(0, len(times), step):

@@ -1,4 +1,4 @@
-"""Independent oracles for the symbolic algebra and the CM operator tests.
+"""Independent oracles for the symbolic algebra, the CM operator and Hamiltonian tests.
 
 The multiplication oracle represents operator words as tuples of
 (letter, pair) factors and normal-orders them by repeated single adjacent
@@ -18,6 +18,7 @@ from cmlimit.ccr_algebra import (
     NCPolynomial,
     SymbolPolynomial,
 )
+from cmlimit.dynamics import HamiltonianSpec, _check_finite
 from cmlimit.hilbert_rep import momentum_op, position_op
 
 ZERO = GaussianRational(0)
@@ -92,6 +93,31 @@ def slow_mul(f, g):
             key = (h1 + h2, e1 + e2, w1 + w2)
             combined[key] = combined.get(key, ZERO) + c1 * c2
     return words_to_poly(f.algebra, slow_normal_order(f.algebra, combined))
+
+
+def sparse_hamiltonian(spec: HamiltonianSpec, ops):
+    """H as a complex CSR matrix, assembled with ``scipy.sparse`` (imported here):
+    the Kronecker-sum fold of each CM operator, its sparse powers and
+    (H + H^H) / 2.  The reference assembly for ``build_hamiltonian``'s diagonals."""
+    import scipy.sparse as sp
+
+    x_cm, _, p_tot = ops
+    h = (p_tot.matrix @ p_tot.matrix) / (2.0 * spec.total_mass)
+    if spec.potential.terms:
+        power = sp.identity(x_cm.dim, format="csr", dtype=np.complex128)
+        powers = {0: power}
+        for k in range(1, spec.potential.degree + 1):
+            power = power @ x_cm.matrix
+            _check_finite([power.data], f"power {k} of X_CM")
+            powers[k] = power
+            if not power.nnz:  # underflowed to zero, and so is every higher power
+                break
+        with np.errstate(over="ignore"):  # an overflowing term is refused below
+            for k, c in spec.potential.terms:
+                if k in powers:
+                    h = h + float(c) * powers[k]
+    _check_finite([h.data], "the Hamiltonian")
+    return (h + h.getH()) * 0.5  # scrub rounding asymmetry from the sparse products
 
 
 def random_coeff(rng: random.Random) -> GaussianRational:

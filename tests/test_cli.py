@@ -222,7 +222,8 @@ def test_evolve_parse_error_exit_code(capsys):
 
 def test_evolve_bad_grid_exit_code(capsys):
     assert main(["evolve", "--potential", "0", "--t", "1", "--dt", "0.3"]) == 1
-    assert capsys.readouterr().err == "error: t_final must be an integer multiple of dt\n"
+    assert capsys.readouterr().err == (
+        "error: --t, --dt: t_final must be an integer multiple of dt\n")
 
 
 def test_evolve_nonpositive_dt_exit_code(capsys):
@@ -260,6 +261,7 @@ HUGE = "1" + "0" * 330
     (("scaling", "--masses", f"1,{HUGE}"), "--masses"),
     (("scaling", "--N", "2", "--mbar", "1e308"), "--mbar"),  # total mass overflows
     (("scaling", "--masses", "1e308,1e308"), "--masses"),
+    (("evolve", "--potential", "x^-1"), "--potential"),  # a negative exponent
 ])
 def test_nonpositive_flag_is_config_error(capsys, argv, flag):
     _assert_flag_config_error(capsys, argv, flag)
@@ -275,8 +277,9 @@ def test_nonpositive_flag_is_config_error(capsys, argv, flag):
     (("residuals", "--max-degree", "2", "--hbar", "1e300"), "--hbar"),  # hbar^2
     (("evolve", "--potential", "x^20", "--mbar", "1e-300", "--p0", "-1", "--model", "full"),
      "--potential, --x0, --p0, --mbar"),  # x^19 overflows in the classical twin
-    # a power of X_CM overflows while the twin stays finite: 303 of 400 at d = 64,
-    # 171 at d = 2100 (the expm_multiply path), 3 when the mass puts X_CM near 1e150
+    # a power of X_CM overflows while the twin stays finite: build_hamiltonian refuses
+    # power 303 of 400 at d = 64 and power 171 at d = 2100, on either side of the
+    # dense limit, and power 3 when the mass puts X_CM near 1e150
     (("evolve", "--potential", "x^400", "--x0", "0.5", "--dim", "64", "--t", "0.1",
       "--dt", "0.1"), "--potential, --N, --mbar, --hbar, --dim"),
     (("evolve", "--potential", "x^400", "--x0", "0.5", "--dim", "2100", "--t", "0.01",
@@ -421,8 +424,17 @@ def test_uncertainty_commands_are_byte_identical(capsys, argv, md5):
     (("--potential", "0.5*x^2", "--model", "full", "--N", "2", "--dim", "12", "--t", "1",
       "--dt", "0.05", "--x0", "0.3", "--p0", "0.05", "--format", "json"),
      "cc2d118d7c1d00d281af0f493ef2ea87"),
+    # quartic plus cubic above the dense limit: on several modes, where an entry of
+    # H may sum its products in another order than sparse products do, and on one
+    (("--potential", "0.1*x^4+0.2*x^3+0.5*x^2", "--model", "full", "--N", "2", "--dim", "46",
+      "--t", "0.1", "--dt", "0.01", "--x0", "0.3", "--p0", "0.05"),
+     "fc0c29407d873db2a30a656c65cfa20b"),
+    (("--potential", "0.1*x^4+0.3*x^3", "--N", "16", "--dim", "2100", "--t", "0.1",
+      "--dt", "0.01", "--x0", "0.5"),
+     "b70e2790d2fa79106fedd9365e2610e7"),
 ], ids=["harmonic-5-row-blocks", "double-well-parity-blocks", "full-model",
-        "full-model-expm-multiply", "odd-expm-multiply", "full-model-json"])
+        "full-model-expm-multiply", "odd-expm-multiply", "full-model-json",
+        "full-quartic-cubic-expm-multiply", "effective-quartic-cubic-expm-multiply"])
 def test_evolve_commands_are_byte_identical(argv, md5):
     # pinned stdout of evolve runs whose samples span several row blocks, and
     # of full-model runs on both propagators and in JSON; one BLAS thread,

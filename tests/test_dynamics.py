@@ -47,6 +47,7 @@ from cmlimit.hilbert_rep import (
     expectation,
     ground_product,
 )
+from oracles import sparse_hamiltonian
 
 FREE = PolynomialPotential.zero()
 QUARTIC = PolynomialPotential.from_coeffs({4: 0.1})
@@ -216,7 +217,7 @@ def test_numpy_hamiltonian_matches_sparse_assembly(modes_drawn, coeffs):
     spec = HamiltonianSpec(modes=modes, potential=PolynomialPotential.from_coeffs(coeffs))
     ops = cm_operators_numeric(modes)
     h = build_hamiltonian(spec, ops=ops).matrix.toarray()
-    csr = dynamics._sparse_hamiltonian(spec, ops).toarray()
+    csr = sparse_hamiltonian(spec, ops).toarray()
     assert not h.imag.any()
     if len(modes) == 1 or spec.potential.degree <= 2:
         assert np.array_equal(h, csr)
@@ -264,39 +265,6 @@ def test_norm_drift_raises():
         evolve_quantum(psi0, spec, t_final=1.0, dt=0.1)
 
 
-def test_propagators_agree(monkeypatch):
-    spec = effective_spec(1, potential=QUARTIC, dim=32)
-    psi0 = coherent_state(spec.modes[0], 0.5, 0.0)
-    h = build_hamiltonian(spec)
-    times = 0.05 * np.arange(21)
-    real = h.factors[0]
-    dense = np.empty((21, 32), dtype=np.complex128)
-    for index in dynamics._blocks(h, real):
-        dense[:, index] = dynamics._eigh_sampler(real, index, psi0.amplitudes, times,
-                                                 spec.hbar)(slice(None))
-    matrix = dynamics._sparse_hamiltonian(spec, cm_operators_numeric(spec.modes))
-    sparse = dynamics._expm_sampler(matrix, psi0.amplitudes, times, spec.hbar)(slice(None))
-    assert dense.shape == sparse.shape == (21, 32)
-    assert np.abs(dense - sparse).max() < 1e-10
-    # the block seams of evolve_quantum's loop leave the rows alone, on both
-    # samplers (a limit of 0 puts this H above it); one-row blocks take BLAS's
-    # matrix-vector path, which may round the last bit differently
-    for limit, whole in ((dynamics.EIG_DIMENSION_LIMIT, dense), (0, sparse)):
-        monkeypatch.setattr(dynamics, "EIG_DIMENSION_LIMIT", limit)
-        for rows in (1, 7, 21):
-            monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_AMPLITUDES", rows * h.dim)
-            _, blocks = evolved_rows(monkeypatch, psi0, spec, 1.0, 0.05)
-            assert [len(block) for block in blocks] == [rows] * (21 // rows)
-            if limit:
-                assert np.abs(np.concatenate(blocks) - whole).max() <= 1e-14
-            else:
-                assert np.array_equal(np.concatenate(blocks), whole)
-
-
-def _blocks(spec):
-    return connected_components(build_hamiltonian(spec).matrix.real, directed=False)[0]
-
-
 def _full_spec(potential, n=2, dim=10):
     return HamiltonianSpec(modes=tuple(ModeSpec(mass=1.0, dim=dim) for _ in range(n)),
                            potential=potential)
@@ -305,6 +273,44 @@ def _full_spec(potential, n=2, dim=10):
 LINEAR_HARMONIC = PolynomialPotential.from_coeffs({2: 0.5, 1: 0.2})
 CUBIC_HARMONIC = PolynomialPotential.from_coeffs({3: 0.05, 2: 0.5})
 QUARTIC_CUBIC = PolynomialPotential.from_coeffs({4: 0.1, 3: 0.05, 2: 0.5})
+
+
+def test_propagators_agree(monkeypatch):
+    # one mode, and several, whose energy column is _cm_energies on both samplers
+    effective = effective_spec(1, potential=QUARTIC, dim=32)
+    full = _full_spec(QUARTIC_CUBIC, dim=8)
+    dense_limit = dynamics.EIG_DIMENSION_LIMIT
+    for spec, psi0 in ((effective, coherent_state(effective.modes[0], 0.5, 0.0)),
+                       (full, coherent_product(full.modes, [0.5, 0.5], [0.0, 0.0]))):
+        h = build_hamiltonian(spec)
+        times = 0.05 * np.arange(21)
+        real = h.factors[0]
+        dense = np.empty((21, h.dim), dtype=np.complex128)
+        for index in dynamics._blocks(h, real):
+            dense[:, index] = dynamics._eigh_sampler(real, index, psi0.amplitudes, times,
+                                                     spec.hbar)(slice(None))
+        sparse = dynamics._expm_sampler(h.matrix, psi0.amplitudes, times, spec.hbar)(slice(None))
+        assert dense.shape == sparse.shape == (21, h.dim)
+        assert np.abs(dense - sparse).max() < 1e-10
+        # the block seams of evolve_quantum's loop leave the rows alone, on both
+        # samplers (a limit of 0 puts this H above it); one-row blocks take BLAS's
+        # matrix-vector path, which may round the last bit differently
+        for limit, whole in ((dense_limit, dense), (0, sparse)):
+            monkeypatch.setattr(dynamics, "EIG_DIMENSION_LIMIT", limit)
+            for rows in (1, 7, 21):
+                monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_AMPLITUDES", rows * h.dim)
+                traj, blocks = evolved_rows(monkeypatch, psi0, spec, 1.0, 0.05)
+                assert [len(block) for block in blocks] == [rows] * (21 // rows)
+                if limit:
+                    assert np.abs(np.concatenate(blocks) - whole).max() <= 1e-14
+                else:
+                    assert np.array_equal(np.concatenate(blocks), whole)
+                    energy = expectation(h, np.concatenate(blocks)).real
+                    assert np.abs(traj.energy - energy).max() <= 1e-14 * np.abs(energy).max()
+
+
+def _blocks(spec):
+    return connected_components(build_hamiltonian(spec).matrix.real, directed=False)[0]
 
 
 @pytest.mark.parametrize("spec, split", [
