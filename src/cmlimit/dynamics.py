@@ -7,9 +7,13 @@ its diagonals over the composite index.  Up to total dimension 2048 it is
 diagonalized densely by numpy's ``eigh`` (LAPACK's divide-and-conquer
 ``?syevd``): one ``eigh`` per parity sector when H couples no basis states
 of opposite total level parity, as for every even potential (checked on H's
-entries), else one of all of H.  Above that, the CSR matrix of the same
-diagonals is applied as a sparse matrix-exponential action; only such a run
-imports ``scipy.sparse`` and ``scipy.sparse.linalg``.
+entries), else one of all of H.  A narrow CM packet reaches few of a
+block's levels, so the ``eigh`` runs on the block's smallest level cut (the
+states whose every mode level is below L) whose Ritz-pair residual bound
+keeps the rows within CUT_TOLERANCE of the whole block's over the run, and
+on the whole block when no cut certifies.  Above dimension 2048, the CSR
+matrix of the same diagonals is applied as a sparse matrix-exponential
+action; only such a run imports ``scipy.sparse`` and ``scipy.sparse.linalg``.
 Each propagator is a sampler of one diagonal block of H, built once;
 ``evolve_quantum`` walks the time grid once, in blocks of rows of about
 2^16 amplitudes, each filled from every sampler (one real GEMM per
@@ -55,6 +59,7 @@ EIG_DIMENSION_LIMIT = 2048
 SAMPLE_BLOCK_AMPLITUDES = 2**16  # amplitudes evaluated together; one row above it
 MAX_STEPS = 100_000  # every step is a sample, kept as a column entry and a CSV row
 NORM_DRIFT_LIMIT = 1e-8
+CUT_TOLERANCE = 1e-13  # certified norm error of an eigh sampler's level cut, over the run
 
 
 class NormDriftError(RuntimeError):
@@ -329,14 +334,53 @@ def _blocks(h: SparseOperator, real: dict) -> list:
     return [np.flatnonzero(parity == p) for p in (0, 1)]
 
 
-def _eigh_sampler(real: dict, index, psi0: np.ndarray, times: np.ndarray, hbar: float):
-    """Sample H's block ``index``: a slice of ``times`` -> its columns of exp(-iHt/hbar) psi0.
+def _level_cut(block: np.ndarray, top: np.ndarray, amps: np.ndarray, t_final: float,
+               hbar: float):
+    """The eigenpairs of the smallest certified level cut of a dense block, or None.
 
-    The block is cut from H's diagonals ``real`` as a dense array, and the one
-    ``eigh`` runs here.  A slice's rows are one real GEMM of the real
-    eigenvectors and the interleaved re and im of the phased coefficients.
+    The cut of L levels keeps the block's states whose every mode level
+    (``top``, the highest) is below L.  L starts at twice psi0's support, the
+    fewest levels outside which ``amps`` has norm at most CUT_TOLERANCE, and
+    doubles while the cut holds at most half the block's rows.  For the cut's
+    eigenpairs (theta_k, w_k) and coefficients c_k = <w_k|psi0>,
+    ||psi_cut(t) - psi(t)|| <= ||psi0 outside the cut||
+    + (t/hbar) sum_k |c_k| ||(H - theta_k) w_k|| for every 0 <= t <= t_final
+    (Parlett, The Symmetric Eigenvalue Problem, 1980), and (H - theta_k) w_k is
+    H[outside, cut] w_k: one GEMM of the outside rows that touch the cut.  A
+    cut is kept when this bound is at most CUT_TOLERANCE; a NaN or infinite
+    bound never is.  Returns ``(inside, evals, evecs, coeffs)`` for it.
     """
-    dim = _size(real)
+    tail = np.sqrt(np.cumsum(np.bincount(top, np.abs(amps) ** 2)[::-1]))[::-1]
+    levels = 2 * max(np.count_nonzero(tail > CUT_TOLERANCE), 1)
+    while 2 * np.count_nonzero(top < levels) <= len(top):
+        inside = top < levels
+        evals, evecs = np.linalg.eigh(block[np.ix_(inside, inside)])
+        coeffs = evecs.T @ amps[inside]
+        coupling = block[np.ix_(~inside, inside)]
+        with np.errstate(all="ignore"):  # an overflow leaves an uncertified bound
+            # hypot: the squares of a norm may leave the floating-point range
+            residuals = np.hypot.reduce(coupling[coupling.any(axis=1)] @ evecs, axis=0)
+            bound = np.linalg.norm(amps[~inside]) + t_final / hbar * (np.abs(coeffs) @ residuals)
+        if bound <= CUT_TOLERANCE:
+            return inside, evals, evecs, coeffs
+        levels *= 2
+    return None
+
+
+def _eigh_sampler(h: SparseOperator, index, psi0: np.ndarray, times: np.ndarray, hbar: float):
+    """Sample H's block ``index``: returns the block's columns that carry the
+    state, and a map from a slice of ``times`` to those columns of
+    exp(-iHt/hbar) psi0.
+
+    The block is cut from H's diagonals as a dense array.  The one ``eigh``
+    that serves the samples runs on the block's smallest level cut that
+    :func:`_level_cut` certifies, whose rows then differ from the whole
+    block's by at most CUT_TOLERANCE in norm, and the block's other columns
+    are zero; when no cut certifies it runs on the whole block.  A slice's
+    rows are one real GEMM of the real eigenvectors and the interleaved re
+    and im of the phased coefficients.
+    """
+    real, dim = h.factors[0], h.dim
     position = np.full(dim, -1)
     position[index] = np.arange(len(index))
     block = np.zeros((len(index), len(index)))
@@ -345,15 +389,21 @@ def _eigh_sampler(real: dict, index, psi0: np.ndarray, times: np.ndarray, hbar: 
         rows, cols = np.flatnonzero(inside), position[index[inside] + o]
         rows, cols = rows[cols >= 0], cols[cols >= 0]
         block[rows, cols] = values[index[rows]]
-    evals, evecs = np.linalg.eigh(block)
-    coeffs = evecs.T @ psi0[index]
+    amps = psi0[index]
+    top = np.indices(h.mode_dims).reshape(len(h.mode_dims), -1).max(axis=0)[index]
+    cut = _level_cut(block, top, amps, times[-1], hbar)
+    if cut is None:
+        evals, evecs = np.linalg.eigh(block)
+        inside, coeffs = slice(None), evecs.T @ amps
+    else:
+        inside, evals, evecs, coeffs = cut
 
     def sample(rows: slice) -> np.ndarray:
         # C-contiguous (b, S): its float64 view is (b, 2S), re and im interleaved
         phased = np.exp(np.outer(evals, times[rows]) * (-1j / hbar)) * coeffs[:, None]
         return (evecs @ phased.view(np.float64)).view(np.complex128).T
 
-    return sample
+    return index[inside], sample
 
 
 def _expm_sampler(matrix, psi0: np.ndarray, times: np.ndarray, hbar: float):
@@ -385,12 +435,14 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     t_final must be a whole number of steps dt, at most MAX_STEPS.  The
     propagator is exact and unitary, on the one banded H of
     :func:`build_hamiltonian`: a dense ``eigh`` sampler per diagonal block of
-    it up to total dimension 2048, one ``expm_multiply`` sampler of its CSR
-    matrix above that.  The one loop over the time grid fills each block of
-    rows from every sampler, evaluates it and drops it, and keeps only the
-    columns of CM observables, energy, norm and truncation weight.  On both
-    sides the energy is the band of H applied for one mode, and from the
-    rows' X_CM and V_CM images (:func:`_cm_energies`) for several.
+    it up to total dimension 2048, each on its block's certified level cut
+    (:func:`_eigh_sampler`), one ``expm_multiply`` sampler of its CSR matrix
+    above that.  The one loop over the time grid fills each block of rows
+    from every sampler, zero in the columns outside a kept cut, evaluates it
+    and drops it, and keeps only the columns of CM observables, energy, norm
+    and truncation weight.  On both sides the energy is the band of H applied
+    for one mode, and from the rows' X_CM and V_CM images
+    (:func:`_cm_energies`) for several.
     Raises, for the first sample that fails a gate, NormDriftError when
     |norm - 1| reaches 1e-8 (never renormalizes), else
     ExcessiveTruncationError when it exceeds the truncation gate.
@@ -404,9 +456,8 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     dim = ops[0].dim
     h = build_hamiltonian(spec, ops=ops)
     if dim <= EIG_DIMENSION_LIMIT:
-        real = h.factors[0]
-        samplers = [(index, _eigh_sampler(real, index, psi0.amplitudes, times, spec.hbar))
-                    for index in _blocks(h, real)]
+        samplers = [_eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar)
+                    for index in _blocks(h, h.factors[0])]
     else:
         samplers = [(slice(None), _expm_sampler(h.matrix, psi0.amplitudes, times, spec.hbar))]
 
@@ -418,7 +469,8 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     blocks = []
     for start in range(0, len(times), step):
         rows = slice(start, start + step)
-        block = np.empty((len(times[rows]), dim), dtype=np.complex128)
+        # zeros: the columns outside a certified level cut
+        block = np.zeros((len(times[rows]), dim), dtype=np.complex128)
         for index, sample in samplers:
             block[:, index] = sample(rows)
         # np.linalg.norm's arithmetic, row by row

@@ -432,9 +432,27 @@ def test_uncertainty_commands_are_byte_identical(capsys, argv, md5):
     (("--potential", "0.1*x^4+0.3*x^3", "--N", "16", "--dim", "2100", "--t", "0.1",
       "--dt", "0.01", "--x0", "0.5"),
      "b70e2790d2fa79106fedd9365e2610e7"),
+    # |alpha|^2 = 32 fills half of each 80-row parity sector: no level cut, the whole sectors
+    (("--potential", "0.1*x^4", "--N", "64", "--dim", "160", "--t", "2", "--dt", "0.01",
+      "--x0", "1"),
+     "c9a6984e7e0e1175fa499af18763b097"),
+    # extreme scales of a d = 1024 run keep their tables, cut or not
+    (("--potential", "0.5*x^2", "--N", "16", "--dim", "1024", "--t", "2", "--dt", "0.01",
+      "--x0", "0", "--hbar", "1e-300"),
+     "7ffe05fbb3c70894287296fe220b4ddb"),
+    (("--potential", "0.5*x^2", "--N", "16", "--dim", "1024", "--t", "2", "--dt", "0.01",
+      "--x0", "0", "--hbar", "1e300"),
+     "d21d3fb331b9492e32153fe5736696e0"),
+    (("--potential", "0.5*x^2", "--N", "16", "--dim", "1024", "--t", "1e-320",
+      "--dt", "1e-320", "--x0", "0"),
+     "d36296992066a8afc441a84bac3037f7"),
+    (("--potential", "0.5*x^2", "--N", "16", "--dim", "1024", "--t", "0", "--dt", "0.01",
+      "--x0", "0"),
+     "3b1d04d5a9afd2ebe6cb6e6535b4660c"),
 ], ids=["harmonic-5-row-blocks", "double-well-parity-blocks", "full-model",
         "full-model-expm-multiply", "odd-expm-multiply", "full-model-json",
-        "full-quartic-cubic-expm-multiply", "effective-quartic-cubic-expm-multiply"])
+        "full-quartic-cubic-expm-multiply", "effective-quartic-cubic-expm-multiply",
+        "quartic-no-certified-cut", "tiny-hbar", "huge-hbar", "denormal-t", "zero-t"])
 def test_evolve_commands_are_byte_identical(argv, md5):
     # pinned stdout of evolve runs whose samples span several row blocks, and
     # of full-model runs on both propagators and in JSON; one BLAS thread,

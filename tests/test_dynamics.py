@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import scipy.linalg
 import scipy.sparse
@@ -285,10 +285,10 @@ def test_propagators_agree(monkeypatch):
         h = build_hamiltonian(spec)
         times = 0.05 * np.arange(21)
         real = h.factors[0]
-        dense = np.empty((21, h.dim), dtype=np.complex128)
+        dense = np.zeros((21, h.dim), dtype=np.complex128)
         for index in dynamics._blocks(h, real):
-            dense[:, index] = dynamics._eigh_sampler(real, index, psi0.amplitudes, times,
-                                                     spec.hbar)(slice(None))
+            columns, sample = dynamics._eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar)
+            dense[:, columns] = sample(slice(None))
         sparse = dynamics._expm_sampler(h.matrix, psi0.amplitudes, times, spec.hbar)(slice(None))
         assert dense.shape == sparse.shape == (21, h.dim)
         assert np.abs(dense - sparse).max() < 1e-10
@@ -351,6 +351,87 @@ def test_evolve_quantum_matches_dense_exponential(spec, split, monkeypatch):
             assert abs(getattr(traj, field)[k] - getattr(expected, field)) < 1e-10
 
 
+DOUBLE_WELL = PolynomialPotential.from_coeffs({4: 1, 2: -2, 0: 1})
+
+
+def sector_eighs(monkeypatch):
+    """The sizes of the ``eigh``s each ``_eigh_sampler`` call runs, one list per call."""
+    eigh, sampler, sectors = np.linalg.eigh, dynamics._eigh_sampler, []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, *args, **kw: sectors[-1].append(len(a)) or eigh(a, *args, **kw))
+    monkeypatch.setattr(dynamics, "_eigh_sampler",
+                        lambda *args: sectors.append([]) or sampler(*args))
+    return sectors
+
+
+@pytest.mark.parametrize("n, potential", [(16, QUARTIC), (32, DOUBLE_WELL)],
+                         ids=["quartic", "double-well"])
+def test_eigh_sampler_diagonalizes_a_certified_level_cut(n, potential, monkeypatch):
+    # the CM packet of mass N lives on a few dozen levels of the 1024, so each
+    # 512-row parity sector is sampled from a cut of at most half its rows
+    spec = effective_spec(n, potential=potential, dim=1024)
+    psi0 = coherent_state(spec.modes[0], 1.0, 0.0)
+    sectors = sector_eighs(monkeypatch)
+    rows = sampled_rows(monkeypatch, psi0, spec, 2.0, 0.01)
+    assert len(sectors) == 2 and all(sizes[-1] <= 256 for sizes in sectors)
+    h = build_hamiltonian(spec)
+    assert np.abs(rows - complex_gemm_rows(h, psi0, 0.01, 200, spec.hbar)).max() <= 1e-13
+
+
+def test_eigh_sampler_without_a_certified_cut_is_the_whole_sector(monkeypatch):
+    # |alpha|^2 = 32 fills half of each 80-row sector: no cut is kept, and the
+    # rows are those of the whole sectors, bit for bit
+    spec = effective_spec(64, potential=QUARTIC, dim=160)
+    psi0 = coherent_state(spec.modes[0], 1.0, 0.0)
+    sectors = sector_eighs(monkeypatch)
+    rows = sampled_rows(monkeypatch, psi0, spec, 2.0, 0.01)
+    assert [sizes[-1] for sizes in sectors] == [80, 80]
+    monkeypatch.setattr(dynamics, "_level_cut", lambda *args: None)
+    assert np.array_equal(rows, sampled_rows(monkeypatch, psi0, spec, 2.0, 0.01))
+
+
+def test_non_finite_cut_bound_never_certifies():
+    # t/hbar overflows: an infinite bound, or a NaN one (inf * 0 where psi0 is
+    # zero in the block), keeps no cut, where a finite t/hbar keeps one
+    spec = effective_spec(16, potential=QUARTIC, dim=1024)
+    h = build_hamiltonian(spec)
+    block = h.to_dense().real
+    top = np.arange(h.dim)
+    for amps in (coherent_state(spec.modes[0], 1.0, 0.0).amplitudes, np.zeros(h.dim)):
+        assert dynamics._level_cut(block, top, amps, 2.0, 1.0) is not None
+        assert dynamics._level_cut(block, top, amps, 2.0, 5e-324) is None
+        assert dynamics._level_cut(block, top, amps, np.inf, 1.0) is None
+
+
+_SAMPLER_COEFFS = st.dictionaries(st.integers(0, 4), st.floats(-1, 1, allow_nan=False),
+                                  min_size=1, max_size=5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_SAMPLER_COEFFS, st.integers(32, 256), st.integers(1, 64), st.floats(0, 1.5),
+       st.floats(0, 2), st.integers(1, 20))
+@example({4: 0.1}, 256, 16, 1.0, 2.0, 20)  # a cut on both parity sectors
+@example({4: 0.1, 3: 0.3}, 256, 16, 1.0, 2.0, 20)  # a cut of all of H
+@example({4: 1.0, 2: -2.0, 0: 1.0}, 256, 32, 1.2, 2.0, 10)
+def test_eigh_sampler_rows_within_the_cut_tolerance(coeffs, dim, n, x0, t_final, steps):
+    # the certificate is an honest bound: whether a cut is kept or not, every
+    # sampled row is the exact exponential's within it, as far as rounding shows
+    spec = effective_spec(n, potential=PolynomialPotential.from_coeffs(coeffs), dim=dim)
+    try:
+        psi0 = coherent_state(spec.modes[0], x0, 0.0)
+    except ExcessiveTruncationError:
+        assume(False)
+    h = build_hamiltonian(spec)
+    dt = t_final / steps
+    times = dt * np.arange(steps + 1)
+    rows = np.zeros((steps + 1, dim), dtype=np.complex128)
+    for index in dynamics._blocks(h, h.factors[0]):
+        columns, sample = dynamics._eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar)
+        rows[:, columns] = sample(slice(None))
+    oracle = complex_gemm_rows(h, psi0, dt, steps, spec.hbar)
+    assert np.abs(rows - oracle).max() <= dynamics.CUT_TOLERANCE + 1e-13
+
+
 def test_evolve_does_not_import_csgraph():
     # the parity sectors are read off H's entries; no graph search is loaded.
     # Nor is any scipy module at all below the dense limit: H and the CM
@@ -383,7 +464,8 @@ def test_gates_raise_at_the_first_failing_sample(monkeypatch):
         rows = np.concatenate(blocks)
         monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_AMPLITUDES", len(blocks[0]) * 8)
         monkeypatch.setattr(dynamics, "_blocks", lambda h, real: [slice(None)])
-        monkeypatch.setattr(dynamics, "_eigh_sampler", lambda *args: rows.__getitem__)
+        monkeypatch.setattr(dynamics, "_eigh_sampler",
+                            lambda h, index, *args: (index, rows.__getitem__))
 
     # sample 1 fails the weight gate, sample 2 the norm gate
     propagate([good, top, 2 * good, good])
