@@ -398,7 +398,7 @@ def _load_config_file(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, value = stripped.partition("=")
                 entries[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return entries
 
@@ -484,13 +484,13 @@ def run_scaling(config: ExperimentConfig) -> ExperimentResult:
         comm = commutator(x_cm, v_cm)
         (mono, coeff), = comm.terms.items()  # exactly i*hbar/M times the identity
         assert mono.hbar_exp == 1 and not mono.pairs and coeff.re == 0
+        magnitude = hbar * float(coeff.im)
+        bound = hbar / 2.0 / float(system.total_mass)  # 2.0 * M may overflow
+        if not all(0 < v < math.inf for v in (magnitude, bound)):  # a subnormal still prints
+            raise ConfigError(f"{flag}, --hbar: the commutator magnitude or uncertainty bound "
+                              f"of {system.n} particles is out of the floating-point range")
         rows.append(tuple(_fmt(v) for v in (
-            system.n,
-            float(system.mean_mass),
-            float(system.eps),
-            hbar * float(coeff.im),
-            hbar / 2.0 / float(system.total_mass),  # 2.0 * M may overflow
-        )))
+            system.n, float(system.mean_mass), float(system.eps), magnitude, bound)))
     table = Table("scaling", ("N", "mbar", "eps", "comm_magnitude", "uncertainty_bound"),
                   tuple(rows))
     return ExperimentResult("scaling", (table,))

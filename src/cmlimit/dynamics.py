@@ -3,7 +3,9 @@
 Quantum propagation runs in the Schrodinger picture (expectations are
 identical to the Heisenberg-picture statement) with the exact unitary
 exp(-iHt/hbar): H is real symmetric, and built once, with numpy alone, as
-its diagonals over the composite index.  Up to total dimension 2048 it is
+its diagonals over the composite index, by the one diagonal algebra of
+:mod:`cmlimit.hilbert_rep` (this module assembles and multiplies no
+operator itself).  Up to total dimension 2048 it is
 diagonalized densely by numpy's ``eigh`` (LAPACK's divide-and-conquer
 ``?syevd``): one ``eigh`` per parity sector when H couples no basis states
 of opposite total level parity, as for every even potential (checked on H's
@@ -45,9 +47,10 @@ from .hilbert_rep import (
     ModeSpec,
     SparseOperator,
     StateVector,
+    _composite_diagonals,
+    _diagonal_product,
     _records_of_applied,
     _shifted,
-    _size,
     cm_expectation_record,
     cm_operators_numeric,
     coherent_state,
@@ -165,43 +168,14 @@ def _check_finite(arrays, what: str) -> None:
         raise OverflowError(f"{what} leaves the floating-point range")
 
 
-def _composite_diagonals(op: SparseOperator) -> dict:
-    """The operator's diagonals over the composite index: factor k's offset o lands
-    at o times the dimension of the modes after it, summed onto the factors
-    before it as the Kronecker-sum fold sums."""
-    out, left = {}, 1
-    for factor in op.factors:
-        d = _size(factor)
-        right = op.dim // (left * d)
-        for o, values in factor.items():
-            full = np.broadcast_to(values[:, None], (left, d, right)).ravel()
-            out[o * right] = full + out[o * right] if o * right in out else full
-        left *= d
-    return dict(sorted(out.items()))
-
-
-def _diagonal_product(a: dict, b: dict, reverse: bool) -> dict:
-    """The diagonals of A @ B, both held as padded diagonals of one size:
-    (A @ B)[i, i + oa + ob] adds A[i, i + oa] * B[i + oa, i + oa + ob] over
-    the offsets oa of A, ascending or, with ``reverse``, descending."""
-    out = {}
-    for oa in sorted(a, reverse=reverse):
-        va = a[oa]
-        for ob, vb in b.items():
-            if abs(oa + ob) >= len(va):  # a diagonal outside the matrix
-                continue
-            term = va * _shifted(vb, oa)
-            out[oa + ob] = out[oa + ob] + term if oa + ob in out else term
-    return dict(sorted(out.items()))
-
-
 def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
     """The Hamiltonian as one real banded factor: its diagonals over the composite index.
 
     ``ops`` reuses the (X_CM, V_CM, P_TOT) triple of ``cm_operators_numeric``;
     X_CM is real and P_TOT imaginary in this basis, so H is formed in real
-    arithmetic from their diagonals, numpy only: P_TOT^2 / 2M, then the powers
-    of X_CM, each the last times the tridiagonal X_CM, then (H + H^T) / 2.
+    arithmetic from their composite diagonals by ``hilbert_rep``'s diagonal
+    product, numpy only: P_TOT^2 / 2M, then the powers of X_CM, each the last
+    times the tridiagonal X_CM, then (H + H^T) / 2.
     Both propagators run on this H; only the sampler above the dense limit
     reads its CSR ``.matrix``.  H equals the ``scipy.sparse`` products of the
     CM operators' CSR matrices bit for bit for one mode, where no entry sums

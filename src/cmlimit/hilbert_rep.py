@@ -13,11 +13,14 @@ factors)``: the Kronecker sum of its factors, sum_k I (x) ... (x) F_k (x)
 A factor is held in numpy as its nonzero diagonals: a CM operator's factor
 is a weighted single-mode X or P, tridiagonal with a zero main diagonal, so
 two off-diagonals, and it is applied mode by mode to the amplitude tensor
-by shifted slices.  A general matrix -- a single-mode X or P, H, a
-polynomial image -- is the one-factor case.  This module and
-:mod:`cmlimit.dynamics` load numpy alone; ``scipy.sparse`` is imported only
-to assemble a composite CSR matrix: by the ``matrix`` property, by
-:func:`nc_matrix` (the symbolic-algebra bridge) and by an evolution above
+by shifted slices.  One diagonal algebra assembles and multiplies
+operators: :func:`_composite_diagonals` spreads the factors over the
+composite index, :func:`_diagonal_product` multiplies two operators'
+diagonals, and :func:`nc_matrix` (the symbolic-algebra bridge) and
+:func:`cmlimit.dynamics.build_hamiltonian` form their one-factor images
+with them.  This module and :mod:`cmlimit.dynamics` load numpy alone; the
+``matrix`` property, one ``scipy.sparse.diags`` of the composite
+diagonals, is this module's only scipy import, read by an evolution above
 the dense limit.  An (S, D) stack of amplitude rows is applied and
 evaluated in one pass: the row index is one more leading axis of the
 tensor: :func:`cm_expectation_records` gives one record whose fields are
@@ -99,22 +102,6 @@ def _shifted(values: np.ndarray, o: int) -> np.ndarray:
     return out
 
 
-def _diagonals(matrix) -> dict:
-    """A square matrix (dense or ``scipy.sparse``) as its nonzero diagonals, padded;
-    the zero matrix keeps its main diagonal, so every factor knows its size."""
-    dense = np.asarray(matrix.toarray() if hasattr(matrix, "toarray") else matrix,
-                       dtype=np.complex128)
-    d = dense.shape[0]
-    if dense.shape != (d, d):
-        raise ValueError(f"factor of shape {dense.shape} is not square")
-    rows, cols = np.nonzero(dense)
-    diagonals = {}
-    for o in np.unique(cols - rows).tolist() or [0]:
-        diagonals[o] = np.zeros(d, dtype=np.complex128)
-        diagonals[o][_span(o, d)[0]] = np.diagonal(dense, o)
-    return diagonals
-
-
 def _apply_diagonals(diagonals: dict, view: np.ndarray) -> np.ndarray:
     """A banded factor applied to axis 1 of a (left, d, right) view: the first
     diagonal's products, then each further one's added, by ascending offset.
@@ -136,6 +123,36 @@ def _apply_diagonals(diagonals: dict, view: np.ndarray) -> np.ndarray:
     return out
 
 
+def _composite_diagonals(op: SparseOperator) -> dict:
+    """The operator's diagonals over the composite index: factor k's offset o lands
+    at o times the dimension of the modes after it, summed onto the factors
+    before it as the Kronecker-sum fold sums."""
+    out, left = {}, 1
+    for factor in op.factors:
+        d = _size(factor)
+        right = op.dim // (left * d)
+        for o, values in factor.items():
+            full = np.broadcast_to(values[:, None], (left, d, right)).ravel()
+            out[o * right] = full + out[o * right] if o * right in out else full
+        left *= d
+    return dict(sorted(out.items()))
+
+
+def _diagonal_product(a: dict, b: dict, reverse: bool) -> dict:
+    """The diagonals of A @ B, both held as padded diagonals of one size:
+    (A @ B)[i, i + oa + ob] adds A[i, i + oa] * B[i + oa, i + oa + ob] over
+    the offsets oa of A, ascending or, with ``reverse``, descending."""
+    out = {}
+    for oa in sorted(a, reverse=reverse):
+        va = a[oa]
+        for ob, vb in b.items():
+            if abs(oa + ob) >= len(va):  # a diagonal outside the matrix
+                continue
+            term = va * _shifted(vb, oa)
+            out[oa + ob] = out[oa + ob] + term if oa + ob in out else term
+    return dict(sorted(out.items()))
+
+
 class SparseOperator:
     """Operator on a tensor product of modes, held as numpy diagonals.
 
@@ -144,21 +161,20 @@ class SparseOperator:
     dimensions multiply to the composite dimension.  Each factor is a dict
     ``{offset: values}`` in ascending offset order, with ``values[i] =
     F[i, i + offset]`` where that column exists and zero padding elsewhere:
-    the two off-diagonals of a CM factor, the band of a one-mode Hamiltonian.
-    A general matrix (dense or ``scipy.sparse``) is the one-factor case,
-    ``SparseOperator(mode_dims, [matrix])``, kept as its nonzero diagonals.
-    ``apply`` works factor by factor on the amplitude tensor with shifted
-    slices; only ``matrix``, the composite CSR matrix, imports ``scipy.sparse``.
+    the two off-diagonals of a CM factor, the band of a Hamiltonian or of a
+    polynomial image.  ``apply`` works factor by factor on the amplitude
+    tensor with shifted slices; only ``matrix``, the composite CSR matrix, imports
+    ``scipy.sparse``, this module's one scipy import.
     """
 
     __slots__ = ("mode_dims", "factors", "hermitian", "_matrix")
 
     def __init__(self, mode_dims, factors, hermitian=False):
         mode_dims = tuple(int(d) for d in mode_dims)
-        # a factor object passed for several modes is converted and checked once
-        distinct = {id(f): f for f in factors}
-        converted = {key: dict(sorted(f.items())) if isinstance(f, dict) else _diagonals(f)
-                     for key, f in distinct.items()}
+        if not all(isinstance(f, dict) for f in factors):
+            raise TypeError("each factor is a dict {offset: values}")
+        # a factor object passed for several modes is sorted and checked once
+        converted = {id(f): dict(sorted(f.items())) for f in factors}
         factors = tuple(converted[id(f)] for f in factors)
         sizes = [_size(f) for f in factors]
         if math.prod(sizes) != math.prod(mode_dims):
@@ -182,22 +198,19 @@ class SparseOperator:
     def matrix(self):
         """The composite complex CSR matrix, built on first read and cached.
 
-        Imports ``scipy.sparse``.  Each factor becomes a CSR matrix of its
-        diagonals, and a Kronecker sum is folded with ``scipy.sparse.kronsum(F_k,
-        S)`` over the factors from a 1x1 zero, so factor 0 ends up the
-        slowest-varying index.
+        Imports ``scipy.sparse``: one ``diags`` of :func:`_composite_diagonals`.
+        Of several factors, the stored entries get the final + 0.0 of a sparse
+        Kronecker-sum fold's sums, which turns P_TOT's -0.0 real parts into +0.0.
         """
         if self._matrix is None:
             import scipy.sparse as sp
 
-            csr = [sp.diags([v[_span(o, len(v))[0]] for o, v in f.items()], list(f),
-                            shape=(_size(f), _size(f)), format="csr", dtype=np.complex128)
-                   for f in self.factors]
-            total = csr[0]
-            if len(csr) > 1:
-                total = sp.csr_matrix((1, 1), dtype=np.complex128)
-                for factor in csr:
-                    total = sp.kronsum(factor, total, format="csr")
+            diagonals = _composite_diagonals(self)
+            total = sp.diags([v[_span(o, self.dim)[0]] for o, v in diagonals.items()],
+                             list(diagonals), shape=(self.dim, self.dim), format="csr",
+                             dtype=np.complex128)
+            if len(self.factors) > 1:
+                total.data += 0.0
             object.__setattr__(self, "_matrix", total)
         return self._matrix
 
@@ -318,9 +331,9 @@ def cm_operators_numeric(system):
     two off-diagonals, rounded as the ``scipy.sparse`` scalar products round
     them.  Nothing is assembled and no scipy module is loaded here;
     ``apply`` works mode by mode, and only ``.matrix`` imports
-    ``scipy.sparse`` and folds the factors with ``kronsum``.  Every entry of
-    the assembled matrix is a single product w_k * A_k[i, j]: the modes'
-    terms never overlap.  Equal modes share their factor objects, built once.
+    ``scipy.sparse``, for one ``diags`` of the composite diagonals.  Every
+    entry of the assembled matrix is a single product w_k * A_k[i, j]: the
+    modes' terms never overlap.  Equal modes share their factor objects, built once.
     """
     system = list(system)
     if not system:
@@ -545,27 +558,26 @@ def cm_pair_ops(eps: float, dim: int):
 def nc_matrix(poly: NCPolynomial, pair_ops, hbar: float, eps: float) -> SparseOperator:
     """Numeric evaluation of a normal-ordered polynomial.
 
-    ``pair_ops[k]`` supplies the (X_k, V_k) matrices, all on the same mode
+    ``pair_ops[k]`` supplies the (X_k, V_k) operators, all on the same mode
     layout; hbar and eps substitute the formal exponents.  Term order follows
     the normal-ordered representation, so this is the faithful matrix image
-    of the symbolic element.  Imports ``scipy.sparse`` for the products.
+    of the symbolic element: each term is the identity's diagonals times the
+    pair operators' composite diagonals by :func:`_diagonal_product`, and the
+    image is one factor of the summed diagonals.  Loads no scipy module.
     """
-    import scipy.sparse as sp
-
     pair_ops = list(pair_ops)
     if len(pair_ops) != poly.algebra.n_pairs:
         raise ValueError("need one (X, V) operator pair per algebra pair")
     mode_dims = pair_ops[0][0].mode_dims
     size = math.prod(mode_dims)
-    total = sp.csr_matrix((size, size), dtype=np.complex128)
+    pairs = [(_composite_diagonals(x), _composite_diagonals(v)) for x, v in pair_ops]
+    total = {}
     for mono, coeff in poly.terms.items():
         scalar = coeff.to_complex() * hbar**mono.hbar_exp * eps**mono.eps_exp
-        term = sp.identity(size, format="csr", dtype=np.complex128)
+        term = {0: np.ones(size, dtype=np.complex128)}
         for k, x_exp, v_exp in mono.pairs:
-            x_op, v_op = pair_ops[k]
-            for _ in range(x_exp):
-                term = term @ x_op.matrix
-            for _ in range(v_exp):
-                term = term @ v_op.matrix
-        total = total + scalar * term
-    return SparseOperator(mode_dims, [total])
+            for factor in [pairs[k][0]] * x_exp + [pairs[k][1]] * v_exp:
+                term = _diagonal_product(term, factor, reverse=False)
+        for o, values in term.items():
+            total[o] = total[o] + scalar * values if o in total else scalar * values
+    return SparseOperator(mode_dims, [total or {0: np.zeros(size, dtype=np.complex128)}])

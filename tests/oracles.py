@@ -19,7 +19,7 @@ from cmlimit.ccr_algebra import (
     SymbolPolynomial,
 )
 from cmlimit.dynamics import HamiltonianSpec, _check_finite
-from cmlimit.hilbert_rep import momentum_op, position_op
+from cmlimit.hilbert_rep import _span, _size, momentum_op, position_op
 
 ZERO = GaussianRational(0)
 
@@ -95,19 +95,54 @@ def slow_mul(f, g):
     return words_to_poly(f.algebra, slow_normal_order(f.algebra, combined))
 
 
-def sparse_hamiltonian(spec: HamiltonianSpec, ops):
-    """H as a complex CSR matrix, assembled with ``scipy.sparse`` (imported here):
-    the Kronecker-sum fold of each CM operator, its sparse powers and
-    (H + H^H) / 2.  The reference assembly for ``build_hamiltonian``'s diagonals."""
+def diagonals(matrix) -> dict:
+    """A square matrix (dense or ``scipy.sparse``) as a ``SparseOperator`` factor:
+    its nonzero diagonals, padded; the zero matrix keeps its main diagonal, so
+    the factor knows its size."""
+    dense = np.asarray(matrix.toarray() if hasattr(matrix, "toarray") else matrix,
+                       dtype=np.complex128)
+    d = dense.shape[0]
+    assert dense.shape == (d, d)
+    rows, cols = np.nonzero(dense)
+    out = {}
+    for o in np.unique(cols - rows).tolist() or [0]:
+        out[o] = np.zeros(d, dtype=np.complex128)
+        out[o][_span(o, d)[0]] = np.diagonal(dense, o)
+    return out
+
+
+def kronsum_matrix(op):
+    """The operator's composite complex CSR matrix, assembled as ``scipy.sparse``
+    folds a Kronecker sum: each factor a CSR matrix of its diagonals, folded with
+    ``kronsum(F_k, S)`` over the factors from a 1x1 zero, so factor 0 ends up the
+    slowest-varying index.  The reference assembly for ``SparseOperator.matrix``."""
     import scipy.sparse as sp
 
-    x_cm, _, p_tot = ops
-    h = (p_tot.matrix @ p_tot.matrix) / (2.0 * spec.total_mass)
+    csr = [sp.diags([v[_span(o, len(v))[0]] for o, v in f.items()], list(f),
+                    shape=(_size(f), _size(f)), format="csr", dtype=np.complex128)
+           for f in op.factors]
+    if len(csr) == 1:
+        return csr[0]
+    total = sp.csr_matrix((1, 1), dtype=np.complex128)
+    for factor in csr:
+        total = sp.kronsum(factor, total, format="csr")
+    return total
+
+
+def sparse_hamiltonian(spec: HamiltonianSpec, ops):
+    """H as a complex CSR matrix, assembled with ``scipy.sparse`` (imported here):
+    the Kronecker-sum fold of each CM operator (:func:`kronsum_matrix`), its
+    sparse powers and (H + H^H) / 2.  The reference assembly for
+    ``build_hamiltonian``'s diagonals."""
+    import scipy.sparse as sp
+
+    x_cm, p_tot = kronsum_matrix(ops[0]), kronsum_matrix(ops[2])
+    h = (p_tot @ p_tot) / (2.0 * spec.total_mass)
     if spec.potential.terms:
-        power = sp.identity(x_cm.dim, format="csr", dtype=np.complex128)
+        power = sp.identity(x_cm.shape[0], format="csr", dtype=np.complex128)
         powers = {0: power}
         for k in range(1, spec.potential.degree + 1):
-            power = power @ x_cm.matrix
+            power = power @ x_cm
             _check_finite([power.data], f"power {k} of X_CM")
             powers[k] = power
             if not power.nnz:  # underflowed to zero, and so is every higher power

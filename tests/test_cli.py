@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -298,6 +299,10 @@ def test_nonpositive_flag_is_config_error(capsys, argv, flag):
     (("evolve", "--potential", "x^4", "--N", "1", "--dim", "2100", "--t", "0.01",
       "--dt", "0.01", "--x0", "0", "--p0", "0", "--mbar", "1e-150"),
      "--potential, --N, --mbar, --hbar, --dim"),
+    # hbar * eps and hbar / 2M overflow, or underflow to zero
+    (("scaling", "--N", "1", "--mbar", "1e-300", "--hbar", "1e300"), "--mbar, --hbar"),
+    (("scaling", "--N", "1", "--mbar", "1e300", "--hbar", "1e-300"), "--mbar, --hbar"),
+    (("scaling", "--masses", "1e-300,1e-300", "--hbar", "1e300"), "--masses, --hbar"),
 ])
 def test_float_range_is_config_error(capsys, argv, flag):
     _assert_flag_config_error(capsys, argv, flag)
@@ -533,6 +538,15 @@ def test_config_unknown_key(tmp_path):
 
 def test_config_missing_file():
     assert main(["scaling", "--config", "/nonexistent/path.cfg"]) == 1
+
+
+def test_config_file_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"N = \xff\n")
+    assert main(["scaling", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file ")
+    assert not re.match(r"error: \w+(Error|Exception): ", err)  # main's catch-all
 
 
 def test_config_malformed_line(tmp_path):

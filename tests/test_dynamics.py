@@ -47,7 +47,7 @@ from cmlimit.hilbert_rep import (
     expectation,
     ground_product,
 )
-from oracles import sparse_hamiltonian
+from oracles import diagonals, sparse_hamiltonian
 
 FREE = PolynomialPotential.zero()
 QUARTIC = PolynomialPotential.from_coeffs({4: 0.1})
@@ -174,7 +174,8 @@ def test_one_mode_hamiltonian_equals_folded_build(n, dim):
     ops = cm_operators_numeric(spec.modes)
     zero = scipy.sparse.csr_matrix((1, 1), dtype=np.complex128)
     folded = tuple(
-        SparseOperator(op.mode_dims, [scipy.sparse.kronsum(op.matrix, zero, format="csr")],
+        SparseOperator(op.mode_dims,
+                       [diagonals(scipy.sparse.kronsum(op.matrix, zero, format="csr"))],
                        hermitian=True)
         for op in ops
     )
@@ -437,7 +438,8 @@ def test_evolve_does_not_import_csgraph():
     # Nor is any scipy module at all below the dense limit: H and the CM
     # operators are numpy diagonals, numpy's eigh diagonalizes H, math.lgamma
     # builds the coherent states, and scipy.sparse (with expm_multiply) is
-    # imported only above the limit, so no scipy module enters the process
+    # imported only above the limit, so no scipy module enters the process;
+    # nc_matrix multiplies the same numpy diagonals
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -447,6 +449,10 @@ def test_evolve_does_not_import_csgraph():
             "code += main(['evolve', '--potential', '0.5*x^2 + 0.05*x', '--model', 'full', "
             "'--N', '2', '--dim', '12', '--t', '0.1', '--dt', '0.05', '--x0', '0.3']); "
             "code += main(['uncertainty', '--N', '1,2', '--dim', '8', '--x0', '0.3']); "
+            "from cmlimit.ccr_algebra import cm_algebra; "
+            "from cmlimit.hilbert_rep import cm_pair_ops, nc_matrix; "
+            "X, V = cm_algebra().x(), cm_algebra().v(); "
+            "nc_matrix(X**2 + V, [cm_pair_ops(0.25, 8)], 1.0, 0.25).to_dense(); "
             "print(code, *[name for name in sys.modules if name.split('.')[0] == 'scipy'], "
             "file=sys.stderr)")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
@@ -653,7 +659,8 @@ def test_ehrenfest_quartic_squared_observable(monkeypatch):
     h = build_hamiltonian(spec)
     x_cm = cm_operators_numeric(spec.modes)[0]
     x_sq = x_cm.matrix @ x_cm.matrix
-    x_sq = SparseOperator(x_cm.mode_dims, [(x_sq + x_sq.getH()) * 0.5], hermitian=True)
+    x_sq = SparseOperator(x_cm.mode_dims, [diagonals((x_sq + x_sq.getH()) * 0.5)],
+                          hermitian=True)
 
     def residual(dt):
         rows = sampled_rows(monkeypatch, psi0, spec, dt * round(1.6 / dt), dt)
@@ -669,8 +676,8 @@ def test_expectation_product_of_non_hermitian_kronecker_sums():
     from cmlimit.hilbert_rep import ladder
 
     dims = (3, 4)
-    a = SparseOperator(dims, [ladder(3).matrix, ladder(4).matrix.T])
-    b = SparseOperator(dims, [ladder(3).matrix.T * 0.5, ladder(4).matrix])
+    a = SparseOperator(dims, [ladder(3).factors[0], diagonals(ladder(4).matrix.T)])
+    b = SparseOperator(dims, [diagonals(ladder(3).matrix.T * 0.5), ladder(4).factors[0]])
     rng = np.random.default_rng(7)
     amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     psi = StateVector(dims, amps / np.linalg.norm(amps))

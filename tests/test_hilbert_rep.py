@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from cmlimit.ccr_algebra import cm_algebra, commutator
 from cmlimit.cli import main
+from cmlimit.dynamics import HamiltonianSpec, PolynomialPotential, build_hamiltonian
 from cmlimit.hilbert_rep import (
     DimensionCapError,
     ExcessiveTruncationError,
@@ -41,6 +42,7 @@ from cmlimit.hilbert_rep import (
     uncertainty_product,
     variance,
 )
+from oracles import diagonals, kronsum_matrix
 
 MODE = ModeSpec(mass=1.0, dim=16)
 
@@ -255,20 +257,58 @@ def test_shifted_slice_apply_is_bitwise_csr(modes_drawn, rows, seed):
             assert np.abs(applied - (op.matrix @ stack.T).T).max() <= 1e-14
 
 
+_UNEQUAL_MODES = {
+    "1 mode": [ModeSpec(mass=2.5, dim=6)],
+    "1 tiny mode": [ModeSpec(mass=1e-300, dim=5)],
+    "2 modes": [ModeSpec(mass=1.0, dim=3), ModeSpec(mass=2.5, dim=4)],
+    "3 modes": [ModeSpec(mass=1e-300, dim=3), ModeSpec(mass=0.5, dim=5),
+                ModeSpec(mass=3.0, dim=2)],
+}
+_POTENTIALS = {"harmonic": {2: 0.5}, "quartic-cubic": {4: 0.1, 3: 0.3},
+               "double well": {4: 1, 2: -2, 0: 1}}
+
+
+def _matrix_cases():
+    for name, system in _UNEQUAL_MODES.items():
+        for label, op in zip(("X_CM", "V_CM", "P_TOT"), cm_operators_numeric(system)):
+            yield pytest.param(op, id=f"{label} {name}")
+    for name, system in (("1 mode", [ModeSpec(mass=2.0, dim=12)]),
+                         ("3 modes", [ModeSpec(mass=1.0, dim=4), ModeSpec(mass=2.0, dim=3),
+                                      ModeSpec(mass=0.5, dim=5)])):
+        for label, coeffs in _POTENTIALS.items():
+            spec = HamiltonianSpec(modes=tuple(system),
+                                   potential=PolynomialPotential.from_coeffs(coeffs))
+            yield pytest.param(build_hamiltonian(spec), id=f"H {label} {name}")
+    yield pytest.param(SparseOperator((3, 4), [ladder(3).factors[0],
+                                               diagonals(ladder(4).matrix.T * 0.5)]),
+                       id="non-Hermitian sum")
+
+
+@pytest.mark.parametrize("op", _matrix_cases())
+def test_matrix_is_the_kronsum_fold_byte_for_byte(op):
+    # one diags of the composite diagonals stores what the per-factor CSR fold
+    # stores, signed zeros included; operator_nnz counts the same entries
+    matrix, oracle = op.matrix, kronsum_matrix(op)
+    assert matrix.nnz == oracle.nnz
+    for part in ("data", "indices", "indptr"):
+        assert getattr(matrix, part).tobytes() == getattr(oracle, part).tobytes()
+
+
 def test_kronecker_sum_rejects_non_hermitian_factor():
-    x = position_op(ModeSpec(mass=1.0, dim=3)).matrix
+    x = position_op(ModeSpec(mass=1.0, dim=3)).factors[0]
     with pytest.raises(ValueError, match="marked Hermitian"):
-        SparseOperator((3, 4), [x, ladder(4).matrix], hermitian=True)
-    op = SparseOperator((3, 4), [x, ladder(4).matrix])
+        SparseOperator((3, 4), [x, ladder(4).factors[0]], hermitian=True)
+    op = SparseOperator((3, 4), [x, ladder(4).factors[0]])
     assert not op.hermitian
 
 
 def test_cm_operators_apply_without_assembly(monkeypatch, capsys):
-    # uncertainty needs only applications; the kronsum fold must not run
+    # uncertainty needs only applications; no composite matrix is assembled
     def refuse(*args, **kwargs):
-        raise AssertionError("Kronecker sum assembled")
+        raise AssertionError("composite matrix assembled")
 
-    monkeypatch.setattr(scipy.sparse, "kronsum", refuse)
+    monkeypatch.setattr(SparseOperator, "matrix", property(refuse))
+    monkeypatch.setattr(scipy.sparse, "diags", refuse)
     assert main(["uncertainty", "--N", "1,2,3,4,5,6", "--dim", "8"]) == 0
     out = capsys.readouterr().out
     assert hashlib.md5(out.encode()).hexdigest() == "1c840108393f2b2320b57baf22385c04"
@@ -345,7 +385,7 @@ def test_product_state_separability():
     psi0 = coherent_state(MODE, 0.7, 0.1)
     psi1 = coherent_state(MODE, -0.3, 0.4)
     joint = product_state([psi0, psi1])
-    x0 = SparseOperator((16, 16), [np.kron(position_op(MODE).to_dense(), np.eye(16))])
+    x0 = SparseOperator((16, 16), [diagonals(np.kron(position_op(MODE).to_dense(), np.eye(16)))])
     expected = expectation(position_op(MODE), psi0)
     assert abs(expectation(x0, joint) - expected) < 1e-12
     assert abs(joint.norm() - 1.0) < 1e-12
@@ -530,4 +570,12 @@ def test_cm_pair_ops_commutator_scale():
 
 def test_sparse_operator_hermitian_flag_validation():
     with pytest.raises(ValueError):
-        SparseOperator((2,), [np.array([[0, 1], [0, 0]])], hermitian=True)
+        SparseOperator((2,), [diagonals(np.array([[0, 1], [0, 0]]))], hermitian=True)
+
+
+def test_sparse_operator_takes_diagonals_only():
+    # a factor is {offset: values}; a dense or scipy.sparse matrix is refused
+    x = position_op(ModeSpec(mass=1.0, dim=3))
+    for matrix in (x.to_dense(), x.matrix):
+        with pytest.raises(TypeError, match="offset"):
+            SparseOperator((3,), [matrix])
