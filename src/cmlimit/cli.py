@@ -489,8 +489,11 @@ def run_scaling(config: ExperimentConfig) -> ExperimentResult:
         if not all(0 < v < math.inf for v in (magnitude, bound)):  # a subnormal still prints
             raise ConfigError(f"{flag}, --hbar: the commutator magnitude or uncertainty bound "
                               f"of {system.n} particles is out of the floating-point range")
-        rows.append(tuple(_fmt(v) for v in (
-            system.n, float(system.mean_mass), float(system.eps), magnitude, bound)))
+        # a subnormal may hold fewer than 12 digits: print its repr when that has at most 12
+        rows.append((_fmt(system.n), *(
+            repr(v) if v < sys.float_info.min and len(repr(v).split("e")[0].replace(".", "")) <= 12
+            else _fmt(v)
+            for v in (float(system.mean_mass), float(system.eps), magnitude, bound))))
     table = Table("scaling", ("N", "mbar", "eps", "comm_magnitude", "uncertainty_bound"),
                   tuple(rows))
     return ExperimentResult("scaling", (table,))

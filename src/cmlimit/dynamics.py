@@ -13,13 +13,13 @@ entries), else one of all of H.  A narrow CM packet reaches few of a
 block's levels, so the ``eigh`` runs on the block's smallest level cut (the
 states whose every mode level is below L) whose Ritz-pair residual bound
 keeps the rows within CUT_TOLERANCE of the whole block's over the run, and
-on the whole block when no cut certifies.  Above dimension 2048, the CSR
-matrix of the same diagonals is applied as a sparse matrix-exponential
-action; only such a run imports ``scipy.sparse`` and ``scipy.sparse.linalg``.
-Each propagator is a sampler of one diagonal block of H, built once;
-``evolve_quantum`` walks the time grid once, in blocks of rows of about
-2^16 amplitudes, each filled from every sampler (one real GEMM per
-``eigh``), evaluated and dropped, so a run never holds all its rows:
+on the whole block when no cut certifies.  Above dimension 2048, short
+Lanczos steps apply the same diagonals by ``SparseOperator.apply``, on
+either side numpy alone: no scipy module is loaded.  Each propagator is a
+sampler of one diagonal block of H, built once; ``evolve_quantum`` walks
+the time grid once, in blocks of rows of about 2^16 amplitudes, each
+filled from every sampler (one GEMM per ``eigh`` or per Lanczos basis),
+evaluated and dropped, so a run never holds all its rows:
 the CM observables are applied mode by mode to all rows of a block at once
 (:mod:`cmlimit.hilbert_rep`).  Norm drift is measured, never corrected --
 silent renormalization would hide a propagation failure.  The classical
@@ -60,9 +60,11 @@ from .hilbert_rep import (
 
 EIG_DIMENSION_LIMIT = 2048
 SAMPLE_BLOCK_AMPLITUDES = 2**16  # amplitudes evaluated together; one row above it
-MAX_STEPS = 100_000  # every step is a sample, kept as a column entry and a CSV row
+MAX_STEPS = 100_000  # samples, each a column entry and a CSV row; and Lanczos substeps
 NORM_DRIFT_LIMIT = 1e-8
 CUT_TOLERANCE = 1e-13  # certified norm error of an eigh sampler's level cut, over the run
+KRYLOV_TOLERANCE = 1e-14  # estimated error of a Lanczos sample, per basis
+KRYLOV_MIN_COLUMNS, KRYLOV_MAX_COLUMNS = 20, 64  # of one Lanczos basis
 
 
 class NormDriftError(RuntimeError):
@@ -176,12 +178,12 @@ def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
     arithmetic from their composite diagonals by ``hilbert_rep``'s diagonal
     product, numpy only: P_TOT^2 / 2M, then the powers of X_CM, each the last
     times the tridiagonal X_CM, then (H + H^T) / 2.
-    Both propagators run on this H; only the sampler above the dense limit
-    reads its CSR ``.matrix``.  H equals the ``scipy.sparse`` products of the
-    CM operators' CSR matrices bit for bit for one mode, where no entry sums
-    more than two products, and for a potential of degree at most 2; above
-    that, an entry of X_CM^3 or a higher power on several modes may add its
-    products in another order.
+    Both propagators run on these diagonals: the ``eigh`` sampler cuts dense
+    blocks from them, the Lanczos sampler applies them.  H equals the
+    ``scipy.sparse`` products of the CM operators' CSR matrices bit for bit
+    for one mode, where no entry sums more than two products, and for a
+    potential of degree at most 2; above that, an entry of X_CM^3 or a higher
+    power on several modes may add its products in another order.
     Raises OverflowError at the first power of X_CM that leaves the
     floating-point range, or when H itself does.  The powers stop at the
     first one that is the zero matrix; the terms above it are zero.
@@ -380,26 +382,79 @@ def _eigh_sampler(h: SparseOperator, index, psi0: np.ndarray, times: np.ndarray,
     return index[inside], sample
 
 
-def _expm_sampler(matrix, psi0: np.ndarray, times: np.ndarray, hbar: float):
-    """Sample all of H, the CSR ``matrix`` of :func:`build_hamiltonian`'s H, by the
-    sparse action of the exponential (Al-Mohy & Higham 2011).
+def _krylov_sampler(h: SparseOperator, psi0: np.ndarray, times: np.ndarray, hbar: float):
+    """Sample all of H by short-iterative Lanczos steps (Park & Light 1986; Hochbruck &
+    Lubich 1997): returns all columns, and a map from the consecutive slices of
+    ``times``, taken in order, to those rows of exp(-iHt/hbar) psi0.
 
-    One ``expm_multiply`` call computes every row, and a slice is a view of
-    them: a call per slice would repeat its norm estimation and change its
-    rounding.  A one-sample grid is psi0, without the call.  Raises
-    OverflowError for an infinite or NaN norm estimate.
+    From the last row emitted (psi0 first), :func:`_lanczos` grows a basis
+    until it certifies the next sample; the samples it certifies from there,
+    at most KRYLOV_MAX_COLUMNS, are one GEMM of their phased coordinates and
+    the basis, and the next basis starts from the last.  A sample that no
+    basis certifies is reached by halved substeps.  So the rows do not depend
+    on the slices asked for.  Raises OverflowError for a non-finite Lanczos
+    coefficient, or when the run needs more than MAX_STEPS substeps or one
+    too small to advance t.
     """
-    if len(times) == 1:
-        return psi0[None, :].__getitem__
-    from scipy.sparse.linalg import expm_multiply
+    def rows():
+        yield psi0
+        basis = np.empty((KRYLOV_MAX_COLUMNS, h.dim), dtype=np.complex128)
+        start, origin, k, substeps = psi0, times[0], 1, 0
+        while k < len(times):
+            m, coordinates = _lanczos(h, basis, start, times[k] - origin, hbar)
+            coords, estimates = coordinates(times[k:k + KRYLOV_MAX_COLUMNS] - origin)
+            count = np.argmin(np.append(estimates <= KRYLOV_TOLERANCE, False))  # leading ones
+            if count:
+                stack = coords[:, :count].T @ basis[:m]
+                yield from stack
+                start, origin, k = stack[-1], times[k + count - 1], k + count
+                continue
+            step = (times[k] - origin) / 2
+            while coordinates([step])[1][0] > KRYLOV_TOLERANCE:  # a zero step certifies
+                step /= 2
+            substeps += 1
+            if substeps > MAX_STEPS or origin + step == origin:
+                raise OverflowError(f"exp(-iHt/hbar) needs more than {MAX_STEPS} substeps")
+            start, origin = coordinates([step])[0][:, 0] @ basis[:m], origin + step
 
-    try:
-        with np.errstate(all="ignore"):  # refused below, without scipy's warnings
-            rows = expm_multiply(matrix * (-1j / hbar), psi0, start=0.0, stop=times[-1],
-                                 num=len(times), endpoint=True)
-    except (OverflowError, ValueError) as exc:
-        raise OverflowError("the action of exp(-iHt/hbar) leaves the floating-point range") from exc
-    return rows.__getitem__
+    later = rows()
+    return slice(None), lambda rows: np.array([next(later) for _ in times[rows]])
+
+
+def _lanczos(h: SparseOperator, basis: np.ndarray, start: np.ndarray, gap: float,
+             hbar: float):
+    """Grow the Lanczos basis of H/hbar from ``start`` in the rows of ``basis``: to
+    KRYLOV_MIN_COLUMNS, and on until the estimate beta_m |e_m^T exp(-i T_m s) e_1|
+    ||start|| (Saad 1992) certifies the step s = ``gap`` at KRYLOV_TOLERANCE, or
+    ``basis`` is full.  Returns the column count m and the map from steps s to the
+    coordinates of exp(-iHs/hbar) start in the basis (e_1 plus an expm1 term: a
+    zero step is exact) and their estimates.  Raises OverflowError for a
+    non-finite coefficient."""
+    def coordinates(steps):
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN at a phase past the range
+            phased = np.expm1(np.outer(evals, steps) * -1j) * (norm * evecs[0])[:, None]
+        coords = evecs @ phased
+        coords[0] += norm
+        return coords, betas[-1] * np.abs(coords[-1])  # a NaN estimate never certifies
+
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coefficient is refused
+        norm, alphas, betas = np.linalg.norm(start), [], []
+        basis[0] = start / norm
+        for m in range(1, len(basis) + 1):
+            w = h.apply(basis[m - 1]) / hbar
+            alphas.append(np.vdot(basis[m - 1], w).real)
+            w -= alphas[-1] * basis[m - 1]
+            if m > 1:
+                w -= betas[-1] * basis[m - 2]
+            betas.append(np.linalg.norm(w))  # its squares overflow first
+            if not np.isfinite([alphas[-1], betas[-1]]).all():
+                raise OverflowError("the action of exp(-iHt/hbar) leaves the floating-point range")
+            if m >= KRYLOV_MIN_COLUMNS or not betas[-1]:  # beta_m = 0: an invariant subspace
+                # eigh reads the lower triangle of T_m
+                evals, evecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], -1))
+                if m == len(basis) or coordinates([gap])[1][0] <= KRYLOV_TOLERANCE:
+                    return m, coordinates
+            basis[m] = w / betas[-1]
 
 
 def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
@@ -410,13 +465,14 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     propagator is exact and unitary, on the one banded H of
     :func:`build_hamiltonian`: a dense ``eigh`` sampler per diagonal block of
     it up to total dimension 2048, each on its block's certified level cut
-    (:func:`_eigh_sampler`), one ``expm_multiply`` sampler of its CSR matrix
-    above that.  The one loop over the time grid fills each block of rows
-    from every sampler, zero in the columns outside a kept cut, evaluates it
-    and drops it, and keeps only the columns of CM observables, energy, norm
-    and truncation weight.  On both sides the energy is the band of H applied
-    for one mode, and from the rows' X_CM and V_CM images
-    (:func:`_cm_energies`) for several.
+    (:func:`_eigh_sampler`), and above that one Lanczos sampler of all of it,
+    through its apply, certified sample by sample (:func:`_krylov_sampler`).
+    The one loop over the time grid fills each block of rows from every
+    sampler, zero in the columns outside a kept cut, evaluates it and drops
+    it, and keeps only the columns of CM observables, energy, norm and
+    truncation weight.  On both sides the energy is the band of H applied for
+    one mode, and from the rows' X_CM and V_CM images (:func:`_cm_energies`)
+    for several.
     Raises, for the first sample that fails a gate, NormDriftError when
     |norm - 1| reaches 1e-8 (never renormalizes), else
     ExcessiveTruncationError when it exceeds the truncation gate.
@@ -433,7 +489,7 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
         samplers = [_eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar)
                     for index in _blocks(h, h.factors[0])]
     else:
-        samplers = [(slice(None), _expm_sampler(h.matrix, psi0.amplitudes, times, spec.hbar))]
+        samplers = [_krylov_sampler(h, psi0.amplitudes, times, spec.hbar)]
 
     def energies(block, x_rows, v_rows):
         if len(spec.modes) > 1:  # H has many composite diagonals; X_CM and V_CM two per mode

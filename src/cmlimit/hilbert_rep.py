@@ -18,10 +18,12 @@ operators: :func:`_composite_diagonals` spreads the factors over the
 composite index, :func:`_diagonal_product` multiplies two operators'
 diagonals, and :func:`nc_matrix` (the symbolic-algebra bridge) and
 :func:`cmlimit.dynamics.build_hamiltonian` form their one-factor images
-with them.  This module and :mod:`cmlimit.dynamics` load numpy alone; the
-``matrix`` property, one ``scipy.sparse.diags`` of the composite
-diagonals, is this module's only scipy import, read by an evolution above
-the dense limit.  An (S, D) stack of amplitude rows is applied and
+with them; ``SparseOperator.apply`` is the one way an operator meets
+amplitudes, for the CM observables, <H> and the Lanczos propagator alike.
+This module and :mod:`cmlimit.dynamics` load numpy alone; the ``matrix``
+property, one ``scipy.sparse.diags`` of the composite diagonals, is this
+module's only scipy import, read only by tests and the benchmark's nnz
+counter.  An (S, D) stack of amplitude rows is applied and
 evaluated in one pass: the row index is one more leading axis of the
 tensor: :func:`cm_expectation_records` gives one record whose fields are
 columns, one entry per row, and :func:`truncation_weights` one weight per
@@ -167,7 +169,7 @@ class SparseOperator:
     ``scipy.sparse``, this module's one scipy import.
     """
 
-    __slots__ = ("mode_dims", "factors", "hermitian", "_matrix")
+    __slots__ = ("mode_dims", "factors", "hermitian")
 
     def __init__(self, mode_dims, factors, hermitian=False):
         mode_dims = tuple(int(d) for d in mode_dims)
@@ -189,30 +191,29 @@ class SparseOperator:
         object.__setattr__(self, "mode_dims", mode_dims)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "hermitian", bool(hermitian))
-        object.__setattr__(self, "_matrix", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseOperator is immutable")
 
     @property
     def matrix(self):
-        """The composite complex CSR matrix, built on first read and cached.
+        """The composite complex CSR matrix, built anew on each read.
 
-        Imports ``scipy.sparse``: one ``diags`` of :func:`_composite_diagonals`.
-        Of several factors, the stored entries get the final + 0.0 of a sparse
-        Kronecker-sum fold's sums, which turns P_TOT's -0.0 real parts into +0.0.
+        Read only by tests and the benchmark's nnz counter; it imports
+        ``scipy.sparse`` (the ``test`` extra): one ``diags`` of
+        :func:`_composite_diagonals`.  Of several factors, the stored entries
+        get the final + 0.0 of a sparse Kronecker-sum fold's sums, which turns
+        P_TOT's -0.0 real parts into +0.0.
         """
-        if self._matrix is None:
-            import scipy.sparse as sp
+        import scipy.sparse as sp
 
-            diagonals = _composite_diagonals(self)
-            total = sp.diags([v[_span(o, self.dim)[0]] for o, v in diagonals.items()],
-                             list(diagonals), shape=(self.dim, self.dim), format="csr",
-                             dtype=np.complex128)
-            if len(self.factors) > 1:
-                total.data += 0.0
-            object.__setattr__(self, "_matrix", total)
-        return self._matrix
+        diagonals = _composite_diagonals(self)
+        total = sp.diags([v[_span(o, self.dim)[0]] for o, v in diagonals.items()],
+                         list(diagonals), shape=(self.dim, self.dim), format="csr",
+                         dtype=np.complex128)
+        if len(self.factors) > 1:
+            total.data += 0.0
+        return total
 
     @property
     def dim(self) -> int:

@@ -7,8 +7,8 @@ configuration error rather than an exception caught by ``main``'s
 catch-all, and a successful run's tables hold no ``nan``.  Sizes stay
 small (dims <= 16, N <= 4, t <= 0.5) so the whole test runs in seconds;
 full-model evolve runs stay within the dense propagator's dimension
-(``EIG_DIMENSION_LIMIT``), because above it ``expm_multiply`` can take
-minutes for a stiff potential.
+(``EIG_DIMENSION_LIMIT``), because above it the Lanczos sampler's cost
+grows with ||H|| t / hbar, and a stiff potential can take minutes.
 """
 
 import contextlib

@@ -290,7 +290,9 @@ def test_propagators_agree(monkeypatch):
         for index in dynamics._blocks(h, real):
             columns, sample = dynamics._eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar)
             dense[:, columns] = sample(slice(None))
-        sparse = dynamics._expm_sampler(h.matrix, psi0.amplitudes, times, spec.hbar)(slice(None))
+        columns, sample = dynamics._krylov_sampler(h, psi0.amplitudes, times, spec.hbar)
+        assert columns == slice(None)
+        sparse = sample(slice(None))
         assert dense.shape == sparse.shape == (21, h.dim)
         assert np.abs(dense - sparse).max() < 1e-10
         # the block seams of evolve_quantum's loop leave the rows alone, on both
@@ -433,13 +435,64 @@ def test_eigh_sampler_rows_within_the_cut_tolerance(coeffs, dim, n, x0, t_final,
     assert np.abs(rows - oracle).max() <= dynamics.CUT_TOLERANCE + 1e-13
 
 
+def _banded(d, band, scale, seed):
+    """A random real symmetric band of half-width ``band`` as ``{offset: values}``."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(np.tril(rng.uniform(-scale, scale, (d, d)), band))
+    return diagonals(upper + np.triu(upper, 1).T)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(1, 100), st.integers(0, 3), st.floats(0.1, 50), st.floats(0.5, 2),
+       st.floats(0.01, 1), st.integers(1, 8), st.integers(0, 2**32 - 1))
+@example(100, 3, 50.0, 0.5, 1.0, 8, 0)  # bases that certify no sample: halved substeps
+@example(1, 0, 1.0, 1.0, 0.5, 8, 0)  # a one-level H is its own invariant subspace
+def test_krylov_sampler_rows_match_the_dense_exponential(d, band, scale, hbar, dt, steps, seed):
+    # each basis certifies its samples at 1e-14 by its error estimate; the rows
+    # stay within 1e-11 of the exact exponential, in any row blocks
+    h = SparseOperator((d,), [_banded(d, band, scale, seed)], hermitian=True)
+    rng = np.random.default_rng(seed + 1)
+    psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi0 /= np.linalg.norm(psi0)
+    times = dt * np.arange(steps + 1)
+    columns, sample = dynamics._krylov_sampler(h, psi0, times, hbar)
+    rows = np.concatenate([sample(slice(k, k + 3)) for k in range(0, steps + 1, 3)])
+    assert columns == slice(None) and rows.shape == (steps + 1, d)
+    dense = h.to_dense()
+    for t, row in zip(times, rows):
+        assert np.abs(row - scipy.linalg.expm(dense * (-1j * t / hbar)) @ psi0).max() < 1e-11
+
+
+@pytest.mark.parametrize("entry, hbar", [(np.inf, 1.0), (np.nan, 1.0), (1e308, 1e-10)],
+                         ids=["infinite", "nan", "overflows-over-hbar"])
+def test_krylov_sampler_refuses_a_non_finite_coefficient(entry, hbar):
+    h = SparseOperator((4,), [{-1: np.array([0.0, 1, 1, 1]), 0: np.array([entry, 1, 1, 1]),
+                               1: np.array([1.0, 1, 1, 0])}])
+    _, sample = dynamics._krylov_sampler(h, np.full(4, 0.5 + 0j), np.array([0.0, 0.1]), hbar)
+    with pytest.raises(OverflowError, match="floating-point range"):
+        sample(slice(None))
+
+
+@pytest.mark.parametrize("start, max_steps", [(0.0, 2), (2.0**60, dynamics.MAX_STEPS)],
+                         ids=["too-many-substeps", "substep-below-the-ulp-of-t"])
+def test_krylov_sampler_refuses_a_run_it_cannot_finish(monkeypatch, start, max_steps):
+    # no basis certifies the next sample, so the sampler takes halved substeps:
+    # more than MAX_STEPS of them, or one that t + step rounds away (the ulp of
+    # 2^60 is 256), refuse
+    monkeypatch.setattr(dynamics, "MAX_STEPS", max_steps)
+    h = SparseOperator((100,), [_banded(100, 3, 50.0, 0)], hermitian=True)
+    _, sample = dynamics._krylov_sampler(h, basis_state(100).amplitudes,
+                                         np.array([start, start + 1024.0]), 0.5)
+    with pytest.raises(OverflowError, match=f"more than {max_steps} substeps"):
+        sample(slice(None))
+
+
 def test_evolve_does_not_import_csgraph():
     # the parity sectors are read off H's entries; no graph search is loaded.
-    # Nor is any scipy module at all below the dense limit: H and the CM
-    # operators are numpy diagonals, numpy's eigh diagonalizes H, math.lgamma
-    # builds the coherent states, and scipy.sparse (with expm_multiply) is
-    # imported only above the limit, so no scipy module enters the process;
-    # nc_matrix multiplies the same numpy diagonals
+    # Nor is any scipy module at all, on either side of the dense limit: H and
+    # the CM operators are numpy diagonals, numpy's eigh diagonalizes H below
+    # the limit and its Lanczos sampler applies it above, math.lgamma builds
+    # the coherent states, and nc_matrix multiplies the same numpy diagonals
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -449,6 +502,10 @@ def test_evolve_does_not_import_csgraph():
             "code += main(['evolve', '--potential', '0.5*x^2 + 0.05*x', '--model', 'full', "
             "'--N', '2', '--dim', '12', '--t', '0.1', '--dt', '0.05', '--x0', '0.3']); "
             "code += main(['uncertainty', '--N', '1,2', '--dim', '8', '--x0', '0.3']); "
+            "code += main(['evolve', '--potential', '0.1*x^4+0.3*x^3', '--N', '16', "
+            "'--dim', '2100', '--t', '0.02', '--dt', '0.01', '--x0', '0.5']); "
+            "code += main(['evolve', '--potential', '0.5*x^2 + 0.05*x', '--model', 'full', "
+            "'--N', '2', '--dim', '46', '--t', '0.02', '--dt', '0.01', '--x0', '0.3']); "
             "from cmlimit.ccr_algebra import cm_algebra; "
             "from cmlimit.hilbert_rep import cm_pair_ops, nc_matrix; "
             "X, V = cm_algebra().x(), cm_algebra().v(); "
@@ -497,6 +554,24 @@ def test_long_run_holds_no_amplitude_stack():
     psi0 = coherent_state(spec.modes[0], 1.0, 0.0)
     peaks = []
     for t_final in (2.0, 20.0):
+        tracemalloc.start()
+        try:
+            evolve_quantum(psi0, spec, t_final=t_final, dt=0.01)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 * 2**20
+
+
+def test_long_run_above_dense_limit_holds_no_amplitude_stack():
+    # the Lanczos sampler yields its rows in time order, so above the dense
+    # limit too ten times the samples costs ten times the records, not the
+    # rows: the 1001 rows of 2116 amplitudes alone would take 32 MiB
+    spec = _full_spec(LINEAR_HARMONIC, dim=46)
+    psi0 = coherent_product(spec.modes, [0.3, 0.3], [0.025, 0.025])
+    assert psi0.amplitudes.size > dynamics.EIG_DIMENSION_LIMIT
+    peaks = []
+    for t_final in (1.0, 10.0):
         tracemalloc.start()
         try:
             evolve_quantum(psi0, spec, t_final=t_final, dt=0.01)
