@@ -584,7 +584,9 @@ def run_uncertainty(config: ExperimentConfig) -> ExperimentResult:
     exit_code = 0
     for n in config["N"]:
         modes = _modes(n, mbar, dim, hbar)
-        bound = hbar / (2.0 * n * mbar)
+        bound = hbar / 2.0 / (n * mbar)  # 2.0 * n * mbar may overflow
+        if not sys.float_info.min <= bound < math.inf:  # ModeSpec's rule for a scale
+            raise ConfigError(f"--N, --mbar, --hbar: the uncertainty bound at N = {n} is out of range")
         try:
             psi = coherent_product(modes, [config["x0"]] * n, [config["p0"] / n] * n)
             rec = cm_expectation_record(psi, modes)

@@ -9,19 +9,18 @@ operator itself).  Up to total dimension 2048 it is
 diagonalized densely by numpy's ``eigh`` (LAPACK's divide-and-conquer
 ``?syevd``): one ``eigh`` per parity sector when H couples no basis states
 of opposite total level parity, as for every even potential (checked on H's
-entries), else one of all of H.  A narrow CM packet reaches few of a
-block's levels, so the ``eigh`` runs on the block's smallest level cut (the
-states whose every mode level is below L) whose Ritz-pair residual bound
-keeps the rows within CUT_TOLERANCE of the whole block's over the run, and
-on the whole block when no cut certifies.  Above dimension 2048, short
-Lanczos steps apply the same diagonals by ``SparseOperator.apply``, on
-either side numpy alone: no scipy module is loaded.  Each propagator is a
-sampler of one diagonal block of H, built once; ``evolve_quantum`` walks
-the time grid once, in blocks of rows of about 2^16 amplitudes, each
-filled from every sampler (one GEMM per ``eigh`` or per Lanczos basis),
-evaluated and dropped, so a run never holds all its rows:
-the CM observables are applied mode by mode to all rows of a block at once
-(:mod:`cmlimit.hilbert_rep`).  Norm drift is measured, never corrected --
+entries), else one of all of H.  A narrow CM packet reaches few of a block's
+levels, so its ``eigh`` runs on the smallest level cut (the states whose
+every mode level is below L) whose Ritz-pair residual bound keeps the rows
+within CUT_TOLERANCE of the whole block's over the run, L doubling up to the
+whole block.  Above dimension 2048, short Lanczos steps apply the same
+diagonals by ``SparseOperator.apply``; neither side loads scipy.  Each
+propagator is a sampler of one diagonal block of H, built once;
+``evolve_quantum`` walks the time grid once, in blocks of rows of about 2^16
+amplitudes, each filled from every sampler (one GEMM per ``eigh`` or per
+Lanczos basis), evaluated and dropped, so a run never holds all its rows: the
+CM record (:mod:`cmlimit.hilbert_rep`) and the energy read one pair of X_CM
+and V_CM images of a block.  Norm drift is measured, never corrected --
 silent renormalization would hide a propagation failure.  The classical
 twin integrates Hamilton's equations xdot = p/M, pdot = -U'(x) with classic
 4th-order steps on the same time grid.  Both runs are kept as columns: every
@@ -49,12 +48,11 @@ from .hilbert_rep import (
     StateVector,
     _composite_diagonals,
     _diagonal_product,
-    _records_of_applied,
     _shifted,
     cm_expectation_record,
+    cm_expectation_records,
     cm_operators_numeric,
     coherent_state,
-    expectation,
     truncation_weights,
 )
 
@@ -299,32 +297,33 @@ class Trajectory:
         return float(np.max(np.abs(self.energy - e0)) / max(abs(e0), 1e-30))
 
 
-def _blocks(h: SparseOperator, real: dict) -> list:
-    """The indices of H's diagonal blocks, read exactly off ``real``, H's diagonals:
-    its two parity sectors when no nonzero entry couples basis states of opposite
-    total level parity (every even potential, on either model), else all of H."""
+def _blocks(h: SparseOperator) -> list:
+    """The indices of H's diagonal blocks, read exactly off H's diagonals: its two
+    parity sectors when no nonzero entry couples basis states of opposite total
+    level parity (every even potential, on either model), else all of H."""
     parity = np.indices(h.mode_dims).sum(axis=0).ravel() % 2
     # entry i of diagonal o couples state i to state i + o; the wrapped ends are zero
-    if any(values[parity != np.roll(parity, -o)].any() for o, values in real.items()):
+    if any(values[parity != np.roll(parity, -o)].any() for o, values in h.factors[0].items()):
         return [np.arange(h.dim)]
     return [np.flatnonzero(parity == p) for p in (0, 1)]
 
 
 def _level_cut(block: np.ndarray, top: np.ndarray, amps: np.ndarray, t_final: float,
                hbar: float):
-    """The eigenpairs of the smallest certified level cut of a dense block, or None.
+    """The eigenpairs of a dense block's smallest certified level cut.
 
     The cut of L levels keeps the block's states whose every mode level
     (``top``, the highest) is below L.  L starts at twice psi0's support, the
     fewest levels outside which ``amps`` has norm at most CUT_TOLERANCE, and
-    doubles while the cut holds at most half the block's rows.  For the cut's
-    eigenpairs (theta_k, w_k) and coefficients c_k = <w_k|psi0>,
+    doubles until a cut certifies; past half the rows the cut is the whole
+    block (``inside`` is ``slice(None)``), which is exact.
+    For the cut's eigenpairs (theta_k, w_k) and coefficients c_k = <w_k|psi0>,
     ||psi_cut(t) - psi(t)|| <= ||psi0 outside the cut||
     + (t/hbar) sum_k |c_k| ||(H - theta_k) w_k|| for every 0 <= t <= t_final
     (Parlett, The Symmetric Eigenvalue Problem, 1980), and (H - theta_k) w_k is
     H[outside, cut] w_k: one GEMM of the outside rows that touch the cut.  A
     cut is kept when this bound is at most CUT_TOLERANCE; a NaN or infinite
-    bound never is.  Returns ``(inside, evals, evecs, coeffs)`` for it.
+    bound never is.  Returns ``(inside, evals, evecs, coeffs)``.
     """
     tail = np.sqrt(np.cumsum(np.bincount(top, np.abs(amps) ** 2)[::-1]))[::-1]
     levels = 2 * max(np.count_nonzero(tail > CUT_TOLERANCE), 1)
@@ -340,7 +339,8 @@ def _level_cut(block: np.ndarray, top: np.ndarray, amps: np.ndarray, t_final: fl
         if bound <= CUT_TOLERANCE:
             return inside, evals, evecs, coeffs
         levels *= 2
-    return None
+    evals, evecs = np.linalg.eigh(block)  # the doubling's last step: exact, no bound
+    return slice(None), evals, evecs, evecs.T @ amps
 
 
 def _eigh_sampler(h: SparseOperator, index, psi0: np.ndarray, times: np.ndarray, hbar: float):
@@ -348,13 +348,11 @@ def _eigh_sampler(h: SparseOperator, index, psi0: np.ndarray, times: np.ndarray,
     state, and a map from a slice of ``times`` to those columns of
     exp(-iHt/hbar) psi0.
 
-    The block is cut from H's diagonals as a dense array.  The one ``eigh``
-    that serves the samples runs on the block's smallest level cut that
-    :func:`_level_cut` certifies, whose rows then differ from the whole
-    block's by at most CUT_TOLERANCE in norm, and the block's other columns
-    are zero; when no cut certifies it runs on the whole block.  A slice's
-    rows are one real GEMM of the real eigenvectors and the interleaved re
-    and im of the phased coefficients.
+    The block is cut from H's diagonals as a dense array.  The samples come
+    from the eigenpairs of its smallest certified level cut (:func:`_level_cut`),
+    whose rows differ from the whole block's by at most CUT_TOLERANCE in norm,
+    the block's other columns zero.  A slice's rows are one real GEMM of the
+    real eigenvectors and the interleaved re and im of the phased coefficients.
     """
     real, dim = h.factors[0], h.dim
     position = np.full(dim, -1)
@@ -365,14 +363,8 @@ def _eigh_sampler(h: SparseOperator, index, psi0: np.ndarray, times: np.ndarray,
         rows, cols = np.flatnonzero(inside), position[index[inside] + o]
         rows, cols = rows[cols >= 0], cols[cols >= 0]
         block[rows, cols] = values[index[rows]]
-    amps = psi0[index]
     top = np.indices(h.mode_dims).reshape(len(h.mode_dims), -1).max(axis=0)[index]
-    cut = _level_cut(block, top, amps, times[-1], hbar)
-    if cut is None:
-        evals, evecs = np.linalg.eigh(block)
-        inside, coeffs = slice(None), evecs.T @ amps
-    else:
-        inside, evals, evecs, coeffs = cut
+    inside, evals, evecs, coeffs = _level_cut(block, top, psi0[index], times[-1], hbar)
 
     def sample(rows: slice) -> np.ndarray:
         # C-contiguous (b, S): its float64 view is (b, 2S), re and im interleaved
@@ -469,10 +461,9 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     through its apply, certified sample by sample (:func:`_krylov_sampler`).
     The one loop over the time grid fills each block of rows from every
     sampler, zero in the columns outside a kept cut, evaluates it and drops
-    it, and keeps only the columns of CM observables, energy, norm and
-    truncation weight.  On both sides the energy is the band of H applied for
-    one mode, and from the rows' X_CM and V_CM images (:func:`_cm_energies`)
-    for several.
+    it, and keeps only the columns of CM observables and energy, both read
+    off one pair of X_CM and V_CM images of the rows on every mode count
+    (:func:`_cm_energies`), norm and truncation weight.
     Raises, for the first sample that fails a gate, NormDriftError when
     |norm - 1| reaches 1e-8 (never renormalizes), else
     ExcessiveTruncationError when it exceeds the truncation gate.
@@ -487,14 +478,9 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     h = build_hamiltonian(spec, ops=ops)
     if dim <= EIG_DIMENSION_LIMIT:
         samplers = [_eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar)
-                    for index in _blocks(h, h.factors[0])]
+                    for index in _blocks(h)]
     else:
         samplers = [_krylov_sampler(h, psi0.amplitudes, times, spec.hbar)]
-
-    def energies(block, x_rows, v_rows):
-        if len(spec.modes) > 1:  # H has many composite diagonals; X_CM and V_CM two per mode
-            return _cm_energies(block, x_rows, v_rows, ops[0], spec)
-        return expectation(h, block).real  # the band of H
     step = max(1, SAMPLE_BLOCK_AMPLITUDES // dim)  # each temporary stays near 1 MiB
     blocks = []
     for start in range(0, len(times), step):
@@ -508,22 +494,25 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
         weights = truncation_weights(block, psi0.mode_dims)
         _check_gates(times[rows], norms, weights)
         x_rows, v_rows = ops[0].apply(block), ops[1].apply(block)
-        rec = _records_of_applied(block, x_rows, v_rows, weights)
-        blocks.append((rec.x_cm, rec.v_cm, rec.dx, rec.dv, energies(block, x_rows, v_rows),
-                       norms, weights))
+        rec = cm_expectation_records(block, x_rows, v_rows, weights)
+        blocks.append((rec.x_cm, rec.v_cm, rec.dx, rec.dv,
+                       _cm_energies(block, x_rows, v_rows, ops[0], spec), norms, weights))
     return Trajectory(times, *map(np.concatenate, zip(*blocks)), total_mass=spec.total_mass)
 
 
 def _cm_energies(rows, x_rows, v_rows, x_cm: SparseOperator, spec: HamiltonianSpec):
-    """<H> per row from the rows' X_CM and V_CM images: M/2 <V_CM^2> plus each
-    c_k <X_CM^a psi | X_CM^b psi> with a + b = k, the powers above the first
-    applied here (the Kronecker-sum applies; H's own diagonals are many on
-    several modes)."""
+    """<H> per row from the rows' X_CM and V_CM images, on any number of modes:
+    M/2 <V_CM^2> plus each c_k <X_CM^a psi | X_CM^b psi>, a = k // 2, b = k - a,
+    the powers above the first applied here.  By ascending k, a power two below
+    the newest is never read again, and every power above a zero one is zero."""
     energy = np.vecdot(v_rows, v_rows).real * (0.5 * spec.total_mass)
     powers = [rows, x_rows]
     for k, c in spec.potential.terms:
         while len(powers) <= k - k // 2:
+            if not powers[-1].any():  # the terms left add zeros
+                return energy
             powers.append(x_cm.apply(powers[-1]))
+            powers[-3] = None
         energy = energy + float(c) * np.vecdot(powers[k // 2], powers[k - k // 2]).real
     return energy
 

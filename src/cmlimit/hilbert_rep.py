@@ -25,9 +25,10 @@ property, one ``scipy.sparse.diags`` of the composite diagonals, is this
 module's only scipy import, read only by tests and the benchmark's nnz
 counter.  An (S, D) stack of amplitude rows is applied and
 evaluated in one pass: the row index is one more leading axis of the
-tensor: :func:`cm_expectation_records` gives one record whose fields are
-columns, one entry per row, and :func:`truncation_weights` one weight per
-row; the one-state functions are their one-row case.
+tensor: :func:`cm_expectation_records` gives, from the rows' X_CM and V_CM
+images, one record whose fields are columns, one entry per row, and
+:func:`truncation_weights` one weight per row; the one-state functions are
+their one-row case.
 """
 
 from __future__ import annotations
@@ -488,19 +489,13 @@ class ExpectationRecord:
     truncation_weight: float
 
 
-def cm_expectation_records(amplitudes: np.ndarray, ops, weights) -> ExpectationRecord:
+def cm_expectation_records(amplitudes: np.ndarray, x_psi, v_psi, weights) -> ExpectationRecord:
     """The record of an (S, D) amplitude stack: one record of columns, one entry per row.
 
-    ``ops`` is the (X_CM, V_CM, P_TOT) triple of ``cm_operators_numeric``
-    and ``weights`` the rows' ``truncation_weights``.  Each row's entries are
-    the same arithmetic as for that row alone.
+    ``x_psi`` and ``v_psi`` are the rows' X_CM and V_CM images, which the
+    caller applies and may reuse, and ``weights`` their ``truncation_weights``.
+    Each row's entries are the same arithmetic as for that row alone.
     """
-    x_cm, v_cm, _ = ops
-    return _records_of_applied(amplitudes, x_cm.apply(amplitudes), v_cm.apply(amplitudes), weights)
-
-
-def _records_of_applied(amplitudes, x_psi, v_psi, weights) -> ExpectationRecord:
-    """:func:`cm_expectation_records` from the rows' X_CM and V_CM images."""
     x_mean = np.vecdot(amplitudes, x_psi)
     v_mean = np.vecdot(amplitudes, v_psi)
     x_dev = x_psi - x_mean[:, None] * amplitudes
@@ -519,11 +514,10 @@ def _records_of_applied(amplitudes, x_psi, v_psi, weights) -> ExpectationRecord:
 
 def cm_expectation_record(psi: StateVector, system) -> ExpectationRecord:
     """The record of one state, in Python scalars: row 0 of :func:`cm_expectation_records`."""
-    ops = cm_operators_numeric(system)
-    if psi.mode_dims != ops[0].mode_dims:
-        raise ValueError("state and operator act on different mode layouts")
+    x_cm, v_cm, _ = cm_operators_numeric(system)
     rows = psi.amplitudes[None]
-    columns = cm_expectation_records(rows, ops, truncation_weights(rows, psi.mode_dims))
+    columns = cm_expectation_records(rows, x_cm.apply(psi)[None], v_cm.apply(psi)[None],
+                                     truncation_weights(rows, psi.mode_dims))
     return ExpectationRecord(*(column[0].item() for column in vars(columns).values()))
 
 

@@ -309,6 +309,10 @@ def test_nonpositive_flag_is_config_error(capsys, argv, flag):
     (("evolve", "--potential", "0.5*x^2", "--N", "1", "--mbar", "1e-150", "--dim", "2100",
       "--x0", "0", "--p0", "0", "--t", "1e300", "--dt", "1e299"),
      "--potential, --N, --mbar, --hbar, --dim"),
+    # each mode's scales fit, the bound hbar / 2 N mbar is subnormal
+    (("uncertainty", "--N", "5", "--mbar", "2e307", "--dim", "2"), "--N, --mbar, --hbar"),
+    (("uncertainty", "--N", "5", "--mbar", "2e307", "--dim", "2", "--x0", "1"),
+     "--N, --mbar, --hbar"),
 ])
 def test_float_range_is_config_error(capsys, argv, flag):
     _assert_flag_config_error(capsys, argv, flag)

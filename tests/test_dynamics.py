@@ -274,10 +274,11 @@ def _full_spec(potential, n=2, dim=10):
 LINEAR_HARMONIC = PolynomialPotential.from_coeffs({2: 0.5, 1: 0.2})
 CUBIC_HARMONIC = PolynomialPotential.from_coeffs({3: 0.05, 2: 0.5})
 QUARTIC_CUBIC = PolynomialPotential.from_coeffs({4: 0.1, 3: 0.05, 2: 0.5})
+DOUBLE_WELL = PolynomialPotential.from_coeffs({4: 1, 2: -2, 0: 1})
 
 
 def test_propagators_agree(monkeypatch):
-    # one mode, and several, whose energy column is _cm_energies on both samplers
+    # one mode, and several; the energy column is _cm_energies on both samplers
     effective = effective_spec(1, potential=QUARTIC, dim=32)
     full = _full_spec(QUARTIC_CUBIC, dim=8)
     dense_limit = dynamics.EIG_DIMENSION_LIMIT
@@ -285,9 +286,8 @@ def test_propagators_agree(monkeypatch):
                        (full, coherent_product(full.modes, [0.5, 0.5], [0.0, 0.0]))):
         h = build_hamiltonian(spec)
         times = 0.05 * np.arange(21)
-        real = h.factors[0]
         dense = np.zeros((21, h.dim), dtype=np.complex128)
-        for index in dynamics._blocks(h, real):
+        for index in dynamics._blocks(h):
             columns, sample = dynamics._eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar)
             dense[:, columns] = sample(slice(None))
         columns, sample = dynamics._krylov_sampler(h, psi0.amplitudes, times, spec.hbar)
@@ -324,8 +324,9 @@ def _blocks(spec):
     (effective_spec(1, potential=harmonic(1.0), dim=48), True),
     (effective_spec(2, potential=CUBIC_HARMONIC, dim=48), False),
     (_full_spec(QUARTIC_CUBIC, dim=8), False),
+    (effective_spec(2, potential=DOUBLE_WELL, dim=48), True),  # U(0) = 1: the k = 0 term
 ], ids=["effective-even", "effective-linear", "full-even", "full-linear", "effective-diagonal",
-        "effective-cubic", "full-quartic-cubic"])
+        "effective-cubic", "full-quartic-cubic", "effective-double-well"])
 def test_evolve_quantum_matches_dense_exponential(spec, split, monkeypatch):
     # an even potential splits H at least into its two parity sectors, each
     # diagonalized on its own (a diagonal H is one graph component per level,
@@ -352,9 +353,6 @@ def test_evolve_quantum_matches_dense_exponential(spec, split, monkeypatch):
         expected = cm_expectation_record(StateVector(psi0.mode_dims, exact), spec.modes)
         for field in ("x_cm", "v_cm", "dx", "dv"):
             assert abs(getattr(traj, field)[k] - getattr(expected, field)) < 1e-10
-
-
-DOUBLE_WELL = PolynomialPotential.from_coeffs({4: 1, 2: -2, 0: 1})
 
 
 def sector_eighs(monkeypatch):
@@ -389,7 +387,7 @@ def test_eigh_sampler_without_a_certified_cut_is_the_whole_sector(monkeypatch):
     sectors = sector_eighs(monkeypatch)
     rows = sampled_rows(monkeypatch, psi0, spec, 2.0, 0.01)
     assert [sizes[-1] for sizes in sectors] == [80, 80]
-    monkeypatch.setattr(dynamics, "_level_cut", lambda *args: None)
+    monkeypatch.setattr(dynamics, "CUT_TOLERANCE", -1.0)  # no cut certifies
     assert np.array_equal(rows, sampled_rows(monkeypatch, psi0, spec, 2.0, 0.01))
 
 
@@ -401,9 +399,9 @@ def test_non_finite_cut_bound_never_certifies():
     block = h.to_dense().real
     top = np.arange(h.dim)
     for amps in (coherent_state(spec.modes[0], 1.0, 0.0).amplitudes, np.zeros(h.dim)):
-        assert dynamics._level_cut(block, top, amps, 2.0, 1.0) is not None
-        assert dynamics._level_cut(block, top, amps, 2.0, 5e-324) is None
-        assert dynamics._level_cut(block, top, amps, np.inf, 1.0) is None
+        assert dynamics._level_cut(block, top, amps, 2.0, 1.0)[0].sum() <= h.dim // 2
+        assert dynamics._level_cut(block, top, amps, 2.0, 5e-324)[0] == slice(None)
+        assert dynamics._level_cut(block, top, amps, np.inf, 1.0)[0] == slice(None)
 
 
 _SAMPLER_COEFFS = st.dictionaries(st.integers(0, 4), st.floats(-1, 1, allow_nan=False),
@@ -428,7 +426,7 @@ def test_eigh_sampler_rows_within_the_cut_tolerance(coeffs, dim, n, x0, t_final,
     dt = t_final / steps
     times = dt * np.arange(steps + 1)
     rows = np.zeros((steps + 1, dim), dtype=np.complex128)
-    for index in dynamics._blocks(h, h.factors[0]):
+    for index in dynamics._blocks(h):
         columns, sample = dynamics._eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar)
         rows[:, columns] = sample(slice(None))
     oracle = complex_gemm_rows(h, psi0, dt, steps, spec.hbar)
@@ -526,7 +524,7 @@ def test_gates_raise_at_the_first_failing_sample(monkeypatch):
         # one sampler of all of H, returning these rows in blocks of the first's size
         rows = np.concatenate(blocks)
         monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_AMPLITUDES", len(blocks[0]) * 8)
-        monkeypatch.setattr(dynamics, "_blocks", lambda h, real: [slice(None)])
+        monkeypatch.setattr(dynamics, "_blocks", lambda h: [slice(None)])
         monkeypatch.setattr(dynamics, "_eigh_sampler",
                             lambda h, index, *args: (index, rows.__getitem__))
 
@@ -561,6 +559,33 @@ def test_long_run_holds_no_amplitude_stack():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 2 * 2**20
+
+
+def test_energy_of_a_high_degree_potential_holds_few_powers(monkeypatch):
+    # at mass 16 and d = 8 X_CM's spectral radius is 0.73, so no power of the rows
+    # vanishes up to the 1000th that x^2000 reads: held together, those images of
+    # 51 rows of 64 amplitudes would take 52 MB; at mass 1e300 the third vanishes,
+    # and no higher power is applied
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((51, 64)) + 1j * rng.standard_normal((51, 64))
+    applies, apply = [], SparseOperator.apply
+    monkeypatch.setattr(SparseOperator, "apply", lambda op, psi: applies.append(1) or apply(op, psi))
+    for mass in (16.0, 1e300):
+        modes = tuple(ModeSpec(mass=mass, dim=8) for _ in range(2))
+        x_cm, v_cm, _ = cm_operators_numeric(modes)
+        x_rows, v_rows = x_cm.apply(rows), v_cm.apply(rows)
+        peaks = []
+        for degree in (20, 2000):
+            spec = HamiltonianSpec(modes, PolynomialPotential.from_coeffs({degree: 1}))
+            applies.clear()
+            tracemalloc.start()
+            try:
+                dynamics._cm_energies(rows, x_rows, v_rows, x_cm, spec)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2**20
+    assert len(applies) <= 3
 
 
 def test_long_run_above_dense_limit_holds_no_amplitude_stack():

@@ -484,7 +484,7 @@ def test_stacked_records_equal_per_row_records(modes_drawn, rows, seed):
     stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     stack /= np.linalg.norm(stack, axis=1)[:, None]
     weights = truncation_weights(stack, dims)
-    columns = cm_expectation_records(stack, ops, weights)
+    columns = cm_expectation_records(stack, ops[0].apply(stack), ops[1].apply(stack), weights)
     for op in ops:
         applied = op.apply(stack)
         assert all(np.array_equal(applied[k], op.apply(row)) for k, row in enumerate(stack))
