@@ -661,10 +661,8 @@ def run_evolve(config: ExperimentConfig) -> ExperimentResult:
         spec = HamiltonianSpec(modes=tuple(modes), potential=potential)
         try:
             traj = evolve_quantum(psi0, spec, t_final, dt)
-        except OverflowError as exc:  # a power of X_CM in U, or H itself
+        except (OverflowError, ValueError) as exc:  # a power of X_CM, H, its spectrum, eigh
             raise ConfigError(f"--potential, --N, --mbar, --hbar, --dim: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         tables.insert(0, _trajectory_table(traj))
 
         deviation = compare_trajectories(traj, classical)

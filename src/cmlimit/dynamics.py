@@ -174,17 +174,17 @@ def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
     ``ops`` reuses the (X_CM, V_CM, P_TOT) triple of ``cm_operators_numeric``;
     X_CM is real and P_TOT imaginary in this basis, so H is formed in real
     arithmetic from their composite diagonals by ``hilbert_rep``'s diagonal
-    product, numpy only: P_TOT^2 / 2M, then the powers of X_CM, each the last
-    times the tridiagonal X_CM, then (H + H^T) / 2.
+    product, numpy only: P_TOT^2 / 2M, then each power of X_CM, the last times
+    the tridiagonal X_CM, added to its term and dropped, then (H + H^T) / 2.
     Both propagators run on these diagonals: the ``eigh`` sampler cuts dense
     blocks from them, the Lanczos sampler applies them.  H equals the
     ``scipy.sparse`` products of the CM operators' CSR matrices bit for bit
     for one mode, where no entry sums more than two products, and for a
     potential of degree at most 2; above that, an entry of X_CM^3 or a higher
     power on several modes may add its products in another order.
-    Raises OverflowError at the first power of X_CM that leaves the
-    floating-point range, or when H itself does.  The powers stop at the
-    first one that is the zero matrix; the terms above it are zero.
+    Raises OverflowError at the first power of X_CM, or coefficient, that
+    leaves the floating-point range, or when the H returned does.  The powers
+    stop at the first one that is the zero matrix; the terms above it are zero.
     """
     x_cm, _, p_tot = ops if ops is not None else cm_operators_numeric(spec.modes)
     x = {o: v.real for o, v in _composite_diagonals(x_cm).items()}
@@ -195,21 +195,21 @@ def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
     # and so H of a quadratic potential, match its assembly bit for bit
     h = {o: v * (-1 / (2.0 * spec.total_mass))
          for o, v in _diagonal_product(momentum, momentum, reverse=False).items()}
-    powers = {0: {0: np.ones(x_cm.dim)}}
+    power, coeffs, zero = {0: np.ones(x_cm.dim)}, dict(spec.potential.terms), np.zeros(x_cm.dim)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused here
-        for k in range(1, spec.potential.degree + 1):
-            powers[k] = _diagonal_product(powers[k - 1], x, reverse=True)
-            _check_finite(powers[k].values(), f"power {k} of X_CM")
-            if not any(v.any() for v in powers[k].values()):  # underflowed, as every higher one
+        for k in range(spec.potential.degree + 1):
+            if k:
+                power = _diagonal_product(power, x, reverse=True)
+                _check_finite(power.values(), f"power {k} of X_CM")
+            if k in coeffs:
+                for o, v in power.items():
+                    h[o] = h[o] + float(coeffs[k]) * v if o in h else float(coeffs[k]) * v
+            if not any(v.any() for v in power.values()):  # underflowed, as every higher one
                 break
-        for k, c in spec.potential.terms:
-            for o, v in powers.get(k, {}).items():
-                h[o] = h[o] + float(c) * v if o in h else float(c) * v
-    _check_finite(h.values(), "the Hamiltonian")
-    # scrub rounding asymmetry; + 0.0 turns the zeros scipy drops into +0.0
-    offsets = sorted(set(h) | {-o for o in h})
-    zero = np.zeros(x_cm.dim)
-    h = {o: (h.get(o, zero) + _shifted(h.get(-o, zero), o)) * 0.5 + 0.0 for o in offsets}
+        # scrub rounding asymmetry; + 0.0 turns the zeros scipy drops into +0.0
+        h = {o: (h.get(o, zero) + _shifted(h.get(-o, zero), o)) * 0.5 + 0.0
+             for o in sorted(set(h) | {-o for o in h})}
+        _check_finite(h.values(), "the Hamiltonian")
     return SparseOperator(x_cm.mode_dims, [{o: v for o, v in h.items() if v.any()} or {0: zero}],
                           hermitian=True)
 
@@ -316,8 +316,9 @@ def _level_cut(block: np.ndarray, top: np.ndarray, amps: np.ndarray, t_final: fl
     (``top``, the highest) is below L.  L starts at twice psi0's support, the
     fewest levels outside which ``amps`` has norm at most CUT_TOLERANCE, and
     doubles until a cut certifies; past half the rows the cut is the whole
-    block (``inside`` is ``slice(None)``), which is exact.
-    For the cut's eigenpairs (theta_k, w_k) and coefficients c_k = <w_k|psi0>,
+    block (``inside`` is ``slice(None)``), exact when its spectrum is finite
+    (else OverflowError).  For the cut's eigenpairs (theta_k, w_k) and
+    coefficients c_k = <w_k|psi0>,
     ||psi_cut(t) - psi(t)|| <= ||psi0 outside the cut||
     + (t/hbar) sum_k |c_k| ||(H - theta_k) w_k|| for every 0 <= t <= t_final
     (Parlett, The Symmetric Eigenvalue Problem, 1980), and (H - theta_k) w_k is
@@ -340,6 +341,7 @@ def _level_cut(block: np.ndarray, top: np.ndarray, amps: np.ndarray, t_final: fl
             return inside, evals, evecs, coeffs
         levels *= 2
     evals, evecs = np.linalg.eigh(block)  # the doubling's last step: exact, no bound
+    _check_finite((evals,), "the spectrum of the Hamiltonian")
     return slice(None), evals, evecs, evecs.T @ amps
 
 
@@ -463,10 +465,11 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     sampler, zero in the columns outside a kept cut, evaluates it and drops
     it, and keeps only the columns of CM observables and energy, both read
     off one pair of X_CM and V_CM images of the rows on every mode count
-    (:func:`_cm_energies`), norm and truncation weight.
-    Raises, for the first sample that fails a gate, NormDriftError when
-    |norm - 1| reaches 1e-8 (never renormalizes), else
-    ExcessiveTruncationError when it exceeds the truncation gate.
+    (:func:`_cm_energies`), norm and truncation weight.  Each stage checks what it
+    hands on: OverflowError for a power of X_CM or H (:func:`build_hamiltonian`), a
+    block's spectrum (:func:`_level_cut`) or a Lanczos step; ``eigh``'s LinAlgError
+    is a ValueError.  Raises, for the first sample that fails a gate, NormDriftError
+    when |norm - 1| reaches 1e-8 (never renormalizes), else ExcessiveTruncationError.
     """
     n_steps = _step_count(t_final, dt)
     ops = cm_operators_numeric(spec.modes)

@@ -185,9 +185,8 @@ class SparseOperator:
         if hermitian:
             for f in converted.values():
                 zero = np.zeros(_size(f))
-                defect = max(float(np.abs(v - np.conj(_shifted(f.get(-o, zero), o))).max())
-                             for o, v in f.items())
-                if defect > HERMITIAN_TOLERANCE:
+                if not all(np.abs(v - np.conj(_shifted(f.get(-o, zero), o))).max()
+                           <= HERMITIAN_TOLERANCE for o, v in f.items()):  # NaN fails
                     raise ValueError("operator marked Hermitian is not (within 1e-12)")
         object.__setattr__(self, "mode_dims", mode_dims)
         object.__setattr__(self, "factors", factors)

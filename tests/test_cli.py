@@ -12,6 +12,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cmlimit.cli import (
@@ -313,9 +314,31 @@ def test_nonpositive_flag_is_config_error(capsys, argv, flag):
     (("uncertainty", "--N", "5", "--mbar", "2e307", "--dim", "2"), "--N, --mbar, --hbar"),
     (("uncertainty", "--N", "5", "--mbar", "2e307", "--dim", "2", "--x0", "1"),
      "--N, --mbar, --hbar"),
+    # the symmetrization (H + H^T) / 2 overflows: the Hamiltonian is checked as returned
+    (("evolve", "--potential", "x^2", "--mbar", "5e-307", "--dim", "64", "--x0", "0",
+      "--p0", "0", "--t", "0.01"), "--potential, --N, --mbar, --hbar, --dim"),
+    (("evolve", "--potential", "x^2", "--mbar", "1e-307", "--dim", "16", "--x0", "0",
+      "--p0", "0", "--t", "0.01"), "--potential, --N, --mbar, --hbar, --dim"),
+    # at d = 6 H is finite and the spectrum of its whole-block eigh is not; at d = 8
+    # its symmetrization overflows
+    (("evolve", "--potential", "x^4", "--model", "full", "--N", "3", "--mbar",
+      "2.814739464453614e-154", "--dim", "6", "--x0", "0", "--p0", "0", "--t", "0.01"),
+     "--potential, --N, --mbar, --hbar, --dim"),
+    (("evolve", "--potential", "x^4", "--model", "full", "--N", "3", "--mbar",
+      "2.814739464453614e-154", "--dim", "8", "--x0", "0", "--p0", "0", "--t", "0.01"),
+     "--potential, --N, --mbar, --hbar, --dim"),
 ])
 def test_float_range_is_config_error(capsys, argv, flag):
     _assert_flag_config_error(capsys, argv, flag)
+
+
+def test_eigh_failure_is_config_error(capsys, monkeypatch):
+    # numpy's LinAlgError is a ValueError: it names the flags of the Hamiltonian
+    def fail(a, UPLO="L"):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    _assert_flag_config_error(capsys, ("evolve", "--dim", "16", "--t", "0.01"),
+                              "--potential, --N, --mbar, --hbar, --dim")
 
 
 def _quantum_rows(out):

@@ -146,6 +146,21 @@ def test_harmonic_spectrum_matched_basis():
         assert np.abs(np.sort(evals)[:16] - (n + 0.5)).max() < 1e-8
 
 
+def test_hamiltonian_of_a_high_degree_potential_holds_one_power():
+    # at mass 16 and d = 8 no power of X_CM up to the 64th vanishes: held
+    # together until the terms are added, they took 5.1 MB
+    modes = tuple(ModeSpec(mass=16.0, dim=8) for _ in range(2))
+    spec = HamiltonianSpec(modes, PolynomialPotential.from_coeffs({64: 1}))
+    ops = cm_operators_numeric(modes)
+    tracemalloc.start()
+    try:
+        build_hamiltonian(spec, ops=ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_quartic_hamiltonian_structure():
     spec = effective_spec(1, potential=QUARTIC, dim=24)
     h = build_hamiltonian(spec)

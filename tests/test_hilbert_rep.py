@@ -569,8 +569,12 @@ def test_cm_pair_ops_commutator_scale():
 
 
 def test_sparse_operator_hermitian_flag_validation():
-    with pytest.raises(ValueError):
-        SparseOperator((2,), [diagonals(np.array([[0, 1], [0, 0]]))], hermitian=True)
+    # a NaN defect is refused too, also on the lowest diagonal, where it came
+    # first in the max of the defects and hid an asymmetric one
+    for factor in (diagonals(np.array([[0, 1], [0, 0]])), {0: np.array([np.nan, 0.0])},
+                   {-1: np.array([np.nan, 0.0]), 0: np.array([1j, 0.0])}):
+        with pytest.raises(ValueError):
+            SparseOperator((2,), [factor], hermitian=True)
 
 
 def test_sparse_operator_takes_diagonals_only():
