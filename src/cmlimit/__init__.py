@@ -49,8 +49,6 @@ from .dynamics import (
     effective_cm_system,
     evolve_classical,
     evolve_quantum,
-    free_width_analytic,
-    gaussian_spreading,
 )
 from .hilbert_rep import (
     DimensionCapError,

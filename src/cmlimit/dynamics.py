@@ -9,7 +9,13 @@ operator itself).  Up to total dimension 2048 it is
 diagonalized densely by numpy's ``eigh`` (LAPACK's divide-and-conquer
 ``?syevd``): one ``eigh`` per parity sector when H couples no basis states
 of opposite total level parity, as for every even potential (checked on H's
-entries), else one of all of H.  A narrow CM packet reaches few of a block's
+entries), else one of all of H.  H and a product of equal coherent states
+on equal modes are unchanged when two of those modes are exchanged, so the
+state stays in a block's exchange-symmetric subspace, one basis vector per
+orbit of the block's states under those exchanges: where psi0's norm outside
+it is at most CUT_TOLERANCE, the ``eigh`` runs on that subspace (110 rows
+of each 500-row sector for three modes of 10 levels), and the norm joins the
+level cut's bound.  A narrow CM packet reaches few of a block's
 levels, so its ``eigh`` runs on the smallest level cut (the states whose
 every mode level is below L) whose Ritz-pair residual bound keeps the rows
 within CUT_TOLERANCE of the whole block's over the run, L doubling up to the
@@ -35,7 +41,6 @@ the intended track for large-N scaling runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +54,8 @@ from .hilbert_rep import (
     _composite_diagonals,
     _diagonal_product,
     _shifted,
-    cm_expectation_record,
     cm_expectation_records,
     cm_operators_numeric,
-    coherent_state,
     truncation_weights,
 )
 
@@ -309,7 +312,7 @@ def _blocks(h: SparseOperator) -> list:
 
 
 def _level_cut(block: np.ndarray, top: np.ndarray, amps: np.ndarray, t_final: float,
-               hbar: float):
+               hbar: float, leak: float = 0.0):
     """The eigenpairs of a dense block's smallest certified level cut.
 
     The cut of L levels keeps the block's states whose every mode level
@@ -319,12 +322,15 @@ def _level_cut(block: np.ndarray, top: np.ndarray, amps: np.ndarray, t_final: fl
     block (``inside`` is ``slice(None)``), exact when its spectrum is finite
     (else OverflowError).  For the cut's eigenpairs (theta_k, w_k) and
     coefficients c_k = <w_k|psi0>,
-    ||psi_cut(t) - psi(t)|| <= ||psi0 outside the cut||
+    ||psi_cut(t) - psi(t)|| <= ``leak`` + ||psi0 outside the cut||
     + (t/hbar) sum_k |c_k| ||(H - theta_k) w_k|| for every 0 <= t <= t_final
-    (Parlett, The Symmetric Eigenvalue Problem, 1980), and (H - theta_k) w_k is
-    H[outside, cut] w_k: one GEMM of the outside rows that touch the cut.  A
-    cut is kept when this bound is at most CUT_TOLERANCE; a NaN or infinite
-    bound never is.  Returns ``(inside, evals, evecs, coeffs)``.
+    (Parlett, The Symmetric Eigenvalue Problem, 1980), where ``leak`` is the
+    norm of the part of psi0 that ``amps`` does not carry (0 for a whole
+    block; psi0's part outside the exchange-symmetric subspace for a reduced
+    one, which H never mixes in), and (H - theta_k) w_k is H[outside, cut] w_k:
+    one GEMM of the outside rows that touch the cut.  A cut is kept when this
+    bound is at most CUT_TOLERANCE; a NaN or infinite bound never is.  Returns
+    ``(inside, evals, evecs, coeffs)``.
     """
     tail = np.sqrt(np.cumsum(np.bincount(top, np.abs(amps) ** 2)[::-1]))[::-1]
     levels = 2 * max(np.count_nonzero(tail > CUT_TOLERANCE), 1)
@@ -336,7 +342,8 @@ def _level_cut(block: np.ndarray, top: np.ndarray, amps: np.ndarray, t_final: fl
         with np.errstate(all="ignore"):  # an overflow leaves an uncertified bound
             # hypot: the squares of a norm may leave the floating-point range
             residuals = np.hypot.reduce(coupling[coupling.any(axis=1)] @ evecs, axis=0)
-            bound = np.linalg.norm(amps[~inside]) + t_final / hbar * (np.abs(coeffs) @ residuals)
+            bound = (leak + np.linalg.norm(amps[~inside])
+                     + t_final / hbar * (np.abs(coeffs) @ residuals))
         if bound <= CUT_TOLERANCE:
             return inside, evals, evecs, coeffs
         levels *= 2
@@ -345,35 +352,105 @@ def _level_cut(block: np.ndarray, top: np.ndarray, amps: np.ndarray, t_final: fl
     return slice(None), evals, evecs, evecs.T @ amps
 
 
-def _eigh_sampler(h: SparseOperator, index, psi0: np.ndarray, times: np.ndarray, hbar: float):
+def _orbits(levels: np.ndarray, modes) -> tuple | None:
+    """Each state's orbit under the exchanges of equal modes, or None when no two
+    modes are equal.  ``levels`` holds the states' mode levels, one column per
+    state; sorting the levels within each group of equal ModeSpecs names the
+    orbit.  Returns each state's orbit number, the first state of each orbit and
+    the orbit sizes."""
+    groups = {}
+    for k, mode in enumerate(modes):
+        groups.setdefault(mode, []).append(k)
+    groups = [group for group in groups.values() if len(group) > 1]
+    if not groups:
+        return None
+    canonical = levels.copy()
+    for group in groups:
+        canonical[group] = np.sort(levels[group], axis=0)
+    _, first, orbit, sizes = np.unique(np.ravel_multi_index(canonical, [m.dim for m in modes]),
+                                       return_index=True, return_inverse=True,
+                                       return_counts=True)
+    return orbit, first, sizes
+
+
+def _orbit_block(h: SparseOperator, index: np.ndarray, orbit: np.ndarray,
+                 first: np.ndarray, root: np.ndarray | None) -> np.ndarray:
+    """H's block ``index`` as a dense array on the orbits' basis
+    e_a = sum over i in orbit a of e_i / sqrt|a|: Hs[a, b] = sum over i in a,
+    j in b of H[i, j] / sqrt(|a| |b|).  H commutes with the exchanges that make
+    the orbits, so each row of orbit a sums the same over orbit b, and
+    Hs[a, b] = sqrt(|a| / |b|) sum over j in b of H[r_a, j], read off the
+    diagonals at the first state r_a of each orbit.  With each state its own
+    orbit (``root``, the orbit sizes' square roots, None) this is
+    H[index][:, index], entry for entry.  Raises OverflowError for an orbit sum
+    past the floating-point range."""
+    n, reps = len(first), index[first]
+    label = np.full(h.dim, -1)
+    label[index] = orbit
+    cells, values = [], []
+    for o, diagonal in h.factors[0].items():
+        a = np.flatnonzero((reps + o >= 0) & (reps + o < h.dim))
+        b = label[reps[a] + o]  # -1: a column outside the block, whose entry is zero
+        a, b = a[b >= 0], b[b >= 0]
+        cells.append(a * n + b)
+        values.append(diagonal[reps[a]])
+    block = np.bincount(np.concatenate(cells), np.concatenate(values), n * n).reshape(n, n)
+    if root is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused here
+            block *= root[:, None] / root
+        _check_finite((block,), "the Hamiltonian's exchange-symmetric block")
+    return block
+
+
+def _eigh_sampler(h: SparseOperator, index, psi0: np.ndarray, times: np.ndarray, hbar: float,
+                  modes):
     """Sample H's block ``index``: returns the block's columns that carry the
     state, and a map from a slice of ``times`` to those columns of
     exp(-iHt/hbar) psi0.
 
-    The block is cut from H's diagonals as a dense array.  The samples come
-    from the eigenpairs of its smallest certified level cut (:func:`_level_cut`),
-    whose rows differ from the whole block's by at most CUT_TOLERANCE in norm,
-    the block's other columns zero.  A slice's rows are one real GEMM of the
-    real eigenvectors and the interleaved re and im of the phased coefficients.
+    Where some of ``modes`` are equal and psi0's norm outside the block's
+    subspace symmetric under their exchange is at most CUT_TOLERANCE, the
+    state is sampled in that subspace, which H never leaves: on the orbits'
+    basis (:func:`_orbits`, :func:`_orbit_block`) from psi0's projection, a
+    row's column i being its orbit's entry over sqrt(|orbit|), and that norm
+    joins the level cut's bound.  Otherwise each state is its own orbit.  The
+    samples come from the eigenpairs of the block's smallest certified level
+    cut (:func:`_level_cut`), whose rows differ from the whole block's by at
+    most CUT_TOLERANCE in norm, the block's other columns zero.  A slice's
+    rows are one real GEMM of the real eigenvectors and the interleaved re
+    and im of the phased coefficients.  Raises OverflowError for a projection
+    past the floating-point range.
     """
-    real, dim = h.factors[0], h.dim
-    position = np.full(dim, -1)
-    position[index] = np.arange(len(index))
-    block = np.zeros((len(index), len(index)))
-    for o, values in real.items():
-        inside = (index + o >= 0) & (index + o < dim)
-        rows, cols = np.flatnonzero(inside), position[index[inside] + o]
-        rows, cols = rows[cols >= 0], cols[cols >= 0]
-        block[rows, cols] = values[index[rows]]
-    top = np.indices(h.mode_dims).reshape(len(h.mode_dims), -1).max(axis=0)[index]
-    inside, evals, evecs, coeffs = _level_cut(block, top, psi0[index], times[-1], hbar)
+    levels = np.indices(h.mode_dims).reshape(len(h.mode_dims), -1)[:, index]
+    top, amps, leak = levels.max(axis=0), psi0[index], 0.0
+    orbit = first = np.arange(len(index))  # each state its own orbit
+    root, symmetric = None, _orbits(levels, modes)
+    if symmetric is not None:
+        labels, starts, counts = symmetric
+        roots = np.sqrt(counts)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused here
+            projected = (np.bincount(labels, amps.real) + 1j * np.bincount(labels, amps.imag)) / roots
+            leak = np.linalg.norm(amps - (projected / roots)[labels])
+        _check_finite((projected, leak), "psi0's exchange-symmetric part")
+        if leak <= CUT_TOLERANCE:
+            orbit, first, root, top, amps = labels, starts, roots, top[starts], projected
+        else:  # psi0 is not exchange symmetric: the whole block
+            leak = 0.0
+    block = _orbit_block(h, index, orbit, first, root)
+    inside, evals, evecs, coeffs = _level_cut(block, top, amps, times[-1], hbar, leak)
+    kept = np.zeros(len(first), dtype=bool)
+    kept[inside] = True
+    member = kept[orbit]  # the block's columns whose orbit the cut keeps
+    gather = (np.cumsum(kept) - 1)[orbit[member]]
+    scale = None if root is None else root[orbit[member]]
 
     def sample(rows: slice) -> np.ndarray:
         # C-contiguous (b, S): its float64 view is (b, 2S), re and im interleaved
         phased = np.exp(np.outer(evals, times[rows]) * (-1j / hbar)) * coeffs[:, None]
-        return (evecs @ phased.view(np.float64)).view(np.complex128).T
+        out = (evecs @ phased.view(np.float64)).view(np.complex128).T
+        return out if root is None else out[:, gather] / scale
 
-    return index[inside], sample
+    return index[member], sample
 
 
 def _krylov_sampler(h: SparseOperator, psi0: np.ndarray, times: np.ndarray, hbar: float):
@@ -459,15 +536,17 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     propagator is exact and unitary, on the one banded H of
     :func:`build_hamiltonian`: a dense ``eigh`` sampler per diagonal block of
     it up to total dimension 2048, each on its block's certified level cut
-    (:func:`_eigh_sampler`), and above that one Lanczos sampler of all of it,
+    and, where equal ``spec.modes`` leave psi0 symmetric, on the block's
+    exchange-symmetric subspace (:func:`_eigh_sampler`), and above that one Lanczos sampler of all of it,
     through its apply, certified sample by sample (:func:`_krylov_sampler`).
     The one loop over the time grid fills each block of rows from every
     sampler, zero in the columns outside a kept cut, evaluates it and drops
     it, and keeps only the columns of CM observables and energy, both read
     off one pair of X_CM and V_CM images of the rows on every mode count
     (:func:`_cm_energies`), norm and truncation weight.  Each stage checks what it
-    hands on: OverflowError for a power of X_CM or H (:func:`build_hamiltonian`), a
-    block's spectrum (:func:`_level_cut`) or a Lanczos step; ``eigh``'s LinAlgError
+    hands on: OverflowError for a power of X_CM or H (:func:`build_hamiltonian`), an
+    orbit sum, psi0's projection or a block's spectrum (:func:`_eigh_sampler`,
+    :func:`_level_cut`) or a Lanczos step; ``eigh``'s LinAlgError
     is a ValueError.  Raises, for the first sample that fails a gate, NormDriftError
     when |norm - 1| reaches 1e-8 (never renormalizes), else ExcessiveTruncationError.
     """
@@ -480,7 +559,7 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     dim = ops[0].dim
     h = build_hamiltonian(spec, ops=ops)
     if dim <= EIG_DIMENSION_LIMIT:
-        samplers = [_eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar)
+        samplers = [_eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar, spec.modes)
                     for index in _blocks(h)]
     else:
         samplers = [_krylov_sampler(h, psi0.amplitudes, times, spec.hbar)]
@@ -572,21 +651,3 @@ def effective_cm_system(n: int, mbar: float, dim: int = 64, hbar: float = 1.0):
         raise ValueError("need at least one particle")
     return [ModeSpec(mass=n * float(mbar), dim=dim, hbar=hbar)]
 
-
-def free_width_analytic(n: int, mbar: float, t: float) -> float:
-    """Free-packet width of the mass-N*mbar ground Gaussian at hbar = 1:
-    dx(t)^2 = dx0^2 + (dv0 t)^2."""
-    total_mass = n * mbar
-    return math.sqrt(1.0 / (2.0 * total_mass) * (1.0 + t**2))
-
-
-def gaussian_spreading(n: int, mbar: float, t: float) -> float:
-    """Measured free-evolution width Dx_CM(t) of the effective CM ground packet
-    (64 levels, hbar = 1)."""
-    modes = effective_cm_system(n, mbar, dim=64, hbar=1.0)
-    psi0 = coherent_state(modes[0], 0.0, 0.0)
-    spec = HamiltonianSpec(modes=tuple(modes), potential=PolynomialPotential.zero())
-    if t == 0:
-        return cm_expectation_record(psi0, modes).dx
-    traj = evolve_quantum(psi0, spec, t_final=t, dt=t)
-    return float(traj.dx[-1])

@@ -1,4 +1,5 @@
-"""Independent oracles for the symbolic algebra, the CM operator and Hamiltonian tests.
+"""Independent oracles for the symbolic algebra, the CM operator and Hamiltonian tests,
+and the free Gaussian width the spreading tests measure.
 
 The multiplication oracle represents operator words as tuples of
 (letter, pair) factors and normal-orders them by repeated single adjacent
@@ -7,6 +8,7 @@ X V minus the central constant.  No binomial shortcut is involved, so this
 is a genuinely independent check of the fast reordering formula.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,8 +20,21 @@ from cmlimit.ccr_algebra import (
     NCPolynomial,
     SymbolPolynomial,
 )
-from cmlimit.dynamics import HamiltonianSpec, _check_finite
-from cmlimit.hilbert_rep import _span, _size, momentum_op, position_op
+from cmlimit.dynamics import (
+    HamiltonianSpec,
+    PolynomialPotential,
+    _check_finite,
+    effective_cm_system,
+    evolve_quantum,
+)
+from cmlimit.hilbert_rep import (
+    _span,
+    _size,
+    cm_expectation_record,
+    coherent_state,
+    momentum_op,
+    position_op,
+)
 
 ZERO = GaussianRational(0)
 
@@ -209,3 +224,22 @@ def kron_cm_operators(system):
         x_cm = x_cm + (mode.mass / total_mass) * x_k
         p_tot = p_tot + p_k
     return x_cm, p_tot / total_mass, p_tot
+
+
+def free_width_analytic(n: int, mbar: float, t: float) -> float:
+    """Free-packet width of the mass-N*mbar ground Gaussian at hbar = 1:
+    dx(t)^2 = dx0^2 + (dv0 t)^2."""
+    total_mass = n * mbar
+    return math.sqrt(1.0 / (2.0 * total_mass) * (1.0 + t**2))
+
+
+def gaussian_spreading(n: int, mbar: float, t: float) -> float:
+    """Measured free-evolution width Dx_CM(t) of the effective CM ground packet
+    (64 levels, hbar = 1)."""
+    modes = effective_cm_system(n, mbar, dim=64, hbar=1.0)
+    psi0 = coherent_state(modes[0], 0.0, 0.0)
+    spec = HamiltonianSpec(modes=tuple(modes), potential=PolynomialPotential.zero())
+    if t == 0:
+        return cm_expectation_record(psi0, modes).dx
+    traj = evolve_quantum(psi0, spec, t_final=t, dt=t)
+    return float(traj.dx[-1])

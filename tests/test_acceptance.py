@@ -37,8 +37,6 @@ from cmlimit.dynamics import (
     effective_cm_system,
     evolve_classical,
     evolve_quantum,
-    free_width_analytic,
-    gaussian_spreading,
 )
 from cmlimit.hilbert_rep import (
     ModeSpec,
@@ -50,7 +48,7 @@ from cmlimit.hilbert_rep import (
     nc_matrix,
     uncertainty_product,
 )
-from oracles import random_masses, random_polynomial
+from oracles import free_width_analytic, gaussian_spreading, random_masses, random_polynomial
 
 ALG = cm_algebra()
 X, V = ALG.x(), ALG.v()

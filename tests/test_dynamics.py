@@ -30,8 +30,6 @@ from cmlimit.dynamics import (
     effective_cm_system,
     evolve_classical,
     evolve_quantum,
-    free_width_analytic,
-    gaussian_spreading,
 )
 from cmlimit.hilbert_rep import (
     DimensionCapError,
@@ -47,7 +45,7 @@ from cmlimit.hilbert_rep import (
     expectation,
     ground_product,
 )
-from oracles import diagonals, sparse_hamiltonian
+from oracles import diagonals, free_width_analytic, gaussian_spreading, sparse_hamiltonian
 
 FREE = PolynomialPotential.zero()
 QUARTIC = PolynomialPotential.from_coeffs({4: 0.1})
@@ -303,7 +301,8 @@ def test_propagators_agree(monkeypatch):
         times = 0.05 * np.arange(21)
         dense = np.zeros((21, h.dim), dtype=np.complex128)
         for index in dynamics._blocks(h):
-            columns, sample = dynamics._eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar)
+            columns, sample = dynamics._eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar,
+                                                     spec.modes)
             dense[:, columns] = sample(slice(None))
         columns, sample = dynamics._krylov_sampler(h, psi0.amplitudes, times, spec.hbar)
         assert columns == slice(None)
@@ -406,6 +405,80 @@ def test_eigh_sampler_without_a_certified_cut_is_the_whole_sector(monkeypatch):
     assert np.array_equal(rows, sampled_rows(monkeypatch, psi0, spec, 2.0, 0.01))
 
 
+def _unreduced_rows(monkeypatch, psi0, spec):
+    """The rows of a run to t = 1 with no orbit formed, as where no two modes are equal."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_orbits", lambda *args: None)
+        return sampled_rows(monkeypatch, psi0, spec, 1.0, 0.05)
+
+
+@pytest.mark.parametrize("spec, x0, sizes", [
+    (_full_spec(harmonic(3.0), n=3), 0.4, [110, 110]),  # 220 multisets of 3 levels below 10
+    (_full_spec(QUARTIC_CUBIC, dim=8), 0.4, [36]),  # the odd term couples the parities
+    (_full_spec(harmonic(2.0), dim=32), 0.2, [132, 256]),  # a certified cut of 272 orbits
+], ids=["harmonic-N3", "quartic-cubic-N2", "harmonic-cut-N2"])
+def test_equal_modes_evolve_in_their_exchange_symmetric_subspace(spec, x0, sizes, monkeypatch):
+    # equal modes and equal coherent states: each block is reduced to one row
+    # per orbit of its states, or to a level cut of those, and the rows are the
+    # unreduced block's
+    n = len(spec.modes)
+    psi0 = coherent_product(spec.modes, [x0] * n, [0.1] * n)
+    sectors = sector_eighs(monkeypatch)
+    rows = sampled_rows(monkeypatch, psi0, spec, 1.0, 0.05)
+    assert [eighs[-1] for eighs in sectors] == sizes
+    del sectors[:]
+    whole = _unreduced_rows(monkeypatch, psi0, spec)
+    assert all(eighs[-1] > size for eighs, size in zip(sectors, sizes))
+    assert np.abs(rows - whole).max() <= 1e-13
+    h = build_hamiltonian(spec)
+    assert np.abs(rows - complex_gemm_rows(h, psi0, 0.05, 20, spec.hbar)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("modes, x0", [
+    ((ModeSpec(mass=1.0, dim=10),) * 2, [0.4, 0.5]),  # psi0 is not exchange symmetric
+    ((ModeSpec(mass=1.0, dim=10), ModeSpec(mass=2.0, dim=10)), [0.4, 0.4]),
+], ids=["asymmetric-psi0", "unequal-masses"])
+def test_unreduced_blocks_keep_their_arithmetic(modes, x0, monkeypatch):
+    # no certified reduction: the same eigh sizes and the same rows, bit for
+    # bit, as with no orbit formed at all
+    spec = HamiltonianSpec(modes=modes, potential=harmonic(3.0))
+    psi0 = coherent_product(modes, x0, [0.1, 0.1])
+    sectors = sector_eighs(monkeypatch)
+    rows = sampled_rows(monkeypatch, psi0, spec, 1.0, 0.05)
+    whole = _unreduced_rows(monkeypatch, psi0, spec)
+    assert sectors[:2] == sectors[2:] and [eighs[-1] for eighs in sectors] == [50] * 4
+    assert np.array_equal(rows, whole)
+    if modes[0] != modes[1]:
+        assert dynamics._orbits(np.indices((10, 10)).reshape(2, -1), modes) is None
+
+
+def test_exchange_asymmetry_joins_the_cut_bound():
+    # psi0's norm outside the symmetric subspace is one more term of the
+    # bound: past CUT_TOLERANCE alone, no cut certifies
+    spec = effective_spec(16, potential=QUARTIC, dim=1024)
+    block = build_hamiltonian(spec).to_dense().real
+    top, amps = np.arange(1024), coherent_state(spec.modes[0], 1.0, 0.0).amplitudes
+    assert dynamics._level_cut(block, top, amps, 2.0, 1.0, 0.0)[0].sum() <= 512
+    leak = 2 * dynamics.CUT_TOLERANCE
+    assert dynamics._level_cut(block, top, amps, 2.0, 1.0, leak)[0] == slice(None)
+
+
+@pytest.mark.parametrize("n, dim, x0, p0, sizes", [
+    (3, 10, 0.3, 0.05, [110, 110]),
+    (2, 3, 0.0, 0.0, [2, 1]),  # the ground state: a cut of the even sector's 4 orbits
+])
+def test_full_model_single_sample_is_psi0(n, dim, x0, p0, sizes, monkeypatch):
+    # t = 0: one sample, the symmetric projection of psi0 expanded back
+    spec = _full_spec(harmonic(float(n)), n=n, dim=dim)
+    psi0 = coherent_product(spec.modes, [x0] * n, [p0 / n] * n)
+    sectors = sector_eighs(monkeypatch)
+    traj, blocks = evolved_rows(monkeypatch, psi0, spec, 0.0, 0.01)
+    assert len(traj.times) == 1 and [s[-1] for s in sectors] == sizes
+    assert np.abs(blocks[0][0] - psi0.amplitudes).max() <= 1e-15
+    record = cm_expectation_record(psi0, spec.modes)
+    assert abs(traj.x_cm[0] - record.x_cm) <= 1e-15 and abs(traj.v_cm[0] - record.v_cm) <= 1e-15
+
+
 def test_non_finite_cut_bound_never_certifies():
     # t/hbar overflows: an infinite bound, or a NaN one (inf * 0 where psi0 is
     # zero in the block), keeps no cut, where a finite t/hbar keeps one
@@ -442,7 +515,8 @@ def test_eigh_sampler_rows_within_the_cut_tolerance(coeffs, dim, n, x0, t_final,
     times = dt * np.arange(steps + 1)
     rows = np.zeros((steps + 1, dim), dtype=np.complex128)
     for index in dynamics._blocks(h):
-        columns, sample = dynamics._eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar)
+        columns, sample = dynamics._eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar,
+                                                 spec.modes)
         rows[:, columns] = sample(slice(None))
     oracle = complex_gemm_rows(h, psi0, dt, steps, spec.hbar)
     assert np.abs(rows - oracle).max() <= dynamics.CUT_TOLERANCE + 1e-13
