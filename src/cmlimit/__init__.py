@@ -57,18 +57,13 @@ from .hilbert_rep import (
     ModeSpec,
     SparseOperator,
     StateVector,
-    basis_state,
     cm_expectation_record,
     cm_expectation_records,
     cm_operators_numeric,
-    cm_pair_ops,
     coherent_product,
     coherent_state,
     expectation,
-    ground_product,
-    ladder,
     momentum_op,
-    nc_matrix,
     position_op,
     product_state,
     truncation_weight,

@@ -320,7 +320,8 @@ _FIELDS = {
     "scaling": _COMMON_FIELDS + (
         _Field("N", _parse_int_list, (1, 2, 3, 4, 8, 16, 32, 64), "comma-separated particle counts"),
         _Field("mbar", _parse_positive_rational, Fraction(1), "mean particle mass (rational)"),
-        _Field("masses", _parse_masses, None, "explicit comma-separated masses (one system)"),
+        _Field("masses", _parse_masses, None,
+               "explicit comma-separated masses (one system; not with --N or --mbar)"),
     ),
     "residuals": _COMMON_FIELDS + (
         _Field("max-degree", _parse_pos_int, 4, f"degree grid bound (at most {MAX_RESIDUAL_DEGREE})"),
@@ -411,7 +412,7 @@ def build_config(argv) -> ExperimentConfig:
     for key in file_entries:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r} for experiment {args.experiment!r}")
-    values = {}
+    values, given = {}, set()
     for field in fields:
         raw = getattr(args, field.name.replace("-", "_"))
         if raw is None:
@@ -419,12 +420,17 @@ def build_config(argv) -> ExperimentConfig:
         if raw is None:
             values[field.name] = field.default
         else:
+            given.add(field.name)
             try:
                 values[field.name] = field.parse(raw)
             except ConfigError as exc:
                 raise ConfigError(f"--{field.name}: {exc}") from exc
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"invalid value for --{field.name}: {raw!r}") from exc
+    clashes = [f"--{name}" for name in ("N", "mbar") if name in given]
+    if "masses" in given and clashes:  # scaling's one system of explicit masses
+        raise ConfigError(f"--masses, {', '.join(clashes)}: --masses sets the particle count "
+                          "and the masses, so --N and --mbar do not apply")
     return ExperimentConfig(experiment=args.experiment, values=values)
 
 

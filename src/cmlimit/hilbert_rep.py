@@ -16,11 +16,13 @@ two off-diagonals, and it is applied mode by mode to the amplitude tensor
 by shifted slices.  One diagonal algebra assembles and multiplies
 operators: :func:`_composite_diagonals` spreads the factors over the
 composite index, :func:`_diagonal_product` multiplies two operators'
-diagonals, and :func:`nc_matrix` (the symbolic-algebra bridge) and
-:func:`cmlimit.dynamics.build_hamiltonian` form their one-factor images
-with them; ``SparseOperator.apply`` is the one way an operator meets
-amplitudes, for the CM observables, <H> and the Lanczos propagator alike.
-This module and :mod:`cmlimit.dynamics` load numpy alone; the ``matrix``
+diagonals, and :func:`cmlimit.dynamics.build_hamiltonian` forms the
+Hamiltonian's one-factor image with them; ``SparseOperator.apply`` is the
+one way an operator meets amplitudes, for the CM observables, <H> and the
+Lanczos propagator alike.  Neither this module nor :mod:`cmlimit.dynamics`
+reads the symbolic algebra of :mod:`cmlimit.ccr_algebra`: the exact and the
+numeric routes meet only where the CLI and the tests compare them.  This
+module and :mod:`cmlimit.dynamics` load numpy alone; the ``matrix``
 property, one ``scipy.sparse.diags`` of the composite diagonals, is this
 module's only scipy import, read only by tests and the benchmark's nnz
 counter.  An (S, D) stack of amplitude rows is applied and
@@ -39,8 +41,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-
-from .ccr_algebra import NCPolynomial
 
 DEFAULT_AMPLITUDE_CAP = 2**20
 HERMITIAN_TOLERANCE = 1e-12
@@ -164,9 +164,9 @@ class SparseOperator:
     dimensions multiply to the composite dimension.  Each factor is a dict
     ``{offset: values}`` in ascending offset order, with ``values[i] =
     F[i, i + offset]`` where that column exists and zero padding elsewhere:
-    the two off-diagonals of a CM factor, the band of a Hamiltonian or of a
-    polynomial image.  ``apply`` works factor by factor on the amplitude
-    tensor with shifted slices; only ``matrix``, the composite CSR matrix, imports
+    the two off-diagonals of a CM factor, the band of a Hamiltonian.
+    ``apply`` works factor by factor on the amplitude tensor with shifted
+    slices; only ``matrix``, the composite CSR matrix, imports
     ``scipy.sparse``, this module's one scipy import.
     """
 
@@ -293,11 +293,6 @@ def _ladder_diagonal(d: int) -> np.ndarray:
     return np.append(np.sqrt(np.arange(1, d)), 0.0).astype(np.complex128)
 
 
-def ladder(d: int) -> SparseOperator:
-    """Lowering operator on a d-level mode: a|n> = sqrt(n)|n-1>."""
-    return SparseOperator((d,), [{1: _ladder_diagonal(d)}])
-
-
 def position_op(mode: ModeSpec) -> SparseOperator:
     """X = sqrt(hbar/2m) (a + a†); Hermitian, tridiagonal.
 
@@ -360,12 +355,6 @@ def cm_operators_numeric(system):
 # ---------------------------------------------------------------------------
 
 
-def basis_state(d: int, n: int = 0) -> StateVector:
-    amps = np.zeros(d, dtype=np.complex128)
-    amps[n] = 1.0
-    return StateVector((d,), amps)
-
-
 def coherent_state(mode: ModeSpec, x0: float, p0: float) -> StateVector:
     """Minimal-uncertainty state with <X> = x0 and <P> = p0, renormalized.
 
@@ -417,11 +406,6 @@ def product_state(states) -> StateVector:
         amps = np.kron(amps, s.amplitudes)
     amps = amps / np.linalg.norm(amps)
     return StateVector(dims, amps)
-
-
-def ground_product(system) -> StateVector:
-    """|0,...,0> on the given modes."""
-    return product_state([basis_state(m.dim) for m in system])
 
 
 def coherent_product(system, x0s, p0s) -> StateVector:
@@ -529,49 +513,3 @@ def commutator_expectation(psi: StateVector, system) -> complex:
             f"truncation weight {rec.truncation_weight:.3g} exceeds the gate {gate:.3g}"
         )
     return rec.commutator_expectation
-
-
-# ---------------------------------------------------------------------------
-# Bridge to the symbolic algebra (matrix oracle)
-# ---------------------------------------------------------------------------
-
-
-def cm_pair_ops(eps: float, dim: int):
-    """Single-mode (X, V) matrices with [X, V] = i*eps (hbar = 1) away from the top level.
-
-    Realized as a mode of mass 1/eps with V = eps * P, exactly the effective
-    center-of-mass mode of total mass 1/eps.
-    """
-    mode = ModeSpec(mass=1.0 / eps, dim=dim)
-    x = position_op(mode)
-    v = SparseOperator((dim,), [{o: p * eps for o, p in momentum_op(mode).factors[0].items()}],
-                       hermitian=True)
-    return x, v
-
-
-def nc_matrix(poly: NCPolynomial, pair_ops, hbar: float, eps: float) -> SparseOperator:
-    """Numeric evaluation of a normal-ordered polynomial.
-
-    ``pair_ops[k]`` supplies the (X_k, V_k) operators, all on the same mode
-    layout; hbar and eps substitute the formal exponents.  Term order follows
-    the normal-ordered representation, so this is the faithful matrix image
-    of the symbolic element: each term is the identity's diagonals times the
-    pair operators' composite diagonals by :func:`_diagonal_product`, and the
-    image is one factor of the summed diagonals.  Loads no scipy module.
-    """
-    pair_ops = list(pair_ops)
-    if len(pair_ops) != poly.algebra.n_pairs:
-        raise ValueError("need one (X, V) operator pair per algebra pair")
-    mode_dims = pair_ops[0][0].mode_dims
-    size = math.prod(mode_dims)
-    pairs = [(_composite_diagonals(x), _composite_diagonals(v)) for x, v in pair_ops]
-    total = {}
-    for mono, coeff in poly.terms.items():
-        scalar = coeff.to_complex() * hbar**mono.hbar_exp * eps**mono.eps_exp
-        term = {0: np.ones(size, dtype=np.complex128)}
-        for k, x_exp, v_exp in mono.pairs:
-            for factor in [pairs[k][0]] * x_exp + [pairs[k][1]] * v_exp:
-                term = _diagonal_product(term, factor, reverse=False)
-        for o, values in term.items():
-            total[o] = total[o] + scalar * values if o in total else scalar * values
-    return SparseOperator(mode_dims, [total or {0: np.zeros(size, dtype=np.complex128)}])

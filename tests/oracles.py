@@ -6,6 +6,11 @@ The multiplication oracle represents operator words as tuples of
 swaps: cross-pair factors commute freely, and within a pair V X rewrites to
 X V minus the central constant.  No binomial shortcut is involved, so this
 is a genuinely independent check of the fast reordering formula.
+
+The matrix oracle :func:`poly_matrix` evaluates a symbolic element on dense
+(X, V) matrices with numpy's matrix products alone, so it shares no
+arithmetic with the diagonal algebra of :mod:`cmlimit.hilbert_rep` that
+assembles the Hamiltonian.
 """
 
 import math
@@ -28,9 +33,13 @@ from cmlimit.dynamics import (
     evolve_quantum,
 )
 from cmlimit.hilbert_rep import (
+    SparseOperator,
+    StateVector,
+    _ladder_diagonal,
     _span,
     _size,
     cm_expectation_record,
+    coherent_product,
     coherent_state,
     momentum_op,
     position_op,
@@ -108,6 +117,42 @@ def slow_mul(f, g):
             key = (h1 + h2, e1 + e2, w1 + w2)
             combined[key] = combined.get(key, ZERO) + c1 * c2
     return words_to_poly(f.algebra, slow_normal_order(f.algebra, combined))
+
+
+def poly_matrix(poly, pairs, hbar: float, eps: float) -> np.ndarray:
+    """Dense image of a normal-ordered polynomial: the sum over its terms of
+    coeff * hbar^a * eps^b * prod_k X_k^x V_k^v, in the terms' pair order.
+
+    ``pairs[k]`` is the dense (X_k, V_k) of pair k, all of one size; powers
+    are ``np.linalg.matrix_power`` and products numpy's ``@``.
+    """
+    if len(pairs) != poly.algebra.n_pairs:
+        raise ValueError("need one (X, V) matrix pair per algebra pair")
+    size = len(pairs[0][0])
+    total = np.zeros((size, size), dtype=np.complex128)
+    for mono, coeff in poly.terms.items():
+        term = np.eye(size, dtype=np.complex128)
+        for k, x_exp, v_exp in mono.pairs:
+            x, v = pairs[k]
+            term = term @ np.linalg.matrix_power(x, x_exp) @ np.linalg.matrix_power(v, v_exp)
+        total += coeff.to_complex() * hbar**mono.hbar_exp * eps**mono.eps_exp * term
+    return total
+
+
+def basis_state(d: int, n: int = 0) -> StateVector:
+    """The basis state |n> of one d-level mode."""
+    return StateVector((d,), np.eye(d)[n])
+
+
+def ground_product(system) -> StateVector:
+    """|0,...,0> on the given modes: their coherent product at the origin."""
+    zeros = [0.0] * len(system)
+    return coherent_product(system, zeros, zeros)
+
+
+def ladder(d: int) -> SparseOperator:
+    """Lowering operator on a d-level mode: a|n> = sqrt(n)|n-1>."""
+    return SparseOperator((d,), [{1: _ladder_diagonal(d)}])
 
 
 def diagonals(matrix) -> dict:

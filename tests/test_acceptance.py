@@ -42,13 +42,17 @@ from cmlimit.hilbert_rep import (
     ModeSpec,
     cm_expectation_record,
     cm_operators_numeric,
-    cm_pair_ops,
     coherent_state,
-    ground_product,
-    nc_matrix,
     uncertainty_product,
 )
-from oracles import free_width_analytic, gaussian_spreading, random_masses, random_polynomial
+from oracles import (
+    free_width_analytic,
+    gaussian_spreading,
+    ground_product,
+    poly_matrix,
+    random_masses,
+    random_polynomial,
+)
 
 ALG = cm_algebra()
 X, V = ALG.x(), ALG.v()
@@ -123,12 +127,11 @@ def test_criterion_5_matrix_oracle_equivalence():
     start = time.perf_counter()
     hbar, eps, dim = 1.0, 0.25, 48
     safe = slice(0, dim - 12)
-    x_op, v_op = cm_pair_ops(eps, dim)
-    ops = [(x_op, v_op)]
+    x_op, v_op, _ = cm_operators_numeric([ModeSpec(mass=1 / eps, dim=dim)])
     x_mat, v_mat = x_op.to_dense(), v_op.to_dense()
 
     def ev(poly):
-        return nc_matrix(poly, ops, hbar, eps).to_dense()
+        return poly_matrix(poly, [(x_mat, v_mat)], hbar, eps)
 
     def block_close(a, b):
         return np.abs(a[safe, safe] - b[safe, safe]).max() <= 1e-10

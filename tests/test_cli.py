@@ -123,6 +123,19 @@ def test_scaling_invalid_masses(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("flag, value", [("N", "4"), ("mbar", "7")])
+def test_scaling_masses_refuse_n_and_mbar(tmp_path, capsys, form, flag, value):
+    # --masses fixes the one system; an explicit --N or --mbar beside it was ignored
+    if form == "flag":
+        argv = ("scaling", "--masses", "1,2", f"--{flag}", value)
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"masses = 1,2\n{flag} = {value}\n", encoding="utf-8")
+        argv = ("scaling", "--config", str(cfg))
+    _assert_flag_config_error(capsys, argv, f"--masses, --{flag}")
+
+
 def test_residuals_rows(capsys):
     code, out = run_cli(capsys, "residuals", "--max-degree", "5", "--samples", "5")
     assert code == 0

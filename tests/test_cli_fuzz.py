@@ -33,8 +33,8 @@ COMMON = {
 
 # experiment -> (flags always given, flags given or left at their default)
 FLAGS = {
-    "scaling": ({"N": N_LIST}, {
-        "mbar": MASS,
+    "scaling": ({}, {  # --masses refuses --N and --mbar, so none of the three is always given
+        "N": N_LIST, "mbar": MASS,
         "masses": (("1", "1,2", "1/2,3", "1e308,1e308", "1e-300,1"), ("0,1", "-1", "1,x")),
     }),
     "residuals": ({"max-degree": (("1", "2", "3"), ("0", "9", "x"))}, {
@@ -65,7 +65,7 @@ def argvs(draw):
         if draw(st.booleans()):
             chosen[flag] = values
     values = {flag: draw(st.sampled_from(good)) for flag, (good, _) in chosen.items()}
-    if draw(st.booleans()):
+    if chosen and draw(st.booleans()):
         flag = draw(st.sampled_from(sorted(chosen)))
         values[flag] = draw(st.sampled_from(chosen[flag][1]))
     argv = [experiment]

@@ -37,15 +37,21 @@ from cmlimit.hilbert_rep import (
     ModeSpec,
     SparseOperator,
     StateVector,
-    basis_state,
     cm_expectation_record,
     cm_operators_numeric,
     coherent_product,
     coherent_state,
     expectation,
-    ground_product,
 )
-from oracles import diagonals, free_width_analytic, gaussian_spreading, sparse_hamiltonian
+from oracles import (
+    basis_state,
+    diagonals,
+    free_width_analytic,
+    gaussian_spreading,
+    ground_product,
+    ladder,
+    sparse_hamiltonian,
+)
 
 FREE = PolynomialPotential.zero()
 QUARTIC = PolynomialPotential.from_coeffs({4: 0.1})
@@ -578,8 +584,8 @@ def test_evolve_does_not_import_csgraph():
     # the parity sectors are read off H's entries; no graph search is loaded.
     # Nor is any scipy module at all, on either side of the dense limit: H and
     # the CM operators are numpy diagonals, numpy's eigh diagonalizes H below
-    # the limit and its Lanczos sampler applies it above, math.lgamma builds
-    # the coherent states, and nc_matrix multiplies the same numpy diagonals
+    # the limit and its Lanczos sampler applies it above, and math.lgamma builds
+    # the coherent states
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -593,10 +599,6 @@ def test_evolve_does_not_import_csgraph():
             "'--dim', '2100', '--t', '0.02', '--dt', '0.01', '--x0', '0.5']); "
             "code += main(['evolve', '--potential', '0.5*x^2 + 0.05*x', '--model', 'full', "
             "'--N', '2', '--dim', '46', '--t', '0.02', '--dt', '0.01', '--x0', '0.3']); "
-            "from cmlimit.ccr_algebra import cm_algebra; "
-            "from cmlimit.hilbert_rep import cm_pair_ops, nc_matrix; "
-            "X, V = cm_algebra().x(), cm_algebra().v(); "
-            "nc_matrix(X**2 + V, [cm_pair_ops(0.25, 8)], 1.0, 0.25).to_dense(); "
             "print(code, *[name for name in sys.modules if name.split('.')[0] == 'scipy'], "
             "file=sys.stderr)")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
@@ -862,8 +864,6 @@ def test_ehrenfest_quartic_squared_observable(monkeypatch):
 
 def test_expectation_product_of_non_hermitian_kronecker_sums():
     # a and b are not Hermitian, so each is applied to the other's image
-    from cmlimit.hilbert_rep import ladder
-
     dims = (3, 4)
     a = SparseOperator(dims, [ladder(3).factors[0], diagonals(ladder(4).matrix.T)])
     b = SparseOperator(dims, [diagonals(ladder(3).matrix.T * 0.5), ladder(4).factors[0]])

@@ -22,19 +22,14 @@ from cmlimit.hilbert_rep import (
     ModeSpec,
     SparseOperator,
     StateVector,
-    basis_state,
     cm_expectation_record,
     cm_expectation_records,
     cm_operators_numeric,
-    cm_pair_ops,
     coherent_product,
     coherent_state,
     commutator_expectation,
     expectation,
-    ground_product,
-    ladder,
     momentum_op,
-    nc_matrix,
     position_op,
     product_state,
     truncation_weight,
@@ -42,7 +37,15 @@ from cmlimit.hilbert_rep import (
     uncertainty_product,
     variance,
 )
-from oracles import diagonals, kronsum_matrix
+from oracles import (
+    basis_state,
+    diagonals,
+    ground_product,
+    kronsum_matrix,
+    ladder,
+    poly_matrix,
+    random_polynomial,
+)
 
 MODE = ModeSpec(mass=1.0, dim=16)
 
@@ -533,37 +536,41 @@ def test_expectation_record_consistency():
 # ---------------------------------------------------------------------------
 
 
+def _pair_matrices(eps, dim):
+    """Dense (X, V) of the CM mode of total mass 1/eps: [X, V] = i*eps (hbar = 1)
+    away from the top level."""
+    x, v, _ = cm_operators_numeric([ModeSpec(mass=1 / eps, dim=dim)])
+    return x.to_dense(), v.to_dense()
+
+
 def test_symbolic_product_matches_matrix_product():
     alg = cm_algebra()
     X, V = alg.x(), alg.v()
-    ops = [cm_pair_ops(0.25, 48)]
+    pairs = [_pair_matrices(0.25, 48)]
     rng = random.Random(67)
-    from oracles import random_polynomial
-
     safe = slice(0, 36)  # drop the top 12 levels
     for _ in range(6):
         f = random_polynomial(rng, alg, max_degree=3)
         g = random_polynomial(rng, alg, max_degree=3)
-        sym = nc_matrix(f * g, ops, 1.0, 0.25).to_dense()
-        direct = nc_matrix(f, ops, 1.0, 0.25).to_dense() @ nc_matrix(g, ops, 1.0, 0.25).to_dense()
+        sym = poly_matrix(f * g, pairs, 1.0, 0.25)
+        direct = poly_matrix(f, pairs, 1.0, 0.25) @ poly_matrix(g, pairs, 1.0, 0.25)
         assert np.abs(sym[safe, safe] - direct[safe, safe]).max() < 1e-10
 
 
 def test_symbolic_commutator_matches_matrix_commutator():
     alg = cm_algebra()
     X, V = alg.x(), alg.v()
-    ops = [cm_pair_ops(0.25, 48)]
+    pairs = [_pair_matrices(0.25, 48)]
     safe = slice(0, 36)
-    sym = nc_matrix(commutator(X**2, V**2), ops, 1.0, 0.25).to_dense()
-    x2 = nc_matrix(X**2, ops, 1.0, 0.25).to_dense()
-    v2 = nc_matrix(V**2, ops, 1.0, 0.25).to_dense()
+    sym = poly_matrix(commutator(X**2, V**2), pairs, 1.0, 0.25)
+    x2 = poly_matrix(X**2, pairs, 1.0, 0.25)
+    v2 = poly_matrix(V**2, pairs, 1.0, 0.25)
     direct = x2 @ v2 - v2 @ x2
     assert np.abs(sym[safe, safe] - direct[safe, safe]).max() < 1e-10
 
 
 def test_cm_pair_ops_commutator_scale():
-    x, v = cm_pair_ops(0.25, 32)
-    x, v = x.to_dense(), v.to_dense()
+    x, v = _pair_matrices(0.25, 32)
     comm = x @ v - v @ x
     assert abs(comm[0, 0] - 0.25j) < 1e-12
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from cmlimit.ccr_algebra import cm_algebra, commutator
 from cmlimit.dynamics import HamiltonianSpec, PolynomialPotential, evolve_quantum
-from cmlimit.hilbert_rep import ModeSpec, basis_state, cm_operators_numeric
+from cmlimit.hilbert_rep import ModeSpec, cm_operators_numeric, coherent_state
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -47,7 +47,7 @@ def test_counters_read_real_results():
     assert counts["hilbert_rep.operator_nnz"] == sum(op.matrix.nnz for op in ops) > 0
     spans.COUNTERS["hilbert_rep.expectations"](counts, (), None)
     mode = ModeSpec(mass=1.0, dim=8)
-    psi0 = basis_state(8)
+    psi0 = coherent_state(mode, 0.0, 0.0)
     spec = HamiltonianSpec(modes=(mode,), potential=PolynomialPotential.zero())
     traj = evolve_quantum(psi0, spec, t_final=0.2, dt=0.1)
     spans.COUNTERS["dynamics.evolve_quantum"](counts, (psi0, spec), traj)
