@@ -4,7 +4,7 @@ Subcommands::
 
     scaling       exact commutator magnitude and uncertainty bound vs N
     residuals     eps-valuations of the factorization/Poisson residuals
-    uncertainty   coherent-ground-product uncertainty products vs the bound
+    uncertainty   uncertainty products of N equal coherent modes vs the bound
     evolve        quantum trajectory next to its classical twin
 
 Outputs are deterministic tables (CSV by default, JSON with --format json).
@@ -569,33 +569,43 @@ def run_residuals(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult("residuals", (table,))
 
 
-def _modes(n: int, mbar: float, dim: int, hbar: float):
-    """n equal modes.  A scale out of the float range names --mbar, --hbar; the
-    amplitude cap is checked from n and dim before the list of modes exists."""
+def _mode(mbar: float, dim: int, hbar: float) -> ModeSpec:
+    """One mode of mass mbar; a scale out of the float range names --mbar, --hbar."""
     try:
-        mode = ModeSpec(mass=mbar, dim=dim, hbar=hbar)
+        return ModeSpec(mass=mbar, dim=dim, hbar=hbar)
     except ValueError as exc:
         raise ConfigError(f"--mbar, --hbar: {exc}") from exc
-    _check_cap(itertools.repeat(dim, n))
-    return [mode] * n
+
+
+def _total_mass(n: int, mbar: float) -> float:
+    """N * mbar; an N past the float range names --N, --mbar."""
+    try:
+        return n * mbar
+    except OverflowError as exc:  # the int N is converted to a float first
+        raise ConfigError("--N, --mbar: the total mass N * mbar is out of the "
+                          "floating-point range") from exc
 
 
 def run_uncertainty(config: ExperimentConfig) -> ExperimentResult:
+    """Rows of phi^(x)N, phi one coherent mode at (x0, p0 / N), from phi's record in the
+    same basis: dx and dv over sqrt(N), the commutator over N, the same top-level weight."""
     hbar = config["hbar"]
     mbar = float(config["mbar"])
     dim = config["dim"]
+    mode = _mode(mbar, dim, hbar)
     columns = ("N", "d", "product", "bound", "ratio", "comm_expectation_im",
                "trunc_weight", "flag")
     rows = []
     exit_code = 0
     for n in config["N"]:
-        modes = _modes(n, mbar, dim, hbar)
-        bound = hbar / 2.0 / (n * mbar)  # 2.0 * n * mbar may overflow
+        bound = hbar / 2.0 / _total_mass(n, mbar)  # 2.0 * n * mbar may overflow
         if not sys.float_info.min <= bound < math.inf:  # ModeSpec's rule for a scale
             raise ConfigError(f"--N, --mbar, --hbar: the uncertainty bound at N = {n} is out of range")
         try:
-            psi = coherent_product(modes, [config["x0"]] * n, [config["p0"] / n] * n)
-            rec = cm_expectation_record(psi, modes)
+            rec = cm_expectation_record(coherent_state(mode, config["x0"], config["p0"] / n),
+                                        [mode])
+        except DimensionCapError as exc:  # the one mode holds all --dim levels, whatever --N is
+            raise ConfigError(f"--dim: {exc}") from exc
         except ExcessiveTruncationError:
             rec = None
         if rec is None or rec.truncation_weight > TRUNCATION_GATE:
@@ -603,9 +613,10 @@ def run_uncertainty(config: ExperimentConfig) -> ExperimentResult:
             rows.append((str(n), str(dim), "nan", _fmt(bound), "nan", "nan", "nan",
                          "truncation"))
             continue
-        product = rec.dx * rec.dv
+        root_n = math.sqrt(n)
+        product = (rec.dx / root_n) * (rec.dv / root_n)
         rows.append(tuple(_fmt(v) for v in (
-            n, dim, product, bound, product / bound, rec.commutator_expectation.imag,
+            n, dim, product, bound, product / bound, rec.commutator_expectation.imag / n,
             rec.truncation_weight, "ok",
         )))
     table = Table("uncertainty", columns, tuple(rows))
@@ -630,7 +641,7 @@ def run_evolve(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError(f"--potential: invalid potential: {exc}") from exc
     n = config["N"]
     mbar = float(config["mbar"])
-    total_mass = n * mbar
+    total_mass = _total_mass(n, mbar)
     hbar = config["hbar"]
     x0, p0 = config["x0"], config["p0"]
     t_final, dt = config["t"], config["dt"]
@@ -662,7 +673,12 @@ def run_evolve(config: ExperimentConfig) -> ExperimentResult:
             except DimensionCapError as exc:  # the one CM mode holds all --dim levels
                 raise ConfigError(f"--dim: {exc}") from exc
         else:
-            modes = _modes(n, mbar, config["dim"], hbar)
+            mode = _mode(mbar, config["dim"], hbar)
+            try:  # from N and dim, before the list of modes exists
+                _check_cap(itertools.repeat(config["dim"], n))
+            except DimensionCapError as exc:  # --dim levels in each of the --N modes
+                raise ConfigError(f"--N, --dim: {exc}") from exc
+            modes = [mode] * n
             psi0 = coherent_product(modes, [x0] * n, [p0 / n] * n)
         spec = HamiltonianSpec(modes=tuple(modes), potential=potential)
         try:
@@ -745,10 +761,7 @@ def _write_output(text: str, out_path):
 def main(argv=None) -> int:
     try:
         config = build_config(argv)
-        try:
-            result = _RUNNERS[config.experiment](config)
-        except DimensionCapError as exc:  # --dim levels in each of the --N modes
-            raise ConfigError(f"--N, --dim: {exc}") from exc
+        result = _RUNNERS[config.experiment](config)
         text = _render_csv(result) if config["format"] == "csv" else _render_json(result)
         _write_output(text, config["out"])
     except ConfigError as exc:

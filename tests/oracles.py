@@ -7,6 +7,10 @@ swaps: cross-pair factors commute freely, and within a pair V X rewrites to
 X V minus the central constant.  No binomial shortcut is involved, so this
 is a genuinely independent check of the fast reordering formula.
 
+The uncertainty oracle :func:`composite_uncertainty_row` forms all d^N
+amplitudes of the product of N equal coherent modes and reads the CM row
+from the composite record, which the CLI reads from one mode's record.
+
 The matrix oracle :func:`poly_matrix` evaluates a symbolic element on dense
 (X, V) matrices with numpy's matrix products alone, so it shares no
 arithmetic with the diagonal algebra of :mod:`cmlimit.hilbert_rep` that
@@ -25,6 +29,7 @@ from cmlimit.ccr_algebra import (
     NCPolynomial,
     SymbolPolynomial,
 )
+from cmlimit.cli import _fmt
 from cmlimit.dynamics import (
     HamiltonianSpec,
     PolynomialPotential,
@@ -33,6 +38,9 @@ from cmlimit.dynamics import (
     evolve_quantum,
 )
 from cmlimit.hilbert_rep import (
+    TRUNCATION_GATE,
+    ExcessiveTruncationError,
+    ModeSpec,
     SparseOperator,
     StateVector,
     _ladder_diagonal,
@@ -137,6 +145,23 @@ def poly_matrix(poly, pairs, hbar: float, eps: float) -> np.ndarray:
             term = term @ np.linalg.matrix_power(x, x_exp) @ np.linalg.matrix_power(v, v_exp)
         total += coeff.to_complex() * hbar**mono.hbar_exp * eps**mono.eps_exp * term
     return total
+
+
+def composite_uncertainty_row(n: int, dim: int, x0: float, p0: float, mbar: float,
+                              hbar: float) -> tuple:
+    """The ``uncertainty`` row, as ``_fmt`` text, of N equal coherent modes at
+    (x0, p0 / N), from the composite record of their dim^N-amplitude product."""
+    modes = [ModeSpec(mass=mbar, dim=dim, hbar=hbar)] * n
+    bound = hbar / 2.0 / (n * mbar)
+    try:
+        rec = cm_expectation_record(coherent_product(modes, [x0] * n, [p0 / n] * n), modes)
+    except ExcessiveTruncationError:
+        rec = None
+    if rec is None or rec.truncation_weight > TRUNCATION_GATE:
+        return (str(n), str(dim), "nan", _fmt(bound), "nan", "nan", "nan", "truncation")
+    product = rec.dx * rec.dv
+    return tuple(_fmt(v) for v in (n, dim, product, bound, product / bound,
+                                   rec.commutator_expectation.imag, rec.truncation_weight, "ok"))
 
 
 def basis_state(d: int, n: int = 0) -> StateVector:

@@ -1,12 +1,15 @@
 """Harness tests: potential parsing, experiment tables, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -14,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cmlimit.cli import (
     ConfigError,
@@ -26,6 +31,7 @@ from cmlimit.cli import (
     render_potential,
 )
 from cmlimit.dynamics import PolynomialPotential
+from oracles import composite_uncertainty_row
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +346,9 @@ def test_nonpositive_flag_is_config_error(capsys, argv, flag):
     (("evolve", "--potential", "x^4", "--model", "full", "--N", "3", "--mbar",
       "2.814739464453614e-154", "--dim", "8", "--x0", "0", "--p0", "0", "--t", "0.01"),
      "--potential, --N, --mbar, --hbar, --dim"),
+    # N * mbar converts a 311-digit N to a float
+    (("evolve", "--N", "1" + "0" * 310, "--dim", "8", "--t", "0.1"), "--N, --mbar"),
+    (("uncertainty", "--N", "1" + "0" * 310, "--dim", "8"), "--N, --mbar"),
 ])
 def test_float_range_is_config_error(capsys, argv, flag):
     _assert_flag_config_error(capsys, argv, flag)
@@ -383,21 +392,20 @@ def test_evolve_step_limit(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("uncertainty", "--N", "7", "--dim", "8"),
+    ("evolve", "--model", "full", "--N", "7", "--dim", "8"),
     ("evolve", "--model", "full", "--N", "3", "--dim", "128"),
     # 16^3600 has 4,335 digits, past int-to-str's default limit of 4,300
-    ("uncertainty", "--N", "3600", "--dim", "16"),
     ("evolve", "--potential", "0", "--model", "full", "--N", "3600", "--dim", "16",
      "--x0", "0"),
-    ("uncertainty", "--N", "1", "--dim", str(10**30)),
+    ("evolve", "--model", "full", "--N", "1", "--dim", str(10**30)),
 ])
 def test_amplitude_cap_names_n_and_dim(capsys, argv):
+    # the full model holds --dim levels in each of --N entangled modes
     err = _assert_flag_config_error(capsys, argv, "--N, --dim")
     assert len(err) < 200
 
 
 @pytest.mark.parametrize("argv", [
-    ("uncertainty", "--N", "1000000", "--dim", "2"),
     ("evolve", "--model", "full", "--N", "1000000", "--dim", "2"),
 ])
 def test_amplitude_cap_is_checked_before_the_modes_exist(capsys, argv):
@@ -409,6 +417,61 @@ def test_amplitude_cap_is_checked_before_the_modes_exist(capsys, argv):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    ("--N", "7", "--dim", "8"),
+    ("--N", "3600", "--dim", "16"),
+    ("--N", "1000000", "--dim", "2"),
+    ("--N", "1000000", "--dim", "8"),
+])
+def test_uncertainty_runs_past_the_amplitude_cap(capsys, argv):
+    # the row is one mode's record rescaled: no d^N amplitudes, whatever N and d
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out = run_cli(capsys, "uncertainty", *argv)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    header, line = out.strip().split("\n")
+    row = dict(zip(header.split(","), line.split(",")))
+    n = int(argv[1])
+    assert abs(float(row["ratio"]) - 1) <= 1e-10
+    assert abs(float(row["comm_expectation_im"]) * n - 1) <= 1e-10  # hbar / N at mbar = 1
+    assert peak < 2**20
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("dim", [str(10**30), str(2**20 + 1)])
+def test_uncertainty_cap_names_dim(capsys, dim):
+    # one mode of --dim levels gives the row at every --N, so the cap depends on --dim alone
+    err = _assert_flag_config_error(capsys, ("uncertainty", "--N", "1", "--dim", dim), "--dim")
+    assert err == "error: --dim: composite dimension exceeds the cap of 1048576 amplitudes\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(1, 6), st.integers(2, 12), st.floats(-3, 3), st.floats(-3, 3),
+       st.floats(1e-3, 1e3), st.floats(1e-2, 1e2))
+# the composite commutator prints ...654 here; ...655 is the 50-digit value of c_1 / N
+@example(5, 11, -0.2820545746297993, -71.72241832532909, 54.27065072267146, 18.7678001190143)
+def test_uncertainty_row_matches_the_composite_record(n, dim, x0, p0, mbar, hbar):
+    # every printed field of the one-mode row is the composite record's text; the
+    # composite sums d^N terms, so at a rounding boundary its own roundoff may move
+    # the 12th digit, and a field that differs must agree to one unit there
+    assume(dim**n <= 2**20)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["uncertainty", "--N", str(n), "--dim", str(dim), f"--x0={x0!r}",
+                     f"--p0={p0!r}", f"--mbar={mbar!r}", f"--hbar={hbar!r}"])
+    row = tuple(out.getvalue().strip().split("\n")[1].split(","))
+    expected = composite_uncertainty_row(n, dim, x0, p0, mbar, hbar)
+    for got, want in zip(row, expected, strict=True):
+        assert got == want or abs(float(got) - float(want)) <= 1e-11 * abs(float(want)), (
+            row, expected)
+    assert code == (2 if row[-1] == "truncation" else 0)
 
 
 @pytest.mark.parametrize("dim", [str(10**30), str(2**20 + 1)])

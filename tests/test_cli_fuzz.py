@@ -5,7 +5,9 @@ ones included, and at most one malformed value.  The contract: the exit
 code is 0, 1 or 2, nothing prints a traceback, an exit 1 is a
 configuration error rather than an exception caught by ``main``'s
 catch-all, and a successful run's tables hold no ``nan``.  Sizes stay
-small (dims <= 16, N <= 4, t <= 0.5) so the whole test runs in seconds;
+small (dims <= 16, N <= 4, t <= 0.5) so the whole test runs in seconds,
+except ``uncertainty``'s N: its row costs one mode at any N, so it draws N up
+to a million and one N past the floating-point range;
 full-model evolve runs stay within the dense propagator's dimension
 (``EIG_DIMENSION_LIMIT``), because above it the Lanczos sampler's cost
 grows with ||H|| t / hbar, and a stiff potential can take minutes.
@@ -23,6 +25,7 @@ from cmlimit.dynamics import EIG_DIMENSION_LIMIT
 
 # flag -> (values that parse, including extreme ones; malformed values)
 N_LIST = (("1", "2", "1,2", "3", "4", "1,2,3,4"), ("0", "-1", "1,,2", "x"))
+UNCERTAINTY_N = (N_LIST[0] + ("7", "3600", "1000000", "1,7,64", "1" + "0" * 310), N_LIST[1])
 MASS = (("1", "2", "1/2", "3/7", "1e-300", "1e300", "1e308"), ("0", "-1", "1/0", "x", "nan"))
 DIM = (("2", "3", "4", "8", "12", "16"), ("1", "0", "x", "2.5"))
 DISPLACEMENT = (("0", "0.5", "1", "-1", "3", "100", "1e308"), ("nan", "inf", "x"))
@@ -41,7 +44,7 @@ FLAGS = {
         "samples": (("1", "3"), ("0", "x")),
         "seed": (("0", "1", "-5"), ("x",)),
     }),
-    "uncertainty": ({"N": N_LIST, "dim": DIM}, {
+    "uncertainty": ({"N": UNCERTAINTY_N, "dim": DIM}, {
         "mbar": MASS, "x0": DISPLACEMENT, "p0": DISPLACEMENT,
     }),
     "evolve": ({"N": (("1", "2", "3", "4"), ("0", "1.5")), "dim": DIM,
