@@ -3,9 +3,10 @@
 Quantum propagation runs in the Schrodinger picture (expectations are
 identical to the Heisenberg-picture statement) with the exact unitary
 exp(-iHt/hbar): H is real symmetric, and built once, with numpy alone, as
-its diagonals over the composite index, by the one diagonal algebra of
-:mod:`cmlimit.hilbert_rep` (this module assembles and multiplies no
-operator itself).  Up to total dimension 2048 it is
+one ``SparseOperator`` like every operator, a band over the composite
+index, from the CM operators' diagonals by the diagonal product of
+:mod:`cmlimit.hilbert_rep` (this module spreads and multiplies no
+diagonals itself).  Up to total dimension 2048 it is
 diagonalized densely by numpy's ``eigh`` (LAPACK's divide-and-conquer
 ``?syevd``): one ``eigh`` per parity sector when H couples no basis states
 of opposite total level parity, as for every even potential (checked on H's
@@ -51,7 +52,6 @@ from .hilbert_rep import (
     ModeSpec,
     SparseOperator,
     StateVector,
-    _composite_diagonals,
     _diagonal_product,
     _shifted,
     cm_expectation_records,
@@ -172,11 +172,11 @@ def _check_finite(arrays, what: str) -> None:
 
 
 def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
-    """The Hamiltonian as one real banded factor: its diagonals over the composite index.
+    """The Hamiltonian as one real banded operator over the composite index.
 
     ``ops`` reuses the (X_CM, V_CM, P_TOT) triple of ``cm_operators_numeric``;
     X_CM is real and P_TOT imaginary in this basis, so H is formed in real
-    arithmetic from their composite diagonals by ``hilbert_rep``'s diagonal
+    arithmetic from their diagonals by ``hilbert_rep``'s diagonal
     product, numpy only: P_TOT^2 / 2M, then each power of X_CM, the last times
     the tridiagonal X_CM, added to its term and dropped, then (H + H^T) / 2.
     Both propagators run on these diagonals: the ``eigh`` sampler cuts dense
@@ -190,8 +190,8 @@ def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
     stop at the first one that is the zero matrix; the terms above it are zero.
     """
     x_cm, _, p_tot = ops if ops is not None else cm_operators_numeric(spec.modes)
-    x = {o: v.real for o, v in _composite_diagonals(x_cm).items()}
-    momentum = {o: v.imag for o, v in _composite_diagonals(p_tot).items()}  # P^2 = -(Im P)^2
+    x = {o: v.real for o, v in x_cm.diagonals.items()}
+    momentum = {o: v.imag for o, v in p_tot.diagonals.items()}  # P^2 = -(Im P)^2
     # scipy.sparse sums an entry of A @ B in the stored order of A's row: by
     # ascending column for P_TOT, by descending column for X_CM, the first
     # power (a product's rows are stored in reverse), so P_TOT^2 and X_CM^2,
@@ -213,7 +213,7 @@ def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
         h = {o: (h.get(o, zero) + _shifted(h.get(-o, zero), o)) * 0.5 + 0.0
              for o in sorted(set(h) | {-o for o in h})}
         _check_finite(h.values(), "the Hamiltonian")
-    return SparseOperator(x_cm.mode_dims, [{o: v for o, v in h.items() if v.any()} or {0: zero}],
+    return SparseOperator(x_cm.mode_dims, {o: v for o, v in h.items() if v.any()} or {0: zero},
                           hermitian=True)
 
 
@@ -306,7 +306,7 @@ def _blocks(h: SparseOperator) -> list:
     level parity (every even potential, on either model), else all of H."""
     parity = np.indices(h.mode_dims).sum(axis=0).ravel() % 2
     # entry i of diagonal o couples state i to state i + o; the wrapped ends are zero
-    if any(values[parity != np.roll(parity, -o)].any() for o, values in h.factors[0].items()):
+    if any(values[parity != np.roll(parity, -o)].any() for o, values in h.diagonals.items()):
         return [np.arange(h.dim)]
     return [np.flatnonzero(parity == p) for p in (0, 1)]
 
@@ -388,7 +388,7 @@ def _orbit_block(h: SparseOperator, index: np.ndarray, orbit: np.ndarray,
     label = np.full(h.dim, -1)
     label[index] = orbit
     cells, values = [], []
-    for o, diagonal in h.factors[0].items():
+    for o, diagonal in h.diagonals.items():
         a = np.flatnonzero((reps + o >= 0) & (reps + o < h.dim))
         b = label[reps[a] + o]  # -1: a column outside the block, whose entry is zero
         a, b = a[b >= 0], b[b >= 0]

@@ -8,27 +8,26 @@ confined to the top basis level, so its weight is a precise validity gate
 (TRUNCATION_GATE).
 
 Every operator is built by one constructor, ``SparseOperator(mode_dims,
-factors)``: the Kronecker sum of its factors, sum_k I (x) ... (x) F_k (x)
-... (x) I, with factor 0 the slowest-varying index of the composite basis.
-A factor is held in numpy as its nonzero diagonals: a CM operator's factor
-is a weighted single-mode X or P, tridiagonal with a zero main diagonal, so
-two off-diagonals, and it is applied mode by mode to the amplitude tensor
-by shifted slices.  One diagonal algebra assembles and multiplies
-operators: :func:`_composite_diagonals` spreads the factors over the
-composite index, :func:`_diagonal_product` multiplies two operators'
-diagonals, and :func:`cmlimit.dynamics.build_hamiltonian` forms the
-Hamiltonian's one-factor image with them; ``SparseOperator.apply`` is the
-one way an operator meets amplitudes, for the CM observables, <H> and the
-Lanczos propagator alike.  Neither this module nor :mod:`cmlimit.dynamics`
-reads the symbolic algebra of :mod:`cmlimit.ccr_algebra`: the exact and the
-numeric routes meet only where the CLI and the tests compare them.  This
-module and :mod:`cmlimit.dynamics` load numpy alone; the ``matrix``
-property, one ``scipy.sparse.diags`` of the composite diagonals, is this
-module's only scipy import, read only by tests and the benchmark's nnz
-counter.  An (S, D) stack of amplitude rows is applied and
-evaluated in one pass: the row index is one more leading axis of the
-tensor: :func:`cm_expectation_records` gives, from the rows' X_CM and V_CM
-images, one record whose fields are columns, one entry per row, and
+diagonals)``: one banded matrix over the composite index, mode 0 the
+slowest-varying, held in numpy as its nonzero diagonals.  A CM operator is
+the Kronecker sum sum_k I (x) ... (x) F_k (x) ... (x) I of weighted
+single-mode X or P, each tridiagonal with a zero main diagonal;
+:func:`_kronecker_sum` spreads them over the composite index once, when
+the operator is built, two diagonals per mode.  :func:`_diagonal_product`
+multiplies two operators' diagonals, and
+:func:`cmlimit.dynamics.build_hamiltonian` forms the Hamiltonian's band
+with it; ``SparseOperator.apply``, one pass of shifted slices per
+diagonal, is the one way an operator meets amplitudes, for the CM
+observables, <H> and the Lanczos propagator alike.  Neither this module
+nor :mod:`cmlimit.dynamics` reads the symbolic algebra of
+:mod:`cmlimit.ccr_algebra`: the exact and the numeric routes meet only
+where the CLI and the tests compare them.  This module and
+:mod:`cmlimit.dynamics` load numpy alone; the ``matrix`` property, one
+``scipy.sparse.diags`` of the diagonals, is this module's only scipy
+import, read only by tests and the benchmark's nnz counter.  An (S, D)
+stack of amplitude rows is applied and evaluated in one pass:
+:func:`cm_expectation_records` gives, from the rows' X_CM and V_CM images,
+one record whose fields are columns, one entry per row, and
 :func:`truncation_weights` one weight per row; the one-state functions are
 their one-row case.
 """
@@ -37,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -78,8 +78,8 @@ class ModeSpec:
     def __post_init__(self):
         if self.mass <= 0 or self.hbar <= 0:
             raise ValueError("mass and hbar must be positive")
-        if self.dim < 2:
-            raise ValueError("dim must be at least 2")
+        if not isinstance(self.dim, numbers.Integral) or self.dim < 2:
+            raise ValueError("dim must be an integer of at least 2")
         # the squared scales of position_op and momentum_op
         for scale in (self.hbar / (2.0 * self.mass), self.mass * self.hbar / 2.0):
             if not sys.float_info.min <= scale < math.inf:
@@ -105,40 +105,20 @@ def _shifted(values: np.ndarray, o: int) -> np.ndarray:
     return out
 
 
-def _apply_diagonals(diagonals: dict, view: np.ndarray) -> np.ndarray:
-    """A banded factor applied to axis 1 of a (left, d, right) view: the first
-    diagonal's products, then each further one's added, by ascending offset.
-
-    Each row adds its entries in CSR's order, by ascending column; CSR starts
-    the sum at +0.0, which only a final ``+ 0.0`` of the caller reproduces
-    for zero sums (it turns -0.0 into +0.0 and changes nothing else).
-    """
-    out = None
-    for o, values in diagonals.items():
-        rows, cols = _span(o, view.shape[1])
-        if out is None:
-            out = np.empty(view.shape, dtype=np.result_type(view, values))
-            np.multiply(values[rows, None], view[:, cols], out=out[:, rows])
-            out[:, :rows.start] = 0
-            out[:, rows.stop:] = 0
-        else:
-            out[:, rows] += values[rows, None] * view[:, cols]
-    return out
-
-
-def _composite_diagonals(op: SparseOperator) -> dict:
-    """The operator's diagonals over the composite index: factor k's offset o lands
-    at o times the dimension of the modes after it, summed onto the factors
-    before it as the Kronecker-sum fold sums."""
-    out, left = {}, 1
-    for factor in op.factors:
-        d = _size(factor)
-        right = op.dim // (left * d)
+def _kronecker_sum(factors) -> dict:
+    """The diagonals over the composite index of sum_k I (x) ... (x) F_k (x) ... (x) I,
+    factor 0 the slowest-varying index: factor k's offset o lands at o times the
+    dimension of the factors after it.  Every value is summed from +0.0, as a
+    sparse Kronecker-sum fold sums it, which turns -0.0 into +0.0."""
+    sizes = [_size(f) for f in factors]
+    out, left, dim = {}, 1, math.prod(sizes)
+    for d, factor in zip(sizes, factors):
+        right = dim // (left * d)
         for o, values in factor.items():
             full = np.broadcast_to(values[:, None], (left, d, right)).ravel()
-            out[o * right] = full + out[o * right] if o * right in out else full
+            out[o * right] = out.get(o * right, 0.0) + full
         left *= d
-    return dict(sorted(out.items()))
+    return out
 
 
 def _diagonal_product(a: dict, b: dict, reverse: bool) -> dict:
@@ -157,39 +137,39 @@ def _diagonal_product(a: dict, b: dict, reverse: bool) -> dict:
 
 
 class SparseOperator:
-    """Operator on a tensor product of modes, held as numpy diagonals.
+    """Operator on a tensor product of modes: one banded matrix over the composite index.
 
-    A Kronecker sum of square banded factors,
-    sum_k I (x) ... (x) F_k (x) ... (x) I with factor 0 the leading one, whose
-    dimensions multiply to the composite dimension.  Each factor is a dict
-    ``{offset: values}`` in ascending offset order, with ``values[i] =
-    F[i, i + offset]`` where that column exists and zero padding elsewhere:
-    the two off-diagonals of a CM factor, the band of a Hamiltonian.
-    ``apply`` works factor by factor on the amplitude tensor with shifted
-    slices; only ``matrix``, the composite CSR matrix, imports
-    ``scipy.sparse``, this module's one scipy import.
+    ``diagonals`` is a dict ``{offset: values}``, held in ascending offset
+    order, with ``values[i] = A[i, i + offset]`` where that column exists and
+    zero padding elsewhere, each of the composite dimension, the product of
+    ``mode_dims``, mode 0 the slowest-varying index: two diagonals per mode
+    for a CM operator (built by :func:`_kronecker_sum`), the band of a
+    Hamiltonian.  ``apply`` adds the diagonals' products by shifted slices;
+    only ``matrix``, the CSR matrix, imports ``scipy.sparse``, this module's
+    one scipy import.
     """
 
-    __slots__ = ("mode_dims", "factors", "hermitian")
+    __slots__ = ("mode_dims", "diagonals", "hermitian")
 
-    def __init__(self, mode_dims, factors, hermitian=False):
+    def __init__(self, mode_dims, diagonals, hermitian=False):
         mode_dims = tuple(int(d) for d in mode_dims)
-        if not all(isinstance(f, dict) for f in factors):
-            raise TypeError("each factor is a dict {offset: values}")
-        # a factor object passed for several modes is sorted and checked once
-        converted = {id(f): dict(sorted(f.items())) for f in factors}
-        factors = tuple(converted[id(f)] for f in factors)
-        sizes = [_size(f) for f in factors]
-        if math.prod(sizes) != math.prod(mode_dims):
-            raise ValueError(f"factor sizes {sizes} do not match dims {mode_dims}")
+        if not isinstance(diagonals, dict):
+            raise TypeError("diagonals are a dict {offset: values}")
+        if not diagonals:
+            raise ValueError("an operator holds at least one diagonal")
+        dim = math.prod(mode_dims)
+        if any(np.shape(v) != (dim,) for v in diagonals.values()):
+            raise ValueError(f"each diagonal holds {dim} values on dims {mode_dims}")
+        if any(abs(o) >= dim for o in diagonals):
+            raise ValueError(f"an offset of {sorted(diagonals)} leaves the {dim} x {dim} matrix")
+        diagonals = dict(sorted(diagonals.items()))
         if hermitian:
-            for f in converted.values():
-                zero = np.zeros(_size(f))
-                if not all(np.abs(v - np.conj(_shifted(f.get(-o, zero), o))).max()
-                           <= HERMITIAN_TOLERANCE for o, v in f.items()):  # NaN fails
-                    raise ValueError("operator marked Hermitian is not (within 1e-12)")
+            zero = np.zeros(dim)
+            if not all(np.abs(v - np.conj(_shifted(diagonals.get(-o, zero), o))).max()
+                       <= HERMITIAN_TOLERANCE for o, v in diagonals.items()):  # NaN fails
+                raise ValueError("operator marked Hermitian is not (within 1e-12)")
         object.__setattr__(self, "mode_dims", mode_dims)
-        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "diagonals", diagonals)
         object.__setattr__(self, "hermitian", bool(hermitian))
 
     def __setattr__(self, name, value):
@@ -197,23 +177,17 @@ class SparseOperator:
 
     @property
     def matrix(self):
-        """The composite complex CSR matrix, built anew on each read.
+        """The complex CSR matrix, one ``scipy.sparse.diags`` of the diagonals,
+        built anew on each read.
 
         Read only by tests and the benchmark's nnz counter; it imports
-        ``scipy.sparse`` (the ``test`` extra): one ``diags`` of
-        :func:`_composite_diagonals`.  Of several factors, the stored entries
-        get the final + 0.0 of a sparse Kronecker-sum fold's sums, which turns
-        P_TOT's -0.0 real parts into +0.0.
+        ``scipy.sparse`` (the ``test`` extra).
         """
         import scipy.sparse as sp
 
-        diagonals = _composite_diagonals(self)
-        total = sp.diags([v[_span(o, self.dim)[0]] for o, v in diagonals.items()],
-                         list(diagonals), shape=(self.dim, self.dim), format="csr",
-                         dtype=np.complex128)
-        if len(self.factors) > 1:
-            total.data += 0.0
-        return total
+        return sp.diags([v[_span(o, self.dim)[0]] for o, v in self.diagonals.items()],
+                        list(self.diagonals), shape=(self.dim, self.dim), format="csr",
+                        dtype=np.complex128)
 
     @property
     def dim(self) -> int:
@@ -222,11 +196,12 @@ class SparseOperator:
     def apply(self, psi) -> np.ndarray:
         """op psi for a StateVector on this layout, a bare amplitude vector or an (S, D) stack.
 
-        Factor k acts on axis k of the amplitude tensor (the "vec trick",
-        Van Loan 2000), viewed as (left, d, right); the row index of a stack is
-        one more leading axis.  Each factor adds its diagonals by shifted
-        slices, and the factors' terms are summed in order: every row is
-        rounded as a CSR product rounds it.
+        The first diagonal's products, then each further one's added, by
+        ascending offset, on the (S, D) view: each row adds its entries by
+        ascending column, as a CSR product does.  CSR starts the sum at
+        +0.0, which the final ``+ 0.0`` reproduces for zero sums (it turns
+        -0.0 into +0.0 and changes nothing else): every row is rounded as
+        ``matrix`` rounds it, bit for bit.
         """
         if isinstance(psi, StateVector):
             if psi.mode_dims != self.mode_dims:
@@ -234,24 +209,25 @@ class SparseOperator:
             psi = psi.amplitudes
         if psi.ndim not in (1, 2) or psi.shape[-1] != self.dim:
             raise ValueError(f"expected {self.dim} amplitudes per row, got shape {psi.shape}")
-        out, left = None, psi.shape[0] if psi.ndim == 2 else 1
-        for factor in self.factors:
-            d = _size(factor)
-            term = _apply_diagonals(factor, psi.reshape(left, d, -1)).reshape(psi.shape)
+        rows, out = psi.reshape(-1, self.dim), None
+        for o, values in self.diagonals.items():
+            span, cols = _span(o, self.dim)
             if out is None:
-                out = term
+                out = np.empty(rows.shape, dtype=np.result_type(rows, values))
+                np.multiply(values[span], rows[:, cols], out=out[:, span])
+                out[:, :span.start] = 0
+                out[:, span.stop:] = 0
             else:
-                out += term
-            left *= d
+                out[:, span] += values[span] * rows[:, cols]
         out += 0.0  # the +0.0 CSR starts every sum from
-        return out
+        return out.reshape(psi.shape)
 
     def to_dense(self) -> np.ndarray:
-        """The composite matrix as a dense complex array: the columns op e_j."""
+        """The matrix as a dense complex array: the columns op e_j."""
         return np.ascontiguousarray(self.apply(np.eye(self.dim, dtype=np.complex128)).T)
 
     def __repr__(self):
-        return f"<SparseOperator dims={self.mode_dims} factors={len(self.factors)}>"
+        return f"<SparseOperator dims={self.mode_dims} diagonals={len(self.diagonals)}>"
 
 
 class StateVector:
@@ -301,8 +277,8 @@ def position_op(mode: ModeSpec) -> SparseOperator:
     """
     a = _ladder_diagonal(mode.dim)
     scale = math.sqrt(mode.hbar / (2.0 * mode.mass))
-    return SparseOperator((mode.dim,), [{-1: (0 + _shifted(np.conj(a), -1)) * scale,
-                                         1: (a + 0) * scale}], hermitian=True)
+    return SparseOperator((mode.dim,), {-1: (0 + _shifted(np.conj(a), -1)) * scale,
+                                        1: (a + 0) * scale}, hermitian=True)
 
 
 def momentum_op(mode: ModeSpec) -> SparseOperator:
@@ -310,8 +286,8 @@ def momentum_op(mode: ModeSpec) -> SparseOperator:
     ``1j * scale * (a.getH() - a)`` rounds in ``scipy.sparse``."""
     a = _ladder_diagonal(mode.dim)
     scale = 1j * math.sqrt(mode.mass * mode.hbar / 2.0)
-    return SparseOperator((mode.dim,), [{-1: (_shifted(np.conj(a), -1) - 0) * scale,
-                                         1: (0 - a) * scale}], hermitian=True)
+    return SparseOperator((mode.dim,), {-1: (_shifted(np.conj(a), -1) - 0) * scale,
+                                        1: (0 - a) * scale}, hermitian=True)
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +298,12 @@ def momentum_op(mode: ModeSpec) -> SparseOperator:
 def cm_operators_numeric(system):
     """(X_CM, V_CM, P_TOT) on the tensor product of the given modes.
 
-    Each is the Kronecker sum of its weighted single-mode matrices, mode 0
-    the leading factor: (m_k/M) X_k, P_k/M and P_k, each held in numpy as its
-    two off-diagonals, rounded as the ``scipy.sparse`` scalar products round
-    them.  Nothing is assembled and no scipy module is loaded here;
-    ``apply`` works mode by mode, and only ``.matrix`` imports
-    ``scipy.sparse``, for one ``diags`` of the composite diagonals.  Every
-    entry of the assembled matrix is a single product w_k * A_k[i, j]: the
-    modes' terms never overlap.  Equal modes share their factor objects, built once.
+    Each is the Kronecker sum (:func:`_kronecker_sum`) of its weighted
+    single-mode operators, mode 0 the slowest-varying index: (m_k/M) X_k,
+    P_k/M and P_k, each two off-diagonals, rounded as the ``scipy.sparse``
+    scalar products round them, spread over the composite index.  No scipy
+    module is loaded here.  Every entry is a single product w_k * A_k[i, j]:
+    the modes' terms never overlap.
     """
     system = list(system)
     if not system:
@@ -337,17 +311,11 @@ def cm_operators_numeric(system):
     total_mass = sum(m.mass for m in system)
     dims = tuple(m.dim for m in system)
     _check_cap(dims)
-    weighted = {}  # equal modes share one (X, P, V) factor triple
-    for m in system:
-        if m not in weighted:
-            x, p = position_op(m).factors[0], momentum_op(m).factors[0]
-            weighted[m] = ({o: v * (m.mass / total_mass) for o, v in x.items()}, p,
-                           {o: v * (1 / total_mass) for o, v in p.items()})
-    x_factors, p_factors, v_factors = zip(*(weighted[m] for m in system))
-    x_cm = SparseOperator(dims, x_factors, hermitian=True)
-    p_tot = SparseOperator(dims, p_factors, hermitian=True)
-    v_cm = SparseOperator(dims, v_factors, hermitian=True)
-    return x_cm, v_cm, p_tot
+    x = [{o: v * (m.mass / total_mass) for o, v in position_op(m).diagonals.items()}
+         for m in system]
+    p = [momentum_op(m).diagonals for m in system]
+    v = [{o: values * (1 / total_mass) for o, values in f.items()} for f in p]
+    return tuple(SparseOperator(dims, _kronecker_sum(f), hermitian=True) for f in (x, v, p))
 
 
 # ---------------------------------------------------------------------------

@@ -177,13 +177,13 @@ def ground_product(system) -> StateVector:
 
 def ladder(d: int) -> SparseOperator:
     """Lowering operator on a d-level mode: a|n> = sqrt(n)|n-1>."""
-    return SparseOperator((d,), [{1: _ladder_diagonal(d)}])
+    return SparseOperator((d,), {1: _ladder_diagonal(d)})
 
 
 def diagonals(matrix) -> dict:
-    """A square matrix (dense or ``scipy.sparse``) as a ``SparseOperator`` factor:
+    """A square matrix (dense or ``scipy.sparse``) as ``SparseOperator`` diagonals:
     its nonzero diagonals, padded; the zero matrix keeps its main diagonal, so
-    the factor knows its size."""
+    the diagonals know their size."""
     dense = np.asarray(matrix.toarray() if hasattr(matrix, "toarray") else matrix,
                        dtype=np.complex128)
     d = dense.shape[0]
@@ -196,32 +196,42 @@ def diagonals(matrix) -> dict:
     return out
 
 
-def kronsum_matrix(op):
-    """The operator's composite complex CSR matrix, assembled as ``scipy.sparse``
-    folds a Kronecker sum: each factor a CSR matrix of its diagonals, folded with
-    ``kronsum(F_k, S)`` over the factors from a 1x1 zero, so factor 0 ends up the
-    slowest-varying index.  The reference assembly for ``SparseOperator.matrix``."""
+def cm_factors(system) -> tuple:
+    """The per-mode factors of (X_CM, V_CM, P_TOT), each a list of diagonals:
+    (m_k/M) X_k, P_k/M and P_k, scaled as ``scipy.sparse`` scales a CSR matrix."""
+    system = list(system)
+    total_mass = sum(m.mass for m in system)
+    x = [diagonals(position_op(m).matrix * (m.mass / total_mass)) for m in system]
+    p = [diagonals(momentum_op(m).matrix) for m in system]
+    v = [diagonals(momentum_op(m).matrix * (1 / total_mass)) for m in system]
+    return x, v, p
+
+
+def kronsum_matrix(factors):
+    """The complex CSR matrix of the Kronecker sum of per-mode factors, assembled as
+    ``scipy.sparse`` folds it: each factor a CSR matrix of its diagonals, folded
+    with ``kronsum(F_k, S)`` over the factors from a 1x1 zero, so factor 0 ends up
+    the slowest-varying index.  The reference assembly for the ``matrix`` of an
+    operator built by ``hilbert_rep._kronecker_sum``."""
     import scipy.sparse as sp
 
-    csr = [sp.diags([v[_span(o, len(v))[0]] for o, v in f.items()], list(f),
-                    shape=(_size(f), _size(f)), format="csr", dtype=np.complex128)
-           for f in op.factors]
-    if len(csr) == 1:
-        return csr[0]
     total = sp.csr_matrix((1, 1), dtype=np.complex128)
-    for factor in csr:
-        total = sp.kronsum(factor, total, format="csr")
+    for f in factors:
+        csr = sp.diags([v[_span(o, _size(f))[0]] for o, v in f.items()], list(f),
+                       shape=(_size(f), _size(f)), format="csr", dtype=np.complex128)
+        total = sp.kronsum(csr, total, format="csr")
     return total
 
 
-def sparse_hamiltonian(spec: HamiltonianSpec, ops):
+def sparse_hamiltonian(spec: HamiltonianSpec):
     """H as a complex CSR matrix, assembled with ``scipy.sparse`` (imported here):
-    the Kronecker-sum fold of each CM operator (:func:`kronsum_matrix`), its
-    sparse powers and (H + H^H) / 2.  The reference assembly for
-    ``build_hamiltonian``'s diagonals."""
+    the Kronecker-sum fold of each CM operator's per-mode factors
+    (:func:`kronsum_matrix` of :func:`cm_factors`), its sparse powers and
+    (H + H^H) / 2.  The reference assembly for ``build_hamiltonian``'s diagonals."""
     import scipy.sparse as sp
 
-    x_cm, p_tot = kronsum_matrix(ops[0]), kronsum_matrix(ops[2])
+    x_factors, _, p_factors = cm_factors(spec.modes)
+    x_cm, p_tot = kronsum_matrix(x_factors), kronsum_matrix(p_factors)
     h = (p_tot @ p_tot) / (2.0 * spec.total_mass)
     if spec.potential.terms:
         power = sp.identity(x_cm.shape[0], format="csr", dtype=np.complex128)

@@ -37,6 +37,7 @@ from cmlimit.hilbert_rep import (
     ModeSpec,
     SparseOperator,
     StateVector,
+    _kronecker_sum,
     cm_expectation_record,
     cm_operators_numeric,
     coherent_product,
@@ -194,7 +195,7 @@ def test_one_mode_hamiltonian_equals_folded_build(n, dim):
     zero = scipy.sparse.csr_matrix((1, 1), dtype=np.complex128)
     folded = tuple(
         SparseOperator(op.mode_dims,
-                       [diagonals(scipy.sparse.kronsum(op.matrix, zero, format="csr"))],
+                       diagonals(scipy.sparse.kronsum(op.matrix, zero, format="csr")),
                        hermitian=True)
         for op in ops
     )
@@ -237,7 +238,7 @@ def test_numpy_hamiltonian_matches_sparse_assembly(modes_drawn, coeffs):
     spec = HamiltonianSpec(modes=modes, potential=PolynomialPotential.from_coeffs(coeffs))
     ops = cm_operators_numeric(modes)
     h = build_hamiltonian(spec, ops=ops).matrix.toarray()
-    csr = sparse_hamiltonian(spec, ops).toarray()
+    csr = sparse_hamiltonian(spec).toarray()
     assert not h.imag.any()
     if len(modes) == 1 or spec.potential.degree <= 2:
         assert np.array_equal(h, csr)
@@ -543,7 +544,7 @@ def _banded(d, band, scale, seed):
 def test_krylov_sampler_rows_match_the_dense_exponential(d, band, scale, hbar, dt, steps, seed):
     # each basis certifies its samples at 1e-14 by its error estimate; the rows
     # stay within 1e-11 of the exact exponential, in any row blocks
-    h = SparseOperator((d,), [_banded(d, band, scale, seed)], hermitian=True)
+    h = SparseOperator((d,), _banded(d, band, scale, seed), hermitian=True)
     rng = np.random.default_rng(seed + 1)
     psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi0 /= np.linalg.norm(psi0)
@@ -559,8 +560,8 @@ def test_krylov_sampler_rows_match_the_dense_exponential(d, band, scale, hbar, d
 @pytest.mark.parametrize("entry, hbar", [(np.inf, 1.0), (np.nan, 1.0), (1e308, 1e-10)],
                          ids=["infinite", "nan", "overflows-over-hbar"])
 def test_krylov_sampler_refuses_a_non_finite_coefficient(entry, hbar):
-    h = SparseOperator((4,), [{-1: np.array([0.0, 1, 1, 1]), 0: np.array([entry, 1, 1, 1]),
-                               1: np.array([1.0, 1, 1, 0])}])
+    h = SparseOperator((4,), {-1: np.array([0.0, 1, 1, 1]), 0: np.array([entry, 1, 1, 1]),
+                              1: np.array([1.0, 1, 1, 0])})
     _, sample = dynamics._krylov_sampler(h, np.full(4, 0.5 + 0j), np.array([0.0, 0.1]), hbar)
     with pytest.raises(OverflowError, match="floating-point range"):
         sample(slice(None))
@@ -573,7 +574,7 @@ def test_krylov_sampler_refuses_a_run_it_cannot_finish(monkeypatch, start, max_s
     # more than MAX_STEPS of them, or one that t + step rounds away (the ulp of
     # 2^60 is 256), refuse
     monkeypatch.setattr(dynamics, "MAX_STEPS", max_steps)
-    h = SparseOperator((100,), [_banded(100, 3, 50.0, 0)], hermitian=True)
+    h = SparseOperator((100,), _banded(100, 3, 50.0, 0), hermitian=True)
     _, sample = dynamics._krylov_sampler(h, basis_state(100).amplitudes,
                                          np.array([start, start + 1024.0]), 0.5)
     with pytest.raises(OverflowError, match=f"more than {max_steps} substeps"):
@@ -850,7 +851,7 @@ def test_ehrenfest_quartic_squared_observable(monkeypatch):
     h = build_hamiltonian(spec)
     x_cm = cm_operators_numeric(spec.modes)[0]
     x_sq = x_cm.matrix @ x_cm.matrix
-    x_sq = SparseOperator(x_cm.mode_dims, [diagonals((x_sq + x_sq.getH()) * 0.5)],
+    x_sq = SparseOperator(x_cm.mode_dims, diagonals((x_sq + x_sq.getH()) * 0.5),
                           hermitian=True)
 
     def residual(dt):
@@ -865,8 +866,10 @@ def test_ehrenfest_quartic_squared_observable(monkeypatch):
 def test_expectation_product_of_non_hermitian_kronecker_sums():
     # a and b are not Hermitian, so each is applied to the other's image
     dims = (3, 4)
-    a = SparseOperator(dims, [ladder(3).factors[0], diagonals(ladder(4).matrix.T)])
-    b = SparseOperator(dims, [diagonals(ladder(3).matrix.T * 0.5), ladder(4).factors[0]])
+    a = SparseOperator(dims, _kronecker_sum([ladder(3).diagonals,
+                                             diagonals(ladder(4).matrix.T)]))
+    b = SparseOperator(dims, _kronecker_sum([diagonals(ladder(3).matrix.T * 0.5),
+                                             ladder(4).diagonals]))
     rng = np.random.default_rng(7)
     amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     psi = StateVector(dims, amps / np.linalg.norm(amps))

@@ -22,6 +22,7 @@ from cmlimit.hilbert_rep import (
     ModeSpec,
     SparseOperator,
     StateVector,
+    _kronecker_sum,
     cm_expectation_record,
     cm_expectation_records,
     cm_operators_numeric,
@@ -39,6 +40,7 @@ from cmlimit.hilbert_rep import (
 )
 from oracles import (
     basis_state,
+    cm_factors,
     diagonals,
     ground_product,
     kronsum_matrix,
@@ -76,6 +78,13 @@ def test_position_momentum_d2():
     assert np.allclose(x, np.array([[0, 1], [1, 0]]) / math.sqrt(2))
     p = momentum_op(m).to_dense()
     assert np.allclose(p, np.array([[0, -1j], [1j, 0]]) / math.sqrt(2))
+
+
+@pytest.mark.parametrize("dim", [2.5, 3.0, "3", 1])
+def test_mode_spec_refuses_a_dim_that_is_no_integer_of_at_least_2(dim):
+    # refused when built, not later by a size mismatch or a numpy TypeError
+    with pytest.raises(ValueError, match="dim must be an integer of at least 2"):
+        ModeSpec(1.0, dim)
 
 
 def test_position_momentum_hermitian_tridiagonal():
@@ -174,15 +183,6 @@ def test_cm_operators_match_kron_oracle(modes_drawn):
         assert np.array_equal(dense, dense.conj().T)
 
 
-def test_equal_modes_share_their_factors():
-    # N equal modes build, convert and check their single-mode factors once
-    mode, other = ModeSpec(mass=1.5, dim=4), ModeSpec(mass=2.0, dim=4)
-    for op in cm_operators_numeric([mode, other, mode, mode]):
-        f = op.factors
-        assert f[0] is f[2] is f[3]
-        assert f[1] is not f[0]
-
-
 def _random_state(seed, dims):
     rng = np.random.default_rng(seed)
     size = math.prod(dims)
@@ -224,26 +224,12 @@ def test_product_state_variances_are_analytic(modes_drawn):
     assert variance(p_tot, psi) == pytest.approx(var_p, abs=1e-12)
 
 
-def _csr_mode_by_mode(op, rows):
-    """op applied as a CSR product per factor on its axis, the terms summed in
-    mode order: the sparse-matrix apply the shifted slices replace."""
-    out, left = None, len(rows)
-    for factor in op.factors:
-        d = len(next(iter(factor.values())))
-        csr = SparseOperator((d,), [factor]).matrix
-        block = rows.reshape(left, d, -1).transpose(1, 0, 2).reshape(d, -1)
-        term = (csr @ block).reshape(d, left, -1).transpose(1, 0, 2).reshape(rows.shape)
-        out = term if out is None else out + term
-        left *= d
-    return out
-
-
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(st.lists(st.tuples(_RATIONAL_MASS, st.integers(2, 12)), min_size=1, max_size=4),
        st.integers(1, 3), _SEED)
 def test_shifted_slice_apply_is_bitwise_csr(modes_drawn, rows, seed):
-    # exact zeros of either sign in the amplitudes: a row sum that is zero must
-    # come out +0.0, as CSR's sums from +0.0 do
+    # at every mode count; exact zeros of either sign in the amplitudes: a row
+    # sum that is zero must come out +0.0, as CSR's sums from +0.0 do
     system = [ModeSpec(mass=float(m), dim=d) for m, d in modes_drawn]
     rng = np.random.default_rng(seed)
     shape = (rows, math.prod(d for _, d in modes_drawn))
@@ -253,11 +239,7 @@ def test_shifted_slice_apply_is_bitwise_csr(modes_drawn, rows, seed):
     stack.imag[rng.random(shape) < 0.2] = -0.0
     for op in cm_operators_numeric(system):
         applied = op.apply(stack)
-        assert applied.tobytes() == _csr_mode_by_mode(op, stack).tobytes()
-        if len(system) == 1:  # one factor: the composite matrix is that factor's
-            assert applied.tobytes() == np.ascontiguousarray((op.matrix @ stack.T).T).tobytes()
-        else:  # the composite CSR row adds the modes' entries in another order
-            assert np.abs(applied - (op.matrix @ stack.T).T).max() <= 1e-14
+        assert applied.tobytes() == np.ascontiguousarray((op.matrix @ stack.T).T).tobytes()
 
 
 _UNEQUAL_MODES = {
@@ -273,35 +255,37 @@ _POTENTIALS = {"harmonic": {2: 0.5}, "quartic-cubic": {4: 0.1, 3: 0.3},
 
 def _matrix_cases():
     for name, system in _UNEQUAL_MODES.items():
-        for label, op in zip(("X_CM", "V_CM", "P_TOT"), cm_operators_numeric(system)):
-            yield pytest.param(op, id=f"{label} {name}")
+        for label, op, factors in zip(("X_CM", "V_CM", "P_TOT"), cm_operators_numeric(system),
+                                      cm_factors(system)):
+            yield pytest.param(op, factors, id=f"{label} {name}")
     for name, system in (("1 mode", [ModeSpec(mass=2.0, dim=12)]),
                          ("3 modes", [ModeSpec(mass=1.0, dim=4), ModeSpec(mass=2.0, dim=3),
                                       ModeSpec(mass=0.5, dim=5)])):
         for label, coeffs in _POTENTIALS.items():
             spec = HamiltonianSpec(modes=tuple(system),
                                    potential=PolynomialPotential.from_coeffs(coeffs))
-            yield pytest.param(build_hamiltonian(spec), id=f"H {label} {name}")
-    yield pytest.param(SparseOperator((3, 4), [ladder(3).factors[0],
-                                               diagonals(ladder(4).matrix.T * 0.5)]),
+            h = build_hamiltonian(spec)
+            yield pytest.param(h, [h.diagonals], id=f"H {label} {name}")
+    factors = [ladder(3).diagonals, diagonals(ladder(4).matrix.T * 0.5)]
+    yield pytest.param(SparseOperator((3, 4), _kronecker_sum(factors)), factors,
                        id="non-Hermitian sum")
 
 
-@pytest.mark.parametrize("op", _matrix_cases())
-def test_matrix_is_the_kronsum_fold_byte_for_byte(op):
-    # one diags of the composite diagonals stores what the per-factor CSR fold
-    # stores, signed zeros included; operator_nnz counts the same entries
-    matrix, oracle = op.matrix, kronsum_matrix(op)
+@pytest.mark.parametrize("op, factors", _matrix_cases())
+def test_matrix_is_the_kronsum_fold_byte_for_byte(op, factors):
+    # one diags of the diagonals stores what the per-mode CSR fold stores,
+    # signed zeros included; operator_nnz counts the same entries
+    matrix, oracle = op.matrix, kronsum_matrix(factors)
     assert matrix.nnz == oracle.nnz
     for part in ("data", "indices", "indptr"):
         assert getattr(matrix, part).tobytes() == getattr(oracle, part).tobytes()
 
 
 def test_kronecker_sum_rejects_non_hermitian_factor():
-    x = position_op(ModeSpec(mass=1.0, dim=3)).factors[0]
+    x = position_op(ModeSpec(mass=1.0, dim=3)).diagonals
     with pytest.raises(ValueError, match="marked Hermitian"):
-        SparseOperator((3, 4), [x, ladder(4).factors[0]], hermitian=True)
-    op = SparseOperator((3, 4), [x, ladder(4).factors[0]])
+        SparseOperator((3, 4), _kronecker_sum([x, ladder(4).diagonals]), hermitian=True)
+    op = SparseOperator((3, 4), _kronecker_sum([x, ladder(4).diagonals]))
     assert not op.hermitian
 
 
@@ -388,7 +372,7 @@ def test_product_state_separability():
     psi0 = coherent_state(MODE, 0.7, 0.1)
     psi1 = coherent_state(MODE, -0.3, 0.4)
     joint = product_state([psi0, psi1])
-    x0 = SparseOperator((16, 16), [diagonals(np.kron(position_op(MODE).to_dense(), np.eye(16)))])
+    x0 = SparseOperator((16, 16), diagonals(np.kron(position_op(MODE).to_dense(), np.eye(16))))
     expected = expectation(position_op(MODE), psi0)
     assert abs(expectation(x0, joint) - expected) < 1e-12
     assert abs(joint.norm() - 1.0) < 1e-12
@@ -578,15 +562,27 @@ def test_cm_pair_ops_commutator_scale():
 def test_sparse_operator_hermitian_flag_validation():
     # a NaN defect is refused too, also on the lowest diagonal, where it came
     # first in the max of the defects and hid an asymmetric one
-    for factor in (diagonals(np.array([[0, 1], [0, 0]])), {0: np.array([np.nan, 0.0])},
-                   {-1: np.array([np.nan, 0.0]), 0: np.array([1j, 0.0])}):
+    for diags in (diagonals(np.array([[0, 1], [0, 0]])), {0: np.array([np.nan, 0.0])},
+                  {-1: np.array([np.nan, 0.0]), 0: np.array([1j, 0.0])}):
         with pytest.raises(ValueError):
-            SparseOperator((2,), [factor], hermitian=True)
+            SparseOperator((2,), diags, hermitian=True)
 
 
 def test_sparse_operator_takes_diagonals_only():
-    # a factor is {offset: values}; a dense or scipy.sparse matrix is refused
+    # the diagonals are {offset: values}; a dense or scipy.sparse matrix is refused
     x = position_op(ModeSpec(mass=1.0, dim=3))
-    for matrix in (x.to_dense(), x.matrix):
+    for matrix in (x.to_dense(), x.matrix, [x.diagonals]):
         with pytest.raises(TypeError, match="offset"):
-            SparseOperator((3,), [matrix])
+            SparseOperator((3,), matrix)
+
+
+@pytest.mark.parametrize("diags, message", [
+    ({}, "at least one diagonal"),
+    ({0: np.ones(3), 1: np.ones(2)}, "3 values"),
+    ({3: np.ones(3)}, "leaves the 3 x 3 matrix"),
+    ({-3: np.ones(3)}, "leaves the 3 x 3 matrix"),
+], ids=["no diagonal", "short diagonal", "offset past the last column", "offset past the last row"])
+def test_sparse_operator_refuses_malformed_diagonals(diags, message):
+    # refused when built, not later inside apply as a numpy broadcast error
+    with pytest.raises(ValueError, match=message):
+        SparseOperator((3,), diags)

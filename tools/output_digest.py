@@ -18,9 +18,10 @@ for a cell-by-cell look at the commands whose digests differ.
 ``--against DIR`` reads the outputs that ``--save DIR`` wrote for another
 checkout (its parent, say) and ends the line of each output that differs
 from its saved one with the number of differing cells (comma-separated
-fields) and the largest relative and absolute difference of a numeric cell;
-a differing cell that is not a number, or a missing or reshaped output,
-reads ``inf``.  A last line counts the outputs that differ.
+fields), the ``table.column`` of those cells with their counts, and the
+largest relative and absolute difference of a numeric cell; a differing
+cell that is not a number, or a missing or reshaped output, reads ``inf``.
+A last line counts the outputs that differ.
 
 BLAS and OpenMP are pinned to one thread before numpy loads, as the
 benchmark pins its workers: LAPACK's ``eigh`` rounds differently under two
@@ -39,19 +40,42 @@ from pathlib import Path
 SEEDS = range(1, 6)
 
 
+def _cell_names(text: str) -> list:
+    """The ``table.column`` name of each comma-separated cell of an output, in
+    order: a ``# name`` line starts a table and the next line is its header; the
+    cells of those two lines are named by the table alone, and the columns of a
+    lone table (named '') by the column alone."""
+    names, table, header = [], "", None
+    for line in text.splitlines():
+        cells = line.split(",")
+        if line.startswith("# "):
+            table, header = line[2:], None
+        elif header is None:
+            header = [f"{table}.{column}" if table else column for column in cells]
+        else:
+            names += [header[j] if j < len(header) else table for j in range(len(cells))]
+            continue
+        names += [table] * len(cells)
+    return names
+
+
 def cell_differences(text: str, saved: str) -> tuple:
-    """The number of cells in which two outputs differ, and the largest relative
-    and absolute difference over them; the differences are inf once a differing
-    cell is not a number, or when the outputs' rows or cells do not line up."""
+    """The number of cells in which two outputs differ, the largest relative and
+    absolute difference over them, and the number of differing cells per
+    ``table.column``; the differences are inf once a differing cell is not a
+    number, and inf with no columns named when the outputs' rows or cells do not
+    line up."""
     ours = [line.split(",") for line in text.splitlines()]
     theirs = [line.split(",") for line in saved.splitlines()]
     if [len(row) for row in ours] != [len(row) for row in theirs]:
-        return max(sum(map(len, ours)), 1), math.inf, math.inf
-    count, relative, absolute = 0, 0.0, 0.0
-    for a, b in zip((c for row in ours for c in row), (c for row in theirs for c in row)):
+        return max(sum(map(len, ours)), 1), math.inf, math.inf, {}
+    count, relative, absolute, columns = 0, 0.0, 0.0, {}
+    for name, a, b in zip(_cell_names(text), (c for row in ours for c in row),
+                          (c for row in theirs for c in row)):
         if a == b:
             continue
         count += 1
+        columns[name] = columns.get(name, 0) + 1
         try:
             x, y = float(a), float(b)
         except ValueError:
@@ -59,7 +83,7 @@ def cell_differences(text: str, saved: str) -> tuple:
             continue
         absolute = max(absolute, abs(x - y))
         relative = max(relative, abs(x - y) / max(abs(x), abs(y)))
-    return count, relative, absolute
+    return count, relative, absolute, columns
 
 
 def main() -> int:
@@ -99,9 +123,10 @@ def main() -> int:
                     saved = saved.read_text() if saved.is_file() else None
                     if saved != text:
                         differing += 1
-                        cells, relative, absolute = cell_differences(text, saved or "")
-                        line.append(f"differs: {cells} cells, largest relative {relative:.2g}, "
-                                    f"absolute {absolute:.2g}")
+                        cells, relative, absolute, columns = cell_differences(text, saved or "")
+                        named = ", ".join(f"{name} {n}" for name, n in columns.items())
+                        line.append(f"differs: {cells} cells ({named or 'not lined up'}), "
+                                    f"largest relative {relative:.2g}, absolute {absolute:.2g}")
                 print(*line, flush=True)
     if args.against is not None:
         print(f"{differing} of {outputs} outputs differ from {args.against}")
