@@ -54,7 +54,7 @@ brackets once; [f, g] is still computed per call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product as _cartesian
@@ -785,6 +785,7 @@ class ParticleSystem:
     """
 
     masses: tuple
+    total_mass: Fraction = field(init=False, repr=False, compare=False)  # summed once
 
     def __post_init__(self):
         masses = tuple(_as_fraction(m) for m in self.masses)
@@ -793,6 +794,7 @@ class ParticleSystem:
         if any(m <= 0 for m in masses):
             raise ValueError("masses must be positive")
         object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "total_mass", sum(masses, Fraction(0)))
 
     @classmethod
     def uniform(cls, n: int, mass=1) -> "ParticleSystem":
@@ -803,10 +805,6 @@ class ParticleSystem:
     @property
     def n(self) -> int:
         return len(self.masses)
-
-    @property
-    def total_mass(self) -> Fraction:
-        return sum(self.masses, Fraction(0))
 
     @property
     def mean_mass(self) -> Fraction:

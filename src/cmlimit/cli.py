@@ -7,15 +7,19 @@ Subcommands::
     uncertainty   uncertainty products of N equal coherent modes vs the bound
     evolve        quantum trajectory next to its classical twin
 
-Outputs are deterministic tables (CSV by default, JSON with --format json).
-Exit codes: 0 success, 1 configuration or parse error, 2 numeric-gate
-failure (truncation or norm drift), with partial output and a FAILED marker.
-Flags override config-file values, which override built-in defaults.
+Each experiment's flags are read straight from the ``_FIELDS`` table, as
+``--name VALUE`` or ``--name=VALUE``: the token after ``--name`` is always its
+value, so ``--potential -x^4`` reads as a potential, and a flag is never
+abbreviated.  ``-h`` or ``--help`` prints the usage, built from the same
+table.  Outputs are deterministic tables (CSV by default, JSON with --format
+json).  Exit codes: 0 success (and help), 1 configuration or parse error, 2
+numeric-gate failure (truncation or norm drift), with partial output and a
+FAILED marker.  Flags override config-file values, which override built-in
+defaults.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import math
@@ -361,30 +365,20 @@ class ExperimentConfig:
         return self.values[key]
 
 
-class _RaisingParser(argparse.ArgumentParser):
-    # argparse exits on error; the contract wants exit code 1 and no traceback
-    def error(self, message):
-        raise ConfigError(message)
+class _Usage(Exception):
+    """``-h`` or ``--help``: the usage text to print, with exit code 0."""
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _RaisingParser(
-        prog="cmlimit",
-        description="Experiments on center-of-mass observables: exact commutator "
-        "scaling, factorization residuals, uncertainty saturation and "
-        "quantum-vs-classical trajectories.",
-        epilog="Exit codes: 0 success, 1 configuration/parse error, 2 numeric-gate failure.",
-    )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    precedence = "explicit flags override config-file values, which override defaults"
-    for experiment, fields in _FIELDS.items():
-        p = sub.add_parser(experiment, description=f"run the {experiment} experiment",
-                           epilog=precedence)
-        p.add_argument("--config", default=None, help="config file with 'key = value' lines")
-        for field in fields:
-            p.add_argument(f"--{field.name}", default=None, metavar="VALUE",
-                           help=f"{field.help} (default: {field.default})")
-    return parser
+def _usage(experiment=None) -> str:
+    """The experiments, or one experiment's flags, read from ``_FIELDS``."""
+    if experiment is None:
+        return (f"usage: cmlimit {{{','.join(_FIELDS)}}} [--FLAG VALUE | --FLAG=VALUE ...]\n"
+                "exit codes: 0 success, 1 configuration or parse error, 2 numeric-gate failure\n")
+    return "".join([f"usage: cmlimit {experiment} [--FLAG VALUE | --FLAG=VALUE ...]\n",
+                    "  --config VALUE  config file with 'key = value' lines\n",
+                    *(f"  --{f.name} VALUE  {f.help} (default: {f.default})\n"
+                      for f in _FIELDS[experiment]),
+                    "explicit flags override config-file values, which override defaults\n"])
 
 
 def _load_config_file(path: str) -> dict:
@@ -404,17 +398,37 @@ def _load_config_file(path: str) -> dict:
     return entries
 
 
-def build_config(argv) -> ExperimentConfig:
-    args = _build_parser().parse_args(argv)
-    fields = _FIELDS[args.experiment]
+def build_config(argv=None) -> ExperimentConfig:
+    """EXPERIMENT, then ``--name VALUE`` or ``--name=VALUE`` for ``--config`` and the
+    experiment's ``_FIELDS``: the token after ``--name`` is its value, whatever it looks
+    like, and a repeated flag's last value wins.  ``-h`` or ``--help`` raises _Usage."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    experiment = argv[0] if argv else None
+    if experiment in ("-h", "--help"):
+        raise _Usage(_usage())
+    if experiment not in _FIELDS:
+        raise ConfigError(f"expected an experiment, one of {', '.join(_FIELDS)}; "
+                          f"got {'nothing' if experiment is None else repr(experiment)}")
+    fields = _FIELDS[experiment]
     known = {f.name for f in fields}
-    file_entries = _load_config_file(args.config) if args.config else {}
+    flags, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            raise _Usage(_usage(experiment))
+        name, eq, value = token.partition("=")
+        if not (name.startswith("--") and name[2:] in known | {"config"}):
+            raise ConfigError(f"unrecognized argument {token!r} for experiment {experiment!r}")
+        flags[name[2:]] = value if eq else next(tokens, None)
+    if None in flags.values():  # only the last token can lack its value
+        raise ConfigError(f"{argv[-1]}: expected a value")
+    config_path = flags.pop("config", None)
+    file_entries = _load_config_file(config_path) if config_path else {}
     for key in file_entries:
         if key not in known:
-            raise ConfigError(f"unknown config key {key!r} for experiment {args.experiment!r}")
+            raise ConfigError(f"unknown config key {key!r} for experiment {experiment!r}")
     values, given = {}, set()
     for field in fields:
-        raw = getattr(args, field.name.replace("-", "_"))
+        raw = flags.get(field.name)
         if raw is None:
             raw = file_entries.get(field.name)
         if raw is None:
@@ -431,7 +445,7 @@ def build_config(argv) -> ExperimentConfig:
     if "masses" in given and clashes:  # scaling's one system of explicit masses
         raise ConfigError(f"--masses, {', '.join(clashes)}: --masses sets the particle count "
                           "and the masses, so --N and --mbar do not apply")
-    return ExperimentConfig(experiment=args.experiment, values=values)
+    return ExperimentConfig(experiment=experiment, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -764,11 +778,12 @@ def main(argv=None) -> int:
         result = _RUNNERS[config.experiment](config)
         text = _render_csv(result) if config["format"] == "csv" else _render_json(result)
         _write_output(text, config["out"])
+    except _Usage as usage:
+        sys.stdout.write(str(usage))
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:  # argparse --help
-        return int(exc.code or 0)
     except Exception as exc:  # contract: malformed input never produces a traceback
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -23,16 +23,18 @@ within CUT_TOLERANCE of the whole block's over the run, L doubling up to the
 whole block.  Above dimension 2048, short Lanczos steps apply the same
 diagonals by ``SparseOperator.apply``; neither side loads scipy.  Each
 propagator is a sampler of one diagonal block of H, built once;
-``evolve_quantum`` walks the time grid once, in blocks of rows of about 2^16
-amplitudes, each filled from every sampler (one GEMM per ``eigh`` or per
-Lanczos basis), evaluated and dropped, so a run never holds all its rows: the
-CM record (:mod:`cmlimit.hilbert_rep`) and the energy read one pair of X_CM
-and V_CM images of a block.  Norm drift is measured, never corrected --
-silent renormalization would hide a propagation failure.  The classical
-twin integrates Hamilton's equations xdot = p/M, pdot = -U'(x) with classic
-4th-order steps on the same time grid.  Both runs are kept as columns: every
-sampled quantity, quantum or classical, is a 1-D array with one entry per
-sample time, from the stacked evaluation to the CLI's tables.
+``evolve_quantum`` walks the time grid once, in blocks of rows of about 2^14
+amplitudes (256 KiB a complex array, so the block's handful of arrays stays in
+a core's L2 cache through the elementwise passes), each filled from every
+sampler (one GEMM per ``eigh`` or per Lanczos basis), evaluated and dropped,
+so a run never holds all its rows: the CM record (:mod:`cmlimit.hilbert_rep`)
+and the energy read one pair of X_CM and V_CM images of a block.  Norm drift
+is measured, never corrected -- silent renormalization would hide a
+propagation failure.  The classical twin integrates Hamilton's equations
+xdot = p/M, pdot = -U'(x) with classic 4th-order steps on the same time grid.
+Both runs are kept as columns: every sampled quantity, quantum or classical,
+is a 1-D array with one entry per sample time, from the stacked evaluation to
+the CLI's tables.
 
 When the Hamiltonian depends only on CM variables the CM sector factorizes
 exactly, so ``effective_cm_system`` (a single mode of mass N*mbar) carries
@@ -60,7 +62,7 @@ from .hilbert_rep import (
 )
 
 EIG_DIMENSION_LIMIT = 2048
-SAMPLE_BLOCK_AMPLITUDES = 2**16  # amplitudes evaluated together; one row above it
+SAMPLE_BLOCK_AMPLITUDES = 2**14  # amplitudes evaluated together; one row above it
 MAX_STEPS = 100_000  # samples, each a column entry and a CSV row; and Lanczos substeps
 NORM_DRIFT_LIMIT = 1e-8
 CUT_TOLERANCE = 1e-13  # certified norm error of an eigh sampler's level cut, over the run
@@ -563,7 +565,7 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
                     for index in _blocks(h)]
     else:
         samplers = [_krylov_sampler(h, psi0.amplitudes, times, spec.hbar)]
-    step = max(1, SAMPLE_BLOCK_AMPLITUDES // dim)  # each temporary stays near 1 MiB
+    step = max(1, SAMPLE_BLOCK_AMPLITUDES // dim)  # each temporary stays near 256 KiB
     blocks = []
     for start in range(0, len(times), step):
         rows = slice(start, start + step)

@@ -15,8 +15,13 @@ The matrix oracle :func:`poly_matrix` evaluates a symbolic element on dense
 (X, V) matrices with numpy's matrix products alone, so it shares no
 arithmetic with the diagonal algebra of :mod:`cmlimit.hilbert_rep` that
 assembles the Hamiltonian.
+
+The argument-parser oracle :func:`reference_config` is the ``argparse``
+parser the CLI used before it read its flags straight from ``_FIELDS``, with
+the configuration step that followed it, unchanged.
 """
 
+import argparse
 import math
 import random
 from fractions import Fraction
@@ -29,7 +34,7 @@ from cmlimit.ccr_algebra import (
     NCPolynomial,
     SymbolPolynomial,
 )
-from cmlimit.cli import _fmt
+from cmlimit.cli import _FIELDS, ConfigError, ExperimentConfig, _fmt, _load_config_file
 from cmlimit.dynamics import (
     HamiltonianSpec,
     PolynomialPotential,
@@ -323,3 +328,60 @@ def gaussian_spreading(n: int, mbar: float, t: float) -> float:
         return cm_expectation_record(psi0, modes).dx
     traj = evolve_quantum(psi0, spec, t_final=t, dt=t)
     return float(traj.dx[-1])
+
+
+class _RaisingParser(argparse.ArgumentParser):
+    # argparse exits on error; the contract wants exit code 1 and no traceback
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _RaisingParser(
+        prog="cmlimit",
+        description="Experiments on center-of-mass observables: exact commutator "
+        "scaling, factorization residuals, uncertainty saturation and "
+        "quantum-vs-classical trajectories.",
+        epilog="Exit codes: 0 success, 1 configuration/parse error, 2 numeric-gate failure.",
+    )
+    sub = parser.add_subparsers(dest="experiment", required=True)
+    precedence = "explicit flags override config-file values, which override defaults"
+    for experiment, fields in _FIELDS.items():
+        p = sub.add_parser(experiment, description=f"run the {experiment} experiment",
+                           epilog=precedence)
+        p.add_argument("--config", default=None, help="config file with 'key = value' lines")
+        for field in fields:
+            p.add_argument(f"--{field.name}", default=None, metavar="VALUE",
+                           help=f"{field.help} (default: {field.default})")
+    return parser
+
+
+def reference_config(argv) -> ExperimentConfig:
+    """``cli.build_config`` as it was on the ``argparse`` parser."""
+    args = _build_parser().parse_args(argv)
+    fields = _FIELDS[args.experiment]
+    known = {f.name for f in fields}
+    file_entries = _load_config_file(args.config) if args.config else {}
+    for key in file_entries:
+        if key not in known:
+            raise ConfigError(f"unknown config key {key!r} for experiment {args.experiment!r}")
+    values, given = {}, set()
+    for field in fields:
+        raw = getattr(args, field.name.replace("-", "_"))
+        if raw is None:
+            raw = file_entries.get(field.name)
+        if raw is None:
+            values[field.name] = field.default
+        else:
+            given.add(field.name)
+            try:
+                values[field.name] = field.parse(raw)
+            except ConfigError as exc:
+                raise ConfigError(f"--{field.name}: {exc}") from exc
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"invalid value for --{field.name}: {raw!r}") from exc
+    clashes = [f"--{name}" for name in ("N", "mbar") if name in given]
+    if "masses" in given and clashes:  # scaling's one system of explicit masses
+        raise ConfigError(f"--masses, {', '.join(clashes)}: --masses sets the particle count "
+                          "and the masses, so --N and --mbar do not apply")
+    return ExperimentConfig(experiment=args.experiment, values=values)

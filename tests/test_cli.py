@@ -21,6 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cmlimit.cli import (
+    _FIELDS,
     ConfigError,
     PotentialSyntaxError,
     _float_rows,
@@ -518,20 +519,21 @@ def test_uncertainty_commands_are_byte_identical(capsys, argv, md5):
 
 
 @pytest.mark.parametrize("argv, md5", [
+    # 2001 samples at d = 160: 20 row blocks of 102
     (("--potential", "0.5*x^2", "--N", "4", "--dim", "160", "--t", "20", "--dt", "0.01",
       "--x0", "1.1", "--p0", "-0.1"),
-     "5b9b2db1ec78d4af90ca990b0302d662"),
+     "362794e7eb7b7ea8cf0e1e65e9da6d3d"),
     (("--potential=x^4-2*x^2+1", "--N", "4", "--dim", "256", "--t", "8", "--dt", "0.01",
       "--x0", "0.9", "--p0", "0.05"),
      "68d4bcf0f5b61e9a198879c631d64a86"),
     (("--potential", "0.5*x^2", "--N", "3", "--model", "full", "--dim", "10", "--t", "1",
       "--dt", "0.01", "--x0", "0.3", "--p0", "0.05"),
-     "89184b0db98b04c3c6396142d896ea86"),
+     "83341c0603da94e887f0e83f8971a5d5"),
     # dimension 2116, past the dense limit: the Lanczos sampler
     (("--potential", "0.5*x^2", "--model", "full", "--N", "2", "--dim", "46", "--t", "0.1",
       "--dt", "0.01", "--x0", "0.3", "--p0", "0.05"),
      "52b8887d40c1c4123b8938b3a0e1e166"),
-    # an odd term couples the parity sectors, 4 row blocks: one Lanczos run streams them
+    # an odd term couples the parity sectors, 15 row blocks: one Lanczos run streams them
     (("--potential", "0.5*x^2 + 0.05*x", "--model", "full", "--N", "2", "--dim", "46",
       "--t", "1", "--dt", "0.01", "--x0", "0.3", "--p0", "0.05"),
      "b619d366f64d8665ecdc70bcbfb857f7"),
@@ -676,6 +678,63 @@ def test_config_malformed_line(tmp_path):
 def test_unknown_flag_is_config_error():
     assert main(["scaling", "--frequency", "2"]) == 1
     assert main(["evolve", "--seed", "1"]) == 1  # only residuals draws random cases
+
+
+@pytest.mark.parametrize("argv, token", [
+    ([], "expected an experiment"),
+    (["simulate"], "'simulate'"),
+    (["--N", "2", "evolve"], "'--N'"),
+    (["evolve", "--pot", "0.5*x^2"], "'--pot'"),  # a flag is never abbreviated
+    (["evolve", "-N", "2"], "'-N'"),
+    (["evolve", "2"], "'2'"),
+    (["evolve", "--", "--N", "2"], "'--'"),
+    (["evolve", "--N"], "--N: expected a value"),
+    (["evolve", "--N", "2", "--dim"], "--dim: expected a value"),
+    (["uncertainty", "--N=2", "--config"], "--config: expected a value"),
+    (["evolve", "--potential", "-h"], "--potential: invalid potential"),  # -h is its value
+])
+def test_refused_command_line_names_the_token(capsys, argv, token):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and token in captured.err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("experiment", ["scaling", "residuals", "uncertainty", "evolve"])
+def test_help_lists_every_flag(capsys, experiment, flag):
+    assert main([experiment, "--format", "json", flag]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    for name in ["config", *(field.name for field in _FIELDS[experiment])]:
+        assert f"  --{name} VALUE  " in captured.out
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_the_experiments(capsys, flag):
+    assert main([flag]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "{scaling,residuals,uncertainty,evolve}" in captured.out
+
+
+def test_the_token_after_a_flag_is_its_value():
+    cfg = build_config(["evolve", "--potential", "-x^4", "--x0", "-0.5", "--p0=-1e-3"])
+    assert (cfg["potential"], cfg["x0"], cfg["p0"]) == ("-x^4", -0.5, -1e-3)
+
+
+def test_cli_import_loads_no_argument_parser():
+    # the flags are read from _FIELDS: neither argparse nor the gettext it loads is
+    # imported, a fixed cost every command would pay
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from cmlimit.cli import main; "
+            "code = main(['scaling', '--N', '1,2']) + main(['evolve', '--help']); "
+            "print(code, *sorted({'argparse', 'gettext'} & set(sys.modules)), file=sys.stderr)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert run.stderr.split() == ["0"]
 
 
 def test_byte_identical_reruns(tmp_path):
