@@ -34,21 +34,28 @@ The scalars s! C(b,s) C(p,s) (-i*q)^s for each (q, b, p) are computed once
 and cached (``_reorder_scalars``); the hbar and eps powers of c^s go into
 the monomial.
 
-``commutator`` does not form f*g and g*f.  Monomials on disjoint pairs commute
-exactly, and the s = 0 term of m1*m2 equals that of m2*m1, so it visits only
-the term pairs that share a pair index and sums the s >= 1 terms of both
-orders: O(N) term pairs for [X_CM, V_CM] over N particles.
+A product term's contraction order is its s summed over the pairs; each
+caller builds only the orders it keeps.  ``commutator`` does not form f*g
+and g*f.  Monomials on disjoint pairs commute exactly, and the s = 0 term of
+m1*m2 equals that of m2*m1, so it visits only the term pairs that share a
+pair index and builds the s >= 1 terms of both orders: O(N) term pairs for
+[X_CM, V_CM] over N particles.
 
 The first-order identities of the CM algebra have two general forms, and the
 other two are their special cases: ``residual_power_identity(n, m)`` is
 ``residual_monomial_identity(n, 0, 0, m)``, and
 ``derivative_identity_residuals(f)`` is the pair of ``residual_poisson``
 against V and X.  Likewise ``divide_central`` is ``scale_central`` by the
-negated powers at q = -1.
+negated powers at q = -1.  Both forms are tails of the star product
+(Agarwal & Wolf, Phys. Rev. D 2 (1970) 2161): on one pair the s = 1 order
+of [f, g] is [X, V] * lift({f, g}), so ``residual_poisson`` is the s >= 2
+orders of [f, g], and ``residual_monomial_identity`` is those minus the
+s >= 1 orders of its bracket products over [X, V].  Neither forms the
+Poisson bracket or a term that the subtraction would cancel.
 
 ``residual_monomial_identity`` computes (f, [f, V], [X, f]) once per
-exponent pair of f and reuses it, so its grid of calls forms each of those
-brackets once; [f, g] is still computed per call.
+exponent pair of f, and each unordered pair (f, g) once: (c, d, a, b) is the
+negation of (a, b, c, d).
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product as _cartesian
+from itertools import product as _cartesian
 from math import comb, factorial
 from numbers import Rational
 
@@ -274,8 +281,8 @@ def _reorder_scalars(q: Fraction, v: int, x: int) -> tuple:
     table = []
     for s in range(min(v, x) + 1):
         unit_re, unit_im = ((1, 0), (0, -1), (-1, 0), (0, 1))[s % 4]
-        weight = factorial(s) * comb(v, s) * comb(x, s) * q**s
-        table.append(GaussianRational(unit_re * weight, unit_im * weight))
+        weight = factorial(s) * comb(v, s) * comb(x, s) * q.numerator**s
+        table.append(_reduced(unit_re * weight, unit_im * weight, q.denominator**s))
     return tuple(table)
 
 
@@ -378,18 +385,18 @@ def _validate_monomial(algebra: AlgebraSpec, mono: Monomial):
 
 
 def _merged_pair_products(algebra: AlgebraSpec, m1: Monomial, m2: Monomial, commuting: bool,
-                          coeff):
+                          coeff, lowest: int = 0):
     """Expansion terms of the product coeff * m1 * m2 in normal order.
 
     Yields ``(Monomial, coefficient)`` pairs.  Within pair k the reordering
     V^b X^p = sum_s s! C(b,s) C(p,s) (-c_k)^s X^{p-s} V^{b-s} applies, with
-    c_k the pair's central constant; distinct pairs commute.  With
-    ``commuting`` only the s = 0 term is kept: the commutative product of
-    the symbols, a single ``(Monomial, coeff)``.  The s = 0 term always comes
-    first, with coefficient coeff; ``commutator`` relies on this.
+    c_k the pair's central constant; distinct pairs commute.  A term's
+    contraction order is its s summed over the pairs, and no term of order
+    below ``lowest`` is built.  With ``commuting`` only the s = 0 term is
+    kept: the commutative product of the symbols, a single ``(Monomial, coeff)``.
     """
     fixed = []
-    options = []  # per-pair alternatives: list of (scalar, h_add, e_add, entry)
+    options = []  # per-pair alternatives: list of (s, scalar, h_add, e_add, entry)
     p1, p2 = m1.pairs, m2.pairs
     i = j = 0
     while i < len(p1) and j < len(p2):
@@ -408,7 +415,7 @@ def _merged_pair_products(algebra: AlgebraSpec, m1: Monomial, m2: Monomial, comm
                 for s, scalar in enumerate(_reorder_scalars(const.q, v1, x2)):
                     xe, ve = x1 + x2 - s, v1 + v2 - s
                     entry = (k1, xe, ve) if (xe or ve) else None
-                    alts.append((scalar, s * const.hbar_exp, s * const.eps_exp, entry))
+                    alts.append((s, scalar, s * const.hbar_exp, s * const.eps_exp, entry))
                 options.append(alts)
                 fixed.append(None)  # placeholder, filled per combination
             else:
@@ -420,16 +427,14 @@ def _merged_pair_products(algebra: AlgebraSpec, m1: Monomial, m2: Monomial, comm
 
     base_h = m1.hbar_exp + m2.hbar_exp
     base_e = m1.eps_exp + m2.eps_exp
-    if not options:
-        yield Monomial(base_h, base_e, tuple(fixed)), coeff
-        return
-
     slots = [idx for idx, entry in enumerate(fixed) if entry is None]
     for combo in _cartesian(*options):
+        if sum(alt[0] for alt in combo) < lowest:
+            continue
         scalar = coeff
         h_add = e_add = 0
         entries = list(fixed)
-        for slot, (scal, ha, ea, entry) in zip(slots, combo):
+        for slot, (_, scal, ha, ea, entry) in zip(slots, combo):
             scalar = scalar * scal
             h_add += ha
             e_add += ea
@@ -535,11 +540,15 @@ class _TermStore:
                 return self._raw(self.algebra, {})
             return self._raw(self.algebra, {m: c * scalar for m, c in self.terms.items()})
         self._check_same_algebra(other)
+        return self._product(other)
+
+    def _product(self, other, lowest: int = 0):
+        """The contraction orders s >= ``lowest`` of self * other (same class and algebra)."""
         out = {}
         algebra, commuting = self.algebra, self.commuting
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                _accumulate(out, _merged_pair_products(algebra, m1, m2, commuting, c1 * c2))
+                _accumulate(out, _merged_pair_products(algebra, m1, m2, commuting, c1 * c2, lowest))
         return self._raw(algebra, out)
 
     __rmul__ = __mul__  # scalars commute with everything
@@ -581,10 +590,16 @@ def commutator(f: NCPolynomial, g: NCPolynomial) -> NCPolynomial:
     """[f, g] = f*g - g*f, normal ordered.
 
     Visits only the term pairs (m1, m2) that share a pair index, found
-    through g's terms indexed by pair, and adds c1*c2*(m1*m2 - m2*m1) without
-    the s = 0 term of either order, which cancels.  Operands of another class
-    or algebra raise as ``f * g`` does; a scalar g gives zero.
+    through g's terms indexed by pair, and adds c1*c2*(m1*m2 - m2*m1) from
+    contraction order 1 up: the s = 0 terms of the two orders cancel, so
+    they are not built.  Operands of another class or algebra raise as
+    ``f * g`` does; a scalar g gives zero.
     """
+    return _bracket(f, g, 1)
+
+
+def _bracket(f, g, lowest: int):
+    """The contraction orders s >= ``lowest`` (at least 1) of [f, g], as ``commutator`` forms them."""
     other = f._operand(g) if isinstance(f, _TermStore) else None
     if other is None:
         raise TypeError(
@@ -603,8 +618,8 @@ def commutator(f: NCPolynomial, g: NCPolynomial) -> NCPolynomial:
             m2, c2 = g_terms[index]
             c12 = c1 * c2
             for left, right, coeff in ((m1, m2, c12), (m2, m1, -c12)):
-                expansion = _merged_pair_products(algebra, left, right, commuting, coeff)
-                _accumulate(out, islice(expansion, 1, None))
+                _accumulate(out, _merged_pair_products(algebra, left, right, commuting, coeff,
+                                                       lowest))
     return f._raw(algebra, out)
 
 
@@ -658,21 +673,26 @@ def residual_power_identity(n: int, m: int) -> NCPolynomial:
     return residual_monomial_identity(n, 0, 0, m)
 
 
+@lru_cache(maxsize=512)
 def residual_monomial_identity(a: int, b: int, c: int, d: int) -> NCPolynomial:
     """Residual of the two-term factorization of [X^a V^b, X^c V^d] in the CM algebra.
 
     Subtracts ([X^a V^b, V] [X, X^c V^d] - [X^c V^d, V] [X, X^a V^b]) divided
     by i hbar eps from the exact commutator; the result has eps-valuation >= 2.
+    [f, V] and [X, f] are i hbar eps times df/dx and df/dv, so the s = 0 order
+    of the subtracted form is the s = 1 order of [f, g]; only the orders
+    above it are formed.  Both sides are antisymmetric in (f, g).
     """
     if min(a, b, c, d) < 0:
         raise ValueError("exponents must be nonnegative")
+    if (a, b) > (c, d):
+        return -residual_monomial_identity(c, d, a, b)
     const = cm_algebra().constants[0]
     f, f_v, x_f = _monomial_brackets(a, b)
     g, g_v, x_g = _monomial_brackets(c, d)
-    lhs = commutator(f, g)
-    numerator = f_v * x_g - g_v * x_f
+    numerator = f_v._product(x_g, 1) - g_v._product(x_f, 1)
     rhs = divide_central(numerator, const.hbar_exp, const.eps_exp) * (1 / const.q)
-    return lhs - rhs
+    return _bracket(f, g, 2) - rhs
 
 
 @lru_cache(maxsize=256)
@@ -752,17 +772,15 @@ def residual_poisson(f: NCPolynomial, g: NCPolynomial) -> NCPolynomial:
 
     In the CM algebra the residual has eps-valuation >= 2: to first order in
     eps, commutators of eps-free polynomials reduce to the Poisson bracket of
-    their symbols.
+    their symbols.  That bracket times [X, V] is the s = 1 order of [f, g],
+    so the residual is formed as the s >= 2 orders of [f, g].
     """
     if f.algebra.n_pairs != 1:
         raise ValueError("this identity is defined on a single-pair algebra")
     f._check_same_algebra(g)
     if any(m.eps_exp for m in f.terms) or any(m.eps_exp for m in g.terms):
         raise ValueError("residual_poisson requires eps-free inputs")
-    const = f.algebra.constants[0]
-    bracket = poisson_bracket(symbol_map(f), symbol_map(g))
-    correction = scale_central(lift(bracket), const.hbar_exp, const.eps_exp, const.q)
-    return commutator(f, g) - correction
+    return _bracket(f, g, 2)
 
 
 def derivative_identity_residuals(f: NCPolynomial):

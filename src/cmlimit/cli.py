@@ -523,7 +523,7 @@ def _leading_coeff_norm(poly, hbar: float) -> float:
     if poly.is_zero:
         return 0.0
     lead = eps_valuation(poly)
-    return sum(
+    return math.fsum(  # correctly rounded, so independent of the term order
         coeff.magnitude() * hbar**mono.hbar_exp
         for mono, coeff in poly.terms.items()
         if mono.eps_exp == lead
@@ -543,7 +543,7 @@ def _random_xv_polynomial(rng: random.Random, algebra, max_degree: int = 3):
 def run_residuals(config: ExperimentConfig) -> ExperimentResult:
     max_degree = config["max-degree"]
     if max_degree > MAX_RESIDUAL_DEGREE:
-        raise ConfigError(f"--max-degree must be at most {MAX_RESIDUAL_DEGREE}")
+        raise ConfigError(f"--max-degree: expected at most {MAX_RESIDUAL_DEGREE}, got {max_degree}")
     hbar = config["hbar"]
     rows = []
 

@@ -16,6 +16,12 @@ The matrix oracle :func:`poly_matrix` evaluates a symbolic element on dense
 arithmetic with the diagonal algebra of :mod:`cmlimit.hilbert_rep` that
 assembles the Hamiltonian.
 
+The residual oracles :func:`residual_poisson_by_definition` and
+:func:`residual_monomial_by_definition` form each first-order identity the
+long way: the whole commutator, minus the lifted Poisson bracket or the
+divided bracket products.  The library takes only the contraction orders
+those subtractions leave.
+
 The argument-parser oracle :func:`reference_config` is the ``argparse``
 parser the CLI used before it read its flags straight from ``_FIELDS``, with
 the configuration step that followed it, unchanged.
@@ -33,6 +39,14 @@ from cmlimit.ccr_algebra import (
     Monomial,
     NCPolynomial,
     SymbolPolynomial,
+    _monomial_brackets,
+    cm_algebra,
+    commutator,
+    divide_central,
+    lift,
+    poisson_bracket,
+    scale_central,
+    symbol_map,
 )
 from cmlimit.cli import _FIELDS, ConfigError, ExperimentConfig, _fmt, _load_config_file
 from cmlimit.dynamics import (
@@ -130,6 +144,32 @@ def slow_mul(f, g):
             key = (h1 + h2, e1 + e2, w1 + w2)
             combined[key] = combined.get(key, ZERO) + c1 * c2
     return words_to_poly(f.algebra, slow_normal_order(f.algebra, combined))
+
+
+def residual_poisson_by_definition(f: NCPolynomial, g: NCPolynomial) -> NCPolynomial:
+    """[f, g] - i*hbar*eps * lift({symbol(f), symbol(g)}) for eps-free inputs, term by term."""
+    if f.algebra.n_pairs != 1:
+        raise ValueError("this identity is defined on a single-pair algebra")
+    f._check_same_algebra(g)
+    if any(m.eps_exp for m in f.terms) or any(m.eps_exp for m in g.terms):
+        raise ValueError("residual_poisson requires eps-free inputs")
+    const = f.algebra.constants[0]
+    bracket = poisson_bracket(symbol_map(f), symbol_map(g))
+    correction = scale_central(lift(bracket), const.hbar_exp, const.eps_exp, const.q)
+    return commutator(f, g) - correction
+
+
+def residual_monomial_by_definition(a: int, b: int, c: int, d: int) -> NCPolynomial:
+    """[X^a V^b, X^c V^d] minus its two-term factorization divided by i hbar eps, in full."""
+    if min(a, b, c, d) < 0:
+        raise ValueError("exponents must be nonnegative")
+    const = cm_algebra().constants[0]
+    f, f_v, x_f = _monomial_brackets(a, b)
+    g, g_v, x_g = _monomial_brackets(c, d)
+    lhs = commutator(f, g)
+    numerator = f_v * x_g - g_v * x_f
+    rhs = divide_central(numerator, const.hbar_exp, const.eps_exp) * (1 / const.q)
+    return lhs - rhs
 
 
 def poly_matrix(poly, pairs, hbar: float, eps: float) -> np.ndarray:

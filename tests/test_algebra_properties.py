@@ -32,7 +32,7 @@ from cmlimit.ccr_algebra import (
     scale_central,
     symbol_map,
 )
-from oracles import slow_mul
+from oracles import residual_poisson_by_definition, slow_mul
 
 ALGEBRAS = (cm_algebra(), build_particle_algebra(ParticleSystem.uniform(2)))
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -185,6 +185,24 @@ def test_derivative_identities_are_poisson_residuals(terms):
     f = NCPolynomial(cm_algebra(), terms)
     X, V = f.algebra.x(), f.algebra.v()
     assert derivative_identity_residuals(f) == (residual_poisson(f, V), residual_poisson(X, f))
+
+
+# one pair with [X, V] = i*(5/3)*hbar: q != 1 and no eps in the central constant
+Q_PAIR = AlgebraSpec(pair_names=(("X", "V"),), constants=(CentralConstant(Fraction(5, 3), 1, 0),))
+DEGREE_4 = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda xv: sum(xv) <= 4)
+EPS_FREE_DEGREE_4 = st.dictionaries(
+    st.builds(lambda h, xv: Monomial(h, 0, ((0, *xv),) if any(xv) else ()),
+              st.integers(0, 2), DEGREE_4),
+    COEFFICIENTS, max_size=4,
+)
+
+
+@PROPERTY
+@given(st.sampled_from((cm_algebra(), Q_PAIR)), EPS_FREE_DEGREE_4, EPS_FREE_DEGREE_4)
+def test_residual_poisson_matches_definition(algebra, f_terms, g_terms):
+    # the s >= 2 orders of [f, g] are [f, g] minus [X, V] * lift({f, g}), exactly
+    f, g = NCPolynomial(algebra, f_terms), NCPolynomial(algebra, g_terms)
+    assert residual_poisson(f, g) == residual_poisson_by_definition(f, g)
 
 
 @PROPERTY

@@ -1,5 +1,6 @@
 """Exactness tests for the normal-ordered canonical-pair algebra."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from cmlimit.ccr_algebra import (
     NotDivisibleError,
     ParticleSystem,
     SymbolPolynomial,
+    _reorder_scalars,
     build_particle_algebra,
     cm_algebra,
     cm_observables,
@@ -34,7 +36,13 @@ from cmlimit.ccr_algebra import (
     symbol_map,
 )
 from cmlimit.cli import main
-from oracles import random_masses, random_polynomial, random_symbol, slow_mul
+from oracles import (
+    random_masses,
+    random_polynomial,
+    random_symbol,
+    residual_monomial_by_definition,
+    slow_mul,
+)
 
 I = GaussianRational(0, 1)
 ALG = cm_algebra()
@@ -117,6 +125,18 @@ def test_product_v2_x2():
         - mono(0, 0, hbar_exp=2, eps_exp=2, coeff=2)
     )
     assert V**2 * X**2 == expected
+
+
+@pytest.mark.parametrize("q", [Fraction(1), Fraction(2, 3), Fraction(5, 2), Fraction(7, 4)])
+def test_reorder_scalars_match_rational_weights(q):
+    # the integer table equals s! C(v,s) C(x,s) (-i*q)^s formed in Fractions
+    for v, x in itertools.product(range(9), repeat=2):
+        expected = tuple(
+            math.prod([-I] * s, start=GaussianRational(
+                math.factorial(s) * math.comb(v, s) * math.comb(x, s) * q**s))
+            for s in range(min(v, x) + 1)
+        )
+        assert _reorder_scalars(q, v, x) == expected
 
 
 def test_product_matches_single_swap_oracle_single_pair():
@@ -294,6 +314,23 @@ def test_residual_monomial_identity_grid():
             for c in range(4):
                 for d in range(4):
                     assert eps_valuation(residual_monomial_identity(a, b, c, d)) >= 2
+
+
+# the residuals grid and the (n, 0, 0, m) cells of its power rows
+MONOMIAL_CELLS = (*itertools.product(range(4), repeat=4),
+                  *((n, 0, 0, m) for n in range(1, 9) for m in range(1, 9)))
+
+
+def test_residual_monomial_identity_matches_definition():
+    for cell in MONOMIAL_CELLS:
+        assert residual_monomial_identity(*cell) == residual_monomial_by_definition(*cell)
+
+
+def test_residual_monomial_identity_is_antisymmetric():
+    for a, b, c, d in MONOMIAL_CELLS:
+        assert residual_monomial_identity(a, b, c, d) == -residual_monomial_identity(c, d, a, b)
+        if (a, b) == (c, d):
+            assert residual_monomial_identity(a, b, c, d).is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,7 @@ def test_residuals_rows(capsys):
 
 def test_residuals_degree_guard(capsys):
     assert main(["residuals", "--max-degree", "9"]) == 1
+    assert capsys.readouterr().err == "error: --max-degree: expected at most 8, got 9\n"
 
 
 def test_uncertainty_saturation(capsys):
@@ -496,6 +497,10 @@ def test_unwritable_out_names_out(capsys, tmp_path, target):
      "bd88e7b7db9ae738b43b956ae6f1a69c"),
     (("scaling", "--masses", "1/3,2/7,5/9,7/11,13/17", "--hbar", "1.5"),
      "79e80f63b839162161050fc9de946b4b"),
+    (("residuals", "--max-degree", "6", "--samples", "30", "--seed", "11", "--hbar", "1.5"),
+     "b9cb2eca9f1e1e67fbfc2752b77d855c"),
+    (("scaling", "--N", "1,2,4,8,16,32,64,128,256", "--mbar", "3/7", "--hbar", "1.0"),
+     "7aa6362470da1a9534899d45f98045c2"),
 ])
 def test_algebra_commands_are_byte_identical(capsys, argv, md5):
     # pinned stdout of the exact-algebra commands; any change in the arithmetic shows here
