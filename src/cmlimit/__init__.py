@@ -20,22 +20,16 @@ from .ccr_algebra import (
     NCPolynomial,
     NotDivisibleError,
     ParticleSystem,
-    SymbolPolynomial,
     build_particle_algebra,
     cm_algebra,
     cm_observables,
     commutator,
-    derivative_identity_residuals,
     divide_central,
     eps_valuation,
-    lift,
-    poisson_bracket,
     render,
-    render_symbol,
     residual_monomial_identity,
     residual_poisson,
     residual_power_identity,
-    symbol_map,
 )
 from .dynamics import (
     DeviationReport,

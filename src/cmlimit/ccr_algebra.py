@@ -24,15 +24,14 @@ Polynomials are stored in normal order (within each pair all X factors
 precede all V factors, pairs sorted by index), which makes the representation
 canonical: two expressions are equal iff their term maps coincide.
 
-One term store, two products: ``NCPolynomial`` (operators) and
-``SymbolPolynomial`` (classical symbols) share the ``Monomial ->
-GaussianRational`` map, +, -, == and the product loop.  The operator product
-reorders each pair by V^b X^p = sum_s s! C(b,s) C(p,s) (-c)^s X^{p-s} V^{b-s}
-(the normal-ordered star product); the commutative symbol product is its
-s = 0 term.  ``symbol_map`` and ``lift`` therefore copy terms unchanged.
-The scalars s! C(b,s) C(p,s) (-i*q)^s for each (q, b, p) are computed once
-and cached (``_reorder_scalars``); the hbar and eps powers of c^s go into
-the monomial.
+One term store, one product: ``NCPolynomial`` is a ``Monomial ->
+GaussianRational`` map whose product reorders each pair by
+V^b X^p = sum_s s! C(b,s) C(p,s) (-c)^s X^{p-s} V^{b-s} (the normal-ordered
+star product).  The scalars s! C(b,s) C(p,s) (-i*q)^s for each (q, b, p) are
+computed once and cached (``_reorder_scalars``); the hbar and eps powers of
+c^s go into the monomial.  Classical symbols, their commutative product and
+the Poisson bracket are not needed by any result here; they live in the test
+oracle, which checks the residuals below against them.
 
 A product term's contraction order is its s summed over the pairs; each
 caller builds only the orders it keeps.  ``commutator`` does not form f*g
@@ -41,14 +40,14 @@ m1*m2 equals that of m2*m1, so it visits only the term pairs that share a
 pair index and builds the s >= 1 terms of both orders: O(N) term pairs for
 [X_CM, V_CM] over N particles.
 
-The first-order identities of the CM algebra have two general forms, and the
-other two are their special cases: ``residual_power_identity(n, m)`` is
-``residual_monomial_identity(n, 0, 0, m)``, and
-``derivative_identity_residuals(f)`` is the pair of ``residual_poisson``
-against V and X.  Likewise ``divide_central`` is ``scale_central`` by the
-negated powers at q = -1.  Both forms are tails of the star product
-(Agarwal & Wolf, Phys. Rev. D 2 (1970) 2161): on one pair the s = 1 order
-of [f, g] is [X, V] * lift({f, g}), so ``residual_poisson`` is the s >= 2
+The first-order identities of the CM algebra have two general forms:
+``residual_poisson(f, g)`` and ``residual_monomial_identity``, of which
+``residual_power_identity(n, m)`` is the case (n, 0, 0, m); the derivative
+identities are ``residual_poisson`` against V and X.  Likewise
+``divide_central`` is ``scale_central`` by the negated powers at q = -1.
+Both forms are tails of the star product (Agarwal & Wolf, Phys. Rev. D 2
+(1970) 2161): on one pair the s = 1 order of [f, g] is [X, V] times the
+normal-ordered Poisson bracket {f, g}, so ``residual_poisson`` is the s >= 2
 orders of [f, g], and ``residual_monomial_identity`` is those minus the
 s >= 1 orders of its bracket products over [X, V].  Neither forms the
 Poisson bracket or a term that the subtraction would cancel.
@@ -209,9 +208,6 @@ class GaussianRational:
     def magnitude(self) -> float:
         return math.sqrt(float(self.abs2()))
 
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
-
     def render(self) -> str:
         """Exact fraction string: ``a/b``, ``c/d*i`` or ``(a/b+c/d*i)``."""
         re, im = self.re, self.im
@@ -357,12 +353,6 @@ class Monomial:
     eps_exp: int = 0
     pairs: tuple = ()
 
-    def exponents(self, pair: int):
-        for k, x, v in self.pairs:
-            if k == pair:
-                return (x, v)
-        return (0, 0)
-
     def dense_exponents(self, n_pairs: int) -> tuple:
         out = [0] * (2 * n_pairs)
         for k, x, v in self.pairs:
@@ -384,16 +374,15 @@ def _validate_monomial(algebra: AlgebraSpec, mono: Monomial):
         last = k
 
 
-def _merged_pair_products(algebra: AlgebraSpec, m1: Monomial, m2: Monomial, commuting: bool,
-                          coeff, lowest: int = 0):
+def _merged_pair_products(algebra: AlgebraSpec, m1: Monomial, m2: Monomial, coeff,
+                          lowest: int = 0):
     """Expansion terms of the product coeff * m1 * m2 in normal order.
 
     Yields ``(Monomial, coefficient)`` pairs.  Within pair k the reordering
     V^b X^p = sum_s s! C(b,s) C(p,s) (-c_k)^s X^{p-s} V^{b-s} applies, with
     c_k the pair's central constant; distinct pairs commute.  A term's
     contraction order is its s summed over the pairs, and no term of order
-    below ``lowest`` is built.  With ``commuting`` only the s = 0 term is
-    kept: the commutative product of the symbols, a single ``(Monomial, coeff)``.
+    below ``lowest`` is built.
     """
     fixed = []
     options = []  # per-pair alternatives: list of (s, scalar, h_add, e_add, entry)
@@ -409,7 +398,7 @@ def _merged_pair_products(algebra: AlgebraSpec, m1: Monomial, m2: Monomial, comm
             fixed.append(p2[j])
             j += 1
         else:
-            if v1 and x2 and not commuting:
+            if v1 and x2:
                 const = algebra.constants[k1]
                 alts = []
                 for s, scalar in enumerate(_reorder_scalars(const.q, v1, x2)):
@@ -458,17 +447,16 @@ def _accumulate(out: dict, terms) -> dict:
     return out
 
 
-class _TermStore:
-    """Immutable polynomial over an algebra: a ``Monomial -> GaussianRational`` map.
+class NCPolynomial:
+    """Noncommutative polynomial in canonical pairs, kept in normal order.
 
-    Supports +, - and * with scalars and with polynomials of the same class
-    and algebra; mixing the two subclasses raises TypeError.  The term map
-    never stores zero coefficients, so ``==`` decides equality.  Subclasses
-    choose the product through ``commuting`` (see ``_merged_pair_products``).
+    An immutable ``Monomial -> GaussianRational`` map over an algebra.
+    Supports +, - and * with scalars and with polynomials of the same
+    algebra, and integer powers.  The term map never stores zero
+    coefficients, so ``==`` decides equality.
     """
 
     __slots__ = ("algebra", "terms")
-    commuting = False
 
     def __init__(self, algebra: AlgebraSpec, terms=None):
         object.__setattr__(self, "algebra", algebra)
@@ -481,16 +469,16 @@ class _TermStore:
                 clean[mono] = coeff
         object.__setattr__(self, "terms", clean)
 
-    @classmethod
-    def _raw(cls, algebra, terms):
+    @staticmethod
+    def _raw(algebra, terms) -> "NCPolynomial":
         """Internal constructor; ``terms`` must already be clean."""
-        self = object.__new__(cls)
+        self = object.__new__(NCPolynomial)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "terms", terms)
         return self
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        raise AttributeError("NCPolynomial is immutable")
 
     @property
     def is_zero(self) -> bool:
@@ -501,14 +489,14 @@ class _TermStore:
             raise AlgebraMismatchError("operands belong to different algebras")
 
     def _operand(self, other):
-        """``other`` as a polynomial of this class (scalars become constants), else None."""
-        if type(other) is type(self):
+        """``other`` as a polynomial (scalars become constants), else None."""
+        if isinstance(other, NCPolynomial):
             self._check_same_algebra(other)
             return other
-        scalar = GaussianRational._coerce(other)  # None for the other subclass too
+        scalar = GaussianRational._coerce(other)
         if scalar is None:
             return None
-        return type(self)(self.algebra, {Monomial(): scalar})
+        return NCPolynomial(self.algebra, {Monomial(): scalar})
 
     def __add__(self, other):
         other = self._operand(other)
@@ -532,7 +520,7 @@ class _TermStore:
         return (-self) + other
 
     def __mul__(self, other):
-        if type(other) is not type(self):
+        if not isinstance(other, NCPolynomial):
             scalar = GaussianRational._coerce(other)
             if scalar is None:
                 return NotImplemented
@@ -543,31 +531,15 @@ class _TermStore:
         return self._product(other)
 
     def _product(self, other, lowest: int = 0):
-        """The contraction orders s >= ``lowest`` of self * other (same class and algebra)."""
+        """The contraction orders s >= ``lowest`` of self * other (same algebra)."""
         out = {}
-        algebra, commuting = self.algebra, self.commuting
+        algebra = self.algebra
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                _accumulate(out, _merged_pair_products(algebra, m1, m2, commuting, c1 * c2, lowest))
+                _accumulate(out, _merged_pair_products(algebra, m1, m2, c1 * c2, lowest))
         return self._raw(algebra, out)
 
     __rmul__ = __mul__  # scalars commute with everything
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.algebra == other.algebra and self.terms == other.terms
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"<{type(self).__name__} {self}>"
-
-
-class NCPolynomial(_TermStore):
-    """Noncommutative polynomial in canonical pairs, kept in normal order; has integer powers."""
-
-    __slots__ = ()
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -582,8 +554,18 @@ class NCPolynomial(_TermStore):
             n >>= 1
         return result
 
+    def __eq__(self, other):
+        if not isinstance(other, NCPolynomial):
+            return NotImplemented
+        return self.algebra == other.algebra and self.terms == other.terms
+
+    __hash__ = None
+
     def __str__(self):
         return render(self)
+
+    def __repr__(self):
+        return f"<NCPolynomial {self}>"
 
 
 def commutator(f: NCPolynomial, g: NCPolynomial) -> NCPolynomial:
@@ -592,15 +574,15 @@ def commutator(f: NCPolynomial, g: NCPolynomial) -> NCPolynomial:
     Visits only the term pairs (m1, m2) that share a pair index, found
     through g's terms indexed by pair, and adds c1*c2*(m1*m2 - m2*m1) from
     contraction order 1 up: the s = 0 terms of the two orders cancel, so
-    they are not built.  Operands of another class or algebra raise as
-    ``f * g`` does; a scalar g gives zero.
+    they are not built.  Non-polynomial operands and operands of another
+    algebra raise as ``f * g`` does; a scalar g gives zero.
     """
     return _bracket(f, g, 1)
 
 
 def _bracket(f, g, lowest: int):
     """The contraction orders s >= ``lowest`` (at least 1) of [f, g], as ``commutator`` forms them."""
-    other = f._operand(g) if isinstance(f, _TermStore) else None
+    other = f._operand(g) if isinstance(f, NCPolynomial) else None
     if other is None:
         raise TypeError(
             f"unsupported operand type(s) for *: '{type(f).__name__}' and '{type(g).__name__}'"
@@ -611,15 +593,14 @@ def _bracket(f, g, lowest: int):
         for k, _, _ in m2.pairs:
             by_pair.setdefault(k, []).append(index)
     out = {}
-    algebra, commuting = f.algebra, f.commuting
+    algebra = f.algebra
     for m1, c1 in f.terms.items():
         shared = {index for k, _, _ in m1.pairs for index in by_pair.get(k, ())}
         for index in shared:
             m2, c2 = g_terms[index]
             c12 = c1 * c2
             for left, right, coeff in ((m1, m2, c12), (m2, m1, -c12)):
-                _accumulate(out, _merged_pair_products(algebra, left, right, commuting, coeff,
-                                                       lowest))
+                _accumulate(out, _merged_pair_products(algebra, left, right, coeff, lowest))
     return f._raw(algebra, out)
 
 
@@ -703,77 +684,16 @@ def _monomial_brackets(x_exp: int, v_exp: int) -> tuple:
     return f, commutator(f, alg.v()), commutator(alg.x(), f)
 
 
-class SymbolPolynomial(_TermStore):
-    """Commutative polynomial in the classical symbols of the generators.
-
-    The same term store as NCPolynomial, with the commutative product: the
-    s = 0 term of the reordering rule.  Also closed under partial
-    derivatives.
-    """
-
-    __slots__ = ()
-    commuting = True
-
-    def diff_x(self, pair: int = 0) -> "SymbolPolynomial":
-        """Partial derivative with respect to the position symbol of a pair."""
-        return self._diff(pair, slot=0)
-
-    def diff_v(self, pair: int = 0) -> "SymbolPolynomial":
-        """Partial derivative with respect to the velocity symbol of a pair."""
-        return self._diff(pair, slot=1)
-
-    def _diff(self, pair, slot):
-        def terms():
-            for mono, coeff in self.terms.items():
-                exps = mono.exponents(pair)
-                e = exps[slot]
-                if e == 0:
-                    continue
-                new_x, new_v = (exps[0] - 1, exps[1]) if slot == 0 else (exps[0], exps[1] - 1)
-                entries = [p for p in mono.pairs if p[0] != pair]
-                if new_x or new_v:
-                    entries.append((pair, new_x, new_v))
-                    entries.sort()
-                yield Monomial(mono.hbar_exp, mono.eps_exp, tuple(entries)), coeff * e
-
-        return SymbolPolynomial._raw(self.algebra, _accumulate({}, terms()))
-
-    def __str__(self):
-        return render_symbol(self)
-
-
-def symbol_map(f: NCPolynomial) -> SymbolPolynomial:
-    """Classical symbol of a normal-ordered polynomial.
-
-    Generators are made to commute on the normal-ordered form, so the term
-    map carries over unchanged.
-    """
-    return SymbolPolynomial._raw(f.algebra, dict(f.terms))
-
-
-def lift(fs: SymbolPolynomial) -> NCPolynomial:
-    """Normal-ordered lift of a symbol polynomial (x^a v^b -> X^a V^b)."""
-    return NCPolynomial._raw(fs.algebra, dict(fs.terms))
-
-
-def poisson_bracket(fs: SymbolPolynomial, gs: SymbolPolynomial) -> SymbolPolynomial:
-    """{f, g} = sum_k (df/dx_k dg/dv_k - dg/dx_k df/dv_k)."""
-    if not isinstance(fs, SymbolPolynomial) or not isinstance(gs, SymbolPolynomial):
-        raise TypeError("poisson_bracket expects SymbolPolynomial operands")
-    fs._check_same_algebra(gs)
-    out = SymbolPolynomial._raw(fs.algebra, {})
-    for k in range(fs.algebra.n_pairs):
-        out = out + (fs.diff_x(k) * gs.diff_v(k) - gs.diff_x(k) * fs.diff_v(k))
-    return out
-
-
 def residual_poisson(f: NCPolynomial, g: NCPolynomial) -> NCPolynomial:
-    """[f, g] - i*hbar*eps * lift({symbol(f), symbol(g)}) for eps-free inputs.
+    """[f, g] minus [X, V] times the normal-ordered Poisson bracket {f, g}, for eps-free inputs.
 
     In the CM algebra the residual has eps-valuation >= 2: to first order in
     eps, commutators of eps-free polynomials reduce to the Poisson bracket of
-    their symbols.  That bracket times [X, V] is the s = 1 order of [f, g],
-    so the residual is formed as the s >= 2 orders of [f, g].
+    their classical symbols.  That bracket, lifted back to normal order and
+    times [X, V], is the s = 1 order of [f, g], so the residual is formed as
+    the s >= 2 orders of [f, g] and no bracket is built.  With g = V or
+    f = X it is the derivative identity [f, V] - [X, V] df/dx or
+    [X, f] - [X, V] df/dv.
     """
     if f.algebra.n_pairs != 1:
         raise ValueError("this identity is defined on a single-pair algebra")
@@ -781,17 +701,6 @@ def residual_poisson(f: NCPolynomial, g: NCPolynomial) -> NCPolynomial:
     if any(m.eps_exp for m in f.terms) or any(m.eps_exp for m in g.terms):
         raise ValueError("residual_poisson requires eps-free inputs")
     return _bracket(f, g, 2)
-
-
-def derivative_identity_residuals(f: NCPolynomial):
-    """Residuals of the first-order derivative rules for a single-pair f.
-
-    Returns ``([f, V] - i*hbar*eps*lift(ds/dx), [X, f] - i*hbar*eps*lift(ds/dv))``
-    with s the symbol of f: the Poisson residuals of (f, V) and (X, f), since
-    {s, v} = ds/dx and {x, s} = ds/dv.  Both have eps-valuation >= 2 and
-    vanish exactly when f involves only X (first) or only V (second).
-    """
-    return residual_poisson(f, f.algebra.v()), residual_poisson(f.algebra.x(), f)
 
 
 @dataclass(frozen=True)
@@ -865,7 +774,7 @@ def cm_observables(system: ParticleSystem, algebra: AlgebraSpec | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _term_string(algebra, mono, coeff, lower=False):
+def _term_string(algebra, mono, coeff):
     factors = []
     if mono.hbar_exp:
         factors.append("hbar" if mono.hbar_exp == 1 else f"hbar^{mono.hbar_exp}")
@@ -873,8 +782,6 @@ def _term_string(algebra, mono, coeff, lower=False):
         factors.append("eps" if mono.eps_exp == 1 else f"eps^{mono.eps_exp}")
     for k, x, v in mono.pairs:
         x_name, v_name = algebra.pair_names[k]
-        if lower:
-            x_name, v_name = x_name.lower(), v_name.lower()
         if x:
             factors.append(x_name if x == 1 else f"{x_name}^{x}")
         if v:
@@ -889,18 +796,23 @@ def _term_string(algebra, mono, coeff, lower=False):
     return "*".join([cs] + factors)
 
 
-def _render_terms(algebra, terms, lower=False):
-    if not terms:
+def render(f: NCPolynomial) -> str:
+    """Canonical text form, e.g. ``2*hbar^2*eps^2 + 4*i*hbar*eps*X*V``.
+
+    Terms are sorted by (eps_exp, hbar_exp, exponent vector), highest first;
+    coefficients render as exact fraction strings.
+    """
+    if not f.terms:
         return "0"
-    n = algebra.n_pairs
+    n = f.algebra.n_pairs
     ordered = sorted(
-        terms.items(),
+        f.terms.items(),
         key=lambda item: (item[0].eps_exp, item[0].hbar_exp, item[0].dense_exponents(n)),
         reverse=True,
     )
     pieces = []
     for mono, coeff in ordered:
-        s = _term_string(algebra, mono, coeff, lower=lower)
+        s = _term_string(f.algebra, mono, coeff)
         if not pieces:
             pieces.append(s)
         elif s.startswith("-"):
@@ -908,17 +820,3 @@ def _render_terms(algebra, terms, lower=False):
         else:
             pieces.append(" + " + s)
     return "".join(pieces)
-
-
-def render(f: NCPolynomial) -> str:
-    """Canonical text form, e.g. ``2*hbar^2*eps^2 + 4*i*hbar*eps*X*V``.
-
-    Terms are sorted by (eps_exp, hbar_exp, exponent vector), highest first;
-    coefficients render as exact fraction strings.
-    """
-    return _render_terms(f.algebra, f.terms)
-
-
-def render_symbol(f: SymbolPolynomial) -> str:
-    """Same contract as :func:`render` with lowercased generator names."""
-    return _render_terms(f.algebra, f.terms, lower=True)

@@ -61,6 +61,7 @@ from .hilbert_rep import (
 )
 
 MAX_RESIDUAL_DEGREE = 8
+MAX_RESIDUAL_SAMPLES = 10**5  # each row is held until the table prints; 10^5 rows take ~9 s
 HARMONIC_SANITY_TOLERANCE = 1e-6
 TRUNC_WEIGHT_DECIMALS = 15  # printed resolution of the weight, 1e-9 of the gate
 
@@ -194,33 +195,6 @@ def parse_potential(text: str) -> PolynomialPotential:
     return PolynomialPotential.from_coeffs(coeffs)
 
 
-def _coeff_text(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
-
-
-def render_potential(potential: PolynomialPotential) -> str:
-    """Canonical text form; parse_potential(render_potential(p)) == p for rational p."""
-    if not potential.terms:
-        return "0"
-    pieces = []
-    for degree, coeff in sorted(potential.terms, reverse=True):
-        mag = _coeff_text(abs(coeff))
-        if degree == 0:
-            body = mag
-        else:
-            xs = "x" if degree == 1 else f"x^{degree}"
-            body = xs if abs(coeff) == 1 else f"{mag}*{xs}"
-        if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append((" + " if coeff > 0 else " - ") + body)
-    return "".join(pieces)
-
-
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -329,7 +303,8 @@ _FIELDS = {
     ),
     "residuals": _COMMON_FIELDS + (
         _Field("max-degree", _parse_pos_int, 4, f"degree grid bound (at most {MAX_RESIDUAL_DEGREE})"),
-        _Field("samples", _parse_pos_int, 10, "number of random Poisson-residual pairs"),
+        _Field("samples", _parse_pos_int, 10,
+               f"number of random Poisson-residual pairs (at most {MAX_RESIDUAL_SAMPLES})"),
         _Field("seed", int, 0, "seed for the randomized property cases"),
     ),
     "uncertainty": _COMMON_FIELDS + (
@@ -544,6 +519,9 @@ def run_residuals(config: ExperimentConfig) -> ExperimentResult:
     max_degree = config["max-degree"]
     if max_degree > MAX_RESIDUAL_DEGREE:
         raise ConfigError(f"--max-degree: expected at most {MAX_RESIDUAL_DEGREE}, got {max_degree}")
+    if config["samples"] > MAX_RESIDUAL_SAMPLES:
+        raise ConfigError(
+            f"--samples: expected at most {MAX_RESIDUAL_SAMPLES}, got {config['samples']}")
     hbar = config["hbar"]
     rows = []
 

@@ -82,8 +82,7 @@ class TimeGridMismatchError(ValueError):
 class PolynomialPotential:
     """Polynomial U(x) with finite support, degree -> coefficient.
 
-    Coefficients may be exact rationals or floats; evaluation preserves
-    exactness when both the coefficients and the argument are rational.
+    Coefficients may be exact rationals or floats.
     """
 
     terms: tuple
@@ -118,20 +117,6 @@ class PolynomialPotential:
     @property
     def is_quadratic(self) -> bool:
         return self.degree <= 2
-
-    def evaluate(self, x):
-        """The terms added to 0 left to right, or 0 * x when there are none.
-
-        The explicit loop fixes the float rounding: ``sum`` compensates it
-        from Python 3.12 on, and the classical twin's inlined force must
-        round like this.
-        """
-        if not self.terms:
-            return 0 * x
-        total = 0
-        for k, c in self.terms:
-            total += c * x**k
-        return total
 
     def derivative(self) -> "PolynomialPotential":
         return PolynomialPotential(
@@ -242,15 +227,16 @@ def evolve_classical(potential: PolynomialPotential, total_mass: float,
     whole number of steps, at most MAX_STEPS.
     """
     n_steps = _step_count(t_final, dt)
-    # float coefficients: a Fraction times a float is float(c) * x, so the
-    # stages are those of ``potential.derivative().evaluate`` at float speed
+    # float coefficients: a Fraction times a float is float(c) * x, so the stages
+    # get the values the derivative's exact coefficients would give, at float speed
     force = tuple((k, float(c)) for k, c in potential.derivative().terms)
     inv_m, half, sixth = 1.0 / total_mass, 0.5 * dt, dt / 6.0
     x, p = float(x0), float(p0)
     xs, ps = [x], [p]
     for _ in range(n_steps):
-        # the four stages, inlined; a force adds its terms to 0 left to right,
-        # like ``evaluate`` (a force of -0.0 counts as +0.0), and no force is 0 * x
+        # the four stages, inlined; a force adds its terms to 0 left to right
+        # (``sum`` compensates the rounding from Python 3.12 on; a force of -0.0
+        # counts as +0.0), and no force is 0 * x
         f1 = 0 if force else 0 * x
         for k, c in force:
             f1 += c * x**k

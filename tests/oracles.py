@@ -16,11 +16,25 @@ The matrix oracle :func:`poly_matrix` evaluates a symbolic element on dense
 arithmetic with the diagonal algebra of :mod:`cmlimit.hilbert_rep` that
 assembles the Hamiltonian.
 
-The residual oracles :func:`residual_poisson_by_definition` and
+The symbol oracle :class:`SymbolPolynomial` holds the classical symbol of a
+normal-ordered polynomial (``symbol_map`` and ``lift`` copy the term map)
+and multiplies symbols by adding exponents, with partial derivatives and
+:func:`poisson_bracket` on top.  It calls none of the library's product
+code (``_merged_pair_products``, ``_reorder_scalars``): the library never
+forms a symbol, so the Poisson bracket is an independent check of the
+reduction [f, g] = [X, V] * lift({f, g}) + O(eps^2) that
+``residual_poisson`` takes for granted.
+
+The residual oracles :func:`residual_poisson_by_definition`,
+:func:`derivative_identity_residuals` and
 :func:`residual_monomial_by_definition` form each first-order identity the
-long way: the whole commutator, minus the lifted Poisson bracket or the
-divided bracket products.  The library takes only the contraction orders
-those subtractions leave.
+long way: the whole commutator, minus the lifted Poisson bracket, the lifted
+derivative or the divided bracket products.  The library takes only the
+contraction orders those subtractions leave.
+
+:func:`to_complex`, :func:`evaluate` and :func:`render_potential` read an
+exact coefficient as a complex number, a potential at a point, and a
+potential as the text ``cli.parse_potential`` reads back.
 
 The argument-parser oracle :func:`reference_config` is the ``argparse``
 parser the CLI used before it read its flags straight from ``_FIELDS``, with
@@ -35,18 +49,16 @@ from fractions import Fraction
 import numpy as np
 
 from cmlimit.ccr_algebra import (
+    AlgebraMismatchError,
     GaussianRational,
     Monomial,
     NCPolynomial,
-    SymbolPolynomial,
     _monomial_brackets,
     cm_algebra,
     commutator,
     divide_central,
-    lift,
-    poisson_bracket,
+    render,
     scale_central,
-    symbol_map,
 )
 from cmlimit.cli import _FIELDS, ConfigError, ExperimentConfig, _fmt, _load_config_file
 from cmlimit.dynamics import (
@@ -146,17 +158,176 @@ def slow_mul(f, g):
     return words_to_poly(f.algebra, slow_normal_order(f.algebra, combined))
 
 
-def residual_poisson_by_definition(f: NCPolynomial, g: NCPolynomial) -> NCPolynomial:
-    """[f, g] - i*hbar*eps * lift({symbol(f), symbol(g)}) for eps-free inputs, term by term."""
+def exponents(mono: Monomial, pair: int) -> tuple:
+    """The (x, v) exponents of one pair in a monomial, (0, 0) if it is absent."""
+    for k, x, v in mono.pairs:
+        if k == pair:
+            return (x, v)
+    return (0, 0)
+
+
+def _monomial(hbar: int, eps: int, exps) -> Monomial:
+    """The monomial of a per-pair list of (x, v) exponents."""
+    return Monomial(hbar, eps, tuple((k, x, v) for k, (x, v) in enumerate(exps) if x or v))
+
+
+def _exponent_sum(m1: Monomial, m2: Monomial, n_pairs: int) -> Monomial:
+    """m1 * m2 for commuting symbols: every exponent added."""
+    return _monomial(m1.hbar_exp + m2.hbar_exp, m1.eps_exp + m2.eps_exp, [
+        (x1 + x2, v1 + v2)
+        for (x1, v1), (x2, v2) in ((exponents(m1, k), exponents(m2, k)) for k in range(n_pairs))
+    ])
+
+
+class SymbolPolynomial:
+    """Commutative polynomial in the classical symbols x_k, v_k of an algebra's pairs.
+
+    A ``Monomial -> GaussianRational`` map, validated and cleaned of zero
+    terms as ``NCPolynomial`` cleans its own; the product of two monomials
+    adds their exponents.  Closed under +, -, * with scalars and symbols of
+    the same algebra, and under partial derivatives; mixing with an
+    ``NCPolynomial`` raises TypeError.
+    """
+
+    __hash__ = None
+
+    def __init__(self, algebra, terms=None):
+        self.algebra = algebra
+        self.terms = NCPolynomial(algebra, terms).terms
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _operand(self, other):
+        if isinstance(other, SymbolPolynomial):
+            if other.algebra != self.algebra:
+                raise AlgebraMismatchError("operands belong to different algebras")
+            return other
+        scalar = GaussianRational._coerce(other)
+        return None if scalar is None else SymbolPolynomial(self.algebra, {Monomial(): scalar})
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            out[mono] = out.get(mono, ZERO) + coeff
+        return SymbolPolynomial(self.algebra, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = _exponent_sum(m1, m2, self.algebra.n_pairs)
+                out[mono] = out.get(mono, ZERO) + c1 * c2
+        return SymbolPolynomial(self.algebra, out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, SymbolPolynomial):
+            return NotImplemented
+        return self.algebra == other.algebra and self.terms == other.terms
+
+    def diff_x(self, pair: int = 0) -> "SymbolPolynomial":
+        """Partial derivative with respect to the position symbol of a pair."""
+        return self._diff(pair, slot=0)
+
+    def diff_v(self, pair: int = 0) -> "SymbolPolynomial":
+        """Partial derivative with respect to the velocity symbol of a pair."""
+        return self._diff(pair, slot=1)
+
+    def _diff(self, pair, slot):
+        out = {}
+        for mono, coeff in self.terms.items():
+            exps = [list(exponents(mono, k)) for k in range(self.algebra.n_pairs)]
+            power = exps[pair][slot]
+            if power:
+                exps[pair][slot] -= 1
+                out[_monomial(mono.hbar_exp, mono.eps_exp, exps)] = coeff * power
+        return SymbolPolynomial(self.algebra, out)
+
+    def __str__(self):
+        return render_symbol(self)
+
+
+def symbol_map(f: NCPolynomial) -> SymbolPolynomial:
+    """Classical symbol of a normal-ordered polynomial: the same term map."""
+    return SymbolPolynomial(f.algebra, f.terms)
+
+
+def lift(fs: SymbolPolynomial) -> NCPolynomial:
+    """Normal-ordered lift of a symbol polynomial (x^a v^b -> X^a V^b)."""
+    return NCPolynomial(fs.algebra, fs.terms)
+
+
+def render_symbol(fs: SymbolPolynomial) -> str:
+    """``render`` of the lift with lowercased generator names (a rendered
+    coefficient, ``hbar`` and ``eps`` hold no capital letter)."""
+    return render(lift(fs)).lower()
+
+
+def poisson_bracket(fs: SymbolPolynomial, gs: SymbolPolynomial) -> SymbolPolynomial:
+    """{f, g} = sum_k (df/dx_k dg/dv_k - dg/dx_k df/dv_k)."""
+    if not isinstance(fs, SymbolPolynomial) or not isinstance(gs, SymbolPolynomial):
+        raise TypeError("poisson_bracket expects SymbolPolynomial operands")
+    return sum((fs.diff_x(k) * gs.diff_v(k) - gs.diff_x(k) * fs.diff_v(k)
+                for k in range(fs.algebra.n_pairs)), SymbolPolynomial(fs.algebra))
+
+
+def _check_first_order_inputs(*polys):
+    """The first-order identities take eps-free polynomials on one single-pair algebra."""
+    f = polys[0]
     if f.algebra.n_pairs != 1:
         raise ValueError("this identity is defined on a single-pair algebra")
-    f._check_same_algebra(g)
-    if any(m.eps_exp for m in f.terms) or any(m.eps_exp for m in g.terms):
-        raise ValueError("residual_poisson requires eps-free inputs")
-    const = f.algebra.constants[0]
-    bracket = poisson_bracket(symbol_map(f), symbol_map(g))
-    correction = scale_central(lift(bracket), const.hbar_exp, const.eps_exp, const.q)
-    return commutator(f, g) - correction
+    for g in polys:
+        f._check_same_algebra(g)
+        if any(m.eps_exp for m in g.terms):
+            raise ValueError("residual_poisson requires eps-free inputs")
+
+
+def _times_central(fs: SymbolPolynomial) -> NCPolynomial:
+    """[X, V] * lift(fs) on a single-pair algebra."""
+    const = fs.algebra.constants[0]
+    return scale_central(lift(fs), const.hbar_exp, const.eps_exp, const.q)
+
+
+def residual_poisson_by_definition(f: NCPolynomial, g: NCPolynomial) -> NCPolynomial:
+    """[f, g] - i*hbar*eps * lift({symbol(f), symbol(g)}) for eps-free inputs, term by term."""
+    _check_first_order_inputs(f, g)
+    return commutator(f, g) - _times_central(poisson_bracket(symbol_map(f), symbol_map(g)))
+
+
+def derivative_identity_residuals(f: NCPolynomial):
+    """Residuals of the first-order derivative rules for a single-pair, eps-free f.
+
+    Returns ``([f, V] - i*hbar*eps*lift(ds/dx), [X, f] - i*hbar*eps*lift(ds/dv))``
+    with s the symbol of f, formed from the derivatives; since {s, v} = ds/dx
+    and {x, s} = ds/dv they are the Poisson residuals of (f, V) and (X, f).
+    Both have eps-valuation >= 2 and vanish exactly when f involves only X
+    (first) or only V (second).
+    """
+    _check_first_order_inputs(f)
+    s, alg = symbol_map(f), f.algebra
+    return (commutator(f, alg.v()) - _times_central(s.diff_x()),
+            commutator(alg.x(), f) - _times_central(s.diff_v()))
 
 
 def residual_monomial_by_definition(a: int, b: int, c: int, d: int) -> NCPolynomial:
@@ -188,7 +359,7 @@ def poly_matrix(poly, pairs, hbar: float, eps: float) -> np.ndarray:
         for k, x_exp, v_exp in mono.pairs:
             x, v = pairs[k]
             term = term @ np.linalg.matrix_power(x, x_exp) @ np.linalg.matrix_power(v, v_exp)
-        total += coeff.to_complex() * hbar**mono.hbar_exp * eps**mono.eps_exp * term
+        total += to_complex(coeff) * hbar**mono.hbar_exp * eps**mono.eps_exp * term
     return total
 
 
@@ -322,8 +493,52 @@ def random_polynomial(rng, algebra, max_degree=4, n_terms=4,
 
 
 def random_symbol(rng, algebra, max_degree=4, n_terms=4) -> SymbolPolynomial:
-    poly = random_polynomial(rng, algebra, max_degree, n_terms)
-    return SymbolPolynomial(algebra, dict(poly.terms))
+    return symbol_map(random_polynomial(rng, algebra, max_degree, n_terms))
+
+
+def to_complex(z: GaussianRational) -> complex:
+    return complex(z.re) + 1j * complex(z.im)
+
+
+def evaluate(potential: PolynomialPotential, x):
+    """U(x): the terms added to 0 left to right, or 0 * x when there are none.
+
+    Exact when the coefficients and x are rational.  The explicit loop fixes
+    the float rounding that the classical twin's inlined force must match.
+    """
+    if not potential.terms:
+        return 0 * x
+    total = 0
+    for k, c in potential.terms:
+        total += c * x**k
+    return total
+
+
+def _coeff_text(value) -> str:
+    if isinstance(value, Fraction):
+        return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+    if isinstance(value, int):
+        return str(value)
+    return repr(float(value))
+
+
+def render_potential(potential: PolynomialPotential) -> str:
+    """Canonical text form; parse_potential(render_potential(p)) == p for rational p."""
+    if not potential.terms:
+        return "0"
+    pieces = []
+    for degree, coeff in sorted(potential.terms, reverse=True):
+        mag = _coeff_text(abs(coeff))
+        if degree == 0:
+            body = mag
+        else:
+            xs = "x" if degree == 1 else f"x^{degree}"
+            body = xs if abs(coeff) == 1 else f"{mag}*{xs}"
+        if not pieces:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append((" + " if coeff > 0 else " - ") + body)
+    return "".join(pieces)
 
 
 def random_masses(rng, n) -> tuple:

@@ -21,15 +21,12 @@ from cmlimit.ccr_algebra import (
     cm_observables,
     commutator,
     eps_valuation,
-    lift,
-    poisson_bracket,
     residual_monomial_identity,
     residual_poisson,
     residual_power_identity,
     scale_central,
-    symbol_map,
 )
-from cmlimit.cli import main, parse_potential, render_potential
+from cmlimit.cli import main, parse_potential
 from cmlimit.dynamics import (
     HamiltonianSpec,
     PolynomialPotential,
@@ -49,9 +46,13 @@ from oracles import (
     free_width_analytic,
     gaussian_spreading,
     ground_product,
+    lift,
+    poisson_bracket,
     poly_matrix,
     random_masses,
     random_polynomial,
+    render_potential,
+    symbol_map,
 )
 
 ALG = cm_algebra()

@@ -1,4 +1,4 @@
-"""Property tests for the polynomial term store and its two products.
+"""Property tests for the polynomial product and the symbol oracle's commutative one.
 
 Random polynomials live on the CM algebra ([X, V] = i*hbar*eps) and on a
 two-pair particle algebra ([X_k, P_k] = i*hbar), with hbar and eps exponents
@@ -20,19 +20,22 @@ from cmlimit.ccr_algebra import (
     Monomial,
     NCPolynomial,
     ParticleSystem,
-    SymbolPolynomial,
     build_particle_algebra,
     cm_algebra,
     commutator,
-    derivative_identity_residuals,
     divide_central,
-    lift,
-    poisson_bracket,
     residual_poisson,
     scale_central,
+)
+from oracles import (
+    SymbolPolynomial,
+    derivative_identity_residuals,
+    lift,
+    poisson_bracket,
+    residual_poisson_by_definition,
+    slow_mul,
     symbol_map,
 )
-from oracles import residual_poisson_by_definition, slow_mul
 
 ALGEBRAS = (cm_algebra(), build_particle_algebra(ParticleSystem.uniform(2)))
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)

@@ -16,32 +16,33 @@ from cmlimit.ccr_algebra import (
     NCPolynomial,
     NotDivisibleError,
     ParticleSystem,
-    SymbolPolynomial,
     _reorder_scalars,
     build_particle_algebra,
     cm_algebra,
     cm_observables,
     commutator,
-    derivative_identity_residuals,
     divide_central,
     eps_valuation,
-    lift,
-    poisson_bracket,
     render,
-    render_symbol,
     residual_monomial_identity,
     residual_poisson,
     residual_power_identity,
     scale_central,
-    symbol_map,
 )
 from cmlimit.cli import main
 from oracles import (
+    SymbolPolynomial,
+    derivative_identity_residuals,
+    exponents,
+    lift,
+    poisson_bracket,
     random_masses,
     random_polynomial,
     random_symbol,
+    render_symbol,
     residual_monomial_by_definition,
     slow_mul,
+    symbol_map,
 )
 
 I = GaussianRational(0, 1)
@@ -423,7 +424,7 @@ def test_derivative_identity_residuals_general():
         assert eps_valuation(r2) >= 2
         pure_x = random_polynomial(rng, ALG, max_degree=4)
         pure_x = NCPolynomial(ALG, {
-            Monomial(0, 0, ((0, m.exponents(0)[0], 0),) if m.exponents(0)[0] else ()): c
+            Monomial(0, 0, ((0, exponents(m, 0)[0], 0),) if exponents(m, 0)[0] else ()): c
             for m, c in pure_x.terms.items()
         })
         assert derivative_identity_residuals(pure_x)[0] == ALG.zero()

@@ -29,10 +29,9 @@ from cmlimit.cli import (
     build_config,
     main,
     parse_potential,
-    render_potential,
 )
 from cmlimit.dynamics import PolynomialPotential
-from oracles import composite_uncertainty_row
+from oracles import composite_uncertainty_row, evaluate, render_potential
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +47,7 @@ def test_parse_polynomial_against_point_evaluation():
     u = parse_potential("x^4 - 2*x^2 + 1")
     assert u.coeffs == {4: 1, 2: -2, 0: 1}
     for x in (-2, -1, 0, 1, 2):
-        assert u.evaluate(x) == x**4 - 2 * x**2 + 1
+        assert evaluate(u, x) == x**4 - 2 * x**2 + 1
 
 
 def test_parse_rational_and_sign_forms():
@@ -157,6 +156,12 @@ def test_residuals_rows(capsys):
 def test_residuals_degree_guard(capsys):
     assert main(["residuals", "--max-degree", "9"]) == 1
     assert capsys.readouterr().err == "error: --max-degree: expected at most 8, got 9\n"
+
+
+def test_residuals_samples_guard(capsys):
+    # every row is held until the table prints; 10^8 samples once ran past a minute
+    assert main(["residuals", "--max-degree", "1", "--samples", "100001"]) == 1
+    assert capsys.readouterr().err == "error: --samples: expected at most 100000, got 100001\n"
 
 
 def test_uncertainty_saturation(capsys):

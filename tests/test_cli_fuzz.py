@@ -24,7 +24,7 @@ import re
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cmlimit.cli import ConfigError, build_config, main
+from cmlimit.cli import MAX_RESIDUAL_SAMPLES, ConfigError, build_config, main
 from cmlimit.dynamics import EIG_DIMENSION_LIMIT
 from oracles import reference_config
 
@@ -46,7 +46,7 @@ FLAGS = {
         "masses": (("1", "1,2", "1/2,3", "1e308,1e308", "1e-300,1"), ("0,1", "-1", "1,x")),
     }),
     "residuals": ({"max-degree": (("1", "2", "3"), ("0", "9", "x"))}, {
-        "samples": (("1", "3"), ("0", "x")),
+        "samples": (("1", "3"), ("0", "x", str(MAX_RESIDUAL_SAMPLES + 1))),
         "seed": (("0", "1", "-5"), ("x",)),
     }),
     "uncertainty": ({"N": UNCERTAINTY_N, "dim": DIM}, {

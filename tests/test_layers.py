@@ -1,4 +1,4 @@
-"""The package's layer boundary and its public surface.
+"""The package's layer boundary, its public surface and its dead code.
 
 The exact algebra (:mod:`cmlimit.ccr_algebra`) and the truncated basis with
 its dynamics (:mod:`cmlimit.hilbert_rep`, :mod:`cmlimit.dynamics`) are two
@@ -9,29 +9,30 @@ the tests.  Importing the modules cannot show which one reads which, since
 
 import ast
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import cmlimit
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cmlimit"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cmlimit"
 
 PUBLIC_NAMES = [
     "AlgebraMismatchError", "AlgebraSpec", "CentralConstant", "DeviationReport",
     "DimensionCapError", "ExcessiveTruncationError", "ExpectationRecord",
     "GaussianRational", "HamiltonianSpec", "ModeSpec", "Monomial", "NCPolynomial",
     "NormDriftError", "NotDivisibleError", "ParticleSystem", "PolynomialPotential",
-    "SparseOperator", "StateVector", "SymbolPolynomial", "TimeGridMismatchError",
-    "Trajectory", "build_hamiltonian", "build_particle_algebra", "cm_algebra",
+    "SparseOperator", "StateVector", "TimeGridMismatchError", "Trajectory",
+    "build_hamiltonian", "build_particle_algebra", "cm_algebra",
     "cm_expectation_record", "cm_expectation_records", "cm_observables",
     "cm_operators_numeric", "coherent_product", "coherent_state", "commutator",
-    "compare_trajectories", "derivative_identity_residuals", "divide_central",
-    "effective_cm_system", "eps_valuation", "evolve_classical", "evolve_quantum",
-    "expectation", "lift", "momentum_op", "poisson_bracket", "position_op",
-    "product_state", "render", "render_symbol", "residual_monomial_identity",
-    "residual_poisson", "residual_power_identity", "symbol_map", "truncation_weight",
-    "truncation_weights", "uncertainty_product", "variance",
+    "compare_trajectories", "divide_central", "effective_cm_system", "eps_valuation",
+    "evolve_classical", "evolve_quantum", "expectation", "momentum_op", "position_op",
+    "product_state", "render", "residual_monomial_identity", "residual_poisson",
+    "residual_power_identity", "truncation_weight", "truncation_weights",
+    "uncertainty_product", "variance",
 ]
 
 
@@ -59,3 +60,42 @@ def test_public_names_are_pinned():
     exported = sorted(name for name, value in vars(cmlimit).items()
                       if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert exported == PUBLIC_NAMES
+
+
+# defined in src/ and read by no code there or in bench/, each on purpose
+UNREFERENCED_ALLOWED = {
+    "to_dense",  # the numpy-only way to read a SparseOperator, with no scipy import
+    "norm_drift",  # a gate margin of Trajectory, kept for a run report to read
+    "energy_drift",  # a gate margin of Trajectory, kept for a run report to read
+}
+
+
+def _references(node):
+    """Each name, attribute and identifier string under ``node``: ``bench/spans.py``
+    names the functions it wraps as strings."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif (isinstance(child, ast.Constant) and isinstance(child.value, str)
+              and child.value.isidentifier()):
+            yield child.value
+
+
+def test_every_src_definition_is_referenced():
+    # a function, method or class that only tests call belongs in tests/oracles.py;
+    # ``__init__`` re-exports are not references
+    sources = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sources + sorted((ROOT / "bench").glob("*.py"))}
+    counts = Counter(name for tree in trees.values() for name in _references(tree))
+    unreferenced = [
+        f"{path.name}:{node.name}"
+        for path in sources for node in ast.walk(trees[path])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in UNREFERENCED_ALLOWED
+        and counts[node.name] == Counter(_references(node))[node.name]
+    ]
+    assert unreferenced == []
