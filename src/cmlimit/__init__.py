@@ -57,8 +57,6 @@ from .hilbert_rep import (
     coherent_product,
     coherent_state,
     expectation,
-    momentum_op,
-    position_op,
     product_state,
     truncation_weight,
     truncation_weights,

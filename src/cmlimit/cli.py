@@ -20,7 +20,6 @@ defaults.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
@@ -667,8 +666,8 @@ def run_evolve(config: ExperimentConfig) -> ExperimentResult:
         else:
             mode = _mode(mbar, config["dim"], hbar)
             try:  # from N and dim, before the list of modes exists
-                _check_cap(itertools.repeat(config["dim"], n))
-            except DimensionCapError as exc:  # --dim levels in each of the --N modes
+                _check_cap(n, config["dim"])
+            except DimensionCapError as exc:  # the occupation states of --N modes of --dim levels
                 raise ConfigError(f"--N, --dim: {exc}") from exc
             modes = [mode] * n
             psi0 = coherent_product(modes, [x0] * n, [p0 / n] * n)

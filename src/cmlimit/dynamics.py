@@ -3,43 +3,39 @@
 Quantum propagation runs in the Schrodinger picture (expectations are
 identical to the Heisenberg-picture statement) with the exact unitary
 exp(-iHt/hbar): H is real symmetric, and built once, with numpy alone, as
-one ``SparseOperator`` like every operator, a band over the composite
-index, from the CM operators' diagonals by the diagonal product of
-:mod:`cmlimit.hilbert_rep` (this module spreads and multiplies no
-diagonals itself).  Up to total dimension 2048 it is
-diagonalized densely by numpy's ``eigh`` (LAPACK's divide-and-conquer
-``?syevd``): one ``eigh`` per parity sector when H couples no basis states
-of opposite total level parity, as for every even potential (checked on H's
-entries), else one of all of H.  H and a product of equal coherent states
-on equal modes are unchanged when two of those modes are exchanged, so the
-state stays in a block's exchange-symmetric subspace, one basis vector per
-orbit of the block's states under those exchanges: where psi0's norm outside
-it is at most CUT_TOLERANCE, the ``eigh`` runs on that subspace (110 rows
-of each 500-row sector for three modes of 10 levels), and the norm joins the
-level cut's bound.  A narrow CM packet reaches few of a block's
-levels, so its ``eigh`` runs on the smallest level cut (the states whose
-every mode level is below L) whose Ritz-pair residual bound keeps the rows
-within CUT_TOLERANCE of the whole block's over the run, L doubling up to the
-whole block.  Above dimension 2048, short Lanczos steps apply the same
-diagonals by ``SparseOperator.apply``; neither side loads scipy.  Each
-propagator is a sampler of one diagonal block of H, built once;
-``evolve_quantum`` walks the time grid once, in blocks of rows of about 2^14
-amplitudes (256 KiB a complex array, so the block's handful of arrays stays in
-a core's L2 cache through the elementwise passes), each filled from every
-sampler (one GEMM per ``eigh`` or per Lanczos basis), evaluated and dropped,
-so a run never holds all its rows: the CM record (:mod:`cmlimit.hilbert_rep`)
-and the energy read one pair of X_CM and V_CM images of a block.  Norm drift
-is measured, never corrected -- silent renormalization would hide a
-propagation failure.  The classical twin integrates Hamilton's equations
-xdot = p/M, pdot = -U'(x) with classic 4th-order steps on the same time grid.
-Both runs are kept as columns: every sampled quantity, quantum or classical,
-is a 1-D array with one entry per sample time, from the stacked evaluation to
-the CLI's tables.
+one ``SparseOperator`` like every operator, on the occupation basis of the
+modes, from the CM operators' slots by the products and sums of
+:mod:`cmlimit.hilbert_rep` (this module forms no slots itself).  Every run
+starts from a product of equal states on equal modes, and H commutes with
+their exchange, so that basis, the exchange-symmetric subspace, is all a
+run needs; the effective CM mode is its one-mode case.  Up to dimension
+2048 H is diagonalized densely by numpy's ``eigh`` (LAPACK's
+divide-and-conquer ``?syevd``): one ``eigh`` per parity sector when H
+couples no basis states of opposite total level parity sum_j j n_j, as for
+every even potential (checked on H's entries), else one of all of H.  A
+narrow CM packet reaches few of a block's levels, so its ``eigh`` runs on
+the smallest level cut (the states whose highest occupied level is below
+L) whose Ritz-pair residual bound keeps the rows within CUT_TOLERANCE of
+the whole block's over the run, L doubling up to the whole block.  Above
+dimension 2048, short Lanczos steps apply H by ``SparseOperator.apply``;
+neither side loads scipy.  Each propagator is a sampler of one diagonal
+block of H, built once; ``evolve_quantum`` walks the time grid once, in
+blocks of rows of about 2^14 amplitudes (256 KiB a complex array, so the
+block's handful of arrays stays in a core's L2 cache through the
+elementwise passes), each filled from every sampler (one GEMM per ``eigh``
+or per Lanczos basis), evaluated and dropped, so a run never holds all its
+rows: the CM record (:mod:`cmlimit.hilbert_rep`) and the energy read one
+pair of X_CM and V_CM images of a block.  Norm drift is measured, never
+corrected -- silent renormalization would hide a propagation failure.  The
+classical twin integrates Hamilton's equations xdot = p/M, pdot = -U'(x)
+with classic 4th-order steps on the same time grid.  Both runs are kept as
+columns: every sampled quantity, quantum or classical, is a 1-D array with
+one entry per sample time, from the stacked evaluation to the CLI's tables.
 
 When the Hamiltonian depends only on CM variables the CM sector factorizes
 exactly, so ``effective_cm_system`` (a single mode of mass N*mbar) carries
-the identical CM dynamics at a fraction of the tensor-product cost; this is
-the intended track for large-N scaling runs.
+the identical CM dynamics at a fraction of the N-mode cost; this is the
+intended track for large-N scaling runs.
 """
 
 from __future__ import annotations
@@ -54,8 +50,10 @@ from .hilbert_rep import (
     ModeSpec,
     SparseOperator,
     StateVector,
-    _diagonal_product,
-    _shifted,
+    _levels,
+    _product,
+    _shape,
+    _slots,
     cm_expectation_records,
     cm_operators_numeric,
     truncation_weights,
@@ -159,49 +157,44 @@ def _check_finite(arrays, what: str) -> None:
 
 
 def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
-    """The Hamiltonian as one real banded operator over the composite index.
+    """The Hamiltonian as one real operator on the occupation basis of the modes.
 
-    ``ops`` reuses the (X_CM, V_CM, P_TOT) triple of ``cm_operators_numeric``;
-    X_CM is real and P_TOT imaginary in this basis, so H is formed in real
-    arithmetic from their diagonals by ``hilbert_rep``'s diagonal
-    product, numpy only: P_TOT^2 / 2M, then each power of X_CM, the last times
-    the tridiagonal X_CM, added to its term and dropped, then (H + H^T) / 2.
-    Both propagators run on these diagonals: the ``eigh`` sampler cuts dense
-    blocks from them, the Lanczos sampler applies them.  H equals the
-    ``scipy.sparse`` products of the CM operators' CSR matrices bit for bit
-    for one mode, where no entry sums more than two products, and for a
-    potential of degree at most 2; above that, an entry of X_CM^3 or a higher
-    power on several modes may add its products in another order.
-    Raises OverflowError at the first power of X_CM, or coefficient, that
-    leaves the floating-point range, or when the H returned does.  The powers
-    stop at the first one that is the zero matrix; the terms above it are zero.
+    ``ops`` reuses the (X_CM, V_CM, P_TOT) triple of ``cm_operators_numeric``.
+    X_CM is real and P_TOT imaginary, so H is formed in real arithmetic from
+    their slots by ``hilbert_rep``'s products and sums: -(Im P_TOT)^2 / 2M,
+    then each power of X_CM (the last times X_CM) times its coefficient, added
+    in that order, then (H + H^T) / 2.  On one mode no entry of a product sums
+    more than two terms, so H is the ``scipy.sparse`` products of the CM
+    operators' CSR matrices bit for bit.  Raises OverflowError at the first
+    power of X_CM, or coefficient, that leaves the floating-point range, or
+    when H does, and DimensionCapError for a product past the slot cap.  The
+    powers stop at the first zero matrix; the terms above it are zero.
     """
     x_cm, _, p_tot = ops if ops is not None else cm_operators_numeric(spec.modes)
-    x = {o: v.real for o, v in x_cm.diagonals.items()}
-    momentum = {o: v.imag for o, v in p_tot.diagonals.items()}  # P^2 = -(Im P)^2
-    # scipy.sparse sums an entry of A @ B in the stored order of A's row: by
-    # ascending column for P_TOT, by descending column for X_CM, the first
-    # power (a product's rows are stored in reverse), so P_TOT^2 and X_CM^2,
-    # and so H of a quadratic potential, match its assembly bit for bit
-    h = {o: v * (-1 / (2.0 * spec.total_mass))
-         for o, v in _diagonal_product(momentum, momentum, reverse=False).items()}
-    power, coeffs, zero = {0: np.ones(x_cm.dim)}, dict(spec.potential.terms), np.zeros(x_cm.dim)
+    x = (x_cm.columns, x_cm.values)
+    momentum = (p_tot.columns, p_tot.values)  # P_TOT = i * momentum
+    square = _product(momentum, momentum)
+    terms = [(square[0], square[1] * (-1 / (2.0 * spec.total_mass)))]
+    rows, coeffs = np.arange(x_cm.dim)[:, None], dict(spec.potential.terms)
+    power = (rows, np.ones(rows.shape))  # the identity
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused here
         for k in range(spec.potential.degree + 1):
             if k:
-                power = _diagonal_product(power, x, reverse=True)
-                _check_finite(power.values(), f"power {k} of X_CM")
+                power = _product(power, x) if k > 1 else x
+                _check_finite([power[1]], f"power {k} of X_CM")
             if k in coeffs:
-                for o, v in power.items():
-                    h[o] = h[o] + float(coeffs[k]) * v if o in h else float(coeffs[k]) * v
-            if not any(v.any() for v in power.values()):  # underflowed, as every higher one
+                terms.append((power[0], float(coeffs[k]) * power[1]))
+            if not power[1].any():  # underflowed, as every higher one
                 break
-        # scrub rounding asymmetry; + 0.0 turns the zeros scipy drops into +0.0
-        h = {o: (h.get(o, zero) + _shifted(h.get(-o, zero), o)) * 0.5 + 0.0
-             for o in sorted(set(h) | {-o for o in h})}
-        _check_finite(h.values(), "the Hamiltonian")
-    return SparseOperator(x_cm.mode_dims, {o: v for o, v in h.items() if v.any()} or {0: zero},
-                          hermitian=True)
+        # each entry added in the order of the terms
+        columns, values = _slots(x_cm.dim, rows, *(np.concatenate(p, axis=1) for p in zip(*terms)))
+        # scrub rounding asymmetry; + 0.0 turns -0.0 into +0.0
+        rows = np.broadcast_to(rows, columns.shape)
+        columns, values = _slots(x_cm.dim, np.concatenate([rows, columns]),
+                                 np.concatenate([columns, rows]), np.concatenate([values, values]))
+        values = values * 0.5 + 0.0
+        _check_finite([values], "the Hamiltonian")
+    return SparseOperator(x_cm.mode_dims, columns, values, hermitian=True)
 
 
 def _step_count(t_final: float, dt: float) -> int:
@@ -289,36 +282,31 @@ class Trajectory:
 
 
 def _blocks(h: SparseOperator) -> list:
-    """The indices of H's diagonal blocks, read exactly off H's diagonals: its two
-    parity sectors when no nonzero entry couples basis states of opposite total
-    level parity (every even potential, on either model), else all of H."""
-    parity = np.indices(h.mode_dims).sum(axis=0).ravel() % 2
-    # entry i of diagonal o couples state i to state i + o; the wrapped ends are zero
-    if any(values[parity != np.roll(parity, -o)].any() for o, values in h.diagonals.items()):
+    """The indices of H's diagonal blocks, read exactly off H's slots: its two
+    parity sectors of the total level sum_j j n_j when no nonzero entry couples
+    basis states of opposite parity (every even potential), else all of H."""
+    parity = _levels(*_shape(h.mode_dims))[0].sum(axis=1) % 2
+    if ((h.values != 0) & (parity[:, None] != parity[h.columns])).any():
         return [np.arange(h.dim)]
     return [np.flatnonzero(parity == p) for p in (0, 1)]
 
 
 def _level_cut(block: np.ndarray, top: np.ndarray, amps: np.ndarray, t_final: float,
-               hbar: float, leak: float = 0.0):
+               hbar: float):
     """The eigenpairs of a dense block's smallest certified level cut.
 
-    The cut of L levels keeps the block's states whose every mode level
-    (``top``, the highest) is below L.  L starts at twice psi0's support, the
-    fewest levels outside which ``amps`` has norm at most CUT_TOLERANCE, and
-    doubles until a cut certifies; past half the rows the cut is the whole
-    block (``inside`` is ``slice(None)``), exact when its spectrum is finite
-    (else OverflowError).  For the cut's eigenpairs (theta_k, w_k) and
-    coefficients c_k = <w_k|psi0>,
-    ||psi_cut(t) - psi(t)|| <= ``leak`` + ||psi0 outside the cut||
+    The cut of L levels keeps the block's states whose highest occupied level
+    (``top``) is below L.  L starts at twice psi0's support, the fewest levels
+    outside which ``amps`` has norm at most CUT_TOLERANCE, and doubles until a
+    cut certifies; past half the rows the cut is the whole block (``inside``
+    is ``slice(None)``), exact when its spectrum is finite (else
+    OverflowError).  For the cut's eigenpairs (theta_k, w_k) and coefficients
+    c_k = <w_k|psi0>, ||psi_cut(t) - psi(t)|| <= ||psi0 outside the cut||
     + (t/hbar) sum_k |c_k| ||(H - theta_k) w_k|| for every 0 <= t <= t_final
-    (Parlett, The Symmetric Eigenvalue Problem, 1980), where ``leak`` is the
-    norm of the part of psi0 that ``amps`` does not carry (0 for a whole
-    block; psi0's part outside the exchange-symmetric subspace for a reduced
-    one, which H never mixes in), and (H - theta_k) w_k is H[outside, cut] w_k:
-    one GEMM of the outside rows that touch the cut.  A cut is kept when this
-    bound is at most CUT_TOLERANCE; a NaN or infinite bound never is.  Returns
-    ``(inside, evals, evecs, coeffs)``.
+    (Parlett, The Symmetric Eigenvalue Problem, 1980), and (H - theta_k) w_k
+    is H[outside, cut] w_k: one GEMM of the outside rows that touch the cut.
+    A cut is kept when this bound is at most CUT_TOLERANCE; a NaN or infinite
+    bound never is.  Returns ``(inside, evals, evecs, coeffs)``.
     """
     tail = np.sqrt(np.cumsum(np.bincount(top, np.abs(amps) ** 2)[::-1]))[::-1]
     levels = 2 * max(np.count_nonzero(tail > CUT_TOLERANCE), 1)
@@ -330,8 +318,7 @@ def _level_cut(block: np.ndarray, top: np.ndarray, amps: np.ndarray, t_final: fl
         with np.errstate(all="ignore"):  # an overflow leaves an uncertified bound
             # hypot: the squares of a norm may leave the floating-point range
             residuals = np.hypot.reduce(coupling[coupling.any(axis=1)] @ evecs, axis=0)
-            bound = (leak + np.linalg.norm(amps[~inside])
-                     + t_final / hbar * (np.abs(coeffs) @ residuals))
+            bound = np.linalg.norm(amps[~inside]) + t_final / hbar * (np.abs(coeffs) @ residuals)
         if bound <= CUT_TOLERANCE:
             return inside, evals, evecs, coeffs
         levels *= 2
@@ -340,105 +327,30 @@ def _level_cut(block: np.ndarray, top: np.ndarray, amps: np.ndarray, t_final: fl
     return slice(None), evals, evecs, evecs.T @ amps
 
 
-def _orbits(levels: np.ndarray, modes) -> tuple | None:
-    """Each state's orbit under the exchanges of equal modes, or None when no two
-    modes are equal.  ``levels`` holds the states' mode levels, one column per
-    state; sorting the levels within each group of equal ModeSpecs names the
-    orbit.  Returns each state's orbit number, the first state of each orbit and
-    the orbit sizes."""
-    groups = {}
-    for k, mode in enumerate(modes):
-        groups.setdefault(mode, []).append(k)
-    groups = [group for group in groups.values() if len(group) > 1]
-    if not groups:
-        return None
-    canonical = levels.copy()
-    for group in groups:
-        canonical[group] = np.sort(levels[group], axis=0)
-    _, first, orbit, sizes = np.unique(np.ravel_multi_index(canonical, [m.dim for m in modes]),
-                                       return_index=True, return_inverse=True,
-                                       return_counts=True)
-    return orbit, first, sizes
-
-
-def _orbit_block(h: SparseOperator, index: np.ndarray, orbit: np.ndarray,
-                 first: np.ndarray, root: np.ndarray | None) -> np.ndarray:
-    """H's block ``index`` as a dense array on the orbits' basis
-    e_a = sum over i in orbit a of e_i / sqrt|a|: Hs[a, b] = sum over i in a,
-    j in b of H[i, j] / sqrt(|a| |b|).  H commutes with the exchanges that make
-    the orbits, so each row of orbit a sums the same over orbit b, and
-    Hs[a, b] = sqrt(|a| / |b|) sum over j in b of H[r_a, j], read off the
-    diagonals at the first state r_a of each orbit.  With each state its own
-    orbit (``root``, the orbit sizes' square roots, None) this is
-    H[index][:, index], entry for entry.  Raises OverflowError for an orbit sum
-    past the floating-point range."""
-    n, reps = len(first), index[first]
-    label = np.full(h.dim, -1)
-    label[index] = orbit
-    cells, values = [], []
-    for o, diagonal in h.diagonals.items():
-        a = np.flatnonzero((reps + o >= 0) & (reps + o < h.dim))
-        b = label[reps[a] + o]  # -1: a column outside the block, whose entry is zero
-        a, b = a[b >= 0], b[b >= 0]
-        cells.append(a * n + b)
-        values.append(diagonal[reps[a]])
-    block = np.bincount(np.concatenate(cells), np.concatenate(values), n * n).reshape(n, n)
-    if root is not None:
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused here
-            block *= root[:, None] / root
-        _check_finite((block,), "the Hamiltonian's exchange-symmetric block")
-    return block
-
-
-def _eigh_sampler(h: SparseOperator, index, psi0: np.ndarray, times: np.ndarray, hbar: float,
-                  modes):
-    """Sample H's block ``index``: returns the block's columns that carry the
-    state, and a map from a slice of ``times`` to those columns of
-    exp(-iHt/hbar) psi0.
-
-    Where some of ``modes`` are equal and psi0's norm outside the block's
-    subspace symmetric under their exchange is at most CUT_TOLERANCE, the
-    state is sampled in that subspace, which H never leaves: on the orbits'
-    basis (:func:`_orbits`, :func:`_orbit_block`) from psi0's projection, a
-    row's column i being its orbit's entry over sqrt(|orbit|), and that norm
-    joins the level cut's bound.  Otherwise each state is its own orbit.  The
-    samples come from the eigenpairs of the block's smallest certified level
-    cut (:func:`_level_cut`), whose rows differ from the whole block's by at
-    most CUT_TOLERANCE in norm, the block's other columns zero.  A slice's
-    rows are one real GEMM of the real eigenvectors and the interleaved re
-    and im of the phased coefficients.  Raises OverflowError for a projection
-    past the floating-point range.
+def _eigh_sampler(h: SparseOperator, index, psi0: np.ndarray, times: np.ndarray, hbar: float):
+    """Sample H's block ``index``, scattered dense from H's slots: returns the
+    block's columns that carry the state, and a map from a slice of ``times``
+    to those columns of exp(-iHt/hbar) psi0, from the eigenpairs of the
+    block's smallest certified level cut (:func:`_level_cut`), the block's
+    other columns zero.  A slice's rows are one real GEMM of the real
+    eigenvectors and the interleaved re and im of the phased coefficients.
     """
-    levels = np.indices(h.mode_dims).reshape(len(h.mode_dims), -1)[:, index]
-    top, amps, leak = levels.max(axis=0), psi0[index], 0.0
-    orbit = first = np.arange(len(index))  # each state its own orbit
-    root, symmetric = None, _orbits(levels, modes)
-    if symmetric is not None:
-        labels, starts, counts = symmetric
-        roots = np.sqrt(counts)
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused here
-            projected = (np.bincount(labels, amps.real) + 1j * np.bincount(labels, amps.imag)) / roots
-            leak = np.linalg.norm(amps - (projected / roots)[labels])
-        _check_finite((projected, leak), "psi0's exchange-symmetric part")
-        if leak <= CUT_TOLERANCE:
-            orbit, first, root, top, amps = labels, starts, roots, top[starts], projected
-        else:  # psi0 is not exchange symmetric: the whole block
-            leak = 0.0
-    block = _orbit_block(h, index, orbit, first, root)
-    inside, evals, evecs, coeffs = _level_cut(block, top, amps, times[-1], hbar, leak)
-    kept = np.zeros(len(first), dtype=bool)
-    kept[inside] = True
-    member = kept[orbit]  # the block's columns whose orbit the cut keeps
-    gather = (np.cumsum(kept) - 1)[orbit[member]]
-    scale = None if root is None else root[orbit[member]]
+    n = len(index)
+    label = np.full(h.dim, -1)
+    label[index] = np.arange(n)
+    cols, values = label[h.columns[index]], h.values[index]
+    kept = (cols >= 0) & (values != 0)  # -1: a column outside the block, whose entry is zero
+    cells = (np.arange(n)[:, None] * n + cols)[kept]
+    block = np.bincount(cells, values[kept], n * n).reshape(n, n)
+    top = _levels(*_shape(h.mode_dims))[0][index, -1]
+    inside, evals, evecs, coeffs = _level_cut(block, top, psi0[index], times[-1], hbar)
 
     def sample(rows: slice) -> np.ndarray:
         # C-contiguous (b, S): its float64 view is (b, 2S), re and im interleaved
         phased = np.exp(np.outer(evals, times[rows]) * (-1j / hbar)) * coeffs[:, None]
-        out = (evecs @ phased.view(np.float64)).view(np.complex128).T
-        return out if root is None else out[:, gather] / scale
+        return (evecs @ phased.view(np.float64)).view(np.complex128).T
 
-    return index[member], sample
+    return index[inside], sample
 
 
 def _krylov_sampler(h: SparseOperator, psi0: np.ndarray, times: np.ndarray, hbar: float):
@@ -521,22 +433,22 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     """Propagate psi0 under the spec's Hamiltonian, sampling CM observables every dt.
 
     t_final must be a whole number of steps dt, at most MAX_STEPS.  The
-    propagator is exact and unitary, on the one banded H of
-    :func:`build_hamiltonian`: a dense ``eigh`` sampler per diagonal block of
-    it up to total dimension 2048, each on its block's certified level cut
-    and, where equal ``spec.modes`` leave psi0 symmetric, on the block's
-    exchange-symmetric subspace (:func:`_eigh_sampler`), and above that one Lanczos sampler of all of it,
-    through its apply, certified sample by sample (:func:`_krylov_sampler`).
+    propagator is exact and unitary, on the one H of :func:`build_hamiltonian`
+    on the occupation basis of ``spec.modes``: a dense ``eigh`` sampler per
+    diagonal block of it up to dimension 2048, each on its block's certified
+    level cut (:func:`_eigh_sampler`), and above that one Lanczos sampler of
+    all of it, through its apply, certified sample by sample
+    (:func:`_krylov_sampler`).
     The one loop over the time grid fills each block of rows from every
     sampler, zero in the columns outside a kept cut, evaluates it and drops
     it, and keeps only the columns of CM observables and energy, both read
     off one pair of X_CM and V_CM images of the rows on every mode count
     (:func:`_cm_energies`), norm and truncation weight.  Each stage checks what it
-    hands on: OverflowError for a power of X_CM or H (:func:`build_hamiltonian`), an
-    orbit sum, psi0's projection or a block's spectrum (:func:`_eigh_sampler`,
-    :func:`_level_cut`) or a Lanczos step; ``eigh``'s LinAlgError
-    is a ValueError.  Raises, for the first sample that fails a gate, NormDriftError
-    when |norm - 1| reaches 1e-8 (never renormalizes), else ExcessiveTruncationError.
+    hands on: OverflowError for a power of X_CM or H (:func:`build_hamiltonian`), a
+    block's spectrum (:func:`_level_cut`) or a Lanczos step; ``eigh``'s LinAlgError and
+    DimensionCapError are ValueErrors.  Raises, for the first sample that fails a gate,
+    NormDriftError when |norm - 1| reaches 1e-8 (never renormalizes), else
+    ExcessiveTruncationError.
     """
     n_steps = _step_count(t_final, dt)
     ops = cm_operators_numeric(spec.modes)
@@ -547,7 +459,7 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     dim = ops[0].dim
     h = build_hamiltonian(spec, ops=ops)
     if dim <= EIG_DIMENSION_LIMIT:
-        samplers = [_eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar, spec.modes)
+        samplers = [_eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar)
                     for index in _blocks(h)]
     else:
         samplers = [_krylov_sampler(h, psi0.amplitudes, times, spec.hbar)]

@@ -2,39 +2,42 @@
 
 Each particle is a mode with a mass and a truncation dimension d, in the
 oscillator basis of unit frequency (a basis choice: [X_CM, V_CM] does not
-depend on it).  Position and momentum are the standard tridiagonal ladder
-combinations; the only truncation artifact is the known defect of [X, P]
-confined to the top basis level, so its weight is a precise validity gate
-(TRUNCATION_GATE).
+depend on it).  Position and momentum are the standard ladder combinations;
+the only truncation artifact is the known defect of [X, P] confined to the
+top basis level, so its weight is a precise validity gate (TRUNCATION_GATE).
 
-Every operator is built by one constructor, ``SparseOperator(mode_dims,
-diagonals)``: one banded matrix over the composite index, mode 0 the
-slowest-varying, held in numpy as its nonzero diagonals.  A CM operator is
-the Kronecker sum sum_k I (x) ... (x) F_k (x) ... (x) I of weighted
-single-mode X or P, each tridiagonal with a zero main diagonal;
-:func:`_kronecker_sum` spreads them over the composite index once, when
-the operator is built, two diagonals per mode.  :func:`_diagonal_product`
-multiplies two operators' diagonals, and
-:func:`cmlimit.dynamics.build_hamiltonian` forms the Hamiltonian's band
-with it; ``SparseOperator.apply``, one pass of shifted slices per
-diagonal, is the one way an operator meets amplitudes, for the CM
-observables, <H> and the Lanczos propagator alike.  Neither this module
-nor :mod:`cmlimit.dynamics` reads the symbolic algebra of
-:mod:`cmlimit.ccr_algebra`: the exact and the numeric routes meet only
-where the CLI and the tests compare them.  This module and
-:mod:`cmlimit.dynamics` load numpy alone; the ``matrix`` property, one
-``scipy.sparse.diags`` of the diagonals, is this module's only scipy
-import, read only by tests and the benchmark's nnz counter.  An (S, D)
-stack of amplitude rows is applied and evaluated in one pass:
-:func:`cm_expectation_records` gives, from the rows' X_CM and V_CM images,
-one record whose fields are columns, one entry per row, and
-:func:`truncation_weights` one weight per row; the one-state functions are
-their one-row case.
+States and operators live on N equal modes (``mode_dims``, N entries d) in
+one basis, that of their exchange-symmetric subspace: the occupation
+vectors n (n_j modes at level j), C(N + d - 1, N) of them, each held as its
+sorted mode levels in ``itertools.combinations_with_replacement`` order
+(:func:`_levels`).  The effective CM mode is the one-mode case, the Fock
+basis of its d levels.  With A = sum_j sqrt(j) b_{j-1}^dagger b_j,
+<n - e_j + e_{j-1}|A|n> = sqrt(j n_j (n_{j-1} + 1)), X_CM = sqrt(hbar/2m)/N
+(A + A^dagger) and P_TOT = i sqrt(m hbar/2) (A^dagger - A); phi^(x)N is
+sqrt(N!/prod n_j!) prod phi_j^(n_j) at n, and a mode's top-level weight is
+<n_{d-1}>/N.
+
+One constructor builds every operator, ``SparseOperator(mode_dims, columns,
+values)``: each row holds its nonzero (column, value) slots by ascending
+column, padded with zeros to one width.  :func:`_slots` sums (row, column,
+value) triples into that form, for the products and sums that form the
+Hamiltonian (:func:`cmlimit.dynamics.build_hamiltonian`);
+``SparseOperator.apply``, one gather per slot, is the one way an operator
+meets amplitudes.  X_CM is real and P_TOT imaginary here, so their slots hold
+float64 values.  Neither this module nor :mod:`cmlimit.dynamics` reads
+:mod:`cmlimit.ccr_algebra`: the exact and the numeric routes meet only where
+the CLI and the tests compare them.  Both load numpy alone; the ``matrix``
+property, read only by tests and the benchmark's nnz counter, is the one
+scipy import.  An (S, D) stack of amplitude rows is evaluated in one pass:
+:func:`cm_expectation_records` gives one record whose fields are columns,
+one entry per row, :func:`truncation_weights` one weight per row; the
+one-state functions are their one-row case.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 import sys
@@ -42,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_AMPLITUDE_CAP = 2**20
+DEFAULT_AMPLITUDE_CAP = 2**20  # occupation states
+SLOT_CAP = 2**22  # (row, column, value) slots of a basis or of one operator product
 HERMITIAN_TOLERANCE = 1e-12
 TRUNCATION_GATE = 1e-6  # on the top-level weight of any mode: states, evolution, CLI
 
@@ -52,19 +56,130 @@ class ExcessiveTruncationError(RuntimeError):
 
 
 class DimensionCapError(ValueError):
-    """A requested composite dimension exceeds the amplitude cap."""
+    """A requested basis or operator product exceeds the amplitude or slot cap."""
 
 
-def _check_cap(mode_dims):
-    """Raise at the first partial product over the cap; the full product may have
-    thousands of digits, so it is neither formed nor printed."""
-    total = 1
-    for d in mode_dims:
-        total *= d
-        if total > DEFAULT_AMPLITUDE_CAP:
+def _check_cap(n: int, d: int) -> int:
+    """C(N + d - 1, N), the occupation states of N equal d-level modes.  Raises
+    DimensionCapError, before anything is allocated, past DEFAULT_AMPLITUDE_CAP
+    states (at the first partial product over it), or past SLOT_CAP slots in
+    the basis (N levels a state) or in P_TOT^2, which every Hamiltonian forms
+    (P_TOT holds at most 2 min(N, d - 1) slots a row)."""
+    k, states = min(n, d - 1), 1
+    for i in range(1, k + 1):  # C(N + d - 1 - k + i, i), increasing in i
+        states = states * (n + d - 1 - k + i) // i
+        if states > DEFAULT_AMPLITUDE_CAP:
             raise DimensionCapError(
                 f"composite dimension exceeds the cap of {DEFAULT_AMPLITUDE_CAP} amplitudes"
             )
+    width = 2 * min(n, d - 1)
+    if states * max(n, width * width) > SLOT_CAP:
+        raise DimensionCapError(f"the {states} occupation states of {n} modes exceed the cap "
+                                f"of {SLOT_CAP} slots of a basis or operator product")
+    return states
+
+
+def _shape(mode_dims) -> tuple:
+    """(N, d) of N equal d-level modes; unequal modes have no occupation basis."""
+    if not mode_dims or any(d != mode_dims[0] for d in mode_dims):
+        raise ValueError(f"expected equal modes, got dims {mode_dims}")
+    return len(mode_dims), mode_dims[0]
+
+
+@functools.lru_cache(maxsize=4)
+def _levels(n: int, d: int) -> tuple:
+    """The basis of N equal d-level modes: each state's mode levels, sorted, one row
+    per state in ``combinations_with_replacement(range(d), N)`` order, and for each
+    level its count so far in its run of equal levels (from 1).  Row p + 1 of the
+    tree below extends each row p prefix, whose last level is v, by v .. d - 1.
+    Read-only arrays of shape (C(N + d - 1, N), N)."""
+    parents, values, last = [], [], np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        counts = d - last
+        parent = np.repeat(np.arange(len(last)), counts)
+        values.append(np.arange(len(parent)) - (np.cumsum(counts) - counts - last)[parent])
+        parents.append(parent)
+        last = values[-1]
+    levels, index = np.empty((len(last), n), dtype=np.intp), np.arange(len(last))
+    for p in reversed(range(n)):
+        levels[:, p] = values[p][index]
+        index = parents[p][index]
+    runs = np.ones_like(levels)
+    for p in range(1, n):
+        runs[:, p] += (levels[:, p] == levels[:, p - 1]) * runs[:, p - 1]
+    levels.flags.writeable = runs.flags.writeable = False
+    return levels, runs
+
+
+def _ladder(n: int, d: int) -> tuple:
+    """A = sum_j sqrt(j) b_{j-1}^dagger b_j on the basis of :func:`_levels`, as the
+    triples (row, column, value) of its nonzero entries.
+
+    A moves one mode from level j to j - 1; the state's sorted levels change at
+    the first position p holding j.  Ranks need no search: a state's rank is
+    the sum over levels j < d - 1 of F[d - 1 - j, R_(j+1)], where R_j counts
+    its modes at level j and above and F[m, r] = C(r + m - 1, m); the move
+    changes R_j alone, from N - p to N - p - 1, so the rank falls by
+    F[d - j, N - p] - F[d - j, N - p - 1].
+    """
+    levels, runs = _levels(n, d)
+    f = np.zeros((n + 1, d), dtype=np.int64)  # F transposed: f[r] = F[:, r]
+    f[0, 0] = 1
+    for r in range(1, n + 1):
+        f[r] = np.cumsum(f[r - 1])
+    sizes = runs.copy()  # at each position, the count of its whole run of equal levels
+    for p in reversed(range(n - 1)):
+        same = levels[:, p + 1] == levels[:, p]
+        sizes[same, p] = sizes[same, p + 1]
+    rows, cols, values = [], [], []
+    for p in range(n):
+        level = levels[:, p]
+        first = level >= 1 if p == 0 else (level >= 1) & (level != levels[:, p - 1])
+        source = np.flatnonzero(first)
+        j = level[source]
+        count = sizes[source, p]  # n_j
+        below = 0 if p == 0 else np.where(levels[source, p - 1] == j - 1, runs[source, p - 1], 0)
+        rows.append(source - f[n - p, d - j] + f[n - p - 1, d - j])
+        cols.append(source)
+        values.append(np.sqrt(j * count * (below + 1.0)))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+
+
+def _slots(size: int, rows, cols, values) -> tuple:
+    """The padded (columns, values) of the sum of real (row, column, value)
+    triples, ``rows`` broadcast to the shape of ``cols`` and ``values``.
+
+    The values at one (row, column) are added in C order, from +0.0; zero
+    values and zero sums are dropped.  Each row holds its entries by ascending
+    column, then padding slots of value 0 at the row's own column, up to the
+    widest row (one slot at least)."""
+    rows, cols, values = np.broadcast_to(rows, cols.shape).ravel(), cols.ravel(), values.ravel()
+    keep = values != 0
+    keys, group = np.unique(rows[keep] * size + cols[keep], return_inverse=True)
+    sums = np.bincount(group, values[keep], len(keys))
+    keys, sums = keys[sums != 0], sums[sums != 0]
+    rows, cols = np.divmod(keys, size)
+    counts = np.bincount(rows, minlength=size)
+    position = np.arange(len(keys)) - (np.cumsum(counts) - counts)[rows]
+    width = max(int(counts.max(initial=0)), 1)
+    columns = np.repeat(np.arange(size)[:, None], width, axis=1)
+    out = np.zeros((size, width), dtype=sums.dtype)
+    columns[rows, position] = cols
+    out[rows, position] = sums
+    return columns, out
+
+
+def _product(a: tuple, b: tuple) -> tuple:
+    """The padded slots of A @ B from theirs: (A @ B)[i, c] adds A[i, j] B[j, c] by
+    ascending column j of A.  Raises DimensionCapError, before the products are
+    formed, when they would exceed SLOT_CAP."""
+    (a_cols, a_vals), (b_cols, b_vals) = a, b
+    size, count = len(a_cols), a_cols.size * b_cols.shape[1]
+    if count > SLOT_CAP:
+        raise DimensionCapError(f"an operator product of {count} slots exceeds the cap of "
+                                f"{SLOT_CAP} slots")
+    return _slots(size, np.arange(size)[:, None, None], b_cols[a_cols],
+                  a_vals[:, :, None] * b_vals[a_cols])
 
 
 @dataclass(frozen=True)
@@ -80,128 +195,89 @@ class ModeSpec:
             raise ValueError("mass and hbar must be positive")
         if not isinstance(self.dim, numbers.Integral) or self.dim < 2:
             raise ValueError("dim must be an integer of at least 2")
-        # the squared scales of position_op and momentum_op
+        # the squared scales of the position and momentum operators
         for scale in (self.hbar / (2.0 * self.mass), self.mass * self.hbar / 2.0):
             if not sys.float_info.min <= scale < math.inf:
                 raise ValueError("mass and hbar put the position or momentum "
                                  "scale out of the floating-point range")
 
 
-def _span(o: int, d: int) -> tuple:
-    """The rows i of a d x d matrix that hold an offset-o diagonal entry, and their columns i + o."""
-    return (slice(0, d - o), slice(o, d)) if o >= 0 else (slice(-o, d), slice(0, d + o))
-
-
-def _size(diagonals: dict) -> int:
-    return len(next(iter(diagonals.values())))
-
-
-def _shifted(values: np.ndarray, o: int) -> np.ndarray:
-    """Entry i is values[i + o], zero where i + o leaves the array; for the padded
-    offset -o diagonal of A this is the offset-o diagonal of A's transpose."""
-    out = np.zeros_like(values)
-    rows, cols = _span(o, len(values))
-    out[rows] = values[cols]
-    return out
-
-
-def _kronecker_sum(factors) -> dict:
-    """The diagonals over the composite index of sum_k I (x) ... (x) F_k (x) ... (x) I,
-    factor 0 the slowest-varying index: factor k's offset o lands at o times the
-    dimension of the factors after it.  Every value is summed from +0.0, as a
-    sparse Kronecker-sum fold sums it, which turns -0.0 into +0.0."""
-    sizes = [_size(f) for f in factors]
-    out, left, dim = {}, 1, math.prod(sizes)
-    for d, factor in zip(sizes, factors):
-        right = dim // (left * d)
-        for o, values in factor.items():
-            full = np.broadcast_to(values[:, None], (left, d, right)).ravel()
-            out[o * right] = out.get(o * right, 0.0) + full
-        left *= d
-    return out
-
-
-def _diagonal_product(a: dict, b: dict, reverse: bool) -> dict:
-    """The diagonals of A @ B, both held as padded diagonals of one size:
-    (A @ B)[i, i + oa + ob] adds A[i, i + oa] * B[i + oa, i + oa + ob] over
-    the offsets oa of A, ascending or, with ``reverse``, descending."""
-    out = {}
-    for oa in sorted(a, reverse=reverse):
-        va = a[oa]
-        for ob, vb in b.items():
-            if abs(oa + ob) >= len(va):  # a diagonal outside the matrix
-                continue
-            term = va * _shifted(vb, oa)
-            out[oa + ob] = out[oa + ob] + term if oa + ob in out else term
-    return dict(sorted(out.items()))
-
-
 class SparseOperator:
-    """Operator on a tensor product of modes: one banded matrix over the composite index.
+    """Operator on N equal modes, held as padded rows of (column, value) slots.
 
-    ``diagonals`` is a dict ``{offset: values}``, held in ascending offset
-    order, with ``values[i] = A[i, i + offset]`` where that column exists and
-    zero padding elsewhere, each of the composite dimension, the product of
-    ``mode_dims``, mode 0 the slowest-varying index: two diagonals per mode
-    for a CM operator (built by :func:`_kronecker_sum`), the band of a
-    Hamiltonian.  ``apply`` adds the diagonals' products by shifted slices;
-    only ``matrix``, the CSR matrix, imports ``scipy.sparse``, this module's
-    one scipy import.
+    ``columns`` and ``values`` have one shape (D, K), D the occupation states
+    of ``mode_dims``: row i holds ``values[i, k]`` at ``columns[i, k]``, its
+    nonzero entries by ascending column, then zero padding at its own column.
+    With ``imaginary`` the entries are i times the (real) values, so the
+    slots of P_TOT and V_CM hold their imaginary parts.
     """
 
-    __slots__ = ("mode_dims", "diagonals", "hermitian")
+    __slots__ = ("mode_dims", "dim", "columns", "values", "imaginary", "hermitian")
 
-    def __init__(self, mode_dims, diagonals, hermitian=False):
+    def __init__(self, mode_dims, columns, values, hermitian=False, imaginary=False):
         mode_dims = tuple(int(d) for d in mode_dims)
-        if not isinstance(diagonals, dict):
-            raise TypeError("diagonals are a dict {offset: values}")
-        if not diagonals:
-            raise ValueError("an operator holds at least one diagonal")
-        dim = math.prod(mode_dims)
-        if any(np.shape(v) != (dim,) for v in diagonals.values()):
-            raise ValueError(f"each diagonal holds {dim} values on dims {mode_dims}")
-        if any(abs(o) >= dim for o in diagonals):
-            raise ValueError(f"an offset of {sorted(diagonals)} leaves the {dim} x {dim} matrix")
-        diagonals = dict(sorted(diagonals.items()))
-        if hermitian:
-            zero = np.zeros(dim)
-            if not all(np.abs(v - np.conj(_shifted(diagonals.get(-o, zero), o))).max()
-                       <= HERMITIAN_TOLERANCE for o, v in diagonals.items()):  # NaN fails
-                raise ValueError("operator marked Hermitian is not (within 1e-12)")
-        object.__setattr__(self, "mode_dims", mode_dims)
-        object.__setattr__(self, "diagonals", diagonals)
-        object.__setattr__(self, "hermitian", bool(hermitian))
+        n, d = _shape(mode_dims)
+        dim = math.comb(n + d - 1, n)
+        if not (isinstance(columns, np.ndarray) and columns.dtype.kind in "iu"
+                and isinstance(values, np.ndarray)
+                and values.dtype.kind in ("f" if imaginary else "fc")):
+            raise TypeError("an operator's slots are an integer array of columns "
+                            "and a float or complex array of values")
+        if columns.ndim != 2 or columns.shape != values.shape or len(columns) != dim:
+            raise ValueError(f"expected {dim} rows of slots on dims {mode_dims}, "
+                             f"got columns {columns.shape} and values {values.shape}")
+        if not columns.shape[1]:
+            raise ValueError("an operator holds at least one slot per row")
+        if columns.min() < 0 or columns.max() >= dim:
+            raise ValueError(f"a column of a slot leaves the {dim} x {dim} matrix")
+        if hermitian:  # each nonzero entry against its mirror entry, or 0 where none is stored
+            rows, slot = np.nonzero(values)
+            cols, vals = columns[rows, slot], values[rows, slot]
+            keys = rows * dim + cols
+            order = np.argsort(keys)
+            mirrors = cols * dim + rows
+            found = np.minimum(np.searchsorted(keys, mirrors, sorter=order), len(keys) - 1)
+            mirror = np.where(keys[order[found]] == mirrors, vals[order[found]], 0)
+            sign = -1 if imaginary else 1  # (i v)^* = -i v^*
+            if not np.abs(vals - sign * np.conj(mirror)).max(initial=0) <= HERMITIAN_TOLERANCE:
+                raise ValueError("operator marked Hermitian is not (within 1e-12)")  # NaN fails
+        for name, value in (("mode_dims", mode_dims), ("dim", dim), ("columns", columns),
+                            ("values", values), ("imaginary", bool(imaginary)),
+                            ("hermitian", bool(hermitian))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseOperator is immutable")
 
     @property
     def matrix(self):
-        """The complex CSR matrix, one ``scipy.sparse.diags`` of the diagonals,
-        built anew on each read.
+        """The complex CSR matrix of the nonzero slots, built anew on each read.
 
         Read only by tests and the benchmark's nnz counter; it imports
         ``scipy.sparse`` (the ``test`` extra).
         """
         import scipy.sparse as sp
 
-        return sp.diags([v[_span(o, self.dim)[0]] for o, v in self.diagonals.items()],
-                        list(self.diagonals), shape=(self.dim, self.dim), format="csr",
-                        dtype=np.complex128)
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.mode_dims)
+        nonzero = self.values != 0
+        data = np.zeros(np.count_nonzero(nonzero), dtype=np.complex128)  # real parts +0.0
+        if self.imaginary:
+            data.imag = self.values[nonzero]
+        else:
+            data[:] = self.values[nonzero]
+        indptr = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
+        return sp.csr_matrix((data, self.columns[nonzero], indptr), shape=(self.dim, self.dim))
 
     def apply(self, psi) -> np.ndarray:
         """op psi for a StateVector on this layout, a bare amplitude vector or an (S, D) stack.
 
-        The first diagonal's products, then each further one's added, by
-        ascending offset, on the (S, D) view: each row adds its entries by
-        ascending column, as a CSR product does.  CSR starts the sum at
-        +0.0, which the final ``+ 0.0`` reproduces for zero sums (it turns
-        -0.0 into +0.0 and changes nothing else): every row is rounded as
-        ``matrix`` rounds it, bit for bit.
+        The first slot's products, then each further one's added: each row adds
+        its entries by ascending column, as a CSR product does, and its padding
+        adds zeros.  CSR starts the sum at +0.0, which the final ``+ 0.0``
+        reproduces (it turns -0.0 into +0.0 and changes nothing else), so for
+        finite amplitudes every row is rounded as ``matrix`` rounds it, bit for
+        bit: a real value times re and im rounds as the complex value with a
+        zero imaginary part, up to the sign of a zero, and an imaginary
+        operator's sum is multiplied by i once, exactly.
         """
         if isinstance(psi, StateVector):
             if psi.mode_dims != self.mode_dims:
@@ -209,16 +285,21 @@ class SparseOperator:
             psi = psi.amplitudes
         if psi.ndim not in (1, 2) or psi.shape[-1] != self.dim:
             raise ValueError(f"expected {self.dim} amplitudes per row, got shape {psi.shape}")
-        rows, out = psi.reshape(-1, self.dim), None
-        for o, values in self.diagonals.items():
-            span, cols = _span(o, self.dim)
-            if out is None:
-                out = np.empty(rows.shape, dtype=np.result_type(rows, values))
-                np.multiply(values[span], rows[:, cols], out=out[:, span])
-                out[:, :span.start] = 0
-                out[:, span.stop:] = 0
+        rows = psi.reshape(-1, self.dim)
+        interleaved = np.iscomplexobj(rows) and np.isrealobj(self.values)
+        out = None
+        for cols, values in zip(self.columns.T, self.values.T):
+            term = np.take(rows, cols, axis=1)  # C-ordered, as vecdot's rounding needs
+            if interleaved:  # re and im times the real value: no complex cast per entry
+                term.view(np.float64)[...] *= np.repeat(values, 2)
             else:
-                out[:, span] += values[span] * rows[:, cols]
+                term = term * values
+            if out is None:
+                out = term
+            else:
+                out += term
+        if self.imaginary:
+            out = out * 1j
         out += 0.0  # the +0.0 CSR starts every sum from
         return out.reshape(psi.shape)
 
@@ -227,18 +308,19 @@ class SparseOperator:
         return np.ascontiguousarray(self.apply(np.eye(self.dim, dtype=np.complex128)).T)
 
     def __repr__(self):
-        return f"<SparseOperator dims={self.mode_dims} diagonals={len(self.diagonals)}>"
+        return f"<SparseOperator dims={self.mode_dims} slots={self.columns.shape[1]}>"
 
 
 class StateVector:
-    """Dense normalized amplitude vector on a tensor product of modes."""
+    """Dense normalized amplitude vector on the occupation basis of N equal modes."""
 
     __slots__ = ("mode_dims", "amplitudes")
 
     def __init__(self, mode_dims, amplitudes):
         mode_dims = tuple(int(d) for d in mode_dims)
+        n, d = _shape(mode_dims)
         amplitudes = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-        if amplitudes.size != math.prod(mode_dims):
+        if amplitudes.size != math.comb(n + d - 1, n):
             raise ValueError("amplitude count does not match mode dimensions")
         nrm = float(np.linalg.norm(amplitudes))
         # loose sanity check only; evolution gates enforce the tight 1e-8 drift bound
@@ -258,64 +340,44 @@ class StateVector:
 
 
 # ---------------------------------------------------------------------------
-# Single-mode operators
-# ---------------------------------------------------------------------------
-
-
-def _ladder_diagonal(d: int) -> np.ndarray:
-    """sqrt(n) at row n - 1 for n = 1 .. d - 1, complex, with its padding zero."""
-    if d < 2:
-        raise ValueError("dim must be at least 2")
-    return np.append(np.sqrt(np.arange(1, d)), 0.0).astype(np.complex128)
-
-
-def position_op(mode: ModeSpec) -> SparseOperator:
-    """X = sqrt(hbar/2m) (a + a†); Hermitian, tridiagonal.
-
-    The diagonals are rounded as ``scale * (a + a.getH())`` rounds them in
-    ``scipy.sparse``, signed zeros included.
-    """
-    a = _ladder_diagonal(mode.dim)
-    scale = math.sqrt(mode.hbar / (2.0 * mode.mass))
-    return SparseOperator((mode.dim,), {-1: (0 + _shifted(np.conj(a), -1)) * scale,
-                                        1: (a + 0) * scale}, hermitian=True)
-
-
-def momentum_op(mode: ModeSpec) -> SparseOperator:
-    """P = i sqrt(m hbar / 2) (a† - a); Hermitian, tridiagonal, rounded as
-    ``1j * scale * (a.getH() - a)`` rounds in ``scipy.sparse``."""
-    a = _ladder_diagonal(mode.dim)
-    scale = 1j * math.sqrt(mode.mass * mode.hbar / 2.0)
-    return SparseOperator((mode.dim,), {-1: (_shifted(np.conj(a), -1) - 0) * scale,
-                                        1: (0 - a) * scale}, hermitian=True)
-
-
-# ---------------------------------------------------------------------------
 # CM observables
 # ---------------------------------------------------------------------------
 
 
-def cm_operators_numeric(system):
-    """(X_CM, V_CM, P_TOT) on the tensor product of the given modes.
-
-    Each is the Kronecker sum (:func:`_kronecker_sum`) of its weighted
-    single-mode operators, mode 0 the slowest-varying index: (m_k/M) X_k,
-    P_k/M and P_k, each two off-diagonals, rounded as the ``scipy.sparse``
-    scalar products round them, spread over the composite index.  No scipy
-    module is loaded here.  Every entry is a single product w_k * A_k[i, j]:
-    the modes' terms never overlap.
-    """
-    system = list(system)
+def _equal_modes(system) -> ModeSpec:
+    """The one mode of a list of equal modes."""
     if not system:
         raise ValueError("need at least one mode")
-    total_mass = sum(m.mass for m in system)
-    dims = tuple(m.dim for m in system)
-    _check_cap(dims)
-    x = [{o: v * (m.mass / total_mass) for o, v in position_op(m).diagonals.items()}
-         for m in system]
-    p = [momentum_op(m).diagonals for m in system]
-    v = [{o: values * (1 / total_mass) for o, values in f.items()} for f in p]
-    return tuple(SparseOperator(dims, _kronecker_sum(f), hermitian=True) for f in (x, v, p))
+    if any(m != system[0] for m in system):
+        raise ValueError("the occupation basis holds equal modes only (mass, dim and hbar)")
+    return system[0]
+
+
+def cm_operators_numeric(system):
+    """(X_CM, V_CM, P_TOT) on the occupation basis of N equal modes.
+
+    X_CM = sqrt(hbar/2m) (m/M) (A + A^dagger) and P_TOT = i sqrt(m hbar/2)
+    (A^dagger - A), each entry one product of A's sqrt(j n_j (n_{j-1} + 1)) and
+    the scale; V_CM's values are P_TOT's times 1/M.  The three share one array
+    of columns; X_CM holds real values, P_TOT and V_CM imaginary ones.  Raises
+    ValueError for unequal modes and DimensionCapError (:func:`_check_cap`)
+    before the basis is built.
+    """
+    system = list(system)
+    mode = _equal_modes(system)
+    n = len(system)
+    dim = _check_cap(n, mode.dim)
+    total_mass = n * mode.mass
+    rows, cols, ladder = _ladder(n, mode.dim)
+    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])  # A, then A^dagger
+    x_scale = math.sqrt(mode.hbar / (2.0 * mode.mass)) * (mode.mass / total_mass)
+    columns, x = _slots(dim, rows, cols, np.concatenate([ladder, ladder]) * x_scale)
+    p = _slots(dim, rows, cols,
+               np.concatenate([-ladder, ladder]) * math.sqrt(mode.mass * mode.hbar / 2.0))[1]
+    dims = (mode.dim,) * n
+    return (SparseOperator(dims, columns, x, hermitian=True),
+            SparseOperator(dims, columns, p * (1 / total_mass), hermitian=True, imaginary=True),
+            SparseOperator(dims, columns, p, hermitian=True, imaginary=True))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +394,7 @@ def coherent_state(mode: ModeSpec, x0: float, p0: float) -> StateVector:
     TRUNCATION_GATE or more of its probability on the top basis level, or
     when alpha is not finite.
     """
-    _check_cap((mode.dim,))
+    _check_cap(1, mode.dim)
     alpha = (
         math.sqrt(mode.mass / (2.0 * mode.hbar)) * x0
         + 1j * p0 / math.sqrt(2.0 * mode.mass * mode.hbar)
@@ -363,26 +425,48 @@ def coherent_state(mode: ModeSpec, x0: float, p0: float) -> StateVector:
 
 
 def product_state(states) -> StateVector:
-    """Tensor product of per-mode states, normalized."""
+    """phi^(x)N of N equal one-mode states, on their occupation basis, normalized.
+
+    The amplitude sqrt(N! / prod n_j!) prod phi_j^(n_j) is formed in logs, so
+    no product of N amplitudes leaves the floating-point range: the sum of
+    log|phi| over the state's sorted levels, less half the sum of the logs of
+    their counts so far in their runs, log(prod n_j!) (log N! cancels in the
+    normalization).  Raises ValueError for unequal states, whose product leaves
+    the exchange-symmetric subspace, and DimensionCapError before the basis is
+    built.
+    """
     states = list(states)
     if not states:
         raise ValueError("need at least one factor")
-    dims = tuple(d for s in states for d in s.mode_dims)
-    _check_cap(dims)
-    amps = states[0].amplitudes
-    for s in states[1:]:
-        amps = np.kron(amps, s.amplitudes)
-    amps = amps / np.linalg.norm(amps)
-    return StateVector(dims, amps)
+    phi = states[0]
+    if len(phi.mode_dims) != 1 or any(
+            s is not phi and (s.mode_dims != phi.mode_dims
+                              or not np.array_equal(s.amplitudes, phi.amplitudes))
+            for s in states):
+        raise ValueError("the occupation basis holds products of equal one-mode states only")
+    n, d = len(states), phi.mode_dims[0]
+    _check_cap(n, d)
+    levels, runs = _levels(n, d)
+    with np.errstate(divide="ignore"):  # a zero amplitude is a log of -inf, and stays zero
+        log_phi = np.log(np.abs(phi.amplitudes))
+    log_mag = log_phi[levels].sum(axis=1) - 0.5 * np.log(runs).sum(axis=1)
+    phase = np.angle(phi.amplitudes)[levels].sum(axis=1)
+    amps = np.exp(log_mag - log_mag.max()) * np.exp(1j * phase)
+    return StateVector((d,) * n, amps / np.linalg.norm(amps))
 
 
 def coherent_product(system, x0s, p0s) -> StateVector:
-    """Product of per-mode coherent states; the cap is checked before any is built."""
-    system = list(system)
-    _check_cap(m.dim for m in system)
-    return product_state(
-        [coherent_state(m, x, p) for m, x, p in zip(system, x0s, p0s, strict=True)]
-    )
+    """phi^(x)N of one coherent state phi on N equal modes (:func:`product_state`).
+
+    Raises ValueError for unequal modes or displacements, and checks the cap
+    before any state is built.
+    """
+    system, pairs = list(system), list(zip(x0s, p0s, strict=True))
+    mode = _equal_modes(system)
+    if len(pairs) != len(system) or any(pair != pairs[0] for pair in pairs):
+        raise ValueError("the occupation basis holds products of equal coherent states only")
+    _check_cap(len(system), mode.dim)
+    return product_state([coherent_state(mode, *pairs[0])] * len(system))
 
 
 # ---------------------------------------------------------------------------
@@ -411,18 +495,18 @@ def uncertainty_product(a: SparseOperator, b: SparseOperator, psi: StateVector) 
 
 
 def truncation_weights(amplitudes: np.ndarray, mode_dims) -> np.ndarray:
-    """Per row of an (S, D) amplitude stack: the maximum over modes of the
-    probability of that mode's top basis level."""
-    probs = np.abs(amplitudes.reshape((-1, *mode_dims))) ** 2
-    worst = np.zeros(len(probs))
-    for axis, d in enumerate(mode_dims):
-        others = tuple(i + 1 for i in range(len(mode_dims)) if i != axis)
-        worst = np.maximum(worst, probs.sum(axis=others)[:, d - 1])
-    return worst
+    """Per row of an (S, D) amplitude stack: the probability of each mode's top
+    basis level, <n_{d-1}>/N, the same for every mode of the symmetric state."""
+    n, d = _shape(mode_dims)
+    levels, runs = _levels(n, d)
+    top = np.flatnonzero(levels[:, -1] == d - 1)
+    probs = np.abs(amplitudes.reshape(-1, len(levels))[:, top]) ** 2
+    # a running sum adds each row's terms in one order, whatever the number of rows
+    return np.cumsum(probs * (runs[top, -1] / n), axis=1)[:, -1]
 
 
 def truncation_weight(psi: StateVector) -> float:
-    """Maximum over modes of the probability of that mode's top basis level."""
+    """The probability of a mode's top basis level."""
     return float(truncation_weights(psi.amplitudes, psi.mode_dims)[0])
 
 

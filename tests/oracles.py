@@ -11,10 +11,19 @@ The uncertainty oracle :func:`composite_uncertainty_row` forms all d^N
 amplitudes of the product of N equal coherent modes and reads the CM row
 from the composite record, which the CLI reads from one mode's record.
 
+The library holds N equal modes in their occupation basis; the composite
+index of any modes, equal or not, is the oracles' alone:
+:func:`kron_cm_operators` and :func:`composite_operator` (dense Kronecker
+sums), :func:`kron_cm_images` (their action, mode by mode), :func:`kronsum_matrix` and :func:`sparse_hamiltonian` (``scipy.sparse``
+folds), :func:`composite_product` (``np.kron`` states) and
+:func:`symmetric_isometry`, which maps the occupation basis onto the
+exchange-symmetric subspace of the composite index.  :func:`position_op` and
+:func:`momentum_op` build one mode's X and P from their dense matrices.
+
 The matrix oracle :func:`poly_matrix` evaluates a symbolic element on dense
 (X, V) matrices with numpy's matrix products alone, so it shares no
-arithmetic with the diagonal algebra of :mod:`cmlimit.hilbert_rep` that
-assembles the Hamiltonian.
+arithmetic with the slot products of :mod:`cmlimit.hilbert_rep` that
+assemble the Hamiltonian.
 
 The symbol oracle :class:`SymbolPolynomial` holds the classical symbol of a
 normal-ordered polynomial (``symbol_map`` and ``lift`` copy the term map)
@@ -42,6 +51,7 @@ the configuration step that followed it, unchanged.
 """
 
 import argparse
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -74,14 +84,10 @@ from cmlimit.hilbert_rep import (
     ModeSpec,
     SparseOperator,
     StateVector,
-    _ladder_diagonal,
-    _span,
-    _size,
     cm_expectation_record,
+    cm_expectation_records,
     coherent_product,
     coherent_state,
-    momentum_op,
-    position_op,
 )
 
 ZERO = GaussianRational(0)
@@ -366,13 +372,16 @@ def poly_matrix(poly, pairs, hbar: float, eps: float) -> np.ndarray:
 def composite_uncertainty_row(n: int, dim: int, x0: float, p0: float, mbar: float,
                               hbar: float) -> tuple:
     """The ``uncertainty`` row, as ``_fmt`` text, of N equal coherent modes at
-    (x0, p0 / N), from the composite record of their dim^N-amplitude product."""
+    (x0, p0 / N), from the composite record of their dim^N-amplitude product:
+    the Kronecker product of the modes' states and the composite operators of
+    :func:`kron_cm_operators`, its top-level weight the largest of the modes'."""
     modes = [ModeSpec(mass=mbar, dim=dim, hbar=hbar)] * n
     bound = hbar / 2.0 / (n * mbar)
     try:
-        rec = cm_expectation_record(coherent_product(modes, [x0] * n, [p0 / n] * n), modes)
+        psi = composite_product([coherent_state(modes[0], x0, p0 / n)] * n)
     except ExcessiveTruncationError:
-        rec = None
+        psi = None
+    rec = None if psi is None else composite_record(psi.amplitudes, modes)
     if rec is None or rec.truncation_weight > TRUNCATION_GATE:
         return (str(n), str(dim), "nan", _fmt(bound), "nan", "nan", "nan", "truncation")
     product = rec.dx * rec.dv
@@ -386,64 +395,147 @@ def basis_state(d: int, n: int = 0) -> StateVector:
 
 
 def ground_product(system) -> StateVector:
-    """|0,...,0> on the given modes: their coherent product at the origin."""
+    """|0,...,0> on the given equal modes: their coherent product at the origin."""
     zeros = [0.0] * len(system)
     return coherent_product(system, zeros, zeros)
 
 
+def slots(matrix) -> tuple:
+    """A square matrix (dense or ``scipy.sparse``) as ``SparseOperator`` slots:
+    each row's nonzero entries by ascending column, plus 0.0 (so a zero part is
+    +0.0), then zeros at the row's own column up to the widest row.  Real
+    matrices give float values, complex ones complex values."""
+    dense = np.asarray(matrix.toarray() if hasattr(matrix, "toarray") else matrix)
+    dense = dense.astype(np.complex128 if np.iscomplexobj(dense) else np.float64)
+    size = len(dense)
+    assert dense.shape == (size, size)
+    entries = [np.flatnonzero(row) for row in dense]
+    width = max(max(map(len, entries)), 1)
+    columns = np.repeat(np.arange(size)[:, None], width, axis=1)
+    values = np.zeros((size, width), dtype=dense.dtype)
+    for i, cols in enumerate(entries):
+        columns[i, :len(cols)] = cols
+        values[i, :len(cols)] = dense[i, cols] + 0.0
+    return columns, values
+
+
 def ladder(d: int) -> SparseOperator:
     """Lowering operator on a d-level mode: a|n> = sqrt(n)|n-1>."""
-    return SparseOperator((d,), {1: _ladder_diagonal(d)})
+    return SparseOperator((d,), *slots(np.diag(np.sqrt(np.arange(1.0, d)), 1)))
 
 
-def diagonals(matrix) -> dict:
-    """A square matrix (dense or ``scipy.sparse``) as ``SparseOperator`` diagonals:
-    its nonzero diagonals, padded; the zero matrix keeps its main diagonal, so
-    the diagonals know their size."""
-    dense = np.asarray(matrix.toarray() if hasattr(matrix, "toarray") else matrix,
-                       dtype=np.complex128)
-    d = dense.shape[0]
-    assert dense.shape == (d, d)
-    rows, cols = np.nonzero(dense)
-    out = {}
-    for o in np.unique(cols - rows).tolist() or [0]:
-        out[o] = np.zeros(d, dtype=np.complex128)
-        out[o][_span(o, d)[0]] = np.diagonal(dense, o)
-    return out
+def position_op(mode: ModeSpec) -> SparseOperator:
+    """X = sqrt(hbar/2m) (a + a^dagger) of one mode, from its dense matrix."""
+    a = np.diag(np.sqrt(np.arange(1.0, mode.dim)), 1)
+    return SparseOperator((mode.dim,), *slots(math.sqrt(mode.hbar / (2.0 * mode.mass)) * (a + a.T)),
+                          hermitian=True)
+
+
+def momentum_op(mode: ModeSpec) -> SparseOperator:
+    """P = i sqrt(m hbar/2) (a^dagger - a) of one mode, from its dense matrix."""
+    a = np.diag(np.sqrt(np.arange(1.0, mode.dim)), 1)
+    p = np.zeros((mode.dim, mode.dim), dtype=np.complex128)
+    p.imag = math.sqrt(mode.mass * mode.hbar / 2.0) * (a.T - a)
+    return SparseOperator((mode.dim,), *slots(p), hermitian=True)
 
 
 def cm_factors(system) -> tuple:
-    """The per-mode factors of (X_CM, V_CM, P_TOT), each a list of diagonals:
+    """The per-mode factors of (X_CM, V_CM, P_TOT), each a list of CSR matrices:
     (m_k/M) X_k, P_k/M and P_k, scaled as ``scipy.sparse`` scales a CSR matrix."""
     system = list(system)
     total_mass = sum(m.mass for m in system)
-    x = [diagonals(position_op(m).matrix * (m.mass / total_mass)) for m in system]
-    p = [diagonals(momentum_op(m).matrix) for m in system]
-    v = [diagonals(momentum_op(m).matrix * (1 / total_mass)) for m in system]
+    x = [position_op(m).matrix * (m.mass / total_mass) for m in system]
+    p = [momentum_op(m).matrix for m in system]
+    v = [momentum_op(m).matrix * (1 / total_mass) for m in system]
     return x, v, p
 
 
 def kronsum_matrix(factors):
-    """The complex CSR matrix of the Kronecker sum of per-mode factors, assembled as
-    ``scipy.sparse`` folds it: each factor a CSR matrix of its diagonals, folded
-    with ``kronsum(F_k, S)`` over the factors from a 1x1 zero, so factor 0 ends up
-    the slowest-varying index.  The reference assembly for the ``matrix`` of an
-    operator built by ``hilbert_rep._kronecker_sum``."""
+    """The complex CSR matrix of the Kronecker sum of per-mode factors (square
+    matrices, dense or sparse), assembled as ``scipy.sparse`` folds it: folded with
+    ``kronsum(F_k, S)`` over the factors from a 1x1 zero, so factor 0 ends up the
+    slowest-varying index.  The composite index of unequal modes is the oracle's
+    alone: the library holds equal modes in their occupation basis."""
     import scipy.sparse as sp
 
     total = sp.csr_matrix((1, 1), dtype=np.complex128)
     for f in factors:
-        csr = sp.diags([v[_span(o, _size(f))[0]] for o, v in f.items()], list(f),
-                       shape=(_size(f), _size(f)), format="csr", dtype=np.complex128)
-        total = sp.kronsum(csr, total, format="csr")
+        total = sp.kronsum(sp.csr_matrix(f, dtype=np.complex128), total, format="csr")
     return total
 
 
+def composite_operator(factors, hermitian=False) -> SparseOperator:
+    """The Kronecker sum of dense per-mode factors as a ``SparseOperator`` on one
+    index of their product dimension: sum_k I (x) ... (x) F_k (x) ... (x) I by
+    ``np.kron``, factor 0 the slowest-varying index."""
+    dims = [len(f) for f in factors]
+    total = 0
+    for k, f in enumerate(factors):
+        left, right = np.eye(math.prod(dims[:k])), np.eye(math.prod(dims[k + 1:]))
+        total = total + np.kron(np.kron(left, f), right)
+    return SparseOperator((math.prod(dims),), *slots(total), hermitian=hermitian)
+
+
+def composite_product(states) -> StateVector:
+    """The ``np.kron`` product of one-mode states, normalized, on one index of their
+    product dimension, mode 0 the slowest-varying."""
+    amps = np.ones(1)
+    for s in states:
+        amps = np.kron(amps, s.amplitudes)
+    return StateVector((amps.size,), amps / np.linalg.norm(amps))
+
+
+def kron_cm_images(system, amplitudes: np.ndarray) -> tuple:
+    """(X_CM psi, V_CM psi) of a composite state of the given modes: the Kronecker
+    sums of :func:`kron_cm_operators` applied mode by mode, each mode's dense X or
+    P contracted with its axis of psi, so no d^N x d^N matrix is formed."""
+    dims = [m.dim for m in system]
+    total_mass = sum(m.mass for m in system)
+    psi = amplitudes.reshape(dims)
+    x_psi = p_psi = 0
+    for k, mode in enumerate(system):
+        for op, weight in ((position_op(mode), mode.mass / total_mass), (momentum_op(mode), None)):
+            image = np.moveaxis(np.tensordot(op.to_dense(), psi, axes=([1], [k])), 0, k)
+            if weight is None:
+                p_psi = p_psi + image
+            else:
+                x_psi = x_psi + weight * image
+    return x_psi.ravel(), (p_psi / total_mass).ravel()
+
+
+def composite_record(amplitudes: np.ndarray, system):
+    """The CM record of one composite state of the given modes, from the images of
+    :func:`kron_cm_images`; its truncation weight is the largest of the modes'
+    top-level probabilities."""
+    dims = [m.dim for m in system]
+    probs = np.abs(amplitudes.reshape(dims)) ** 2
+    weight = max(probs.sum(axis=tuple(i for i in range(len(dims)) if i != k))[d - 1]
+                 for k, d in enumerate(dims))
+    x_psi, v_psi = kron_cm_images(system, amplitudes)
+    columns = cm_expectation_records(amplitudes[None], x_psi[None], v_psi[None],
+                                     np.array([weight]))
+    return type(columns)(*(column[0].item() for column in vars(columns).values()))
+
+
+def symmetric_isometry(n: int, d: int) -> np.ndarray:
+    """The d^N x C(N + d - 1, N) isometry from the occupation basis of N equal
+    d-level modes into their composite index: column s is the normalized sum of
+    the composite basis states whose sorted levels are the s-th multiset of
+    ``itertools.combinations_with_replacement(range(d), N)``."""
+    index = {levels: s for s, levels in
+             enumerate(itertools.combinations_with_replacement(range(d), n))}
+    iso = np.zeros((d**n, len(index)))
+    for i, levels in enumerate(itertools.product(range(d), repeat=n)):
+        iso[i, index[tuple(sorted(levels))]] = 1.0
+    return iso / np.sqrt(iso.sum(axis=0))
+
+
 def sparse_hamiltonian(spec: HamiltonianSpec):
-    """H as a complex CSR matrix, assembled with ``scipy.sparse`` (imported here):
-    the Kronecker-sum fold of each CM operator's per-mode factors
-    (:func:`kronsum_matrix` of :func:`cm_factors`), its sparse powers and
-    (H + H^H) / 2.  The reference assembly for ``build_hamiltonian``'s diagonals."""
+    """H as a complex CSR matrix on the composite index of the spec's modes,
+    assembled with ``scipy.sparse`` (imported here): the Kronecker-sum fold of
+    each CM operator's per-mode factors (:func:`kronsum_matrix` of
+    :func:`cm_factors`), its sparse powers and (H + H^H) / 2.  The reference
+    assembly for ``build_hamiltonian``, on any modes."""
     import scipy.sparse as sp
 
     x_factors, _, p_factors = cm_factors(spec.modes)
@@ -546,7 +638,8 @@ def random_masses(rng, n) -> tuple:
 
 
 def kron_cm_operators(system):
-    """Dense (X_CM, V_CM, P_TOT): each mode's matrix padded by explicit identities.
+    """Dense (X_CM, V_CM, P_TOT) on the composite index of any modes: each mode's
+    matrix padded by explicit identities.
 
     Mode 0 is the leading Kronecker factor.  Every entry is one product
     w_k * A_k[i, j] (times 1.0), so the sparse Kronecker-sum assembly must

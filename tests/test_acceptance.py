@@ -43,6 +43,8 @@ from cmlimit.hilbert_rep import (
     uncertainty_product,
 )
 from oracles import (
+    composite_product,
+    composite_record,
     free_width_analytic,
     gaussian_spreading,
     ground_product,
@@ -184,16 +186,22 @@ def test_criterion_5_matrix_oracle_equivalence():
 
 
 def test_criterion_6_uncertainty_saturation_and_scaling():
+    # on the occupation basis of the N modes, and on their composite index
+    # through the oracle's Kronecker sums
     start = time.perf_counter()
     ok = True
     for n in range(1, 6):
         modes = [ModeSpec(mass=1.0, dim=8) for _ in range(n)]
         psi = ground_product(modes)
         x_cm, v_cm, _ = cm_operators_numeric(modes)
-        product = uncertainty_product(x_cm, v_cm, psi)
-        ok = ok and abs(product - 1.0 / (2 * n)) < 1e-9
-        residual = cm_expectation_record(psi, modes).factorization_residual
-        ok = ok and abs(residual * n - 0.5) < 1e-9
+        composite = composite_record(
+            composite_product([coherent_state(modes[0], 0.0, 0.0)] * n).amplitudes, modes)
+        for product, residual in (
+                (uncertainty_product(x_cm, v_cm, psi),
+                 cm_expectation_record(psi, modes).factorization_residual),
+                (composite.dx * composite.dv, composite.factorization_residual)):
+            ok = ok and abs(product - 1.0 / (2 * n)) < 1e-9
+            ok = ok and abs(residual * n - 0.5) < 1e-9
     report(6, "coherent ground products saturate hbar/(2 N mbar); residual*N*mbar = hbar/2",
            ok, 10.0, time.perf_counter() - start)
 

@@ -399,17 +399,54 @@ def test_evolve_step_limit(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("evolve", "--model", "full", "--N", "7", "--dim", "8"),
+    # 888,030 occupation states of 20 levels each: past the slot cap of the basis
+    ("evolve", "--model", "full", "--N", "20", "--dim", "8"),
+    # 357,760 states, but P_TOT^2 would form 12.9 million slots
     ("evolve", "--model", "full", "--N", "3", "--dim", "128"),
-    # 16^3600 has 4,335 digits, past int-to-str's default limit of 4,300
+    # C(3615, 15) states, and 16^3600 composite amplitudes: the count stops at the cap
     ("evolve", "--potential", "0", "--model", "full", "--N", "3600", "--dim", "16",
      "--x0", "0"),
     ("evolve", "--model", "full", "--N", "1", "--dim", str(10**30)),
 ])
 def test_amplitude_cap_names_n_and_dim(capsys, argv):
-    # the full model holds --dim levels in each of --N entangled modes
+    # the full model holds the occupation states of --N modes of --dim levels
     err = _assert_flag_config_error(capsys, argv, "--N, --dim")
     assert len(err) < 200
+
+
+def _x_cm(out):
+    """The x_cm column of an evolve table."""
+    lines = out.split("# classical")[0].splitlines()  # "# quantum", the header, the rows
+    column = lines[1].split(",").index("x_cm")
+    return [float(line.split(",")[column]) for line in lines[2:]]
+
+
+def test_full_model_runs_past_the_composite_cap(capsys):
+    # 8^7 composite amplitudes were refused; the 3,432 occupation states run in
+    # 0.3 s, and the CM track is the effective mode's
+    argv = ("evolve", "--potential", "0.5*x^2", "--N", "7", "--x0", "0.3", "--t", "0.5")
+    code, full = run_cli(capsys, *argv, "--model", "full", "--dim", "8")
+    assert code == 0
+    code, effective = run_cli(capsys, *argv)
+    assert code == 0
+    x_full, x_effective = _x_cm(full), _x_cm(effective)
+    assert len(x_full) == len(x_effective) == 51
+    assert max(abs(a - b) for a, b in zip(x_full, x_effective)) <= 1e-6
+    # at the default x0 = 1 each 8-level mode spreads onto its top level: the gate
+    code, out = run_cli(capsys, "evolve", "--model", "full", "--N", "7", "--dim", "8")
+    assert code == 2
+    assert "# FAILED ExcessiveTruncationError: truncation weight" in out
+
+
+def test_full_model_quartic_at_six_modes_within_budget(capsys):
+    # 1,716 occupation states; the composite path took 54 s here, the occupation
+    # basis 0.7 s on a 2-core container
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "evolve", "--model", "full", "--potential", "0.1*x^4", "--N", "6",
+                        "--dim", "8", "--t", "0.5", "--x0", "0.3")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and "FAILED" not in out
+    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize("argv", [
@@ -538,23 +575,23 @@ def test_uncertainty_commands_are_byte_identical(capsys, argv, md5):
      "68d4bcf0f5b61e9a198879c631d64a86"),
     (("--potential", "0.5*x^2", "--N", "3", "--model", "full", "--dim", "10", "--t", "1",
       "--dt", "0.01", "--x0", "0.3", "--p0", "0.05"),
-     "83341c0603da94e887f0e83f8971a5d5"),
-    # dimension 2116, past the dense limit: the Lanczos sampler
-    (("--potential", "0.5*x^2", "--model", "full", "--N", "2", "--dim", "46", "--t", "0.1",
+     "fe87fabd5f4c7028ebd5283fa7e8bb7d"),
+    # 2,080 occupation states, past the dense limit: the Lanczos sampler
+    (("--potential", "0.5*x^2", "--model", "full", "--N", "2", "--dim", "64", "--t", "0.1",
       "--dt", "0.01", "--x0", "0.3", "--p0", "0.05"),
-     "52b8887d40c1c4123b8938b3a0e1e166"),
+     "63244430d680606174eb2ac08818ff31"),
     # an odd term couples the parity sectors, 15 row blocks: one Lanczos run streams them
-    (("--potential", "0.5*x^2 + 0.05*x", "--model", "full", "--N", "2", "--dim", "46",
+    (("--potential", "0.5*x^2 + 0.05*x", "--model", "full", "--N", "2", "--dim", "64",
       "--t", "1", "--dt", "0.01", "--x0", "0.3", "--p0", "0.05"),
-     "b619d366f64d8665ecdc70bcbfb857f7"),
+     "7644a546304907597235acb2bc1db7fa"),
     (("--potential", "0.5*x^2", "--model", "full", "--N", "2", "--dim", "12", "--t", "1",
       "--dt", "0.05", "--x0", "0.3", "--p0", "0.05", "--format", "json"),
-     "f27958a066581cf01f2b0fcfa841f4bb"),
-    # quartic plus cubic above the dense limit: on several modes, where an entry of
-    # H may sum its products in another order than sparse products do, and on one
-    (("--potential", "0.1*x^4+0.2*x^3+0.5*x^2", "--model", "full", "--N", "2", "--dim", "46",
+     "0024f6117016e9f27673d08e967c1070"),
+    # quartic plus cubic above the dense limit (2,600 states): on several modes, where an
+    # entry of H sums more than two products, and on one
+    (("--potential", "0.1*x^4+0.2*x^3+0.5*x^2", "--model", "full", "--N", "3", "--dim", "24",
       "--t", "0.1", "--dt", "0.01", "--x0", "0.3", "--p0", "0.05"),
-     "fc0c29407d873db2a30a656c65cfa20b"),
+     "50f9998febe16dba329af26757eee3bb"),
     (("--potential", "0.1*x^4+0.3*x^3", "--N", "16", "--dim", "2100", "--t", "0.1",
       "--dt", "0.01", "--x0", "0.5"),
      "5d9e1cfbbfc706d7b2b38b46bb0a31bb"),

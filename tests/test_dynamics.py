@@ -37,7 +37,6 @@ from cmlimit.hilbert_rep import (
     ModeSpec,
     SparseOperator,
     StateVector,
-    _kronecker_sum,
     cm_expectation_record,
     cm_operators_numeric,
     coherent_product,
@@ -46,13 +45,15 @@ from cmlimit.hilbert_rep import (
 )
 from oracles import (
     basis_state,
-    diagonals,
+    composite_operator,
     evaluate,
     free_width_analytic,
     gaussian_spreading,
     ground_product,
     ladder,
+    slots,
     sparse_hamiltonian,
+    symmetric_isometry,
 )
 
 FREE = PolynomialPotential.zero()
@@ -194,12 +195,12 @@ def test_one_mode_hamiltonian_equals_folded_build(n, dim):
                           dim=dim)
     ops = cm_operators_numeric(spec.modes)
     zero = scipy.sparse.csr_matrix((1, 1), dtype=np.complex128)
-    folded = tuple(
-        SparseOperator(op.mode_dims,
-                       diagonals(scipy.sparse.kronsum(op.matrix, zero, format="csr")),
-                       hermitian=True)
-        for op in ops
-    )
+    folded = []
+    for op in ops:
+        columns, values = slots(scipy.sparse.kronsum(op.matrix, zero, format="csr"))
+        folded.append(SparseOperator(op.mode_dims, columns,
+                                     values.imag if op.imaginary else values.real,
+                                     hermitian=True, imaginary=op.imaginary))
     h = build_hamiltonian(spec, ops=ops).matrix
     h_folded = build_hamiltonian(spec, ops=folded).matrix
     for part in ("data", "indices", "indptr"):
@@ -226,22 +227,24 @@ _COEFFS = st.dictionaries(st.integers(0, 4), st.builds(Fraction, st.integers(-9,
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(st.one_of(
-    st.lists(st.tuples(_MASS, st.integers(2, 64)), min_size=1, max_size=1),
-    st.lists(st.tuples(_MASS, st.integers(2, 12)), min_size=2, max_size=3),
+    st.tuples(_MASS, st.just(1), st.integers(2, 64)),
+    st.tuples(_MASS, st.integers(2, 3), st.integers(2, 12)),
 ), _COEFFS)
-@example([(Fraction(1), 10)] * 3, {2: Fraction(1, 2)})  # a benchmark full-model shape
-@example([(Fraction(1, 3), 5), (Fraction(2), 5)], {2: Fraction(1, 2), 1: Fraction(1, 5)})
-def test_numpy_hamiltonian_matches_sparse_assembly(modes_drawn, coeffs):
-    # H of one mode or of a quadratic potential is the CSR assembly bit for
-    # bit; a cubic or quartic power on several modes may add an entry's
-    # products in another order
-    modes = tuple(ModeSpec(mass=float(m), dim=d) for m, d in modes_drawn)
+@example((Fraction(1), 3, 10), {2: Fraction(1, 2)})  # a benchmark full-model shape
+@example((Fraction(1, 3), 2, 5), {2: Fraction(1, 2), 1: Fraction(1, 5)})
+def test_numpy_hamiltonian_matches_sparse_assembly(shape, coeffs):
+    # H of one mode is the CSR assembly bit for bit; on N equal modes it is the
+    # composite CSR assembly read through the isometry onto the occupation
+    # basis, within 1e-15 of its largest entry
+    mass, n, d = shape
+    modes = (ModeSpec(mass=float(mass), dim=d),) * n
     spec = HamiltonianSpec(modes=modes, potential=PolynomialPotential.from_coeffs(coeffs))
     ops = cm_operators_numeric(modes)
     h = build_hamiltonian(spec, ops=ops).matrix.toarray()
-    csr = sparse_hamiltonian(spec).toarray()
+    iso = symmetric_isometry(n, d)
+    csr = iso.T @ (sparse_hamiltonian(spec) @ iso)
     assert not h.imag.any()
-    if len(modes) == 1 or spec.potential.degree <= 2:
+    if n == 1:
         assert np.array_equal(h, csr)
     else:
         assert np.abs(h - csr).max() <= 1e-15 * np.abs(csr).max()
@@ -309,8 +312,7 @@ def test_propagators_agree(monkeypatch):
         times = 0.05 * np.arange(21)
         dense = np.zeros((21, h.dim), dtype=np.complex128)
         for index in dynamics._blocks(h):
-            columns, sample = dynamics._eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar,
-                                                     spec.modes)
+            columns, sample = dynamics._eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar)
             dense[:, columns] = sample(slice(None))
         columns, sample = dynamics._krylov_sampler(h, psi0.amplitudes, times, spec.hbar)
         assert columns == slice(None)
@@ -413,62 +415,35 @@ def test_eigh_sampler_without_a_certified_cut_is_the_whole_sector(monkeypatch):
     assert np.array_equal(rows, sampled_rows(monkeypatch, psi0, spec, 2.0, 0.01))
 
 
-def _unreduced_rows(monkeypatch, psi0, spec):
-    """The rows of a run to t = 1 with no orbit formed, as where no two modes are equal."""
-    with monkeypatch.context() as patch:
-        patch.setattr(dynamics, "_orbits", lambda *args: None)
-        return sampled_rows(monkeypatch, psi0, spec, 1.0, 0.05)
+def _composite_rows(psi0, spec, t_final, dt):
+    """The rows of a run on the composite index of the modes, read through the
+    isometry: the oracle's sparse H made dense, its exponential by ``eigh``,
+    applied to psi0's image, the sum over its orbits."""
+    n, d = len(spec.modes), spec.modes[0].dim
+    iso = symmetric_isometry(n, d)
+    evals, evecs = np.linalg.eigh(sparse_hamiltonian(spec).toarray())
+    coeffs = evecs.conj().T @ (iso @ psi0.amplitudes)
+    times = dt * np.arange(round(t_final / dt) + 1)
+    return (np.exp(np.outer(times, evals) * (-1j / spec.hbar)) * coeffs) @ evecs.T @ iso
 
 
 @pytest.mark.parametrize("spec, x0, sizes", [
     (_full_spec(harmonic(3.0), n=3), 0.4, [110, 110]),  # 220 multisets of 3 levels below 10
     (_full_spec(QUARTIC_CUBIC, dim=8), 0.4, [36]),  # the odd term couples the parities
-    (_full_spec(harmonic(2.0), dim=32), 0.2, [132, 256]),  # a certified cut of 272 orbits
+    (_full_spec(harmonic(2.0), dim=32), 0.2, [132, 256]),  # a certified cut of 272 states
 ], ids=["harmonic-N3", "quartic-cubic-N2", "harmonic-cut-N2"])
 def test_equal_modes_evolve_in_their_exchange_symmetric_subspace(spec, x0, sizes, monkeypatch):
-    # equal modes and equal coherent states: each block is reduced to one row
-    # per orbit of its states, or to a level cut of those, and the rows are the
-    # unreduced block's
+    # equal modes and equal coherent states: each block is one parity sector of
+    # the occupation basis, or a level cut of it, and the rows are those of the
+    # composite run, which never leaves the exchange-symmetric subspace
     n = len(spec.modes)
     psi0 = coherent_product(spec.modes, [x0] * n, [0.1] * n)
     sectors = sector_eighs(monkeypatch)
     rows = sampled_rows(monkeypatch, psi0, spec, 1.0, 0.05)
     assert [eighs[-1] for eighs in sectors] == sizes
-    del sectors[:]
-    whole = _unreduced_rows(monkeypatch, psi0, spec)
-    assert all(eighs[-1] > size for eighs, size in zip(sectors, sizes))
-    assert np.abs(rows - whole).max() <= 1e-13
+    assert np.abs(rows - _composite_rows(psi0, spec, 1.0, 0.05)).max() <= 1e-13
     h = build_hamiltonian(spec)
     assert np.abs(rows - complex_gemm_rows(h, psi0, 0.05, 20, spec.hbar)).max() <= 1e-13
-
-
-@pytest.mark.parametrize("modes, x0", [
-    ((ModeSpec(mass=1.0, dim=10),) * 2, [0.4, 0.5]),  # psi0 is not exchange symmetric
-    ((ModeSpec(mass=1.0, dim=10), ModeSpec(mass=2.0, dim=10)), [0.4, 0.4]),
-], ids=["asymmetric-psi0", "unequal-masses"])
-def test_unreduced_blocks_keep_their_arithmetic(modes, x0, monkeypatch):
-    # no certified reduction: the same eigh sizes and the same rows, bit for
-    # bit, as with no orbit formed at all
-    spec = HamiltonianSpec(modes=modes, potential=harmonic(3.0))
-    psi0 = coherent_product(modes, x0, [0.1, 0.1])
-    sectors = sector_eighs(monkeypatch)
-    rows = sampled_rows(monkeypatch, psi0, spec, 1.0, 0.05)
-    whole = _unreduced_rows(monkeypatch, psi0, spec)
-    assert sectors[:2] == sectors[2:] and [eighs[-1] for eighs in sectors] == [50] * 4
-    assert np.array_equal(rows, whole)
-    if modes[0] != modes[1]:
-        assert dynamics._orbits(np.indices((10, 10)).reshape(2, -1), modes) is None
-
-
-def test_exchange_asymmetry_joins_the_cut_bound():
-    # psi0's norm outside the symmetric subspace is one more term of the
-    # bound: past CUT_TOLERANCE alone, no cut certifies
-    spec = effective_spec(16, potential=QUARTIC, dim=1024)
-    block = build_hamiltonian(spec).to_dense().real
-    top, amps = np.arange(1024), coherent_state(spec.modes[0], 1.0, 0.0).amplitudes
-    assert dynamics._level_cut(block, top, amps, 2.0, 1.0, 0.0)[0].sum() <= 512
-    leak = 2 * dynamics.CUT_TOLERANCE
-    assert dynamics._level_cut(block, top, amps, 2.0, 1.0, leak)[0] == slice(None)
 
 
 @pytest.mark.parametrize("n, dim, x0, p0, sizes", [
@@ -476,7 +451,7 @@ def test_exchange_asymmetry_joins_the_cut_bound():
     (2, 3, 0.0, 0.0, [2, 1]),  # the ground state: a cut of the even sector's 4 orbits
 ])
 def test_full_model_single_sample_is_psi0(n, dim, x0, p0, sizes, monkeypatch):
-    # t = 0: one sample, the symmetric projection of psi0 expanded back
+    # t = 0: one sample, psi0 itself
     spec = _full_spec(harmonic(float(n)), n=n, dim=dim)
     psi0 = coherent_product(spec.modes, [x0] * n, [p0 / n] * n)
     sectors = sector_eighs(monkeypatch)
@@ -523,18 +498,17 @@ def test_eigh_sampler_rows_within_the_cut_tolerance(coeffs, dim, n, x0, t_final,
     times = dt * np.arange(steps + 1)
     rows = np.zeros((steps + 1, dim), dtype=np.complex128)
     for index in dynamics._blocks(h):
-        columns, sample = dynamics._eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar,
-                                                 spec.modes)
+        columns, sample = dynamics._eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar)
         rows[:, columns] = sample(slice(None))
     oracle = complex_gemm_rows(h, psi0, dt, steps, spec.hbar)
     assert np.abs(rows - oracle).max() <= dynamics.CUT_TOLERANCE + 1e-13
 
 
 def _banded(d, band, scale, seed):
-    """A random real symmetric band of half-width ``band`` as ``{offset: values}``."""
+    """A random real symmetric band of half-width ``band`` as ``SparseOperator`` slots."""
     rng = np.random.default_rng(seed)
     upper = np.triu(np.tril(rng.uniform(-scale, scale, (d, d)), band))
-    return diagonals(upper + np.triu(upper, 1).T)
+    return slots(upper + np.triu(upper, 1).T)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -545,7 +519,7 @@ def _banded(d, band, scale, seed):
 def test_krylov_sampler_rows_match_the_dense_exponential(d, band, scale, hbar, dt, steps, seed):
     # each basis certifies its samples at 1e-14 by its error estimate; the rows
     # stay within 1e-11 of the exact exponential, in any row blocks
-    h = SparseOperator((d,), _banded(d, band, scale, seed), hermitian=True)
+    h = SparseOperator((d,), *_banded(d, band, scale, seed), hermitian=True)
     rng = np.random.default_rng(seed + 1)
     psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi0 /= np.linalg.norm(psi0)
@@ -561,8 +535,8 @@ def test_krylov_sampler_rows_match_the_dense_exponential(d, band, scale, hbar, d
 @pytest.mark.parametrize("entry, hbar", [(np.inf, 1.0), (np.nan, 1.0), (1e308, 1e-10)],
                          ids=["infinite", "nan", "overflows-over-hbar"])
 def test_krylov_sampler_refuses_a_non_finite_coefficient(entry, hbar):
-    h = SparseOperator((4,), {-1: np.array([0.0, 1, 1, 1]), 0: np.array([entry, 1, 1, 1]),
-                              1: np.array([1.0, 1, 1, 0])})
+    h = SparseOperator((4,), *slots(np.diag([entry, 1.0, 1.0, 1.0]) + np.eye(4, k=1)
+                                    + np.eye(4, k=-1)))
     _, sample = dynamics._krylov_sampler(h, np.full(4, 0.5 + 0j), np.array([0.0, 0.1]), hbar)
     with pytest.raises(OverflowError, match="floating-point range"):
         sample(slice(None))
@@ -575,7 +549,7 @@ def test_krylov_sampler_refuses_a_run_it_cannot_finish(monkeypatch, start, max_s
     # more than MAX_STEPS of them, or one that t + step rounds away (the ulp of
     # 2^60 is 256), refuse
     monkeypatch.setattr(dynamics, "MAX_STEPS", max_steps)
-    h = SparseOperator((100,), _banded(100, 3, 50.0, 0), hermitian=True)
+    h = SparseOperator((100,), *_banded(100, 3, 50.0, 0), hermitian=True)
     _, sample = dynamics._krylov_sampler(h, basis_state(100).amplitudes,
                                          np.array([start, start + 1024.0]), 0.5)
     with pytest.raises(OverflowError, match=f"more than {max_steps} substeps"):
@@ -585,7 +559,7 @@ def test_krylov_sampler_refuses_a_run_it_cannot_finish(monkeypatch, start, max_s
 def test_evolve_does_not_import_csgraph():
     # the parity sectors are read off H's entries; no graph search is loaded.
     # Nor is any scipy module at all, on either side of the dense limit: H and
-    # the CM operators are numpy diagonals, numpy's eigh diagonalizes H below
+    # the CM operators are numpy slots, numpy's eigh diagonalizes H below
     # the limit and its Lanczos sampler applies it above, and math.lgamma builds
     # the coherent states
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -600,7 +574,7 @@ def test_evolve_does_not_import_csgraph():
             "code += main(['evolve', '--potential', '0.1*x^4+0.3*x^3', '--N', '16', "
             "'--dim', '2100', '--t', '0.02', '--dt', '0.01', '--x0', '0.5']); "
             "code += main(['evolve', '--potential', '0.5*x^2 + 0.05*x', '--model', 'full', "
-            "'--N', '2', '--dim', '46', '--t', '0.02', '--dt', '0.01', '--x0', '0.3']); "
+            "'--N', '2', '--dim', '64', '--t', '0.02', '--dt', '0.01', '--x0', '0.3']); "
             "print(code, *[name for name in sys.modules if name.split('.')[0] == 'scipy'], "
             "file=sys.stderr)")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
@@ -657,10 +631,10 @@ def test_long_run_holds_no_amplitude_stack():
 def test_energy_of_a_high_degree_potential_holds_few_powers(monkeypatch):
     # at mass 16 and d = 8 X_CM's spectral radius is 0.73, so no power of the rows
     # vanishes up to the 1000th that x^2000 reads: held together, those images of
-    # 51 rows of 64 amplitudes would take 52 MB; at mass 1e300 the third vanishes,
+    # 51 rows of 36 amplitudes would take 29 MB; at mass 1e300 the third vanishes,
     # and no higher power is applied
     rng = np.random.default_rng(7)
-    rows = rng.standard_normal((51, 64)) + 1j * rng.standard_normal((51, 64))
+    rows = rng.standard_normal((51, 36)) + 1j * rng.standard_normal((51, 36))
     applies, apply = [], SparseOperator.apply
     monkeypatch.setattr(SparseOperator, "apply", lambda op, psi: applies.append(1) or apply(op, psi))
     for mass in (16.0, 1e300):
@@ -684,8 +658,8 @@ def test_energy_of_a_high_degree_potential_holds_few_powers(monkeypatch):
 def test_long_run_above_dense_limit_holds_no_amplitude_stack():
     # the Lanczos sampler yields its rows in time order, so above the dense
     # limit too ten times the samples costs ten times the records, not the
-    # rows: the 1001 rows of 2116 amplitudes alone would take 32 MiB
-    spec = _full_spec(LINEAR_HARMONIC, dim=46)
+    # rows: the 1001 rows of 2080 amplitudes alone would take 32 MiB
+    spec = _full_spec(LINEAR_HARMONIC, dim=64)
     psi0 = coherent_product(spec.modes, [0.3, 0.3], [0.025, 0.025])
     assert psi0.amplitudes.size > dynamics.EIG_DIMENSION_LIMIT
     peaks = []
@@ -852,8 +826,7 @@ def test_ehrenfest_quartic_squared_observable(monkeypatch):
     h = build_hamiltonian(spec)
     x_cm = cm_operators_numeric(spec.modes)[0]
     x_sq = x_cm.matrix @ x_cm.matrix
-    x_sq = SparseOperator(x_cm.mode_dims, diagonals((x_sq + x_sq.getH()) * 0.5),
-                          hermitian=True)
+    x_sq = SparseOperator(x_cm.mode_dims, *slots((x_sq + x_sq.getH()) * 0.5), hermitian=True)
 
     def residual(dt):
         rows = sampled_rows(monkeypatch, psi0, spec, dt * round(1.6 / dt), dt)
@@ -866,14 +839,12 @@ def test_ehrenfest_quartic_squared_observable(monkeypatch):
 
 def test_expectation_product_of_non_hermitian_kronecker_sums():
     # a and b are not Hermitian, so each is applied to the other's image
-    dims = (3, 4)
-    a = SparseOperator(dims, _kronecker_sum([ladder(3).diagonals,
-                                             diagonals(ladder(4).matrix.T)]))
-    b = SparseOperator(dims, _kronecker_sum([diagonals(ladder(3).matrix.T * 0.5),
-                                             ladder(4).diagonals]))
+    # on the composite index of a 3- and a 4-level mode, the oracle's alone
+    a = composite_operator([ladder(3).to_dense(), ladder(4).to_dense().T])
+    b = composite_operator([ladder(3).to_dense().T * 0.5, ladder(4).to_dense()])
     rng = np.random.default_rng(7)
     amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    psi = StateVector(dims, amps / np.linalg.norm(amps))
+    psi = StateVector((12,), amps / np.linalg.norm(amps))
     dense_a, dense_b = a.to_dense(), b.to_dense()
     expected = np.vdot(psi.amplitudes, (dense_a @ dense_b - dense_b @ dense_a) @ psi.amplitudes)
     assert abs(expectation_product(a, b, psi) - expected) < 1e-13

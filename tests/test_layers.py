@@ -29,8 +29,7 @@ PUBLIC_NAMES = [
     "cm_expectation_record", "cm_expectation_records", "cm_observables",
     "cm_operators_numeric", "coherent_product", "coherent_state", "commutator",
     "compare_trajectories", "divide_central", "effective_cm_system", "eps_valuation",
-    "evolve_classical", "evolve_quantum", "expectation", "momentum_op", "position_op",
-    "product_state", "render", "residual_monomial_identity", "residual_poisson",
+    "evolve_classical", "evolve_quantum", "expectation", "product_state", "render", "residual_monomial_identity", "residual_poisson",
     "residual_power_identity", "truncation_weight", "truncation_weights",
     "uncertainty_product", "variance",
 ]

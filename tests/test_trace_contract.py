@@ -41,7 +41,7 @@ def test_counters_read_real_results():
     alg = cm_algebra()
     x, v = alg.x(), alg.v()
     spans.COUNTERS["ccr_algebra.commutator"](counts, (x, v), commutator(x, v))
-    system = [ModeSpec(mass=1.0, dim=3), ModeSpec(mass=2.0, dim=4)]
+    system = [ModeSpec(mass=1.0, dim=3), ModeSpec(mass=1.0, dim=3)]
     ops = cm_operators_numeric(system)
     spans.COUNTERS["hilbert_rep.cm_operators"](counts, (system,), ops)
     assert counts["hilbert_rep.operator_nnz"] == sum(op.matrix.nnz for op in ops) > 0
