@@ -19,6 +19,7 @@ that the CLI reads its flags as the ``argparse`` parser it replaced did
 
 import contextlib
 import io
+import math
 import re
 
 from hypothesis import assume, given, settings
@@ -84,12 +85,14 @@ def argvs(draw):
 
 
 def _full_model_dimension(argv):
-    """Composite dimension of a full-model evolve run, or 0 for any other run."""
+    """Occupation states of a full-model evolve run, C(N + dim - 1, N), or 0 for any
+    other run."""
     values = dict(zip(argv[1::2], argv[2::2]))
     if argv[0] != "evolve" or values.get("--model") != "full":
         return 0
     try:
-        return int(values["--dim"]) ** int(values["--N"])
+        n, dim = int(values["--N"]), int(values["--dim"])
+        return math.comb(n + dim - 1, n)
     except (KeyError, ValueError):  # a flag with no value or a malformed one
         return 0
 
