@@ -451,8 +451,8 @@ def _fmt(value) -> str:
 
 
 def _float_rows(*columns) -> tuple:
-    """Rows of the ``_fmt`` text of float columns (lists), formatted column by column."""
-    return tuple(zip(*([format(v, ".12g") for v in column] for column in columns)))
+    """Rows of the ``_fmt`` text of float columns (lists), each column one ``%`` template."""
+    return tuple(zip(*(("%.12g\n" * len(column) % tuple(column)).split() for column in columns)))
 
 
 def run_scaling(config: ExperimentConfig) -> ExperimentResult:

@@ -16,19 +16,21 @@ every even potential (checked on H's entries), else one of all of H.  A
 narrow CM packet reaches few of a block's levels, so its ``eigh`` runs on
 the smallest level cut (the states whose highest occupied level is below
 L) whose Ritz-pair residual bound keeps the rows within CUT_TOLERANCE of
-the whole block's over the run, L doubling up to the whole block.  Above
-dimension 2048, short Lanczos steps apply H by ``SparseOperator.apply``;
-neither side loads scipy.  Each propagator is a sampler of one diagonal
-block of H, built once; ``evolve_quantum`` walks the time grid once, in
-blocks of rows of about 2^14 amplitudes (256 KiB a complex array, so the
-block's handful of arrays stays in a core's L2 cache through the
-elementwise passes), each filled from every sampler (one GEMM per ``eigh``
-or per Lanczos basis), evaluated and dropped, so a run never holds all its
-rows: the CM record (:mod:`cmlimit.hilbert_rep`) and the energy read one
-pair of X_CM and V_CM images of a block.  Norm drift is measured, never
-corrected -- silent renormalization would hide a propagation failure.  The
-classical twin integrates Hamilton's equations xdot = p/M, pdot = -U'(x)
-with classic 4th-order steps on the same time grid.  Both runs are kept as
+the whole block's over the run, L doubling up to the whole block, and
+keeps the eigenpairs psi0 loads above eps.  Above dimension 2048, short
+Lanczos steps apply H by ``SparseOperator.apply``; neither side loads
+scipy.  Each propagator is a sampler of one diagonal block of H, built
+once; ``evolve_quantum`` walks the time grid once, in blocks of rows of
+about 2^14 amplitudes (256 KiB a complex array, so the block's handful of
+arrays stays in a core's L2 cache through the elementwise passes), each
+filled from every sampler (one GEMM per ``eigh`` or per Lanczos basis),
+evaluated and dropped, so a run never holds all its rows: the CM record
+(:mod:`cmlimit.hilbert_rep`) and the energy read one pair of X_CM and V_CM
+images of a block.  Rows and images that stay below a level L' < d are
+evaluated on the states below it.  Norm drift is measured, never corrected
+-- silent renormalization would hide a propagation failure.  The classical
+twin integrates Hamilton's equations xdot = p/M, pdot = -U'(x) with
+classic 4th-order steps on the same time grid.  Both runs are kept as
 columns: every sampled quantity, quantum or classical, is a 1-D array with
 one entry per sample time, from the stacked evaluation to the CLI's tables.
 
@@ -305,8 +307,9 @@ def _level_cut(block: np.ndarray, top: np.ndarray, amps: np.ndarray, t_final: fl
     + (t/hbar) sum_k |c_k| ||(H - theta_k) w_k|| for every 0 <= t <= t_final
     (Parlett, The Symmetric Eigenvalue Problem, 1980), and (H - theta_k) w_k
     is H[outside, cut] w_k: one GEMM of the outside rows that touch the cut.
-    A cut is kept when this bound is at most CUT_TOLERANCE; a NaN or infinite
-    bound never is.  Returns ``(inside, evals, evecs, coeffs)``.
+    A cut is kept when this bound, plus the eps :func:`_eigh_sampler` may drop,
+    is at most CUT_TOLERANCE; a NaN or infinite bound never is.  Returns
+    ``(inside, evals, evecs, coeffs)``.
     """
     tail = np.sqrt(np.cumsum(np.bincount(top, np.abs(amps) ** 2)[::-1]))[::-1]
     levels = 2 * max(np.count_nonzero(tail > CUT_TOLERANCE), 1)
@@ -319,7 +322,7 @@ def _level_cut(block: np.ndarray, top: np.ndarray, amps: np.ndarray, t_final: fl
             # hypot: the squares of a norm may leave the floating-point range
             residuals = np.hypot.reduce(coupling[coupling.any(axis=1)] @ evecs, axis=0)
             bound = np.linalg.norm(amps[~inside]) + t_final / hbar * (np.abs(coeffs) @ residuals)
-        if bound <= CUT_TOLERANCE:
+        if bound <= CUT_TOLERANCE - np.finfo(float).eps:  # eps: the most the sampler drops
             return inside, evals, evecs, coeffs
         levels *= 2
     evals, evecs = np.linalg.eigh(block)  # the doubling's last step: exact, no bound
@@ -327,23 +330,36 @@ def _level_cut(block: np.ndarray, top: np.ndarray, amps: np.ndarray, t_final: fl
     return slice(None), evals, evecs, evecs.T @ amps
 
 
+def _restricted_slots(op: SparseOperator, index: np.ndarray) -> tuple:
+    """The padded slots of P op P on the states ``index``, in order, P their projector."""
+    label = np.full(op.dim, -1)
+    label[index] = np.arange(len(index))
+    cols = label[op.columns[index]]  # -1 outside, where the value is dropped
+    return _slots(len(index), np.arange(len(index))[:, None], cols,
+                  np.where(cols < 0, 0.0, op.values[index]))
+
+
 def _eigh_sampler(h: SparseOperator, index, psi0: np.ndarray, times: np.ndarray, hbar: float):
     """Sample H's block ``index``, scattered dense from H's slots: returns the
     block's columns that carry the state, and a map from a slice of ``times``
-    to those columns of exp(-iHt/hbar) psi0, from the eigenpairs of the
-    block's smallest certified level cut (:func:`_level_cut`), the block's
-    other columns zero.  A slice's rows are one real GEMM of the real
-    eigenvectors and the interleaved re and im of the phased coefficients.
+    to those columns of exp(-iHt/hbar) psi0, the block's other columns zero.
+    The rows come from the eigenpairs of the block's smallest certified level
+    cut (:func:`_level_cut`) that psi0 loads: all but those of the smallest
+    |c_k| of joint norm at most eps, which the rows miss by exactly that norm,
+    each term being unitary.  A slice's rows are one real GEMM of those
+    eigenvectors and the interleaved re and im of their phased coefficients.
     """
     n = len(index)
-    label = np.full(h.dim, -1)
-    label[index] = np.arange(n)
-    cols, values = label[h.columns[index]], h.values[index]
-    kept = (cols >= 0) & (values != 0)  # -1: a column outside the block, whose entry is zero
-    cells = (np.arange(n)[:, None] * n + cols)[kept]
-    block = np.bincount(cells, values[kept], n * n).reshape(n, n)
+    cols, values = _restricted_slots(h, index)
+    block = np.bincount((np.arange(n)[:, None] * n + cols).ravel(), values.ravel(), n * n)
+    block = block.reshape(n, n)
     top = _levels(*_shape(h.mode_dims))[0][index, -1]
     inside, evals, evecs, coeffs = _level_cut(block, top, psi0[index], times[-1], hbar)
+    order = np.argsort(np.abs(coeffs))
+    loaded = np.ones(len(coeffs), dtype=bool)
+    loaded[order[np.sqrt(np.cumsum(np.abs(coeffs[order]) ** 2)) <= np.finfo(float).eps]] = False
+    # compress keeps eigh's C order, which the GEMM's rounding reads
+    evals, evecs, coeffs = evals[loaded], evecs.compress(loaded, axis=1), coeffs[loaded]
 
     def sample(rows: slice) -> np.ndarray:
         # C-contiguous (b, S): its float64 view is (b, 2S), re and im interleaved
@@ -443,12 +459,16 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     sampler, zero in the columns outside a kept cut, evaluates it and drops
     it, and keeps only the columns of CM observables and energy, both read
     off one pair of X_CM and V_CM images of the rows on every mode count
-    (:func:`_cm_energies`), norm and truncation weight.  Each stage checks what it
-    hands on: OverflowError for a power of X_CM or H (:func:`build_hamiltonian`), a
-    block's spectrum (:func:`_level_cut`) or a Lanczos step; ``eigh``'s LinAlgError and
-    DimensionCapError are ValueErrors.  Raises, for the first sample that fails a gate,
-    NormDriftError when |norm - 1| reaches 1e-8 (never renormalizes), else
-    ExcessiveTruncationError.
+    (:func:`_cm_energies`), norm and truncation weight.  The rows and the
+    X_CM^a psi, a <= max(1, ceil(deg U / 2)), they read lie below L' = 1 + a
+    + the highest level of a filled state; when L' < d the blocks are
+    evaluated on the states below L' (:func:`_restricted_slots`), the same
+    sums less their zero terms.  Each stage checks what it hands on:
+    OverflowError for a power of X_CM or H (:func:`build_hamiltonian`), a
+    block's spectrum (:func:`_level_cut`) or a Lanczos step; ``eigh``'s
+    LinAlgError and DimensionCapError are ValueErrors.  Raises, for the
+    first sample that fails a gate, NormDriftError when |norm - 1| reaches
+    1e-8 (never renormalizes), else ExcessiveTruncationError.
     """
     n_steps = _step_count(t_final, dt)
     ops = cm_operators_numeric(spec.modes)
@@ -463,6 +483,14 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
                     for index in _blocks(h)]
     else:
         samplers = [_krylov_sampler(h, psi0.amplitudes, times, spec.hbar)]
+    top = _levels(*_shape(psi0.mode_dims))[0][:, -1]
+    levels = max(top[i].max() for i, _ in samplers) + 1 + max(1, (spec.potential.degree + 1) // 2)
+    if levels < psi0.mode_dims[0]:  # every row and image read lies below ``levels``
+        states = np.flatnonzero(top < levels)
+        ops = [SparseOperator((levels,) * len(psi0.mode_dims), *_restricted_slots(op, states),
+                              hermitian=True, imaginary=op.imaginary) for op in ops[:2]]
+        samplers = [(np.searchsorted(states, index), sample) for index, sample in samplers]
+        dim = len(states)
     step = max(1, SAMPLE_BLOCK_AMPLITUDES // dim)  # each temporary stays near 256 KiB
     blocks = []
     for start in range(0, len(times), step):
@@ -473,7 +501,7 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
             block[:, index] = sample(rows)
         # np.linalg.norm's arithmetic, row by row
         norms = np.sqrt(np.vecdot(block.real, block.real) + np.vecdot(block.imag, block.imag))
-        weights = truncation_weights(block, psi0.mode_dims)
+        weights = truncation_weights(block, ops[0].mode_dims)
         _check_gates(times[rows], norms, weights)
         x_rows, v_rows = ops[0].apply(block), ops[1].apply(block)
         rec = cm_expectation_records(block, x_rows, v_rows, weights)

@@ -37,11 +37,14 @@ from cmlimit.hilbert_rep import (
     ModeSpec,
     SparseOperator,
     StateVector,
+    _levels,
     cm_expectation_record,
+    cm_expectation_records,
     cm_operators_numeric,
     coherent_product,
     coherent_state,
     expectation,
+    truncation_weights,
 )
 from oracles import (
     basis_state,
@@ -71,10 +74,18 @@ def effective_spec(n, mbar=1.0, potential=FREE, dim=64):
 
 def evolved_rows(monkeypatch, psi0, spec, t_final, dt):
     """The trajectory of ``evolve_quantum`` and its blocks of rows exp(-iH t/hbar) psi0,
-    as its sample loop formed them, each a copy taken at its evaluation."""
+    as its sample loop formed them, each a copy taken at its evaluation; a block
+    evaluated on fewer levels is scattered back to psi0's basis, zero elsewhere."""
     blocks, weights = [], dynamics.truncation_weights
-    monkeypatch.setattr(dynamics, "truncation_weights",
-                        lambda block, dims: blocks.append(block.copy()) or weights(block, dims))
+    top = _levels(len(psi0.mode_dims), psi0.mode_dims[0])[0][:, -1]
+
+    def capture(block, dims):
+        rows = np.zeros((len(block), len(top)), dtype=block.dtype)
+        rows[:, top < dims[0]] = block
+        blocks.append(rows)
+        return weights(block, dims)
+
+    monkeypatch.setattr(dynamics, "truncation_weights", capture)
     traj = evolve_quantum(psi0, spec, t_final=t_final, dt=dt)
     monkeypatch.setattr(dynamics, "truncation_weights", weights)
     return traj, blocks
@@ -413,6 +424,86 @@ def test_eigh_sampler_without_a_certified_cut_is_the_whole_sector(monkeypatch):
     assert [sizes[-1] for sizes in sectors] == [80, 80]
     monkeypatch.setattr(dynamics, "CUT_TOLERANCE", -1.0)  # no cut certifies
     assert np.array_equal(rows, sampled_rows(monkeypatch, psi0, spec, 2.0, 0.01))
+
+
+def test_eigh_sampler_keeps_the_eigenpairs_psi0_loads(monkeypatch):
+    # the benchmark's d = 160 quartic at N = 4 loads under 60% of each sector's
+    # eigenpairs above eps: the sampler's rows are the GEMM of those alone, and
+    # the others' coefficients have a joint norm of at most eps
+    spec = effective_spec(4, potential=QUARTIC, dim=160)
+    psi0 = coherent_state(spec.modes[0], 1.0, 0.1)
+    h, times, eps = build_hamiltonian(spec), 0.01 * np.arange(201), np.finfo(float).eps
+    cuts, level_cut = [], dynamics._level_cut
+    monkeypatch.setattr(dynamics, "_level_cut",
+                        lambda *args: cuts.append(level_cut(*args)) or cuts[-1])
+    for index in dynamics._blocks(h):
+        sample = dynamics._eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar)[1]
+        inside, evals, evecs, coeffs = cuts[-1]
+        assert inside == slice(None) and len(evals) == 80  # whole sectors
+        order = np.argsort(np.abs(coeffs))
+        dropped = order[np.sqrt(np.cumsum(np.abs(coeffs[order]) ** 2)) <= eps]
+        kept = np.setdiff1d(np.arange(80), dropped)
+        assert len(kept) <= 0.6 * 80 and 0 < np.linalg.norm(coeffs[dropped]) <= eps
+        rows = []
+        for pairs in (kept, np.arange(80)):
+            phased = np.exp(np.outer(evals[pairs], times) * (-1j / spec.hbar)) * coeffs[pairs, None]
+            gemm = np.ascontiguousarray(evecs[:, pairs]) @ phased.view(np.float64)
+            rows.append(gemm.view(np.complex128).T)
+        assert np.array_equal(sample(slice(None)), rows[0])
+        assert np.abs(rows[0] - rows[1]).max() <= 2 * eps
+
+
+@pytest.mark.parametrize("n, d, levels", [(1, 1024, 200), (2, 24, 13), (3, 10, 6)])
+def test_operators_on_fewer_levels_are_the_restricted_ones(n, d, levels):
+    # the states of N d-level modes whose highest level is below L' are those of
+    # N L'-level modes, in order, and X_CM and V_CM restricted to them are the
+    # L'-level operators, slot for slot and bit for bit
+    top = _levels(n, d)[0][:, -1]
+    states = np.flatnonzero(top < levels)
+    assert np.array_equal(_levels(n, levels)[0], _levels(n, d)[0][states])
+    ops = cm_operators_numeric([ModeSpec(mass=0.7, dim=d)] * n)
+    fewer = cm_operators_numeric([ModeSpec(mass=0.7, dim=levels)] * n)
+    for op, own in zip(ops[:2], fewer):
+        columns, values = dynamics._restricted_slots(op, states)
+        assert np.array_equal(columns, own.columns)
+        assert values.tobytes() == own.values.tobytes()
+
+
+def test_rows_on_the_levels_a_cut_reaches_are_the_full_rows(monkeypatch):
+    # a certified cut fills a few dozen of the 512 levels, so the row blocks are
+    # evaluated on the levels it and the energy's powers reach; each column of the
+    # trajectory is that of the same rows evaluated on all 512, bit for bit
+    spec = effective_spec(16, potential=QUARTIC, dim=512)
+    psi0 = coherent_state(spec.modes[0], 1.0, 0.1)
+    blocks, weights = [], dynamics.truncation_weights
+    monkeypatch.setattr(dynamics, "truncation_weights",
+                        lambda block, dims: blocks.append((block.copy(), dims))
+                        or weights(block, dims))
+    traj = evolve_quantum(psi0, spec, t_final=2.0, dt=0.01)
+    widths = {block.shape[1] for block, _ in blocks}
+    assert len(widths) == 1 and widths.pop() < 512 // 2
+    assert sum(len(block) for block, _ in blocks) == 201 > len(blocks[0][0])
+    h, times = build_hamiltonian(spec), traj.times
+    samplers = [dynamics._eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar)
+                for index in dynamics._blocks(h)]
+    x_cm, v_cm, _ = cm_operators_numeric(spec.modes)
+    columns, start = [], 0
+    for block, dims in blocks:
+        rows = np.zeros((len(block), 512), dtype=np.complex128)
+        for index, sample in samplers:
+            rows[:, index] = sample(slice(start, start + len(block)))
+        top = _levels(1, 512)[0][:, -1]
+        assert np.array_equal(rows[:, top < dims[0]], block) and not rows[:, top >= dims[0]].any()
+        start += len(block)
+        norms = np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
+        weights = truncation_weights(rows, psi0.mode_dims)
+        x_rows, v_rows = x_cm.apply(rows), v_cm.apply(rows)
+        rec = cm_expectation_records(rows, x_rows, v_rows, weights)
+        columns.append((rec.x_cm, rec.v_cm, rec.dx, rec.dv,
+                        dynamics._cm_energies(rows, x_rows, v_rows, x_cm, spec), norms, weights))
+    for field, column in zip(("x_cm", "v_cm", "dx", "dv", "energy", "norm", "trunc_weight"),
+                             map(np.concatenate, zip(*columns))):
+        assert getattr(traj, field).tobytes() == column.tobytes(), field
 
 
 def _composite_rows(psi0, spec, t_final, dt):
