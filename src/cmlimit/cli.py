@@ -53,7 +53,6 @@ from .hilbert_rep import (
     DimensionCapError,
     ExcessiveTruncationError,
     ModeSpec,
-    _check_cap,
     cm_expectation_record,
     coherent_product,
     coherent_state,
@@ -61,6 +60,7 @@ from .hilbert_rep import (
 
 MAX_RESIDUAL_DEGREE = 8
 MAX_RESIDUAL_SAMPLES = 10**5  # each row is held until the table prints; 10^5 rows take ~9 s
+MAX_SCALING_PARTICLES = 10**5  # over a command's systems; the cost is linear, 10^5 take ~5 s
 HARMONIC_SANITY_TOLERANCE = 1e-6
 TRUNC_WEIGHT_DECIMALS = 15  # printed resolution of the weight, 1e-9 of the gate
 
@@ -456,14 +456,19 @@ def _float_rows(*columns) -> tuple:
 
 
 def run_scaling(config: ExperimentConfig) -> ExperimentResult:
+    masses = config["masses"]
+    particles = sum(config["N"]) if masses is None else len(masses)
+    if particles > MAX_SCALING_PARTICLES:
+        raise ConfigError(f"{'--N' if masses is None else '--masses'}: expected at most "
+                          f"{MAX_SCALING_PARTICLES} particles in total, got {particles}")
     try:
-        if config["masses"] is not None:
-            systems = [ParticleSystem(masses=config["masses"])]
+        if masses is not None:
+            systems = [ParticleSystem(masses=masses)]
         else:
             systems = [ParticleSystem.uniform(n, config["mbar"]) for n in config["N"]]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    flag = "--masses" if config["masses"] is not None else "--mbar"
+    flag = "--masses" if masses is not None else "--mbar"
     for system in systems:
         try:
             float(system.total_mass)
@@ -594,7 +599,7 @@ def run_uncertainty(config: ExperimentConfig) -> ExperimentResult:
             raise ConfigError(f"--N, --mbar, --hbar: the uncertainty bound at N = {n} is out of range")
         try:
             rec = cm_expectation_record(coherent_state(mode, config["x0"], config["p0"] / n),
-                                        [mode])
+                                        mode)
         except DimensionCapError as exc:  # the one mode holds all --dim levels, whatever --N is
             raise ConfigError(f"--dim: {exc}") from exc
         except ExcessiveTruncationError:
@@ -656,22 +661,20 @@ def run_evolve(config: ExperimentConfig) -> ExperimentResult:
         ))
         if config["model"] == "effective":
             try:
-                modes = effective_cm_system(n, mbar, dim=config["dim"], hbar=hbar)
+                mode, count = effective_cm_system(n, mbar, dim=config["dim"], hbar=hbar), 1
             except ValueError as exc:  # the mass N*mbar puts a scale out of range
                 raise ConfigError(f"--N, --mbar, --hbar: {exc}") from exc
             try:
-                psi0 = coherent_state(modes[0], x0, p0)
+                psi0 = coherent_state(mode, x0, p0)
             except DimensionCapError as exc:  # the one CM mode holds all --dim levels
                 raise ConfigError(f"--dim: {exc}") from exc
         else:
-            mode = _mode(mbar, config["dim"], hbar)
-            try:  # from N and dim, before the list of modes exists
-                _check_cap(n, config["dim"])
+            mode, count = _mode(mbar, config["dim"], hbar), n
+            try:
+                psi0 = coherent_product(mode, n, x0, p0 / n)
             except DimensionCapError as exc:  # the occupation states of --N modes of --dim levels
                 raise ConfigError(f"--N, --dim: {exc}") from exc
-            modes = [mode] * n
-            psi0 = coherent_product(modes, [x0] * n, [p0 / n] * n)
-        spec = HamiltonianSpec(modes=tuple(modes), potential=potential)
+        spec = HamiltonianSpec(mode, count, potential)
         try:
             traj = evolve_quantum(psi0, spec, t_final, dt)
         except (OverflowError, ValueError) as exc:  # a power of X_CM, H, its spectrum, eigh

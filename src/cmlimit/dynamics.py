@@ -3,12 +3,13 @@
 Quantum propagation runs in the Schrodinger picture (expectations are
 identical to the Heisenberg-picture statement) with the exact unitary
 exp(-iHt/hbar): H is real symmetric, and built once, with numpy alone, as
-one ``SparseOperator`` like every operator, on the occupation basis of the
-modes, from the CM operators' slots by the products and sums of
-:mod:`cmlimit.hilbert_rep` (this module forms no slots itself).  Every run
-starts from a product of equal states on equal modes, and H commutes with
-their exchange, so that basis, the exchange-symmetric subspace, is all a
-run needs; the effective CM mode is its one-mode case.  Up to dimension
+one ``SparseOperator`` like every operator, on the occupation basis of N
+equal modes (one ``ModeSpec`` and the count N), from the CM operators' slots
+by the products and sums of :mod:`cmlimit.hilbert_rep` (this module forms
+no slots itself).  Every run starts from a product of one state on those
+modes, and H commutes with their exchange, so that basis, the
+exchange-symmetric subspace, is all a run needs; the effective CM mode is
+its one-mode case.  Up to dimension
 2048 H is diagonalized densely by numpy's ``eigh`` (LAPACK's
 divide-and-conquer ``?syevd``): one ``eigh`` per parity sector when H
 couples no basis states of opposite total level parity sum_j j n_j, as for
@@ -35,9 +36,9 @@ columns: every sampled quantity, quantum or classical, is a 1-D array with
 one entry per sample time, from the stacked evaluation to the CLI's tables.
 
 When the Hamiltonian depends only on CM variables the CM sector factorizes
-exactly, so ``effective_cm_system`` (a single mode of mass N*mbar) carries
-the identical CM dynamics at a fraction of the N-mode cost; this is the
-intended track for large-N scaling runs.
+exactly, so ``effective_cm_system`` (one mode of mass N*mbar, run with
+N = 1) carries the identical CM dynamics at a fraction of the N-mode cost;
+this is the intended track for large-N scaling runs.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .hilbert_rep import (
     StateVector,
     _levels,
     _product,
-    _shape,
     _slots,
     cm_expectation_records,
     cm_operators_numeric,
@@ -126,31 +126,23 @@ class PolynomialPotential:
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """H = P_TOT^2 / 2M + U(X_CM) on the given modes.
+    """H = P_TOT^2 / 2M + U(X_CM) on N equal modes ``mode``, M = N m.
 
     H depends on CM variables only, so the relative motion never enters the
-    CM dynamics, and ``effective_cm_system`` carries the same CM sector.
+    CM dynamics, and ``effective_cm_system`` (N = 1) carries the same CM sector.
     """
 
-    modes: tuple
+    mode: ModeSpec
+    n: int
     potential: PolynomialPotential
-
-    def __post_init__(self):
-        modes = tuple(self.modes)
-        if not modes:
-            raise ValueError("need at least one mode")
-        hbars = {m.hbar for m in modes}
-        if len(hbars) != 1:
-            raise ValueError("all modes must share the same hbar")
-        object.__setattr__(self, "modes", modes)
 
     @property
     def total_mass(self) -> float:
-        return sum(m.mass for m in self.modes)
+        return self.n * self.mode.mass
 
     @property
     def hbar(self) -> float:
-        return self.modes[0].hbar
+        return self.mode.hbar
 
 
 def _check_finite(arrays, what: str) -> None:
@@ -159,7 +151,7 @@ def _check_finite(arrays, what: str) -> None:
 
 
 def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
-    """The Hamiltonian as one real operator on the occupation basis of the modes.
+    """The Hamiltonian as one real operator on the occupation basis of the spec.
 
     ``ops`` reuses the (X_CM, V_CM, P_TOT) triple of ``cm_operators_numeric``.
     X_CM is real and P_TOT imaginary, so H is formed in real arithmetic from
@@ -172,7 +164,7 @@ def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
     when H does, and DimensionCapError for a product past the slot cap.  The
     powers stop at the first zero matrix; the terms above it are zero.
     """
-    x_cm, _, p_tot = ops if ops is not None else cm_operators_numeric(spec.modes)
+    x_cm, _, p_tot = ops if ops is not None else cm_operators_numeric(spec.mode, spec.n)
     x = (x_cm.columns, x_cm.values)
     momentum = (p_tot.columns, p_tot.values)  # P_TOT = i * momentum
     square = _product(momentum, momentum)
@@ -196,7 +188,7 @@ def build_hamiltonian(spec: HamiltonianSpec, ops=None) -> SparseOperator:
                                  np.concatenate([columns, rows]), np.concatenate([values, values]))
         values = values * 0.5 + 0.0
         _check_finite([values], "the Hamiltonian")
-    return SparseOperator(x_cm.mode_dims, columns, values, hermitian=True)
+    return SparseOperator(x_cm.basis, columns, values, hermitian=True)
 
 
 def _step_count(t_final: float, dt: float) -> int:
@@ -224,33 +216,27 @@ def evolve_classical(potential: PolynomialPotential, total_mass: float,
     n_steps = _step_count(t_final, dt)
     # float coefficients: a Fraction times a float is float(c) * x, so the stages
     # get the values the derivative's exact coefficients would give, at float speed
-    force = tuple((k, float(c)) for k, c in potential.derivative().terms)
+    terms = tuple((k, float(c)) for k, c in potential.derivative().terms)
+
+    def force(x):
+        # the terms added to 0 left to right (``sum`` compensates the rounding from
+        # Python 3.12 on; a force of -0.0 counts as +0.0), and no force is 0 * x
+        f = 0 if terms else 0 * x
+        for k, c in terms:
+            f += c * x**k
+        return f
+
     inv_m, half, sixth = 1.0 / total_mass, 0.5 * dt, dt / 6.0
     x, p = float(x0), float(p0)
     xs, ps = [x], [p]
     for _ in range(n_steps):
-        # the four stages, inlined; a force adds its terms to 0 left to right
-        # (``sum`` compensates the rounding from Python 3.12 on; a force of -0.0
-        # counts as +0.0), and no force is 0 * x
-        f1 = 0 if force else 0 * x
-        for k, c in force:
-            f1 += c * x**k
-        dx1, dp1 = p * inv_m, -f1
+        dx1, dp1 = p * inv_m, -force(x)
         x2 = x + half * dx1
-        f2 = 0 if force else 0 * x2
-        for k, c in force:
-            f2 += c * x2**k
-        dx2, dp2 = (p + half * dp1) * inv_m, -f2
+        dx2, dp2 = (p + half * dp1) * inv_m, -force(x2)
         x3 = x + half * dx2
-        f3 = 0 if force else 0 * x3
-        for k, c in force:
-            f3 += c * x3**k
-        dx3, dp3 = (p + half * dp2) * inv_m, -f3
+        dx3, dp3 = (p + half * dp2) * inv_m, -force(x3)
         x4 = x + dt * dx3
-        f4 = 0 if force else 0 * x4
-        for k, c in force:
-            f4 += c * x4**k
-        dx4, dp4 = (p + dt * dp3) * inv_m, -f4
+        dx4, dp4 = (p + dt * dp3) * inv_m, -force(x4)
         x = x + sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
         p = p + sixth * (dp1 + 2.0 * dp2 + 2.0 * dp3 + dp4)
         xs.append(x)
@@ -287,7 +273,7 @@ def _blocks(h: SparseOperator) -> list:
     """The indices of H's diagonal blocks, read exactly off H's slots: its two
     parity sectors of the total level sum_j j n_j when no nonzero entry couples
     basis states of opposite parity (every even potential), else all of H."""
-    parity = _levels(*_shape(h.mode_dims))[0].sum(axis=1) % 2
+    parity = _levels(*h.basis)[0].sum(axis=1) % 2
     if ((h.values != 0) & (parity[:, None] != parity[h.columns])).any():
         return [np.arange(h.dim)]
     return [np.flatnonzero(parity == p) for p in (0, 1)]
@@ -353,7 +339,7 @@ def _eigh_sampler(h: SparseOperator, index, psi0: np.ndarray, times: np.ndarray,
     cols, values = _restricted_slots(h, index)
     block = np.bincount((np.arange(n)[:, None] * n + cols).ravel(), values.ravel(), n * n)
     block = block.reshape(n, n)
-    top = _levels(*_shape(h.mode_dims))[0][index, -1]
+    top = _levels(*h.basis)[0][index, -1]
     inside, evals, evecs, coeffs = _level_cut(block, top, psi0[index], times[-1], hbar)
     order = np.argsort(np.abs(coeffs))
     loaded = np.ones(len(coeffs), dtype=bool)
@@ -450,7 +436,7 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
 
     t_final must be a whole number of steps dt, at most MAX_STEPS.  The
     propagator is exact and unitary, on the one H of :func:`build_hamiltonian`
-    on the occupation basis of ``spec.modes``: a dense ``eigh`` sampler per
+    on the occupation basis of ``spec``: a dense ``eigh`` sampler per
     diagonal block of it up to dimension 2048, each on its block's certified
     level cut (:func:`_eigh_sampler`), and above that one Lanczos sampler of
     all of it, through its apply, certified sample by sample
@@ -471,9 +457,9 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
     1e-8 (never renormalizes), else ExcessiveTruncationError.
     """
     n_steps = _step_count(t_final, dt)
-    ops = cm_operators_numeric(spec.modes)
-    if psi0.mode_dims != ops[0].mode_dims:
-        raise ValueError("initial state does not match the Hamiltonian's modes")
+    ops = cm_operators_numeric(spec.mode, spec.n)
+    if psi0.basis != ops[0].basis:
+        raise ValueError("initial state does not match the Hamiltonian's basis")
 
     times = dt * np.arange(n_steps + 1)
     dim = ops[0].dim
@@ -483,11 +469,11 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
                     for index in _blocks(h)]
     else:
         samplers = [_krylov_sampler(h, psi0.amplitudes, times, spec.hbar)]
-    top = _levels(*_shape(psi0.mode_dims))[0][:, -1]
+    top = _levels(*psi0.basis)[0][:, -1]
     levels = max(top[i].max() for i, _ in samplers) + 1 + max(1, (spec.potential.degree + 1) // 2)
-    if levels < psi0.mode_dims[0]:  # every row and image read lies below ``levels``
+    if levels < spec.mode.dim:  # every row and image read lies below ``levels``
         states = np.flatnonzero(top < levels)
-        ops = [SparseOperator((levels,) * len(psi0.mode_dims), *_restricted_slots(op, states),
+        ops = [SparseOperator((spec.n, levels), *_restricted_slots(op, states),
                               hermitian=True, imaginary=op.imaginary) for op in ops[:2]]
         samplers = [(np.searchsorted(states, index), sample) for index, sample in samplers]
         dim = len(states)
@@ -501,7 +487,7 @@ def evolve_quantum(psi0: StateVector, spec: HamiltonianSpec, t_final: float,
             block[:, index] = sample(rows)
         # np.linalg.norm's arithmetic, row by row
         norms = np.sqrt(np.vecdot(block.real, block.real) + np.vecdot(block.imag, block.imag))
-        weights = truncation_weights(block, ops[0].mode_dims)
+        weights = truncation_weights(block, ops[0].basis)
         _check_gates(times[rows], norms, weights)
         x_rows, v_rows = ops[0].apply(block), ops[1].apply(block)
         rec = cm_expectation_records(block, x_rows, v_rows, weights)
@@ -573,9 +559,9 @@ def compare_trajectories(traj: Trajectory, classical) -> DeviationReport:
     )
 
 
-def effective_cm_system(n: int, mbar: float, dim: int = 64, hbar: float = 1.0):
-    """Single mode of mass N*mbar: the exact CM sector for CM-only Hamiltonians."""
+def effective_cm_system(n: int, mbar: float, dim: int = 64, hbar: float = 1.0) -> ModeSpec:
+    """One mode of mass N*mbar: run alone (N = 1), the exact CM sector of a CM-only H."""
     if n < 1:
         raise ValueError("need at least one particle")
-    return [ModeSpec(mass=n * float(mbar), dim=dim, hbar=hbar)]
+    return ModeSpec(mass=n * float(mbar), dim=dim, hbar=hbar)
 

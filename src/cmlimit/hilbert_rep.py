@@ -6,18 +6,18 @@ depend on it).  Position and momentum are the standard ladder combinations;
 the only truncation artifact is the known defect of [X, P] confined to the
 top basis level, so its weight is a precise validity gate (TRUNCATION_GATE).
 
-States and operators live on N equal modes (``mode_dims``, N entries d) in
-one basis, that of their exchange-symmetric subspace: the occupation
+States and operators live on N equal modes, one ``ModeSpec`` and a count,
+in one basis, that of their exchange-symmetric subspace: the occupation
 vectors n (n_j modes at level j), C(N + d - 1, N) of them, each held as its
 sorted mode levels in ``itertools.combinations_with_replacement`` order
-(:func:`_levels`).  The effective CM mode is the one-mode case, the Fock
-basis of its d levels.  With A = sum_j sqrt(j) b_{j-1}^dagger b_j,
-<n - e_j + e_{j-1}|A|n> = sqrt(j n_j (n_{j-1} + 1)), X_CM = sqrt(hbar/2m)/N
-(A + A^dagger) and P_TOT = i sqrt(m hbar/2) (A^dagger - A); phi^(x)N is
-sqrt(N!/prod n_j!) prod phi_j^(n_j) at n, and a mode's top-level weight is
-<n_{d-1}>/N.
+(:func:`_levels`), named by the pair ``basis = (N, d)``.  The effective CM
+mode is the one-mode case, the Fock basis of its d levels.  With
+A = sum_j sqrt(j) b_{j-1}^dagger b_j, <n - e_j + e_{j-1}|A|n> =
+sqrt(j n_j (n_{j-1} + 1)), X_CM = sqrt(hbar/2m)/N (A + A^dagger) and
+P_TOT = i sqrt(m hbar/2) (A^dagger - A); phi^(x)N is sqrt(N!/prod n_j!)
+prod phi_j^(n_j) at n, and a mode's top-level weight is <n_{d-1}>/N.
 
-One constructor builds every operator, ``SparseOperator(mode_dims, columns,
+One constructor builds every operator, ``SparseOperator(basis, columns,
 values)``: each row holds its nonzero (column, value) slots by ascending
 column, padded with zeros to one width.  :func:`_slots` sums (row, column,
 value) triples into that form, for the products and sums that form the
@@ -40,6 +40,7 @@ import cmath
 import functools
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -59,12 +60,26 @@ class DimensionCapError(ValueError):
     """A requested basis or operator product exceeds the amplitude or slot cap."""
 
 
+def _basis(basis) -> tuple:
+    """The basis (N, d) of N equal d-level modes as two ints, N and d at least 1;
+    anything else is refused with ValueError."""
+    try:
+        n, d = map(operator.index, basis)
+        if n >= 1 and d >= 1:
+            return n, d
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"expected a basis (N, d) of N >= 1 modes of d >= 1 levels, got {basis!r}")
+
+
 def _check_cap(n: int, d: int) -> int:
     """C(N + d - 1, N), the occupation states of N equal d-level modes.  Raises
-    DimensionCapError, before anything is allocated, past DEFAULT_AMPLITUDE_CAP
-    states (at the first partial product over it), or past SLOT_CAP slots in
-    the basis (N levels a state) or in P_TOT^2, which every Hamiltonian forms
-    (P_TOT holds at most 2 min(N, d - 1) slots a row)."""
+    ValueError for a malformed basis (:func:`_basis`), and DimensionCapError,
+    before anything is allocated, past DEFAULT_AMPLITUDE_CAP states (at the
+    first partial product over it), or past SLOT_CAP slots in the basis (N
+    levels a state) or in P_TOT^2, which every Hamiltonian forms (P_TOT holds
+    at most 2 min(N, d - 1) slots a row)."""
+    n, d = _basis((n, d))
     k, states = min(n, d - 1), 1
     for i in range(1, k + 1):  # C(N + d - 1 - k + i, i), increasing in i
         states = states * (n + d - 1 - k + i) // i
@@ -77,13 +92,6 @@ def _check_cap(n: int, d: int) -> int:
         raise DimensionCapError(f"the {states} occupation states of {n} modes exceed the cap "
                                 f"of {SLOT_CAP} slots of a basis or operator product")
     return states
-
-
-def _shape(mode_dims) -> tuple:
-    """(N, d) of N equal d-level modes; unequal modes have no occupation basis."""
-    if not mode_dims or any(d != mode_dims[0] for d in mode_dims):
-        raise ValueError(f"expected equal modes, got dims {mode_dims}")
-    return len(mode_dims), mode_dims[0]
 
 
 @functools.lru_cache(maxsize=4)
@@ -206,25 +214,24 @@ class SparseOperator:
     """Operator on N equal modes, held as padded rows of (column, value) slots.
 
     ``columns`` and ``values`` have one shape (D, K), D the occupation states
-    of ``mode_dims``: row i holds ``values[i, k]`` at ``columns[i, k]``, its
+    of ``basis`` = (N, d): row i holds ``values[i, k]`` at ``columns[i, k]``, its
     nonzero entries by ascending column, then zero padding at its own column.
     With ``imaginary`` the entries are i times the (real) values, so the
     slots of P_TOT and V_CM hold their imaginary parts.
     """
 
-    __slots__ = ("mode_dims", "dim", "columns", "values", "imaginary", "hermitian")
+    __slots__ = ("basis", "dim", "columns", "values", "imaginary", "hermitian")
 
-    def __init__(self, mode_dims, columns, values, hermitian=False, imaginary=False):
-        mode_dims = tuple(int(d) for d in mode_dims)
-        n, d = _shape(mode_dims)
-        dim = math.comb(n + d - 1, n)
+    def __init__(self, basis, columns, values, hermitian=False, imaginary=False):
+        basis = _basis(basis)
+        dim = math.comb(basis[0] + basis[1] - 1, basis[0])
         if not (isinstance(columns, np.ndarray) and columns.dtype.kind in "iu"
                 and isinstance(values, np.ndarray)
                 and values.dtype.kind in ("f" if imaginary else "fc")):
             raise TypeError("an operator's slots are an integer array of columns "
                             "and a float or complex array of values")
         if columns.ndim != 2 or columns.shape != values.shape or len(columns) != dim:
-            raise ValueError(f"expected {dim} rows of slots on dims {mode_dims}, "
+            raise ValueError(f"expected {dim} rows of slots on basis {basis}, "
                              f"got columns {columns.shape} and values {values.shape}")
         if not columns.shape[1]:
             raise ValueError("an operator holds at least one slot per row")
@@ -241,7 +248,7 @@ class SparseOperator:
             sign = -1 if imaginary else 1  # (i v)^* = -i v^*
             if not np.abs(vals - sign * np.conj(mirror)).max(initial=0) <= HERMITIAN_TOLERANCE:
                 raise ValueError("operator marked Hermitian is not (within 1e-12)")  # NaN fails
-        for name, value in (("mode_dims", mode_dims), ("dim", dim), ("columns", columns),
+        for name, value in (("basis", basis), ("dim", dim), ("columns", columns),
                             ("values", values), ("imaginary", bool(imaginary)),
                             ("hermitian", bool(hermitian))):
             object.__setattr__(self, name, value)
@@ -280,8 +287,8 @@ class SparseOperator:
         operator's sum is multiplied by i once, exactly.
         """
         if isinstance(psi, StateVector):
-            if psi.mode_dims != self.mode_dims:
-                raise ValueError("state and operator act on different mode layouts")
+            if psi.basis != self.basis:
+                raise ValueError("state and operator act on different bases")
             psi = psi.amplitudes
         if psi.ndim not in (1, 2) or psi.shape[-1] != self.dim:
             raise ValueError(f"expected {self.dim} amplitudes per row, got shape {psi.shape}")
@@ -308,25 +315,24 @@ class SparseOperator:
         return np.ascontiguousarray(self.apply(np.eye(self.dim, dtype=np.complex128)).T)
 
     def __repr__(self):
-        return f"<SparseOperator dims={self.mode_dims} slots={self.columns.shape[1]}>"
+        return f"<SparseOperator basis={self.basis} slots={self.columns.shape[1]}>"
 
 
 class StateVector:
     """Dense normalized amplitude vector on the occupation basis of N equal modes."""
 
-    __slots__ = ("mode_dims", "amplitudes")
+    __slots__ = ("basis", "amplitudes")
 
-    def __init__(self, mode_dims, amplitudes):
-        mode_dims = tuple(int(d) for d in mode_dims)
-        n, d = _shape(mode_dims)
+    def __init__(self, basis, amplitudes):
+        n, d = basis = _basis(basis)
         amplitudes = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
         if amplitudes.size != math.comb(n + d - 1, n):
-            raise ValueError("amplitude count does not match mode dimensions")
+            raise ValueError(f"amplitude count does not match the basis {basis}")
         nrm = float(np.linalg.norm(amplitudes))
         # loose sanity check only; evolution gates enforce the tight 1e-8 drift bound
         if not abs(nrm - 1.0) <= 1e-6:  # NaN-safe comparison
             raise ValueError(f"state is not normalized (norm {nrm})")
-        object.__setattr__(self, "mode_dims", mode_dims)
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "amplitudes", amplitudes)
 
     def __setattr__(self, name, value):
@@ -336,7 +342,7 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def __repr__(self):
-        return f"<StateVector dims={self.mode_dims} norm={self.norm():.12f}>"
+        return f"<StateVector basis={self.basis} norm={self.norm():.12f}>"
 
 
 # ---------------------------------------------------------------------------
@@ -344,28 +350,16 @@ class StateVector:
 # ---------------------------------------------------------------------------
 
 
-def _equal_modes(system) -> ModeSpec:
-    """The one mode of a list of equal modes."""
-    if not system:
-        raise ValueError("need at least one mode")
-    if any(m != system[0] for m in system):
-        raise ValueError("the occupation basis holds equal modes only (mass, dim and hbar)")
-    return system[0]
-
-
-def cm_operators_numeric(system):
-    """(X_CM, V_CM, P_TOT) on the occupation basis of N equal modes.
+def cm_operators_numeric(mode: ModeSpec, n: int):
+    """(X_CM, V_CM, P_TOT) on the occupation basis of N equal modes ``mode``.
 
     X_CM = sqrt(hbar/2m) (m/M) (A + A^dagger) and P_TOT = i sqrt(m hbar/2)
     (A^dagger - A), each entry one product of A's sqrt(j n_j (n_{j-1} + 1)) and
     the scale; V_CM's values are P_TOT's times 1/M.  The three share one array
     of columns; X_CM holds real values, P_TOT and V_CM imaginary ones.  Raises
-    ValueError for unequal modes and DimensionCapError (:func:`_check_cap`)
+    ValueError for a count below 1 and DimensionCapError (:func:`_check_cap`)
     before the basis is built.
     """
-    system = list(system)
-    mode = _equal_modes(system)
-    n = len(system)
     dim = _check_cap(n, mode.dim)
     total_mass = n * mode.mass
     rows, cols, ladder = _ladder(n, mode.dim)
@@ -374,10 +368,10 @@ def cm_operators_numeric(system):
     columns, x = _slots(dim, rows, cols, np.concatenate([ladder, ladder]) * x_scale)
     p = _slots(dim, rows, cols,
                np.concatenate([-ladder, ladder]) * math.sqrt(mode.mass * mode.hbar / 2.0))[1]
-    dims = (mode.dim,) * n
-    return (SparseOperator(dims, columns, x, hermitian=True),
-            SparseOperator(dims, columns, p * (1 / total_mass), hermitian=True, imaginary=True),
-            SparseOperator(dims, columns, p, hermitian=True, imaginary=True))
+    basis = (n, mode.dim)
+    return (SparseOperator(basis, columns, x, hermitian=True),
+            SparseOperator(basis, columns, p * (1 / total_mass), hermitian=True, imaginary=True),
+            SparseOperator(basis, columns, p, hermitian=True, imaginary=True))
 
 
 # ---------------------------------------------------------------------------
@@ -421,30 +415,22 @@ def coherent_state(mode: ModeSpec, x0: float, p0: float) -> StateVector:
             f"coherent state (|alpha| = {abs(alpha):.3g}) keeps weight "
             f"{top_weight:.3g} on the top of a {mode.dim}-level basis"
         )
-    return StateVector((mode.dim,), amps)
+    return StateVector((1, mode.dim), amps)
 
 
-def product_state(states) -> StateVector:
-    """phi^(x)N of N equal one-mode states, on their occupation basis, normalized.
+def product_state(phi: StateVector, n: int) -> StateVector:
+    """phi^(x)N of a one-mode state phi on the occupation basis of N modes, normalized.
 
     The amplitude sqrt(N! / prod n_j!) prod phi_j^(n_j) is formed in logs, so
     no product of N amplitudes leaves the floating-point range: the sum of
     log|phi| over the state's sorted levels, less half the sum of the logs of
     their counts so far in their runs, log(prod n_j!) (log N! cancels in the
-    normalization).  Raises ValueError for unequal states, whose product leaves
-    the exchange-symmetric subspace, and DimensionCapError before the basis is
-    built.
+    normalization).  Raises ValueError when phi is not a one-mode state, and
+    DimensionCapError before the basis is built.
     """
-    states = list(states)
-    if not states:
-        raise ValueError("need at least one factor")
-    phi = states[0]
-    if len(phi.mode_dims) != 1 or any(
-            s is not phi and (s.mode_dims != phi.mode_dims
-                              or not np.array_equal(s.amplitudes, phi.amplitudes))
-            for s in states):
-        raise ValueError("the occupation basis holds products of equal one-mode states only")
-    n, d = len(states), phi.mode_dims[0]
+    if phi.basis[0] != 1:
+        raise ValueError(f"expected a one-mode state, got one on the basis {phi.basis}")
+    d = phi.basis[1]
     _check_cap(n, d)
     levels, runs = _levels(n, d)
     with np.errstate(divide="ignore"):  # a zero amplitude is a log of -inf, and stays zero
@@ -452,21 +438,14 @@ def product_state(states) -> StateVector:
     log_mag = log_phi[levels].sum(axis=1) - 0.5 * np.log(runs).sum(axis=1)
     phase = np.angle(phi.amplitudes)[levels].sum(axis=1)
     amps = np.exp(log_mag - log_mag.max()) * np.exp(1j * phase)
-    return StateVector((d,) * n, amps / np.linalg.norm(amps))
+    return StateVector((n, d), amps / np.linalg.norm(amps))
 
 
-def coherent_product(system, x0s, p0s) -> StateVector:
-    """phi^(x)N of one coherent state phi on N equal modes (:func:`product_state`).
-
-    Raises ValueError for unequal modes or displacements, and checks the cap
-    before any state is built.
-    """
-    system, pairs = list(system), list(zip(x0s, p0s, strict=True))
-    mode = _equal_modes(system)
-    if len(pairs) != len(system) or any(pair != pairs[0] for pair in pairs):
-        raise ValueError("the occupation basis holds products of equal coherent states only")
-    _check_cap(len(system), mode.dim)
-    return product_state([coherent_state(mode, *pairs[0])] * len(system))
+def coherent_product(mode: ModeSpec, n: int, x0: float, p0: float) -> StateVector:
+    """phi^(x)N of the coherent state phi of ``mode`` at (x0, p0), on N equal modes
+    (:func:`product_state`); the cap is checked before any state is built."""
+    _check_cap(n, mode.dim)
+    return product_state(coherent_state(mode, x0, p0), n)
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +473,10 @@ def uncertainty_product(a: SparseOperator, b: SparseOperator, psi: StateVector) 
     return math.sqrt(variance(a, psi)) * math.sqrt(variance(b, psi))
 
 
-def truncation_weights(amplitudes: np.ndarray, mode_dims) -> np.ndarray:
-    """Per row of an (S, D) amplitude stack: the probability of each mode's top
-    basis level, <n_{d-1}>/N, the same for every mode of the symmetric state."""
-    n, d = _shape(mode_dims)
+def truncation_weights(amplitudes: np.ndarray, basis) -> np.ndarray:
+    """Per row of an (S, D) amplitude stack on ``basis``: the probability of each
+    mode's top basis level, <n_{d-1}>/N, the same for every mode of the symmetric state."""
+    n, d = basis
     levels, runs = _levels(n, d)
     top = np.flatnonzero(levels[:, -1] == d - 1)
     probs = np.abs(amplitudes.reshape(-1, len(levels))[:, top]) ** 2
@@ -507,7 +486,7 @@ def truncation_weights(amplitudes: np.ndarray, mode_dims) -> np.ndarray:
 
 def truncation_weight(psi: StateVector) -> float:
     """The probability of a mode's top basis level."""
-    return float(truncation_weights(psi.amplitudes, psi.mode_dims)[0])
+    return float(truncation_weights(psi.amplitudes, psi.basis)[0])
 
 
 @dataclass(frozen=True)
@@ -547,19 +526,19 @@ def cm_expectation_records(amplitudes: np.ndarray, x_psi, v_psi, weights) -> Exp
     )
 
 
-def cm_expectation_record(psi: StateVector, system) -> ExpectationRecord:
-    """The record of one state, in Python scalars: row 0 of :func:`cm_expectation_records`."""
-    x_cm, v_cm, _ = cm_operators_numeric(system)
+def cm_expectation_record(psi: StateVector, mode: ModeSpec) -> ExpectationRecord:
+    """Row 0 of :func:`cm_expectation_records` for one state of modes ``mode``, in scalars."""
+    x_cm, v_cm, _ = cm_operators_numeric(mode, psi.basis[0])
     rows = psi.amplitudes[None]
     columns = cm_expectation_records(rows, x_cm.apply(psi)[None], v_cm.apply(psi)[None],
-                                     truncation_weights(rows, psi.mode_dims))
+                                     truncation_weights(rows, psi.basis))
     return ExpectationRecord(*(column[0].item() for column in vars(columns).values()))
 
 
-def commutator_expectation(psi: StateVector, system) -> complex:
+def commutator_expectation(psi: StateVector, mode: ModeSpec) -> complex:
     """<psi|[X_CM, V_CM]|psi> from the expectation record, refused above a weight of 1e-12."""
     gate = 1e-12  # the truncated commutator departs from i*hbar/M only through top-level weight
-    rec = cm_expectation_record(psi, system)
+    rec = cm_expectation_record(psi, mode)
     if rec.truncation_weight > gate:
         raise ExcessiveTruncationError(
             f"truncation weight {rec.truncation_weight:.3g} exceeds the gate {gate:.3g}"

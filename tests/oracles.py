@@ -391,13 +391,12 @@ def composite_uncertainty_row(n: int, dim: int, x0: float, p0: float, mbar: floa
 
 def basis_state(d: int, n: int = 0) -> StateVector:
     """The basis state |n> of one d-level mode."""
-    return StateVector((d,), np.eye(d)[n])
+    return StateVector((1, d), np.eye(d)[n])
 
 
-def ground_product(system) -> StateVector:
-    """|0,...,0> on the given equal modes: their coherent product at the origin."""
-    zeros = [0.0] * len(system)
-    return coherent_product(system, zeros, zeros)
+def ground_product(mode: ModeSpec, n: int) -> StateVector:
+    """|0,...,0> on N equal modes: their coherent product at the origin."""
+    return coherent_product(mode, n, 0.0, 0.0)
 
 
 def slots(matrix) -> tuple:
@@ -421,14 +420,14 @@ def slots(matrix) -> tuple:
 
 def ladder(d: int) -> SparseOperator:
     """Lowering operator on a d-level mode: a|n> = sqrt(n)|n-1>."""
-    return SparseOperator((d,), *slots(np.diag(np.sqrt(np.arange(1.0, d)), 1)))
+    return SparseOperator((1, d), *slots(np.diag(np.sqrt(np.arange(1.0, d)), 1)))
 
 
 def position_op(mode: ModeSpec) -> SparseOperator:
     """X = sqrt(hbar/2m) (a + a^dagger) of one mode, from its dense matrix."""
     a = np.diag(np.sqrt(np.arange(1.0, mode.dim)), 1)
-    return SparseOperator((mode.dim,), *slots(math.sqrt(mode.hbar / (2.0 * mode.mass)) * (a + a.T)),
-                          hermitian=True)
+    x = math.sqrt(mode.hbar / (2.0 * mode.mass)) * (a + a.T)
+    return SparseOperator((1, mode.dim), *slots(x), hermitian=True)
 
 
 def momentum_op(mode: ModeSpec) -> SparseOperator:
@@ -436,7 +435,7 @@ def momentum_op(mode: ModeSpec) -> SparseOperator:
     a = np.diag(np.sqrt(np.arange(1.0, mode.dim)), 1)
     p = np.zeros((mode.dim, mode.dim), dtype=np.complex128)
     p.imag = math.sqrt(mode.mass * mode.hbar / 2.0) * (a.T - a)
-    return SparseOperator((mode.dim,), *slots(p), hermitian=True)
+    return SparseOperator((1, mode.dim), *slots(p), hermitian=True)
 
 
 def cm_factors(system) -> tuple:
@@ -473,7 +472,7 @@ def composite_operator(factors, hermitian=False) -> SparseOperator:
     for k, f in enumerate(factors):
         left, right = np.eye(math.prod(dims[:k])), np.eye(math.prod(dims[k + 1:]))
         total = total + np.kron(np.kron(left, f), right)
-    return SparseOperator((math.prod(dims),), *slots(total), hermitian=hermitian)
+    return SparseOperator((1, math.prod(dims)), *slots(total), hermitian=hermitian)
 
 
 def composite_product(states) -> StateVector:
@@ -482,7 +481,7 @@ def composite_product(states) -> StateVector:
     amps = np.ones(1)
     for s in states:
         amps = np.kron(amps, s.amplitudes)
-    return StateVector((amps.size,), amps / np.linalg.norm(amps))
+    return StateVector((1, amps.size), amps / np.linalg.norm(amps))
 
 
 def kron_cm_images(system, amplitudes: np.ndarray) -> tuple:
@@ -530,28 +529,29 @@ def symmetric_isometry(n: int, d: int) -> np.ndarray:
     return iso / np.sqrt(iso.sum(axis=0))
 
 
-def sparse_hamiltonian(spec: HamiltonianSpec):
-    """H as a complex CSR matrix on the composite index of the spec's modes,
-    assembled with ``scipy.sparse`` (imported here): the Kronecker-sum fold of
-    each CM operator's per-mode factors (:func:`kronsum_matrix` of
-    :func:`cm_factors`), its sparse powers and (H + H^H) / 2.  The reference
-    assembly for ``build_hamiltonian``, on any modes."""
+def sparse_hamiltonian(system, potential: PolynomialPotential):
+    """H as a complex CSR matrix on the composite index of the given modes, M the
+    sum of their masses, assembled with ``scipy.sparse`` (imported here): the
+    Kronecker-sum fold of each CM operator's per-mode factors
+    (:func:`kronsum_matrix` of :func:`cm_factors`), its sparse powers and
+    (H + H^H) / 2.  The reference assembly for ``build_hamiltonian``, on any
+    modes."""
     import scipy.sparse as sp
 
-    x_factors, _, p_factors = cm_factors(spec.modes)
+    x_factors, _, p_factors = cm_factors(system)
     x_cm, p_tot = kronsum_matrix(x_factors), kronsum_matrix(p_factors)
-    h = (p_tot @ p_tot) / (2.0 * spec.total_mass)
-    if spec.potential.terms:
+    h = (p_tot @ p_tot) / (2.0 * sum(m.mass for m in system))
+    if potential.terms:
         power = sp.identity(x_cm.shape[0], format="csr", dtype=np.complex128)
         powers = {0: power}
-        for k in range(1, spec.potential.degree + 1):
+        for k in range(1, potential.degree + 1):
             power = power @ x_cm
             _check_finite([power.data], f"power {k} of X_CM")
             powers[k] = power
             if not power.nnz:  # underflowed to zero, and so is every higher power
                 break
         with np.errstate(over="ignore"):  # an overflowing term is refused below
-            for k, c in spec.potential.terms:
+            for k, c in potential.terms:
                 if k in powers:
                     h = h + float(c) * powers[k]
     _check_finite([h.data], "the Hamiltonian")
@@ -596,7 +596,7 @@ def evaluate(potential: PolynomialPotential, x):
     """U(x): the terms added to 0 left to right, or 0 * x when there are none.
 
     Exact when the coefficients and x are rational.  The explicit loop fixes
-    the float rounding that the classical twin's inlined force must match.
+    the float rounding that the classical twin's force must match.
     """
     if not potential.terms:
         return 0 * x
@@ -669,11 +669,11 @@ def free_width_analytic(n: int, mbar: float, t: float) -> float:
 def gaussian_spreading(n: int, mbar: float, t: float) -> float:
     """Measured free-evolution width Dx_CM(t) of the effective CM ground packet
     (64 levels, hbar = 1)."""
-    modes = effective_cm_system(n, mbar, dim=64, hbar=1.0)
-    psi0 = coherent_state(modes[0], 0.0, 0.0)
-    spec = HamiltonianSpec(modes=tuple(modes), potential=PolynomialPotential.zero())
+    mode = effective_cm_system(n, mbar, dim=64, hbar=1.0)
+    psi0 = coherent_state(mode, 0.0, 0.0)
+    spec = HamiltonianSpec(mode, 1, PolynomialPotential.zero())
     if t == 0:
-        return cm_expectation_record(psi0, modes).dx
+        return cm_expectation_record(psi0, mode).dx
     traj = evolve_quantum(psi0, spec, t_final=t, dt=t)
     return float(traj.dx[-1])
 

@@ -130,7 +130,7 @@ def test_criterion_5_matrix_oracle_equivalence():
     start = time.perf_counter()
     hbar, eps, dim = 1.0, 0.25, 48
     safe = slice(0, dim - 12)
-    x_op, v_op, _ = cm_operators_numeric([ModeSpec(mass=1 / eps, dim=dim)])
+    x_op, v_op, _ = cm_operators_numeric(ModeSpec(mass=1 / eps, dim=dim), 1)
     x_mat, v_mat = x_op.to_dense(), v_op.to_dense()
 
     def ev(poly):
@@ -191,14 +191,14 @@ def test_criterion_6_uncertainty_saturation_and_scaling():
     start = time.perf_counter()
     ok = True
     for n in range(1, 6):
-        modes = [ModeSpec(mass=1.0, dim=8) for _ in range(n)]
-        psi = ground_product(modes)
-        x_cm, v_cm, _ = cm_operators_numeric(modes)
+        mode = ModeSpec(mass=1.0, dim=8)
+        psi = ground_product(mode, n)
+        x_cm, v_cm, _ = cm_operators_numeric(mode, n)
         composite = composite_record(
-            composite_product([coherent_state(modes[0], 0.0, 0.0)] * n).amplitudes, modes)
+            composite_product([coherent_state(mode, 0.0, 0.0)] * n).amplitudes, [mode] * n)
         for product, residual in (
                 (uncertainty_product(x_cm, v_cm, psi),
-                 cm_expectation_record(psi, modes).factorization_residual),
+                 cm_expectation_record(psi, mode).factorization_residual),
                 (composite.dx * composite.dv, composite.factorization_residual)):
             ok = ok and abs(product - 1.0 / (2 * n)) < 1e-9
             ok = ok and abs(residual * n - 0.5) < 1e-9
@@ -210,10 +210,10 @@ def test_criterion_7_ehrenfest_exactness_harmonic():
     start = time.perf_counter()
     n, mbar = 4, 1.0
     total_mass = n * mbar
-    modes = effective_cm_system(n, mbar, dim=64)
+    mode = effective_cm_system(n, mbar, dim=64)
     potential = PolynomialPotential.from_coeffs({2: 0.5 * total_mass})  # Omega = 1
-    spec = HamiltonianSpec(modes=tuple(modes), potential=potential)
-    psi0 = coherent_state(modes[0], 1.0, 0.0)
+    spec = HamiltonianSpec(mode, 1, potential)
+    psi0 = coherent_state(mode, 1.0, 0.0)
     steps = 800
     traj = evolve_quantum(psi0, spec, t_final=4 * math.pi, dt=4 * math.pi / steps)
     worst = max(abs(x - math.cos(t)) for t, x in zip(traj.times, traj.x_cm))
@@ -228,9 +228,9 @@ def test_criterion_8_classical_limit_scaling():
     deviations = []
     for k in range(5):
         total_mass = 2**k
-        modes = effective_cm_system(total_mass, 1.0, dim=160)
-        spec = HamiltonianSpec(modes=tuple(modes), potential=potential)
-        psi0 = coherent_state(modes[0], 1.0, 0.0)
+        mode = effective_cm_system(total_mass, 1.0, dim=160)
+        spec = HamiltonianSpec(mode, 1, potential)
+        psi0 = coherent_state(mode, 1.0, 0.0)
         traj = evolve_quantum(psi0, spec, t_final=2.0, dt=0.01)
         classical = evolve_classical(potential, float(total_mass), 1.0, 0.0, 2.0, 0.01)
         deviations.append(compare_trajectories(traj, classical).final_x_deviation)

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import cmlimit.cli as cli
 from cmlimit.cli import (
     _FIELDS,
     ConfigError,
@@ -162,6 +163,41 @@ def test_residuals_samples_guard(capsys):
     # every row is held until the table prints; 10^8 samples once ran past a minute
     assert main(["residuals", "--max-degree", "1", "--samples", "100001"]) == 1
     assert capsys.readouterr().err == "error: --samples: expected at most 100000, got 100001\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("scaling", "--N", "100001"), "--N"),
+    (("scaling", "--N", "1,2,99998"), "--N"),
+    (("scaling", "--masses", ",".join(["1/2"] * 100001)), "--masses"),
+])
+def test_scaling_particle_guard(capsys, argv, flag):
+    # the cost is linear in the particles, 5 s for 10^5: 10^8 would run past an
+    # hour and then out of memory
+    assert main(list(argv)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {flag}: expected at most 100000 particles in total, got 100001\n")
+
+
+def test_scaling_particle_guard_runs_before_any_system_is_built(monkeypatch, capsys):
+    built = []
+
+    class Recording:
+        def __init__(self, masses):
+            built.append(len(masses))
+            raise ValueError("built")
+
+        @classmethod
+        def uniform(cls, n, mbar):
+            built.append(n)
+            raise ValueError("built")
+
+    monkeypatch.setattr(cli, "ParticleSystem", Recording)
+    assert main(["scaling", "--N", "1,100000"]) == 1
+    assert "particles in total" in capsys.readouterr().err and built == []
+    for argv in (["--N", "100000"], ["--masses", ",".join(["1"] * 100000)]):
+        assert main(["scaling", *argv]) == 1  # at the bound the guard lets it through
+        assert capsys.readouterr().err == "error: built\n"
+    assert built == [100000, 100000]
 
 
 def test_uncertainty_saturation(capsys):
@@ -436,6 +472,19 @@ def test_full_model_runs_past_the_composite_cap(capsys):
     code, out = run_cli(capsys, "evolve", "--model", "full", "--N", "7", "--dim", "8")
     assert code == 2
     assert "# FAILED ExcessiveTruncationError: truncation weight" in out
+
+
+def test_full_model_runs_on_the_classical_twins_total_mass(monkeypatch, capsys):
+    # one M for both twins, N * mbar: six masses of 0.7 sum to 4.2, while the
+    # classical twin's 6 * 0.7 is 4.199999999999999
+    trajectories, evolve = [], cli.evolve_quantum
+    monkeypatch.setattr(cli, "evolve_quantum",
+                        lambda *args: trajectories.append(evolve(*args)) or trajectories[-1])
+    code, out = run_cli(capsys, "evolve", "--potential", "0.5*x^2", "--model", "full", "--N", "6",
+                        "--dim", "8", "--mbar", "0.7", "--x0", "0.1", "--t", "1")
+    assert code == 0 and "FAILED" not in out
+    (traj,) = trajectories
+    assert traj.total_mass == 6 * 0.7 != 0.7 + 0.7 + 0.7 + 0.7 + 0.7 + 0.7
 
 
 def test_full_model_quartic_at_six_modes_within_budget(capsys):

@@ -7,7 +7,8 @@ configuration error rather than an exception caught by ``main``'s
 catch-all, and a successful run's tables hold no ``nan``.  Sizes stay
 small (dims <= 16, N <= 4, t <= 0.5) so the whole test runs in seconds,
 except ``uncertainty``'s N: its row costs one mode at any N, so it draws N up
-to a million and one N past the floating-point range;
+to a million and one N past the floating-point range; and ``scaling`` draws
+one N past its particle bound, which is refused before any system is built;
 full-model evolve runs stay within the dense propagator's dimension
 (``EIG_DIMENSION_LIMIT``), because above it the Lanczos sampler's cost
 grows with ||H|| t / hbar, and a stiff potential can take minutes.
@@ -25,13 +26,20 @@ import re
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cmlimit.cli import MAX_RESIDUAL_SAMPLES, ConfigError, build_config, main
+from cmlimit.cli import (
+    MAX_RESIDUAL_SAMPLES,
+    MAX_SCALING_PARTICLES,
+    ConfigError,
+    build_config,
+    main,
+)
 from cmlimit.dynamics import EIG_DIMENSION_LIMIT
 from oracles import reference_config
 
 # flag -> (values that parse, including extreme ones; malformed values)
 N_LIST = (("1", "2", "1,2", "3", "4", "1,2,3,4"), ("0", "-1", "1,,2", "x"))
 UNCERTAINTY_N = (N_LIST[0] + ("7", "3600", "1000000", "1,7,64", "1" + "0" * 310), N_LIST[1])
+SCALING_N = (N_LIST[0] + (str(MAX_SCALING_PARTICLES + 1),), N_LIST[1])
 MASS = (("1", "2", "1/2", "3/7", "1e-300", "1e300", "1e308"), ("0", "-1", "1/0", "x", "nan"))
 DIM = (("2", "3", "4", "8", "12", "16"), ("1", "0", "x", "2.5"))
 DISPLACEMENT = (("0", "0.5", "1", "-1", "-0.15", "3", "100", "1e308"), ("nan", "inf", "x"))
@@ -43,7 +51,7 @@ COMMON = {
 # experiment -> (flags always given, flags given or left at their default)
 FLAGS = {
     "scaling": ({}, {  # --masses refuses --N and --mbar, so none of the three is always given
-        "N": N_LIST, "mbar": MASS,
+        "N": SCALING_N, "mbar": MASS,
         "masses": (("1", "1,2", "1/2,3", "1e308,1e308", "1e-300,1"), ("0,1", "-1", "1,x")),
     }),
     "residuals": ({"max-degree": (("1", "2", "3"), ("0", "9", "x"))}, {

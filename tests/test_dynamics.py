@@ -68,8 +68,7 @@ def harmonic(total_mass, big_omega=1.0):
 
 
 def effective_spec(n, mbar=1.0, potential=FREE, dim=64):
-    modes = effective_cm_system(n, mbar, dim=dim)
-    return HamiltonianSpec(modes=tuple(modes), potential=potential)
+    return HamiltonianSpec(effective_cm_system(n, mbar, dim=dim), 1, potential)
 
 
 def evolved_rows(monkeypatch, psi0, spec, t_final, dt):
@@ -77,13 +76,13 @@ def evolved_rows(monkeypatch, psi0, spec, t_final, dt):
     as its sample loop formed them, each a copy taken at its evaluation; a block
     evaluated on fewer levels is scattered back to psi0's basis, zero elsewhere."""
     blocks, weights = [], dynamics.truncation_weights
-    top = _levels(len(psi0.mode_dims), psi0.mode_dims[0])[0][:, -1]
+    top = _levels(*psi0.basis)[0][:, -1]
 
-    def capture(block, dims):
+    def capture(block, basis):
         rows = np.zeros((len(block), len(top)), dtype=block.dtype)
-        rows[:, top < dims[0]] = block
+        rows[:, top < basis[1]] = block
         blocks.append(rows)
-        return weights(block, dims)
+        return weights(block, basis)
 
     monkeypatch.setattr(dynamics, "truncation_weights", capture)
     traj = evolve_quantum(psi0, spec, t_final=t_final, dt=dt)
@@ -167,9 +166,9 @@ def test_harmonic_spectrum_matched_basis():
 def test_hamiltonian_of_a_high_degree_potential_holds_one_power():
     # at mass 16 and d = 8 no power of X_CM up to the 64th vanishes: held
     # together until the terms are added, they took 5.1 MB
-    modes = tuple(ModeSpec(mass=16.0, dim=8) for _ in range(2))
-    spec = HamiltonianSpec(modes, PolynomialPotential.from_coeffs({64: 1}))
-    ops = cm_operators_numeric(modes)
+    mode = ModeSpec(mass=16.0, dim=8)
+    spec = HamiltonianSpec(mode, 2, PolynomialPotential.from_coeffs({64: 1}))
+    ops = cm_operators_numeric(mode, 2)
     tracemalloc.start()
     try:
         build_hamiltonian(spec, ops=ops)
@@ -190,8 +189,7 @@ def test_quartic_hamiltonian_structure():
 
 @pytest.mark.parametrize("spec", [
     effective_spec(4, potential=PolynomialPotential.from_coeffs({4: 1, 2: -2, 0: 1})),
-    HamiltonianSpec(modes=tuple(ModeSpec(mass=1.0, dim=6) for _ in range(3)),
-                    potential=QUARTIC),
+    HamiltonianSpec(ModeSpec(mass=1.0, dim=6), 3, QUARTIC),
 ], ids=["effective", "full"])
 def test_hamiltonian_is_real(spec):
     # the propagator diagonalizes the real part only
@@ -204,12 +202,12 @@ def test_one_mode_hamiltonian_equals_folded_build(n, dim):
     # Kronecker sum of several modes is folded, gives the same H bit for bit
     spec = effective_spec(n, potential=PolynomialPotential.from_coeffs({4: 1, 2: -2, 0: 1}),
                           dim=dim)
-    ops = cm_operators_numeric(spec.modes)
+    ops = cm_operators_numeric(spec.mode, spec.n)
     zero = scipy.sparse.csr_matrix((1, 1), dtype=np.complex128)
     folded = []
     for op in ops:
         columns, values = slots(scipy.sparse.kronsum(op.matrix, zero, format="csr"))
-        folded.append(SparseOperator(op.mode_dims, columns,
+        folded.append(SparseOperator(op.basis, columns,
                                      values.imag if op.imaginary else values.real,
                                      hermitian=True, imaginary=op.imaginary))
     h = build_hamiltonian(spec, ops=ops).matrix
@@ -221,12 +219,11 @@ def test_one_mode_hamiltonian_equals_folded_build(n, dim):
 def test_powers_stop_at_the_first_zero_power():
     # X_CM of mass 1e6 underflows to the zero matrix within a few hundred powers,
     # so x^100000 adds nothing to H and must not cost 100,000 sparse products
-    modes = tuple(effective_cm_system(1, 1e6, dim=8))
+    mode = effective_cm_system(1, 1e6, dim=8)
     start = time.perf_counter()
-    h = build_hamiltonian(HamiltonianSpec(modes=modes,
-                                          potential=PolynomialPotential.from_coeffs({100000: 1})))
+    h = build_hamiltonian(HamiltonianSpec(mode, 1, PolynomialPotential.from_coeffs({100000: 1})))
     assert time.perf_counter() - start < 2.0
-    free = build_hamiltonian(HamiltonianSpec(modes=modes, potential=FREE))
+    free = build_hamiltonian(HamiltonianSpec(mode, 1, FREE))
     for part in ("data", "indices", "indptr"):
         assert getattr(h.matrix, part).tobytes() == getattr(free.matrix, part).tobytes()
 
@@ -248,12 +245,12 @@ def test_numpy_hamiltonian_matches_sparse_assembly(shape, coeffs):
     # composite CSR assembly read through the isometry onto the occupation
     # basis, within 1e-15 of its largest entry
     mass, n, d = shape
-    modes = (ModeSpec(mass=float(mass), dim=d),) * n
-    spec = HamiltonianSpec(modes=modes, potential=PolynomialPotential.from_coeffs(coeffs))
-    ops = cm_operators_numeric(modes)
+    mode = ModeSpec(mass=float(mass), dim=d)
+    spec = HamiltonianSpec(mode, n, PolynomialPotential.from_coeffs(coeffs))
+    ops = cm_operators_numeric(mode, n)
     h = build_hamiltonian(spec, ops=ops).matrix.toarray()
     iso = symmetric_isometry(n, d)
-    csr = iso.T @ (sparse_hamiltonian(spec) @ iso)
+    csr = iso.T @ (sparse_hamiltonian([mode] * n, spec.potential) @ iso)
     assert not h.imag.any()
     if n == 1:
         assert np.array_equal(h, csr)
@@ -262,8 +259,7 @@ def test_numpy_hamiltonian_matches_sparse_assembly(shape, coeffs):
 
 
 def test_hamiltonian_dimension_cap():
-    modes = tuple(ModeSpec(mass=1.0, dim=128) for _ in range(3))
-    spec = HamiltonianSpec(modes=modes, potential=FREE)
+    spec = HamiltonianSpec(ModeSpec(mass=1.0, dim=128), 3, FREE)
     with pytest.raises(DimensionCapError):
         build_hamiltonian(spec)
 
@@ -275,7 +271,7 @@ def test_hamiltonian_dimension_cap():
 
 def test_free_evolution_means():
     spec = effective_spec(2, potential=FREE)
-    psi0 = coherent_state(spec.modes[0], 1.0, 1.0)
+    psi0 = coherent_state(spec.mode, 1.0, 1.0)
     traj = evolve_quantum(psi0, spec, t_final=1.0, dt=0.05)
     expected = [1.0 + 0.5 * t for t in traj.times]
     assert np.abs(traj.x_cm - expected).max() < 1e-8
@@ -285,7 +281,7 @@ def test_free_evolution_means():
 
 def test_harmonic_return_after_period():
     spec = effective_spec(1, potential=harmonic(1.0))
-    psi0 = coherent_state(spec.modes[0], 1.0, 0.0)
+    psi0 = coherent_state(spec.mode, 1.0, 0.0)
     n = 128
     traj = evolve_quantum(psi0, spec, t_final=2 * math.pi, dt=2 * math.pi / n)
     assert abs(traj.x_cm[-1] - 1.0) < 1e-6
@@ -295,15 +291,14 @@ def test_harmonic_return_after_period():
 
 def test_norm_drift_raises():
     spec = effective_spec(1, potential=QUARTIC)
-    amps = coherent_state(spec.modes[0], 1.0, 0.0).amplitudes * (1.0 + 5e-7)
-    psi0 = StateVector(amps.shape, amps)  # within StateVector's 1e-6 sanity bound
+    amps = coherent_state(spec.mode, 1.0, 0.0).amplitudes * (1.0 + 5e-7)
+    psi0 = StateVector((1, amps.size), amps)  # within StateVector's 1e-6 sanity bound
     with pytest.raises(NormDriftError, match=r"at t = 0\.0$"):
         evolve_quantum(psi0, spec, t_final=1.0, dt=0.1)
 
 
 def _full_spec(potential, n=2, dim=10):
-    return HamiltonianSpec(modes=tuple(ModeSpec(mass=1.0, dim=dim) for _ in range(n)),
-                           potential=potential)
+    return HamiltonianSpec(ModeSpec(mass=1.0, dim=dim), n, potential)
 
 
 LINEAR_HARMONIC = PolynomialPotential.from_coeffs({2: 0.5, 1: 0.2})
@@ -317,8 +312,8 @@ def test_propagators_agree(monkeypatch):
     effective = effective_spec(1, potential=QUARTIC, dim=32)
     full = _full_spec(QUARTIC_CUBIC, dim=8)
     dense_limit = dynamics.EIG_DIMENSION_LIMIT
-    for spec, psi0 in ((effective, coherent_state(effective.modes[0], 0.5, 0.0)),
-                       (full, coherent_product(full.modes, [0.5, 0.5], [0.0, 0.0]))):
+    for spec, psi0 in ((effective, coherent_state(effective.mode, 0.5, 0.0)),
+                       (full, coherent_product(full.mode, full.n, 0.5, 0.0))):
         h = build_hamiltonian(spec)
         times = 0.05 * np.arange(21)
         dense = np.zeros((21, h.dim), dtype=np.complex128)
@@ -367,7 +362,7 @@ def test_evolve_quantum_matches_dense_exponential(spec, split, monkeypatch):
     # diagonalized on its own (a diagonal H is one graph component per level,
     # and still two sectors); an odd term couples them into one block
     assert (_blocks(spec) > 1) == split
-    psi0 = coherent_product(spec.modes, [0.4] * len(spec.modes), [0.1] * len(spec.modes))
+    psi0 = coherent_product(spec.mode, spec.n, 0.4, 0.1)
     h = build_hamiltonian(spec)
     monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_AMPLITUDES", 3 * h.dim)  # 7 blocks of 3 rows
     eigh, eighs = np.linalg.eigh, []
@@ -385,7 +380,7 @@ def test_evolve_quantum_matches_dense_exponential(spec, split, monkeypatch):
         t = traj.times[k]
         exact = scipy.linalg.expm(-1j * dense * t / spec.hbar) @ psi0.amplitudes
         assert np.abs(rows[k] - exact).max() < 1e-10
-        expected = cm_expectation_record(StateVector(psi0.mode_dims, exact), spec.modes)
+        expected = cm_expectation_record(StateVector(psi0.basis, exact), spec.mode)
         for field in ("x_cm", "v_cm", "dx", "dv"):
             assert abs(getattr(traj, field)[k] - getattr(expected, field)) < 1e-10
 
@@ -406,7 +401,7 @@ def test_eigh_sampler_diagonalizes_a_certified_level_cut(n, potential, monkeypat
     # the CM packet of mass N lives on a few dozen levels of the 1024, so each
     # 512-row parity sector is sampled from a cut of at most half its rows
     spec = effective_spec(n, potential=potential, dim=1024)
-    psi0 = coherent_state(spec.modes[0], 1.0, 0.0)
+    psi0 = coherent_state(spec.mode, 1.0, 0.0)
     sectors = sector_eighs(monkeypatch)
     rows = sampled_rows(monkeypatch, psi0, spec, 2.0, 0.01)
     assert len(sectors) == 2 and all(sizes[-1] <= 256 for sizes in sectors)
@@ -418,7 +413,7 @@ def test_eigh_sampler_without_a_certified_cut_is_the_whole_sector(monkeypatch):
     # |alpha|^2 = 32 fills half of each 80-row sector: no cut is kept, and the
     # rows are those of the whole sectors, bit for bit
     spec = effective_spec(64, potential=QUARTIC, dim=160)
-    psi0 = coherent_state(spec.modes[0], 1.0, 0.0)
+    psi0 = coherent_state(spec.mode, 1.0, 0.0)
     sectors = sector_eighs(monkeypatch)
     rows = sampled_rows(monkeypatch, psi0, spec, 2.0, 0.01)
     assert [sizes[-1] for sizes in sectors] == [80, 80]
@@ -431,7 +426,7 @@ def test_eigh_sampler_keeps_the_eigenpairs_psi0_loads(monkeypatch):
     # eigenpairs above eps: the sampler's rows are the GEMM of those alone, and
     # the others' coefficients have a joint norm of at most eps
     spec = effective_spec(4, potential=QUARTIC, dim=160)
-    psi0 = coherent_state(spec.modes[0], 1.0, 0.1)
+    psi0 = coherent_state(spec.mode, 1.0, 0.1)
     h, times, eps = build_hamiltonian(spec), 0.01 * np.arange(201), np.finfo(float).eps
     cuts, level_cut = [], dynamics._level_cut
     monkeypatch.setattr(dynamics, "_level_cut",
@@ -461,8 +456,8 @@ def test_operators_on_fewer_levels_are_the_restricted_ones(n, d, levels):
     top = _levels(n, d)[0][:, -1]
     states = np.flatnonzero(top < levels)
     assert np.array_equal(_levels(n, levels)[0], _levels(n, d)[0][states])
-    ops = cm_operators_numeric([ModeSpec(mass=0.7, dim=d)] * n)
-    fewer = cm_operators_numeric([ModeSpec(mass=0.7, dim=levels)] * n)
+    ops = cm_operators_numeric(ModeSpec(mass=0.7, dim=d), n)
+    fewer = cm_operators_numeric(ModeSpec(mass=0.7, dim=levels), n)
     for op, own in zip(ops[:2], fewer):
         columns, values = dynamics._restricted_slots(op, states)
         assert np.array_equal(columns, own.columns)
@@ -474,11 +469,11 @@ def test_rows_on_the_levels_a_cut_reaches_are_the_full_rows(monkeypatch):
     # evaluated on the levels it and the energy's powers reach; each column of the
     # trajectory is that of the same rows evaluated on all 512, bit for bit
     spec = effective_spec(16, potential=QUARTIC, dim=512)
-    psi0 = coherent_state(spec.modes[0], 1.0, 0.1)
+    psi0 = coherent_state(spec.mode, 1.0, 0.1)
     blocks, weights = [], dynamics.truncation_weights
     monkeypatch.setattr(dynamics, "truncation_weights",
-                        lambda block, dims: blocks.append((block.copy(), dims))
-                        or weights(block, dims))
+                        lambda block, basis: blocks.append((block.copy(), basis))
+                        or weights(block, basis))
     traj = evolve_quantum(psi0, spec, t_final=2.0, dt=0.01)
     widths = {block.shape[1] for block, _ in blocks}
     assert len(widths) == 1 and widths.pop() < 512 // 2
@@ -486,17 +481,17 @@ def test_rows_on_the_levels_a_cut_reaches_are_the_full_rows(monkeypatch):
     h, times = build_hamiltonian(spec), traj.times
     samplers = [dynamics._eigh_sampler(h, index, psi0.amplitudes, times, spec.hbar)
                 for index in dynamics._blocks(h)]
-    x_cm, v_cm, _ = cm_operators_numeric(spec.modes)
+    x_cm, v_cm, _ = cm_operators_numeric(spec.mode, spec.n)
     columns, start = [], 0
-    for block, dims in blocks:
+    for block, basis in blocks:
         rows = np.zeros((len(block), 512), dtype=np.complex128)
         for index, sample in samplers:
             rows[:, index] = sample(slice(start, start + len(block)))
         top = _levels(1, 512)[0][:, -1]
-        assert np.array_equal(rows[:, top < dims[0]], block) and not rows[:, top >= dims[0]].any()
+        assert np.array_equal(rows[:, top < basis[1]], block) and not rows[:, top >= basis[1]].any()
         start += len(block)
         norms = np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
-        weights = truncation_weights(rows, psi0.mode_dims)
+        weights = truncation_weights(rows, psi0.basis)
         x_rows, v_rows = x_cm.apply(rows), v_cm.apply(rows)
         rec = cm_expectation_records(rows, x_rows, v_rows, weights)
         columns.append((rec.x_cm, rec.v_cm, rec.dx, rec.dv,
@@ -510,9 +505,9 @@ def _composite_rows(psi0, spec, t_final, dt):
     """The rows of a run on the composite index of the modes, read through the
     isometry: the oracle's sparse H made dense, its exponential by ``eigh``,
     applied to psi0's image, the sum over its orbits."""
-    n, d = len(spec.modes), spec.modes[0].dim
-    iso = symmetric_isometry(n, d)
-    evals, evecs = np.linalg.eigh(sparse_hamiltonian(spec).toarray())
+    iso = symmetric_isometry(spec.n, spec.mode.dim)
+    evals, evecs = np.linalg.eigh(sparse_hamiltonian([spec.mode] * spec.n,
+                                                     spec.potential).toarray())
     coeffs = evecs.conj().T @ (iso @ psi0.amplitudes)
     times = dt * np.arange(round(t_final / dt) + 1)
     return (np.exp(np.outer(times, evals) * (-1j / spec.hbar)) * coeffs) @ evecs.T @ iso
@@ -527,8 +522,7 @@ def test_equal_modes_evolve_in_their_exchange_symmetric_subspace(spec, x0, sizes
     # equal modes and equal coherent states: each block is one parity sector of
     # the occupation basis, or a level cut of it, and the rows are those of the
     # composite run, which never leaves the exchange-symmetric subspace
-    n = len(spec.modes)
-    psi0 = coherent_product(spec.modes, [x0] * n, [0.1] * n)
+    psi0 = coherent_product(spec.mode, spec.n, x0, 0.1)
     sectors = sector_eighs(monkeypatch)
     rows = sampled_rows(monkeypatch, psi0, spec, 1.0, 0.05)
     assert [eighs[-1] for eighs in sectors] == sizes
@@ -544,12 +538,12 @@ def test_equal_modes_evolve_in_their_exchange_symmetric_subspace(spec, x0, sizes
 def test_full_model_single_sample_is_psi0(n, dim, x0, p0, sizes, monkeypatch):
     # t = 0: one sample, psi0 itself
     spec = _full_spec(harmonic(float(n)), n=n, dim=dim)
-    psi0 = coherent_product(spec.modes, [x0] * n, [p0 / n] * n)
+    psi0 = coherent_product(spec.mode, n, x0, p0 / n)
     sectors = sector_eighs(monkeypatch)
     traj, blocks = evolved_rows(monkeypatch, psi0, spec, 0.0, 0.01)
     assert len(traj.times) == 1 and [s[-1] for s in sectors] == sizes
     assert np.abs(blocks[0][0] - psi0.amplitudes).max() <= 1e-15
-    record = cm_expectation_record(psi0, spec.modes)
+    record = cm_expectation_record(psi0, spec.mode)
     assert abs(traj.x_cm[0] - record.x_cm) <= 1e-15 and abs(traj.v_cm[0] - record.v_cm) <= 1e-15
 
 
@@ -560,7 +554,7 @@ def test_non_finite_cut_bound_never_certifies():
     h = build_hamiltonian(spec)
     block = h.to_dense().real
     top = np.arange(h.dim)
-    for amps in (coherent_state(spec.modes[0], 1.0, 0.0).amplitudes, np.zeros(h.dim)):
+    for amps in (coherent_state(spec.mode, 1.0, 0.0).amplitudes, np.zeros(h.dim)):
         assert dynamics._level_cut(block, top, amps, 2.0, 1.0)[0].sum() <= h.dim // 2
         assert dynamics._level_cut(block, top, amps, 2.0, 5e-324)[0] == slice(None)
         assert dynamics._level_cut(block, top, amps, np.inf, 1.0)[0] == slice(None)
@@ -581,7 +575,7 @@ def test_eigh_sampler_rows_within_the_cut_tolerance(coeffs, dim, n, x0, t_final,
     # sampled row is the exact exponential's within it, as far as rounding shows
     spec = effective_spec(n, potential=PolynomialPotential.from_coeffs(coeffs), dim=dim)
     try:
-        psi0 = coherent_state(spec.modes[0], x0, 0.0)
+        psi0 = coherent_state(spec.mode, x0, 0.0)
     except ExcessiveTruncationError:
         assume(False)
     h = build_hamiltonian(spec)
@@ -610,7 +604,7 @@ def _banded(d, band, scale, seed):
 def test_krylov_sampler_rows_match_the_dense_exponential(d, band, scale, hbar, dt, steps, seed):
     # each basis certifies its samples at 1e-14 by its error estimate; the rows
     # stay within 1e-11 of the exact exponential, in any row blocks
-    h = SparseOperator((d,), *_banded(d, band, scale, seed), hermitian=True)
+    h = SparseOperator((1, d), *_banded(d, band, scale, seed), hermitian=True)
     rng = np.random.default_rng(seed + 1)
     psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi0 /= np.linalg.norm(psi0)
@@ -626,7 +620,7 @@ def test_krylov_sampler_rows_match_the_dense_exponential(d, band, scale, hbar, d
 @pytest.mark.parametrize("entry, hbar", [(np.inf, 1.0), (np.nan, 1.0), (1e308, 1e-10)],
                          ids=["infinite", "nan", "overflows-over-hbar"])
 def test_krylov_sampler_refuses_a_non_finite_coefficient(entry, hbar):
-    h = SparseOperator((4,), *slots(np.diag([entry, 1.0, 1.0, 1.0]) + np.eye(4, k=1)
+    h = SparseOperator((1, 4), *slots(np.diag([entry, 1.0, 1.0, 1.0]) + np.eye(4, k=1)
                                     + np.eye(4, k=-1)))
     _, sample = dynamics._krylov_sampler(h, np.full(4, 0.5 + 0j), np.array([0.0, 0.1]), hbar)
     with pytest.raises(OverflowError, match="floating-point range"):
@@ -640,7 +634,7 @@ def test_krylov_sampler_refuses_a_run_it_cannot_finish(monkeypatch, start, max_s
     # more than MAX_STEPS of them, or one that t + step rounds away (the ulp of
     # 2^60 is 256), refuse
     monkeypatch.setattr(dynamics, "MAX_STEPS", max_steps)
-    h = SparseOperator((100,), *_banded(100, 3, 50.0, 0), hermitian=True)
+    h = SparseOperator((1, 100), *_banded(100, 3, 50.0, 0), hermitian=True)
     _, sample = dynamics._krylov_sampler(h, basis_state(100).amplitudes,
                                          np.array([start, start + 1024.0]), 0.5)
     with pytest.raises(OverflowError, match=f"more than {max_steps} substeps"):
@@ -707,7 +701,7 @@ def test_long_run_holds_no_amplitude_stack():
     # ten times the samples costs ten times the records, not the rows: the
     # 2001 rows of 512 amplitudes alone would take 16 MiB
     spec = effective_spec(16, potential=QUARTIC, dim=512)
-    psi0 = coherent_state(spec.modes[0], 1.0, 0.0)
+    psi0 = coherent_state(spec.mode, 1.0, 0.0)
     peaks = []
     for t_final in (2.0, 20.0):
         tracemalloc.start()
@@ -729,12 +723,12 @@ def test_energy_of_a_high_degree_potential_holds_few_powers(monkeypatch):
     applies, apply = [], SparseOperator.apply
     monkeypatch.setattr(SparseOperator, "apply", lambda op, psi: applies.append(1) or apply(op, psi))
     for mass in (16.0, 1e300):
-        modes = tuple(ModeSpec(mass=mass, dim=8) for _ in range(2))
-        x_cm, v_cm, _ = cm_operators_numeric(modes)
+        mode = ModeSpec(mass=mass, dim=8)
+        x_cm, v_cm, _ = cm_operators_numeric(mode, 2)
         x_rows, v_rows = x_cm.apply(rows), v_cm.apply(rows)
         peaks = []
         for degree in (20, 2000):
-            spec = HamiltonianSpec(modes, PolynomialPotential.from_coeffs({degree: 1}))
+            spec = HamiltonianSpec(mode, 2, PolynomialPotential.from_coeffs({degree: 1}))
             applies.clear()
             tracemalloc.start()
             try:
@@ -751,7 +745,7 @@ def test_long_run_above_dense_limit_holds_no_amplitude_stack():
     # limit too ten times the samples costs ten times the records, not the
     # rows: the 1001 rows of 2080 amplitudes alone would take 32 MiB
     spec = _full_spec(LINEAR_HARMONIC, dim=64)
-    psi0 = coherent_product(spec.modes, [0.3, 0.3], [0.025, 0.025])
+    psi0 = coherent_product(spec.mode, spec.n, 0.3, 0.025)
     assert psi0.amplitudes.size > dynamics.EIG_DIMENSION_LIMIT
     peaks = []
     for t_final in (1.0, 10.0):
@@ -766,14 +760,14 @@ def test_long_run_above_dense_limit_holds_no_amplitude_stack():
 
 def test_truncation_gate_during_evolution():
     spec = effective_spec(1, potential=FREE, dim=8)
-    psi0 = coherent_state(spec.modes[0], 1.0, 0.0)
+    psi0 = coherent_state(spec.mode, 1.0, 0.0)
     with pytest.raises(ExcessiveTruncationError):
         evolve_quantum(psi0, spec, t_final=2.0, dt=0.25)
 
 
 def test_time_grid_validation():
     spec = effective_spec(1)
-    psi0 = coherent_state(spec.modes[0], 0.0, 0.0)
+    psi0 = coherent_state(spec.mode, 0.0, 0.0)
     with pytest.raises(ValueError):
         evolve_quantum(psi0, spec, t_final=1.0, dt=0.3)
     with pytest.raises(ValueError, match="integer multiple of dt"):
@@ -890,18 +884,18 @@ def ehrenfest_residual(rows, dt, h, observable, hbar) -> float:
 
 def test_ehrenfest_free_particle(monkeypatch):
     spec = effective_spec(2, potential=FREE)
-    psi0 = coherent_state(spec.modes[0], 1.0, 1.0)
+    psi0 = coherent_state(spec.mode, 1.0, 1.0)
     h = build_hamiltonian(spec)
-    x_cm = cm_operators_numeric(spec.modes)[0]
+    x_cm = cm_operators_numeric(spec.mode, spec.n)[0]
     rows = sampled_rows(monkeypatch, psi0, spec, 1.0, 0.05)
     assert ehrenfest_residual(rows, 0.05, h, x_cm, spec.hbar) < 1e-8
 
 
 def test_ehrenfest_harmonic_richardson(monkeypatch):
     spec = effective_spec(1, potential=harmonic(1.0))
-    psi0 = coherent_state(spec.modes[0], 1.0, 0.0)
+    psi0 = coherent_state(spec.mode, 1.0, 0.0)
     h = build_hamiltonian(spec)
-    x_cm = cm_operators_numeric(spec.modes)[0]
+    x_cm = cm_operators_numeric(spec.mode, spec.n)[0]
 
     def residual(dt):
         rows = sampled_rows(monkeypatch, psi0, spec, dt * round(1.6 / dt), dt)
@@ -913,11 +907,11 @@ def test_ehrenfest_harmonic_richardson(monkeypatch):
 
 def test_ehrenfest_quartic_squared_observable(monkeypatch):
     spec = effective_spec(1, potential=QUARTIC, dim=96)
-    psi0 = coherent_state(spec.modes[0], 1.0, 0.0)
+    psi0 = coherent_state(spec.mode, 1.0, 0.0)
     h = build_hamiltonian(spec)
-    x_cm = cm_operators_numeric(spec.modes)[0]
+    x_cm = cm_operators_numeric(spec.mode, spec.n)[0]
     x_sq = x_cm.matrix @ x_cm.matrix
-    x_sq = SparseOperator(x_cm.mode_dims, *slots((x_sq + x_sq.getH()) * 0.5), hermitian=True)
+    x_sq = SparseOperator(x_cm.basis, *slots((x_sq + x_sq.getH()) * 0.5), hermitian=True)
 
     def residual(dt):
         rows = sampled_rows(monkeypatch, psi0, spec, dt * round(1.6 / dt), dt)
@@ -935,7 +929,7 @@ def test_expectation_product_of_non_hermitian_kronecker_sums():
     b = composite_operator([ladder(3).to_dense().T * 0.5, ladder(4).to_dense()])
     rng = np.random.default_rng(7)
     amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    psi = StateVector((12,), amps / np.linalg.norm(amps))
+    psi = StateVector((1, 12), amps / np.linalg.norm(amps))
     dense_a, dense_b = a.to_dense(), b.to_dense()
     expected = np.vdot(psi.amplitudes, (dense_a @ dense_b - dense_b @ dense_a) @ psi.amplitudes)
     assert abs(expectation_product(a, b, psi) - expected) < 1e-13
@@ -948,7 +942,7 @@ def test_expectation_product_of_non_hermitian_kronecker_sums():
 
 def test_compare_free():
     spec = effective_spec(2, potential=FREE)
-    psi0 = coherent_state(spec.modes[0], 1.0, 1.0)
+    psi0 = coherent_state(spec.mode, 1.0, 1.0)
     traj = evolve_quantum(psi0, spec, t_final=1.0, dt=0.05)
     classical = evolve_classical(FREE, 2.0, 1.0, 1.0, 1.0, 0.05)
     report = compare_trajectories(traj, classical)
@@ -958,7 +952,7 @@ def test_compare_free():
 
 def test_compare_harmonic_ehrenfest_exact():
     spec = effective_spec(1, potential=harmonic(1.0))
-    psi0 = coherent_state(spec.modes[0], 1.0, 0.0)
+    psi0 = coherent_state(spec.mode, 1.0, 0.0)
     n = 256
     dt = 2 * math.pi / n
     traj = evolve_quantum(psi0, spec, t_final=2 * math.pi, dt=dt)
@@ -970,7 +964,7 @@ def test_compare_harmonic_ehrenfest_exact():
 
 def test_compare_quartic_regression():
     spec = effective_spec(1, potential=QUARTIC, dim=128)
-    psi0 = coherent_state(spec.modes[0], 1.0, 0.0)
+    psi0 = coherent_state(spec.mode, 1.0, 0.0)
     traj = evolve_quantum(psi0, spec, t_final=2.0, dt=0.01)
     classical = evolve_classical(QUARTIC, 1.0, 1.0, 0.0, 2.0, 0.01)
     report = compare_trajectories(traj, classical)
@@ -981,7 +975,7 @@ def test_compare_quartic_regression():
 
 def test_compare_time_grid_mismatch():
     spec = effective_spec(1, potential=FREE)
-    psi0 = coherent_state(spec.modes[0], 0.0, 0.0)
+    psi0 = coherent_state(spec.mode, 0.0, 0.0)
     traj = evolve_quantum(psi0, spec, t_final=1.0, dt=0.1)
     classical = evolve_classical(FREE, 1.0, 0.0, 0.0, 1.0, 0.25)  # lacks t = 0.1
     with pytest.raises(TimeGridMismatchError):
@@ -994,25 +988,25 @@ def test_compare_time_grid_mismatch():
 
 
 def test_effective_system_commutator_scale():
-    modes = effective_cm_system(16, 1.0, dim=16)
-    psi = ground_product(modes)
-    value = cm_expectation_record(psi, modes).commutator_expectation
+    mode = effective_cm_system(16, 1.0, dim=16)
+    psi = ground_product(mode, 1)
+    value = cm_expectation_record(psi, mode).commutator_expectation
     assert value == pytest.approx(1j / 16.0, abs=1e-10)
     single = effective_cm_system(1, 1.0, dim=16)
-    assert single[0].mass == 1.0
+    assert single.mass == 1.0
 
 
 def test_full_tensor_vs_effective_track():
     n = 3
     pot = harmonic(3.0)
-    full_modes = tuple(ModeSpec(mass=1.0, dim=8) for _ in range(n))
-    full = HamiltonianSpec(modes=full_modes, potential=pot)
-    psi_full = coherent_product(full_modes, [0.6] * n, [0.3 / n] * n)
+    full_mode = ModeSpec(mass=1.0, dim=8)
+    full = HamiltonianSpec(full_mode, n, pot)
+    psi_full = coherent_product(full_mode, n, 0.6, 0.3 / n)
     traj_full = evolve_quantum(psi_full, full, t_final=2.0, dt=0.1)
 
-    eff_modes = effective_cm_system(n, 1.0, dim=32)
-    eff = HamiltonianSpec(modes=tuple(eff_modes), potential=pot)
-    psi_eff = coherent_state(eff_modes[0], 0.6, 0.3)
+    eff_mode = effective_cm_system(n, 1.0, dim=32)
+    eff = HamiltonianSpec(eff_mode, 1, pot)
+    psi_eff = coherent_state(eff_mode, 0.6, 0.3)
     traj_eff = evolve_quantum(psi_eff, eff, t_final=2.0, dt=0.1)
 
     assert np.abs(traj_full.x_cm - traj_eff.x_cm).max() < 1e-6
@@ -1047,7 +1041,7 @@ def trajectory_csv(traj):
 
 def test_trajectory_csv_contract():
     spec = effective_spec(2, potential=FREE)
-    psi0 = coherent_state(spec.modes[0], 1.0, 1.0)
+    psi0 = coherent_state(spec.mode, 1.0, 1.0)
     traj = evolve_quantum(psi0, spec, t_final=1.0, dt=0.25)
     text = trajectory_csv(traj)
     lines = text.split("\n")

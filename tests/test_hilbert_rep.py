@@ -54,10 +54,8 @@ from oracles import (
 )
 
 MODE = ModeSpec(mass=1.0, dim=16)
-
-
-def modes(n, dim=8, mass=1.0):
-    return [ModeSpec(mass=mass, dim=dim) for _ in range(n)]
+MODE8 = ModeSpec(mass=1.0, dim=8)
+MODE6 = ModeSpec(mass=1.0, dim=6)
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +111,9 @@ def test_truncation_defect_confined_to_top_level():
 
 
 def test_dimension_cap():
-    big = modes(3, dim=128)  # 2^21 amplitudes
+    big = ModeSpec(mass=1.0, dim=128)  # 2^21 amplitudes on 3 modes
     with pytest.raises(DimensionCapError):
-        cm_operators_numeric(big)
+        cm_operators_numeric(big, 3)
 
 
 def test_states_check_the_cap_before_allocating():
@@ -126,7 +124,7 @@ def test_states_check_the_cap_before_allocating():
             with pytest.raises(DimensionCapError):
                 coherent_state(ModeSpec(mass=1.0, dim=dim), 0.5, 0.0)
         with pytest.raises(DimensionCapError):
-            coherent_product(modes(3, dim=128), [0.5] * 3, [0.0] * 3)
+            coherent_product(ModeSpec(mass=1.0, dim=128), 3, 0.5, 0.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -139,22 +137,22 @@ def test_states_check_the_cap_before_allocating():
 
 
 def test_cm_operators_single_mode():
-    system = [ModeSpec(mass=2.0, dim=8)]
-    x_cm, v_cm, p_tot = cm_operators_numeric(system)
-    assert np.abs(x_cm.to_dense() - position_op(system[0]).to_dense()).max() < 1e-14
-    assert np.abs(p_tot.to_dense() - momentum_op(system[0]).to_dense()).max() < 1e-14
-    assert np.abs(v_cm.to_dense() - momentum_op(system[0]).to_dense() / 2.0).max() < 1e-14
+    mode = ModeSpec(mass=2.0, dim=8)
+    x_cm, v_cm, p_tot = cm_operators_numeric(mode, 1)
+    assert np.abs(x_cm.to_dense() - position_op(mode).to_dense()).max() < 1e-14
+    assert np.abs(p_tot.to_dense() - momentum_op(mode).to_dense()).max() < 1e-14
+    assert np.abs(v_cm.to_dense() - momentum_op(mode).to_dense() / 2.0).max() < 1e-14
 
 
 def test_cm_operators_linear_combination():
     # on N equal modes X_CM = sum_k X_k / N, restricted to the exchange-symmetric
     # subspace of the Kronecker product
-    system = modes(3, dim=3)
-    x_cm, v_cm, p_tot = cm_operators_numeric(system)
+    mode = ModeSpec(mass=1.0, dim=3)
+    x_cm, v_cm, p_tot = cm_operators_numeric(mode, 3)
     iso = symmetric_isometry(3, 3)
     oracle = sum(
         np.kron(np.kron(np.eye(3**k), position_op(mode).to_dense()), np.eye(3 ** (2 - k))) / 3
-        for k, mode in enumerate(system)
+        for k in range(3)
     )
     assert np.abs(x_cm.to_dense() - iso.T @ oracle @ iso).max() < 1e-14
     assert x_cm.hermitian and v_cm.hermitian and p_tot.hermitian
@@ -164,11 +162,11 @@ def test_cm_operators_linear_combination():
 def test_embed_kron_block_structure():
     # the occupation basis embeds in the Kronecker product of the modes as its
     # exchange-symmetric subspace, which each Kronecker sum maps into itself
-    system = modes(2, dim=3, mass=2.0)
-    x_cm, _, p_tot = cm_operators_numeric(system)
+    mode = ModeSpec(mass=2.0, dim=3)
+    x_cm, _, p_tot = cm_operators_numeric(mode, 2)
     iso = symmetric_isometry(2, 3)
-    for op, one in ((x_cm, position_op(system[0]).to_dense() / 2),
-                    (p_tot, momentum_op(system[0]).to_dense())):
+    for op, one in ((x_cm, position_op(mode).to_dense() / 2),
+                    (p_tot, momentum_op(mode).to_dense())):
         oracle = np.kron(one, np.eye(3)) + np.kron(np.eye(3), one)
         assert np.abs(op.to_dense() - iso.T @ oracle @ iso).max() <= 1e-15 * np.abs(oracle).max()
         assert np.abs((np.eye(9) - iso @ iso.T) @ oracle @ iso).max() <= 1e-15
@@ -190,9 +188,9 @@ def test_cm_operators_match_kron_oracle(mass, n, d, coeffs):
     # e_n -> normalized orbit sum, within 1e-15 of their largest entry
     system = [ModeSpec(mass=float(mass), dim=d)] * n
     iso = symmetric_isometry(n, d)
-    spec = HamiltonianSpec(tuple(system), PolynomialPotential.from_coeffs(coeffs))
-    ops = cm_operators_numeric(system)
-    composite = (*kron_cm_operators(system), sparse_hamiltonian(spec))
+    spec = HamiltonianSpec(system[0], n, PolynomialPotential.from_coeffs(coeffs))
+    ops = cm_operators_numeric(system[0], n)
+    composite = (*kron_cm_operators(system), sparse_hamiltonian(system, spec.potential))
     for op, oracle in zip((*ops, build_hamiltonian(spec, ops=ops)), composite):
         projected = iso.T @ (oracle @ iso)
         dense = op.to_dense()
@@ -208,11 +206,11 @@ def test_products_are_the_projected_kron_product(n, d, x0, p0, mass, seed):
     # isometry; coherent_product is the product of one coherent state
     mode = ModeSpec(mass=float(mass), dim=d)
     iso = symmetric_isometry(n, d)
-    phi = _random_state(seed, (d,))
+    phi = _random_state(seed, (1, d))
     kron = np.ones(1)
     for _ in range(n):
         kron = np.kron(kron, phi.amplitudes)
-    assert np.abs(product_state([phi] * n).amplitudes - iso.T @ kron).max() <= 1e-14
+    assert np.abs(product_state(phi, n).amplitudes - iso.T @ kron).max() <= 1e-14
     assert np.abs(iso @ (iso.T @ kron) - kron).max() <= 1e-14  # kron is exchange symmetric
     try:
         phi = coherent_state(mode, x0, p0)
@@ -221,36 +219,46 @@ def test_products_are_the_projected_kron_product(n, d, x0, p0, mass, seed):
     kron = np.ones(1)
     for _ in range(n):
         kron = np.kron(kron, phi.amplitudes)
-    psi = coherent_product([mode] * n, [x0] * n, [p0] * n)
+    psi = coherent_product(mode, n, x0, p0)
     assert np.abs(psi.amplitudes - iso.T @ kron).max() <= 1e-14
 
 
-def test_products_of_unequal_factors_are_refused():
-    # they leave the exchange-symmetric subspace, the one basis the modes have
+@pytest.mark.parametrize("basis", [(0, 4), (2, 0), (1, 2, 3), (2,), (2.0, 4), None],
+                         ids=["no mode", "no level", "three entries", "one entry",
+                              "float count", "no pair"])
+def test_malformed_bases_are_refused(basis):
+    # a basis is a pair (N, d) of integers, N modes and d levels, at least 1 each;
+    # both constructors refuse anything else before reading their arrays
+    with pytest.raises(ValueError, match="expected a basis"):
+        SparseOperator(basis, np.zeros((1, 1), dtype=int), np.ones((1, 1)))
+    with pytest.raises(ValueError, match="expected a basis"):
+        StateVector(basis, [1.0])
+
+
+def test_products_of_a_factor_that_is_no_one_mode_state_are_refused():
+    # phi^(x)N needs phi on one mode; a state of two modes, or a product, is no factor
     mode = ModeSpec(mass=1.0, dim=6)
-    with pytest.raises(ValueError, match="equal"):
-        product_state([coherent_state(mode, 0.1, 0.0), coherent_state(mode, 0.2, 0.0)])
-    with pytest.raises(ValueError, match="equal"):
-        coherent_product([mode] * 2, [0.1, 0.2], [0.0, 0.0])
-    with pytest.raises(ValueError, match="equal"):
-        coherent_product([mode, ModeSpec(mass=2.0, dim=6)], [0.1] * 2, [0.0] * 2)
-    with pytest.raises(ValueError, match="equal"):
-        cm_operators_numeric([mode, ModeSpec(mass=1.0, dim=5)])
+    for phi in (coherent_product(mode, 2, 0.1, 0.0), _random_state(3, (2, 3))):
+        with pytest.raises(ValueError, match="one-mode state"):
+            product_state(phi, 2)
+    with pytest.raises(ValueError, match="expected a basis"):
+        product_state(coherent_state(mode, 0.1, 0.0), 0)
 
 
-def _random_state(seed, dims):
+def _random_state(seed, basis):
     rng = np.random.default_rng(seed)
-    size = math.comb(len(dims) + dims[0] - 1, len(dims))
+    n, d = basis
+    size = math.comb(n + d - 1, n)
     amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return StateVector(dims, amps / np.linalg.norm(amps))
+    return StateVector(basis, amps / np.linalg.norm(amps))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(_RATIONAL_MASS, st.integers(1, 3), st.integers(2, 5), _SEED)
 def test_mode_by_mode_apply_matches_assembled_matrix(mass, n, d, seed):
     system = [ModeSpec(mass=float(mass), dim=d)] * n
-    ops = cm_operators_numeric(system)
-    psi = _random_state(seed, (d,) * n)
+    ops = cm_operators_numeric(system[0], n)
+    psi = _random_state(seed, (n, d))
     iso = symmetric_isometry(n, d)
     for op, oracle in zip(ops, kron_cm_operators(system)):
         applied = op.apply(psi)
@@ -264,9 +272,9 @@ def test_product_state_variances_are_analytic(mass, n, d, seed):
     # phi^(x)N: its N modes are uncorrelated and alike, so
     # var(X_CM) = var_phi(X) / N and var(P_TOT) = N var_phi(P)
     mode = ModeSpec(mass=float(mass), dim=d)
-    phi = _random_state(seed, (d,))
-    psi = product_state([phi] * n)
-    x_cm, _, p_tot = cm_operators_numeric([mode] * n)
+    phi = _random_state(seed, (1, d))
+    psi = product_state(phi, n)
+    x_cm, _, p_tot = cm_operators_numeric(mode, n)
     assert variance(x_cm, psi) == pytest.approx(variance(position_op(mode), phi) / n, abs=1e-12)
     assert variance(p_tot, psi) == pytest.approx(n * variance(momentum_op(mode), phi), abs=1e-12)
 
@@ -278,14 +286,14 @@ def test_shifted_slice_apply_is_bitwise_csr(mass, n, d, rows, seed):
     # bit for bit, at every mode count; exact zeros of either sign in the
     # amplitudes: a row sum that is zero must come out +0.0, as CSR's sums from
     # +0.0 do
-    system = [ModeSpec(mass=float(mass), dim=d)] * n
+    mode = ModeSpec(mass=float(mass), dim=d)
     rng = np.random.default_rng(seed)
     shape = (rows, math.comb(n + d - 1, n))
     stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     stack[rng.random(shape) < 0.3] = 0.0
     stack.real[rng.random(shape) < 0.2] = -0.0
     stack.imag[rng.random(shape) < 0.2] = -0.0
-    for op in cm_operators_numeric(system):
+    for op in cm_operators_numeric(mode, n):
         applied = op.apply(stack)
         assert applied.tobytes() == np.ascontiguousarray((op.matrix @ stack.T).T).tobytes()
 
@@ -307,7 +315,7 @@ def _matrix_cases():
     # alone: their Kronecker sums held as one SparseOperator, whose ``matrix``
     # must be the fold of the same factors, wide rows of slots included
     for name, system in _UNEQUAL_MODES.items():
-        for label, op, factors in zip(("X_CM", "V_CM", "P_TOT"), cm_operators_numeric(system[:1]),
+        for label, op, factors in zip(("X_CM", "V_CM", "P_TOT"), cm_operators_numeric(system[0], 1),
                                       cm_factors(system)):
             if len(system) > 1:
                 op = composite_operator([f.toarray() for f in factors], hermitian=True)
@@ -316,11 +324,10 @@ def _matrix_cases():
                          ("3 modes", [ModeSpec(mass=1.0, dim=4), ModeSpec(mass=2.0, dim=3),
                                       ModeSpec(mass=0.5, dim=5)])):
         for label, coeffs in _POTENTIALS.items():
-            spec = HamiltonianSpec(modes=tuple(system),
-                                   potential=PolynomialPotential.from_coeffs(coeffs))
-            h = sparse_hamiltonian(spec)
-            op = (build_hamiltonian(spec) if len(system) == 1
-                  else SparseOperator((h.shape[0],), *slots(h), hermitian=True))
+            potential = PolynomialPotential.from_coeffs(coeffs)
+            h = sparse_hamiltonian(system, potential)
+            op = (build_hamiltonian(HamiltonianSpec(system[0], 1, potential)) if len(system) == 1
+                  else SparseOperator((1, h.shape[0]), *slots(h), hermitian=True))
             yield pytest.param(op, [h], id=f"H {label} {name}")
     factors = [ladder(3).to_dense(), ladder(4).to_dense().T * 0.5]
     yield pytest.param(composite_operator(factors), factors, id="non-Hermitian sum")
@@ -425,15 +432,15 @@ def test_coherent_state_matches_gammaln_oracle(dim, top):
 def test_product_state_separability():
     # phi (x) phi: the CM mean is one mode's mean
     psi0 = coherent_state(MODE, 0.7, 0.1)
-    joint = product_state([psi0, psi0])
-    x_cm = cm_operators_numeric([MODE] * 2)[0]
+    joint = product_state(psi0, 2)
+    x_cm = cm_operators_numeric(MODE, 2)[0]
     assert abs(expectation(x_cm, joint) - expectation(position_op(MODE), psi0)) < 1e-12
     assert abs(joint.norm() - 1.0) < 1e-12
 
 
 def test_state_vector_rejects_unnormalized():
     with pytest.raises(ValueError):
-        StateVector((4,), np.array([1.0, 1.0, 0.0, 0.0]))
+        StateVector((1, 4), np.array([1.0, 1.0, 0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -452,52 +459,48 @@ def test_variance_requires_hermitian():
 
 
 def test_uncertainty_saturation_two_particles():
-    system = modes(2)
-    psi = ground_product(system)
-    x_cm, v_cm, _ = cm_operators_numeric(system)
+    psi = ground_product(MODE8, 2)
+    x_cm, v_cm, _ = cm_operators_numeric(MODE8, 2)
     assert uncertainty_product(x_cm, v_cm, psi) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_uncertainty_bound_value():
     # hbar / (2 N mbar) for N = 4, mbar = 1
-    system = modes(4, dim=4)
-    psi = ground_product(system)
-    x_cm, v_cm, _ = cm_operators_numeric(system)
+    mode = ModeSpec(mass=1.0, dim=4)
+    psi = ground_product(mode, 4)
+    x_cm, v_cm, _ = cm_operators_numeric(mode, 4)
     product = uncertainty_product(x_cm, v_cm, psi)
     assert product == pytest.approx(1.0 / 8.0, abs=1e-12)
 
 
 def test_commutator_expectation_values():
-    rec = cm_expectation_record(basis_state(16), [MODE])
+    rec = cm_expectation_record(basis_state(16), MODE)
     assert rec.commutator_expectation == pytest.approx(1j, abs=1e-12)
-    system = modes(3)
-    rec = cm_expectation_record(ground_product(system), system)
+    rec = cm_expectation_record(ground_product(MODE8, 3), MODE8)
     assert rec.commutator_expectation == pytest.approx(1j / 3.0, abs=1e-10)
 
 
 def test_commutator_expectation_gate():
     top = basis_state(16, n=15)
-    assert cm_expectation_record(top, [MODE]).truncation_weight == 1.0
+    assert cm_expectation_record(top, MODE).truncation_weight == 1.0
     with pytest.raises(ExcessiveTruncationError):
-        commutator_expectation(top, [MODE])
+        commutator_expectation(top, MODE)
 
 
 def test_commutator_expectation_scaling():
     for n in range(1, 6):
-        system = modes(n, dim=6)
-        value = cm_expectation_record(ground_product(system), system).commutator_expectation
+        value = cm_expectation_record(ground_product(MODE6, n), MODE6).commutator_expectation
         assert abs(value.imag * n - 1.0) < 1e-9
         assert abs(value.real) < 1e-12
 
 
 def test_factorization_residual_values():
-    def residual(psi, system):
-        return cm_expectation_record(psi, system).factorization_residual
+    def residual(psi, mode):
+        return cm_expectation_record(psi, mode).factorization_residual
 
-    assert residual(basis_state(16), [MODE]) == pytest.approx(0.5, abs=1e-12)
-    system4 = modes(4, dim=6)
-    assert residual(ground_product(system4), system4) == pytest.approx(0.125, abs=1e-12)
-    scaled = [residual(ground_product(modes(n, dim=6)), modes(n, dim=6)) * n for n in (1, 2, 4)]
+    assert residual(basis_state(16), MODE) == pytest.approx(0.5, abs=1e-12)
+    assert residual(ground_product(MODE6, 4), MODE6) == pytest.approx(0.125, abs=1e-12)
+    scaled = [residual(ground_product(MODE6, n), MODE6) * n for n in (1, 2, 4)]
     assert max(scaled) - min(scaled) < 1e-9
 
 
@@ -517,29 +520,27 @@ def test_stacked_records_equal_per_row_records(shape, rows, seed):
     # the stacked path is the per-row path's arithmetic, bit for bit; single
     # modes of 8 levels and more reach the vectorized BLAS dot kernels
     mass, n, d = shape
-    system = [ModeSpec(mass=float(mass), dim=d)] * n
-    dims = (d,) * n
-    ops = cm_operators_numeric(system)
+    mode = ModeSpec(mass=float(mass), dim=d)
+    ops = cm_operators_numeric(mode, n)
     rng = np.random.default_rng(seed)
     shape = (rows, ops[0].dim)
     stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     stack /= np.linalg.norm(stack, axis=1)[:, None]
-    weights = truncation_weights(stack, dims)
+    weights = truncation_weights(stack, (n, d))
     columns = cm_expectation_records(stack, ops[0].apply(stack), ops[1].apply(stack), weights)
     for op in ops:
         applied = op.apply(stack)
         assert all(np.array_equal(applied[k], op.apply(row)) for k, row in enumerate(stack))
     for k, row in enumerate(stack):
-        psi = StateVector(dims, row)
+        psi = StateVector((n, d), row)
         assert weights[k] == truncation_weight(psi)
-        record = cm_expectation_record(psi, system)
+        record = cm_expectation_record(psi, mode)
         assert [c[k] for c in vars(columns).values()] == list(vars(record).values())
 
 
 def test_robertson_bound_random_states():
     rng = np.random.default_rng(61)
-    system = modes(2, dim=6)
-    x_cm, v_cm, _ = cm_operators_numeric(system)
+    x_cm, v_cm, _ = cm_operators_numeric(MODE6, 2)
     x, v = x_cm.to_dense(), v_cm.to_dense()
     comm = x @ v - v @ x
     # support on the states whose levels are all below 4, so the truncation gate holds
@@ -549,7 +550,7 @@ def test_robertson_bound_random_states():
         amps = np.zeros(21, dtype=complex)
         amps[low] = rng.standard_normal(len(low)) + 1j * rng.standard_normal(len(low))
         amps /= np.linalg.norm(amps)
-        psi = StateVector((6, 6), amps)
+        psi = StateVector((2, 6), amps)
         assert truncation_weight(psi) < 1e-6
         lhs = uncertainty_product(x_cm, v_cm, psi)
         rhs = 0.5 * abs(np.vdot(psi.amplitudes, comm @ psi.amplitudes))
@@ -558,7 +559,7 @@ def test_robertson_bound_random_states():
 
 def test_expectation_record_consistency():
     psi = coherent_state(MODE, 0.8, -0.2)
-    rec = cm_expectation_record(psi, [MODE])
+    rec = cm_expectation_record(psi, MODE)
     assert rec.x_cm == pytest.approx(0.8, abs=1e-8)
     assert rec.v_cm == pytest.approx(-0.2, abs=1e-8)
     assert rec.dx * rec.dv == pytest.approx(0.5, abs=1e-8)
@@ -574,7 +575,7 @@ def test_expectation_record_consistency():
 def _pair_matrices(eps, dim):
     """Dense (X, V) of the CM mode of total mass 1/eps: [X, V] = i*eps (hbar = 1)
     away from the top level."""
-    x, v, _ = cm_operators_numeric([ModeSpec(mass=1 / eps, dim=dim)])
+    x, v, _ = cm_operators_numeric(ModeSpec(mass=1 / eps, dim=dim), 1)
     return x.to_dense(), v.to_dense()
 
 
@@ -618,7 +619,7 @@ def test_sparse_operator_hermitian_flag_validation():
              (np.array([[0], [1]]), np.array([[np.nan], [1j]])))
     for columns, values in cases:
         with pytest.raises(ValueError):
-            SparseOperator((2,), columns, values, hermitian=True)
+            SparseOperator((1, 2), columns, values, hermitian=True)
 
 
 def test_sparse_operator_takes_diagonals_only():
@@ -627,7 +628,7 @@ def test_sparse_operator_takes_diagonals_only():
     x = position_op(ModeSpec(mass=1.0, dim=3))
     for matrix in (x.to_dense(), x.matrix, {1: np.ones(3)}):
         with pytest.raises(TypeError, match="slots"):
-            SparseOperator((3,), matrix, matrix)
+            SparseOperator((1, 3), matrix, matrix)
 
 
 @pytest.mark.parametrize("columns, values, message", [
@@ -640,4 +641,4 @@ def test_sparse_operator_refuses_malformed_diagonals(columns, values, message):
     # malformed slots are refused when built, not later inside apply as a numpy
     # index error: no slot, too few rows, a column past either end
     with pytest.raises(ValueError, match=message):
-        SparseOperator((3,), columns, values)
+        SparseOperator((1, 3), columns, values)

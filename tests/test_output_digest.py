@@ -40,3 +40,9 @@ def test_differing_cells_are_named_by_table_and_column():
     assert output_digest.cell_differences(lone.replace("0.25", "0.3"), lone)[3] == {"eps": 1}
     moved = TABLE.replace("0.25", "0.3").replace("0.5", "0.6")
     assert output_digest.cell_differences(moved, TABLE)[3] == {"quantum.x_cm": 2}
+
+
+def test_readme_commands_are_those_the_readme_test_runs():
+    from test_readme import COMMANDS
+
+    assert output_digest.readme_commands(_PATH.parents[1]) == COMMANDS

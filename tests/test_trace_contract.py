@@ -41,14 +41,14 @@ def test_counters_read_real_results():
     alg = cm_algebra()
     x, v = alg.x(), alg.v()
     spans.COUNTERS["ccr_algebra.commutator"](counts, (x, v), commutator(x, v))
-    system = [ModeSpec(mass=1.0, dim=3), ModeSpec(mass=1.0, dim=3)]
-    ops = cm_operators_numeric(system)
-    spans.COUNTERS["hilbert_rep.cm_operators"](counts, (system,), ops)
+    pair = (ModeSpec(mass=1.0, dim=3), 2)
+    ops = cm_operators_numeric(*pair)
+    spans.COUNTERS["hilbert_rep.cm_operators"](counts, pair, ops)
     assert counts["hilbert_rep.operator_nnz"] == sum(op.matrix.nnz for op in ops) > 0
     spans.COUNTERS["hilbert_rep.expectations"](counts, (), None)
     mode = ModeSpec(mass=1.0, dim=8)
     psi0 = coherent_state(mode, 0.0, 0.0)
-    spec = HamiltonianSpec(modes=(mode,), potential=PolynomialPotential.zero())
+    spec = HamiltonianSpec(mode, 1, PolynomialPotential.zero())
     traj = evolve_quantum(psi0, spec, t_final=0.2, dt=0.1)
     spans.COUNTERS["dynamics.evolve_quantum"](counts, (psi0, spec), traj)
     assert counts["dynamics.samples"] == 3

@@ -1,4 +1,4 @@
-"""Digest of every benchmark command's output, for byte-identity checks.
+"""Digest of every benchmark and README command's output, for byte-identity checks.
 
 Usage::
 
@@ -6,7 +6,9 @@ Usage::
 
 Runs each command of the three benchmark workloads (``bench/workloads.py``
 of ROOT, read and not edited), seeds 1 to 5, in this process through ROOT's
-``cmlimit.cli.main``, and prints one line per command::
+``cmlimit.cli.main``, then each ``cmlimit`` line of the "Command line" block of
+ROOT's README once (parsed as ``tests/test_readme.py`` parses it; workload and
+label ``readme``, seed ``-``), and prints one line per command::
 
     workload seed label exit md5-of-standard-output
 
@@ -34,6 +36,8 @@ import hashlib
 import io
 import math
 import os
+import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -86,6 +90,15 @@ def cell_differences(text: str, saved: str) -> tuple:
     return count, relative, absolute, columns
 
 
+def readme_commands(root: Path) -> list:
+    """The argv of each ``cmlimit`` line of the first ``sh`` block under the heading
+    ``## Command line`` of ROOT's README, without the program name."""
+    match = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```$", (root / "README.md").read_text(),
+                      flags=re.MULTILINE | re.DOTALL)
+    return [shlex.split(line)[1:] for line in match.group(1).splitlines()
+            if line.startswith("cmlimit ")]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("root", nargs="?", type=Path, default=Path(__file__).resolve().parents[1])
@@ -104,30 +117,32 @@ def main() -> int:
         sys.exit(f"cmlimit was imported from {cli.__file__}, not from {root / 'src'}")
     if args.save is not None:
         args.save.mkdir(parents=True, exist_ok=True)
+    runs = [(workload, seed, n, command.label, command.argv)
+            for workload in workloads.WORKLOADS for seed in SEEDS
+            for n, command in enumerate(workloads.COMMANDS[workload](seed))]
+    runs += [("readme", "-", n, "readme", argv) for n, argv in enumerate(readme_commands(root))]
     outputs = differing = 0
-    for workload in workloads.WORKLOADS:
-        for seed in SEEDS:
-            for n, command in enumerate(workloads.COMMANDS[workload](seed)):
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                    code = cli.main(list(command.argv))
-                text = out.getvalue()
-                name = f"{workload}-{seed}-{n:02d}-{command.label}.csv"
-                if args.save is not None:
-                    (args.save / name).write_text(text)
-                digest = hashlib.md5(text.encode()).hexdigest()
-                line = [workload, seed, command.label, code, digest]
-                outputs += 1
-                if args.against is not None:
-                    saved = args.against / name
-                    saved = saved.read_text() if saved.is_file() else None
-                    if saved != text:
-                        differing += 1
-                        cells, relative, absolute, columns = cell_differences(text, saved or "")
-                        named = ", ".join(f"{name} {n}" for name, n in columns.items())
-                        line.append(f"differs: {cells} cells ({named or 'not lined up'}), "
-                                    f"largest relative {relative:.2g}, absolute {absolute:.2g}")
-                print(*line, flush=True)
+    for workload, seed, n, label, argv in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(argv))
+        text = out.getvalue()
+        name = f"{workload}-{seed}-{n:02d}-{label}.csv"
+        if args.save is not None:
+            (args.save / name).write_text(text)
+        digest = hashlib.md5(text.encode()).hexdigest()
+        line = [workload, seed, label, code, digest]
+        outputs += 1
+        if args.against is not None:
+            saved = args.against / name
+            saved = saved.read_text() if saved.is_file() else None
+            if saved != text:
+                differing += 1
+                cells, relative, absolute, columns = cell_differences(text, saved or "")
+                named = ", ".join(f"{name} {n}" for name, n in columns.items())
+                line.append(f"differs: {cells} cells ({named or 'not lined up'}), "
+                            f"largest relative {relative:.2g}, absolute {absolute:.2g}")
+        print(*line, flush=True)
     if args.against is not None:
         print(f"{differing} of {outputs} outputs differ from {args.against}")
     return 0
